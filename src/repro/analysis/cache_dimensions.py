@@ -61,16 +61,12 @@ PROTECTED_STATE: tuple[ProtectedState, ...] = (
 )
 
 KEY_DISCIPLINES: tuple[KeyDiscipline, ...] = (
-    KeyDiscipline(function=f"{PKG}.engine.session.Session.sql",
+    # the one statement lifecycle: inline and scheduled statements both
+    # capture, probe and store here (the store sits in its run closure)
+    KeyDiscipline(function=f"{PKG}.engine.lifecycle.serve_statement",
                   capture="result_key",
                   probes=("fetch_result", "fetch_reuse"),
                   stores=("store_result",)),
-    KeyDiscipline(function=f"{PKG}.server.server.EngineServer.submit",
-                  capture="result_key",
-                  probes=("fetch_result", "fetch_reuse"),
-                  # the store happens in _execute, which receives the
-                  # pre-captured key through the run closure
-                  stores=("_execute",)),
 )
 
 

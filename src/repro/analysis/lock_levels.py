@@ -38,9 +38,9 @@ Levels (acquire downward only):
 
 Historical note: before the static-analysis suite landed, the docs
 placed the catalog at level 2 and the stripes at level 3 — the checker
-found that ``Session.execute``/``EngineServer._execute`` hold read
-stripes across ``build_physical``'s catalog lookups, an up-hierarchy
-edge under the documented order.  The *code* order (stripes, then
+found that statement execution (today ``engine.lifecycle.run_plan``)
+holds read stripes across ``build_physical``'s catalog lookups, an
+up-hierarchy edge under the documented order.  The *code* order (stripes, then
 catalog) is deadlock-free and is what this file now declares.
 """
 

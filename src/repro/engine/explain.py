@@ -1,4 +1,5 @@
-"""EXPLAIN: annotated plan rendering with estimates and costs."""
+"""EXPLAIN / EXPLAIN ANALYZE: plan rendering with estimates, costs
+and (after execution) actuals."""
 
 from __future__ import annotations
 
@@ -36,6 +37,35 @@ def explain_plan(plan: LogicalPlan,
             visit(child, indent + 1)
 
     visit(plan, 0)
+    return "\n".join(lines)
+
+
+def explain_analyzed(plan: LogicalPlan, root, estimator: CardinalityEstimator,
+                     total_seconds: float) -> str:
+    """EXPLAIN ANALYZE table: estimated vs actual rows and wall time per
+    operator of an *executed* tree (``root`` is ``plan``'s physical
+    lowering, node for node)."""
+    lines = [f"EXPLAIN ANALYZE  (total {total_seconds * 1e3:.2f} ms)"]
+
+    def visit(logical: LogicalPlan, physical, indent: int) -> None:
+        estimated = estimator.estimate(logical)
+        actual = physical.rows_out
+        drift = ""
+        if estimated > 0 and actual > 0:
+            ratio = max(estimated / actual, actual / estimated)
+            if ratio >= 4.0:
+                drift = f"  <-- estimate off {ratio:.0f}x"
+        lines.append(
+            "  " * indent
+            + f"{logical.label()}  [est~{estimated:,.0f} rows, "
+              f"actual {actual:,} rows, "
+              f"{physical.elapsed * 1e3:.2f} ms]{drift}"
+            + pipeline_annotation(physical))
+        for logical_child, physical_child in zip(logical.children,
+                                                 physical.children):
+            visit(logical_child, physical_child, indent + 1)
+
+    visit(plan, root, 1)
     return "\n".join(lines)
 
 

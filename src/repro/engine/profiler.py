@@ -38,8 +38,8 @@ class QueryProfile:
     kernel_compile_seconds: float = 0.0
     #: Backends the fused pipelines ran on ("python"/"numba").
     kernel_backends: list[str] = field(default_factory=list)
-    # -- serving-layer fields (filled by Session.sql / the scheduler;
-    #    None/zero for builder queries and unscheduled executions) -----
+    # -- serving-layer fields (filled by engine.lifecycle; None/zero
+    #    for builder queries and unscheduled executions) ---------------
     #: Whether the statement's optimized plan came from the plan cache.
     plan_cache_hit: bool | None = None
     #: Whether the statement's *result* came from the cross-statement
@@ -72,8 +72,10 @@ class QueryProfile:
 
     @classmethod
     def from_tree(cls, root: PhysicalOperator,
-                  total_seconds: float,
-                  embedding_caches: dict | None = None) -> "QueryProfile":
+                  total_seconds: float) -> "QueryProfile":
+        """Operator rows and kernel telemetry of an executed tree; the
+        embedding-arena fields are per-statement deltas the caller fills
+        in (``engine.lifecycle.run_plan``)."""
         profile = cls(total_seconds=total_seconds)
 
         def visit(op: PhysicalOperator, depth: int) -> None:
@@ -91,14 +93,6 @@ class QueryProfile:
                 visit(child, depth + 1)
 
         visit(root, 0)
-        # snapshot: the dict may be shared with concurrently executing
-        # queries that lazily create new per-model caches
-        for cache in list((embedding_caches or {}).values()):
-            profile.cache_hits += cache.hits
-            profile.cache_misses += cache.misses
-            profile.tokens_embedded += cache.model.tokens_embedded
-            profile.arena_rows += getattr(cache, "rows", len(cache))
-            profile.arena_bytes += getattr(cache, "nbytes", 0)
         return profile
 
     def pretty(self) -> str:

@@ -4,38 +4,34 @@ A session is what the paper's "single declarative framework" looks like to
 a user: register tables/sources/models once, then issue SQL or builder
 queries; the session optimizes, executes, and profiles them.
 
-Since the serving layer landed, ``Session`` is a thin facade over an
+``Session`` is a thin facade over an
 :class:`~repro.engine.state.EngineState`: a stand-alone session builds a
-private state (exactly the old behaviour), while sessions handed a
-``shared_state`` — the :class:`~repro.server.EngineServer` path — share
-catalog, models, embedding arenas, the vector-index cache, and the plan
-cache with every sibling.  SQL execution consults the plan cache first:
-a repeated statement (same canonical form + literals, same catalog
-version, same default model) skips lexer/parser/binder/optimizer and
-goes straight to physical instantiation of the cached plan.
+private state, while sessions handed a ``shared_state`` — the
+:class:`~repro.server.EngineServer` path — share catalog, models,
+embedding arenas, the vector-index cache, and the plan cache with every
+sibling.  How a statement is served — plan cache, result cache, reuse,
+execution — is :mod:`repro.engine.lifecycle`.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import ExitStack
 from typing import NamedTuple
 
 from repro.embeddings.model import EmbeddingModel
-from repro.engine.explain import explain_plan, pipeline_annotation
+from repro.engine.explain import explain_analyzed, explain_plan
+from repro.engine.lifecycle import run_plan, serve_statement
 from repro.engine.profiler import QueryProfile
 from repro.engine.sql.binder import Binder
 from repro.engine.sql.canonical import CanonicalQuery, canonicalize
 from repro.engine.sql.parser import parse_sql
-from repro.engine.state import DEFAULT_MODEL_NAME, EngineState, plan_models
+from repro.engine.state import DEFAULT_MODEL_NAME, EngineState
 from repro.errors import CatalogError
-from repro.obs.trace import (
-    NULL_TRACE, AnyTrace, Trace, attach_operator_spans,
-    attach_profile_spans)
+from repro.obs.trace import NULL_TRACE, AnyTrace, Trace
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.polystore.source import DataSource
 from repro.relational.logical import LogicalPlan, ScanNode
-from repro.relational.physical import DEFAULT_BATCH_SIZE, build_physical
+from repro.relational.physical import DEFAULT_BATCH_SIZE
 from repro.storage.table import Table
 
 __all__ = ["DEFAULT_MODEL_NAME", "PlannedStatement", "Session"]
@@ -222,81 +218,14 @@ class Session:
     def sql(self, text: str, optimize: bool = True) -> Table:
         """Parse, bind, optimize, and execute a SQL query.
 
-        Optimized statements go through the shared plan cache: on a hit
-        the text is at most memo-probed (byte-identical repeats skip
-        even the lexer) and the cached physical-annotated plan executes
-        directly.  A repeated statement whose result-cache key still
-        matches (same canonical form + literals, catalog version, and
-        model/arena/index generations) skips execution entirely and
-        returns a defensive snapshot of the cached result.
+        Optimized statements travel the statement lifecycle
+        (:func:`repro.engine.lifecycle.serve_statement`): plan cache,
+        then result cache and reuse, which skip execution entirely.
         ``optimize=False`` always takes the uncached, unscheduled path.
         """
         if not optimize:
             return self.execute(self.sql_plan(text), optimize=False)
-        # inline sample check: with tracing disabled the whole statement
-        # pays one attribute load + branch here instead of a start() call
-        # (the result-cache hit path is ~tens of microseconds, so even
-        # no-op method calls would show up against the <1% budget)
-        tracer = self.state.tracer
-        trace: AnyTrace = tracer.start("statement") \
-            if tracer.sample > 0.0 else NULL_TRACE
-        self.state.statements_total.inc()
-        planned = self.plan_for(text, trace=trace)
-        key = self.state.result_key(planned)   # captured pre-execution
-        started = time.perf_counter()
-        if trace.enabled:
-            with trace.span("result_cache.probe") as probe:
-                cached = self.state.fetch_result(key)
-                probe.annotate(hit=cached is not None,
-                               cacheable=key is not None)
-        else:
-            cached = self.state.fetch_result(key)
-        if cached is not None:
-            profile = QueryProfile(
-                total_seconds=time.perf_counter() - started)
-            profile.plan_cache_hit = planned.cache_hit
-            profile.result_cache_hit = True
-            if trace.enabled:
-                self._finish_statement(trace, profile)
-            self.last_profile = profile
-            return cached
-        with trace.span("reuse.probe") as probe:
-            reused = self.state.fetch_reuse(planned, key)
-            probe.annotate(hit=reused is not None)
-        if reused is not None:
-            profile = QueryProfile(
-                total_seconds=time.perf_counter() - started)
-            profile.plan_cache_hit = planned.cache_hit
-            profile.result_cache_hit = False
-            profile.reuse_hit = True
-            if trace.enabled:
-                self._finish_statement(trace, profile)
-            self.last_profile = profile
-            return reused
-        result = self.execute(planned.plan, optimize=False, trace=trace)
-        result = self.state.store_result(key, result, planned)
-        if self.last_profile is not None:
-            self.last_profile.plan_cache_hit = planned.cache_hit
-            if key is not None:
-                self.last_profile.result_cache_hit = False
-                self.last_profile.reuse_hit = False
-            if trace.enabled:
-                self._finish_statement(trace, self.last_profile)
-        return result
-
-    def _finish_statement(self, trace: AnyTrace,
-                          profile: QueryProfile) -> None:
-        """Seal a statement's trace and pin it to the profile."""
-        trace.annotate(
-            plan_cache_hit=profile.plan_cache_hit,
-            result_cache_hit=profile.result_cache_hit,
-            reuse_hit=profile.reuse_hit)
-        # root seconds = sum of child spans (parse + probes + execute),
-        # which covers the whole statement regardless of which path
-        # served it
-        self.state.tracer.finish(trace)
-        if trace.enabled:
-            profile.trace = trace
+        return serve_statement(self, text)
 
     def sql_plan(self, text: str) -> LogicalPlan:
         """Parse and bind a SQL query to an (unoptimized) logical plan."""
@@ -342,25 +271,16 @@ class Session:
         model = self.default_model_name
         version = self.catalog.version
         statement = None
-        if trace.enabled:
-            with trace.span("frontend.parse") as parse_span:
-                canonical = cache.canonical_for(text, model)
-                if canonical is None:
-                    statement = parse_sql(text)
-                    canonical = canonicalize(statement)
-                parse_span.annotate(text_memo_hit=statement is None)
-            with trace.span("plan_cache.probe") as probe:
-                entry = cache.get(canonical, version, model)
-                probe.annotate(hit=entry is not None,
-                               catalog_version=version, model=model)
-        else:
-            # duplicated untraced arm: memo probe + cache get are the
-            # repeated-statement hot path, kept span-free when disabled
+        with trace.span("frontend.parse") as parse_span:
             canonical = cache.canonical_for(text, model)
             if canonical is None:
                 statement = parse_sql(text)
                 canonical = canonicalize(statement)
+            parse_span.annotate(text_memo_hit=statement is None)
+        with trace.span("plan_cache.probe") as probe:
             entry = cache.get(canonical, version, model)
+            probe.annotate(hit=entry is not None,
+                           catalog_version=version, model=model)
         if entry is not None:
             if statement is not None:
                 # a textually new spelling of a cached statement: memo it
@@ -372,12 +292,9 @@ class Session:
                                     model_name=model, reuse=entry.reuse)
         # exact miss: a promoted family can still serve a generic plan
         # with these literals bound in, skipping bind+optimize entirely
-        if trace.enabled:
-            with trace.span("plan_cache.generic_probe") as generic_span:
-                generic = cache.get_generic(canonical, version, model)
-                generic_span.annotate(hit=generic is not None)
-        else:
+        with trace.span("plan_cache.generic_probe") as generic_span:
             generic = cache.get_generic(canonical, version, model)
+            generic_span.annotate(hit=generic is not None)
         if generic is not None:
             if statement is not None:
                 cache.memo_text(text, model, canonical)
@@ -417,35 +334,12 @@ class Session:
     def optimize(self, plan: LogicalPlan) -> LogicalPlan:
         return self._optimizer().optimize(plan)
 
-    def execute(self, plan: LogicalPlan, optimize: bool = True,
-                trace: AnyTrace = NULL_TRACE) -> Table:
+    def execute(self, plan: LogicalPlan, optimize: bool = True) -> Table:
         """Run a logical plan; stores a :class:`QueryProfile`."""
+        self.last_profile = None    # a raise must not leave a stale one
         if optimize:
             plan = self.optimize(plan)
-        with ExitStack() as stack:
-            # hold read stripes for every model the plan embeds with
-            # (deduped, bank order -> no double-acquire, no lock
-            # cycles), so a concurrent cache invalidation (write
-            # stripe) can never clear an arena mid-gather — same
-            # discipline as the server's scheduled path
-            for stripe in self.state.model_locks.stripes_for(
-                    plan_models(plan)):
-                stack.enter_context(stripe.read())
-            started = time.perf_counter()
-            with trace.span("execute") as exec_span:
-                root = build_physical(plan, self.context)
-                result = root.execute()
-            elapsed = time.perf_counter() - started
-        self.context.record_semantic_metrics()
-        profile = QueryProfile.from_tree(
-            root, elapsed, self.context.embedding_cache)
-        self.state.statement_seconds.observe(elapsed)
-        for op in profile.operators:
-            self.state.operator_seconds.observe(op.seconds)
-        # operator spans mirror the profile's operator table — same
-        # rows, so the two views cannot disagree
-        attach_profile_spans(exec_span, profile)
-        self.last_profile = profile
+        result, self.last_profile, _ = run_plan(self, plan, self.context)
         return result
 
     def explain(self, query: str | LogicalPlan,
@@ -472,42 +366,15 @@ class Session:
         if optimize:
             with trace.span("optimize"):
                 plan = optimizer.optimize(plan)
-
-        root = build_physical(plan, self.context)
-        with trace.span("execute") as exec_span:
-            root.execute()
+        _, profile, root = run_plan(self, plan, self.context, trace)
         trace.finish()
-        elapsed = exec_span.seconds
-        attach_operator_spans(
-            exec_span,
-            QueryProfile.from_tree(root, elapsed).operators)
-
-        lines = [f"EXPLAIN ANALYZE  (total {elapsed * 1e3:.2f} ms)"]
-
-        def visit(logical: LogicalPlan, physical, indent: int) -> None:
-            estimated = optimizer.estimator.estimate(logical)
-            actual = physical.rows_out
-            drift = ""
-            if estimated > 0 and actual > 0:
-                ratio = max(estimated / actual, actual / estimated)
-                if ratio >= 4.0:
-                    drift = f"  <-- estimate off {ratio:.0f}x"
-            lines.append(
-                "  " * indent
-                + f"{logical.label()}  [est~{estimated:,.0f} rows, "
-                  f"actual {actual:,} rows, "
-                  f"{physical.elapsed * 1e3:.2f} ms]{drift}"
-                + pipeline_annotation(physical))
-            for logical_child, physical_child in zip(logical.children,
-                                                     physical.children):
-                visit(logical_child, physical_child, indent + 1)
-
-        visit(plan, root, 1)
         # the span tree is built from the same operator rows as the
-        # table above, so the two sections cannot disagree on timings
-        lines.append("trace:")
-        lines.extend("  " + line for line in trace.pretty().splitlines())
-        return "\n".join(lines)
+        # table above it, so the two sections cannot disagree on timings
+        return "\n".join([
+            explain_analyzed(plan, root, optimizer.estimator,
+                             profile.total_seconds),
+            "trace:",
+            *("  " + line for line in trace.pretty().splitlines())])
 
     # ------------------------------------------------------------------
     # Internals

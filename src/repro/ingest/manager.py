@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from threading import Lock
 from typing import TYPE_CHECKING, Any
 
@@ -47,7 +47,7 @@ from repro.engine.result_cache import ResultKey
 from repro.engine.state import plan_models, plan_tables
 from repro.errors import CatalogError
 from repro.ingest.delta import DeltaRefused, apply_delta, classify_plan
-from repro.relational.physical import ExecutionContext, execute_plan
+from repro.relational.physical import execute_plan
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
@@ -286,14 +286,7 @@ class IngestManager:
         state = self._state
         shim = Catalog()
         shim.register(table, delta)
-        context = ExecutionContext(
-            catalog=shim, models=state.models,
-            batch_size=state.batch_size, parallelism=state.workers,
-            cache_parallelism=state.workers,
-            embedding_cache=state.embedding_caches,
-            index_cache=state.index_cache,
-            kernel_cache=state.kernel_cache,
-            metrics_registry=state.metrics_registry)
+        context = replace(state.make_context(), catalog=shim)
         with ExitStack() as stack:
             for stripe in state.model_locks.stripes_for(plan_models(plan)):
                 stack.enter_context(stripe.read())

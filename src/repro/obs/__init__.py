@@ -17,12 +17,11 @@ from repro.obs.export import json_snapshot, parse_prometheus, prometheus_text
 from repro.obs.metrics import (
     Counter, Gauge, Histogram, MetricsRegistry, hit_ratio)
 from repro.obs.trace import (
-    NULL_SPAN, NULL_TRACE, Span, Trace, Tracer, attach_operator_spans,
-    attach_profile_spans)
+    NULL_SPAN, NULL_TRACE, Span, Trace, Tracer, attach_profile_spans)
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "hit_ratio",
     "NULL_SPAN", "NULL_TRACE", "Span", "Trace", "Tracer",
-    "attach_operator_spans", "attach_profile_spans",
+    "attach_profile_spans",
     "json_snapshot", "parse_prometheus", "prometheus_text",
 ]

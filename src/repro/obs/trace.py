@@ -1,10 +1,10 @@
 """Hierarchical span tracer with explicit context propagation.
 
 A :class:`Trace` is a per-statement span tree.  It is handed down the
-call chain as an argument (``Session.sql`` → ``plan_for`` → probes →
-``execute``; ``EngineServer.submit`` → scheduler closure → worker) —
-never through a thread-local, so the scheduler's worker pool cannot
-leak spans between concurrent statements.
+call chain as an argument (``engine.lifecycle.serve_statement`` →
+``plan_for`` → probes → its ``run`` closure, which carries it onto a
+scheduler worker) — never through a thread-local, so the scheduler's
+worker pool cannot leak spans between concurrent statements.
 
 Spans record *durations*, not absolute timestamps: each span's
 ``seconds`` is measured by the trace's injected monotonic clock, which
@@ -15,8 +15,8 @@ grafted in post-hoc via :meth:`Trace.span_at`.
 
 Disabled tracing is the :data:`NULL_TRACE` singleton — every method is
 a constant-time no-op on shared singletons (no allocation), which is
-what keeps the ``trace_sample=0`` overhead on the result-cache hot
-path under the 1% budget enforced by ``benchmarks/bench_result_cache``.
+why the serving path has one arm: it always goes through
+``trace.span(...)`` instead of branching on ``trace.enabled``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Protocol, TextIO, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Protocol, Sequence, TextIO, Union)
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
@@ -258,29 +259,10 @@ class _OperatorLike(Protocol):
     seconds: float
 
 
-def attach_operator_spans(parent: AnySpan,
-                          operators: "list[_OperatorLike]") -> None:
-    """Mirror ``QueryProfile.operators`` as child spans of ``parent``.
-
-    The span tree and the profile's operator table are built from the
-    same rows (label, depth, rows_out, seconds), so EXPLAIN ANALYZE,
-    ``QueryProfile.pretty()``, and the trace cannot disagree on where
-    execution time went.
-    """
-    if not parent.enabled or not isinstance(parent, Span):
-        return
-    stack: list[tuple[int, Span]] = [(-1, parent)]
-    for op in operators:
-        while stack[-1][0] >= op.depth:
-            stack.pop()
-        span = Span(f"operator:{op.label}", seconds=op.seconds,
-                    attrs={"rows_out": op.rows_out, "depth": op.depth})
-        stack[-1][1].children.append(span)
-        stack.append((op.depth, span))
-
-
 class _ProfileLike(Protocol):
-    operators: "list[_OperatorLike]"
+    # read-only, so ``list[OperatorProfile]`` satisfies it covariantly
+    @property
+    def operators(self) -> "Sequence[_OperatorLike]": ...
     fused_pipelines: int
     kernel_cache_hits: int
     kernel_compiles: int
@@ -295,15 +277,25 @@ class _ProfileLike(Protocol):
 def attach_profile_spans(parent: AnySpan, profile: _ProfileLike) -> None:
     """Operator + cache-probe child spans from a ``QueryProfile``.
 
-    One call site per serving path (``Session.execute``,
-    ``EngineServer._execute``) so the execute span's children always
-    have the same shape: the operator tree, then a
+    One call site (``engine.lifecycle.run_plan``) so the execute span's
+    children always have the same shape: the operator tree, then a
     ``kernel_cache.probe`` span when pipelines were fused, then an
     ``embedding_cache.probe`` span when any embedding was requested.
+    The operator spans mirror ``profile.operators`` row for row (label,
+    depth, rows_out, seconds), so EXPLAIN ANALYZE,
+    ``QueryProfile.pretty()``, and the trace cannot disagree on where
+    execution time went.
     """
     if not parent.enabled or not isinstance(parent, Span):
         return
-    attach_operator_spans(parent, profile.operators)
+    stack: list[tuple[int, Span]] = [(-1, parent)]
+    for op in profile.operators:
+        while stack[-1][0] >= op.depth:
+            stack.pop()
+        span = Span(f"operator:{op.label}", seconds=op.seconds,
+                    attrs={"rows_out": op.rows_out, "depth": op.depth})
+        stack[-1][1].children.append(span)
+        stack.append((op.depth, span))
     if profile.fused_pipelines:
         parent.child(
             "kernel_cache.probe",

@@ -323,33 +323,44 @@ class Scheduler:
         return self._lanes[lane].popleft()
 
     def _worker_loop(self) -> None:
-        while True:
-            with self._mutex:
+        while self._dispatch_one():
+            pass
+
+    def _dispatch_one(self) -> bool:
+        """Wait for one query and run it; ``False`` once closed and
+        drained.
+
+        A call per dispatch, not a loop body: the ticket, its ``run``
+        closure (plan, trace) and the result table are locals that die
+        on return, so a worker idling in ``wait()`` pins nothing it ran.
+        """
+        with self._mutex:
+            item = self._pop_locked()
+            while item is None and not self._closed:
+                self._work_ready.wait()
                 item = self._pop_locked()
-                while item is None and not self._closed:
-                    self._work_ready.wait()
-                    item = self._pop_locked()
-                if item is None:   # closed and drained
-                    return
-                self._running += 1
-            ticket, run = item
-            if not ticket.future.set_running_or_notify_cancel():
-                self._finish(ticket, cancelled=True)
-                continue
-            ticket.started_at = time.perf_counter()
-            ticket.kernel_workers = self.budget.acquire()
-            try:
-                result = run(ticket, ticket.kernel_workers)
-            except BaseException as error:  # noqa: BLE001 — future carries it
-                ticket.finished_at = time.perf_counter()
-                ticket.future.set_exception(error)
-                self._finish(ticket, failed=True)
-            else:
-                ticket.finished_at = time.perf_counter()
-                ticket.future.set_result(result)
-                self._finish(ticket)
-            finally:
-                self.budget.release()
+            if item is None:
+                return False
+            self._running += 1
+        ticket, run = item
+        if not ticket.future.set_running_or_notify_cancel():
+            self._finish(ticket, cancelled=True)
+            return True
+        ticket.started_at = time.perf_counter()
+        ticket.kernel_workers = self.budget.acquire()
+        try:
+            result = run(ticket, ticket.kernel_workers)
+        except BaseException as error:  # noqa: BLE001 — future carries it
+            ticket.finished_at = time.perf_counter()
+            ticket.future.set_exception(error)
+            self._finish(ticket, failed=True)
+        else:
+            ticket.finished_at = time.perf_counter()
+            ticket.future.set_result(result)
+            self._finish(ticket)
+        finally:
+            self.budget.release()
+        return True
 
     def _finish(self, ticket: QueryTicket, failed: bool = False,
                 cancelled: bool = False) -> None:

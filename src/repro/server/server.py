@@ -2,41 +2,28 @@
 
 The server owns exactly one :class:`~repro.engine.state.EngineState` —
 catalog, models, per-model embedding arenas, vector-index cache, plan
-cache — and hands out :class:`ClientSession` facades that *share* it.
-What used to cost every session its own model load and cold caches now
-warms once and serves everyone: a string embedded by any client is an
-arena hit for all of them, an index built for one query is reused by
-the next, and a statement planned once executes plan-cache-hot from
-every connection.
+cache — and hands out :class:`ClientSession` facades that *share* it:
+a string embedded by any client is an arena hit for all of them, an
+index built for one query is reused by the next, and a statement
+planned once executes plan-cache-hot from every connection.
 
-Execution is admission-controlled: ``submit`` plans the statement in
-the calling thread (plan-cache first), classifies it by the optimizer's
-cost estimate, and enqueues it on the
-:class:`~repro.server.scheduler.Scheduler`'s bounded pool.  Each
-running query leases a kernel-worker share from the machine-wide
-:class:`~repro.utils.parallel.WorkerBudget` and executes with a
-per-query :class:`~repro.relational.physical.ExecutionContext`, so
-concurrent queries share caches but never each other's telemetry.
-
-Model-cache invalidation uses the striped read-write locks: queries
-hold read stripes for every model their plan touches, so
-:meth:`EngineServer.invalidate_model` (write stripe) can never clear an
-arena out from under a running gather.
+Execution is admission-controlled: ``submit`` hands the statement
+lifecycle (:mod:`repro.engine.lifecycle`) the server's
+:class:`~repro.server.scheduler.Scheduler`, so planning and cache probes
+run in the calling thread and execution on the bounded pool, each query
+leasing a kernel-worker share from the machine-wide
+:class:`~repro.utils.parallel.WorkerBudget`.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import ExitStack
-
-from repro.engine.profiler import QueryProfile
-from repro.engine.session import PlannedStatement, Session
-from repro.engine.state import EngineState, plan_models
+from repro.engine.lifecycle import serve_statement
+from repro.engine.session import Session
+from repro.engine.state import EngineState
 from repro.errors import ServerError
 from repro.obs.export import json_snapshot, prometheus_text
-from repro.obs.trace import NULL_TRACE, AnyTrace, attach_profile_spans
 from repro.optimizer.optimizer import OptimizerConfig
-from repro.relational.physical import DEFAULT_BATCH_SIZE, build_physical
+from repro.relational.physical import DEFAULT_BATCH_SIZE
 from repro.server.scheduler import QueryTicket, Scheduler, SchedulerConfig
 from repro.storage.table import Table
 from repro.utils.parallel import WorkerBudget
@@ -116,38 +103,32 @@ class EngineServer:
                wait: bool = True):
         """Append rows through the scheduler; delta-maintains caches.
 
-        Ingest is admitted like a query but charged
-        ``SchedulerConfig.ingest_weight`` against the tenant's in-flight
-        cap (a mutation holds the engine-wide ingest lock and re-executes
-        delta plans, so it displaces more capacity than one read), and
-        classified heavy so a burst of appends cannot starve the
-        interactive lane.  Returns the
-        :class:`~repro.ingest.IngestReport` when ``wait`` is true, the
-        :class:`QueryTicket` otherwise.
+        Returns the :class:`~repro.ingest.IngestReport` when ``wait`` is
+        true, the :class:`QueryTicket` otherwise.
         """
-        self._check_open()
-        ticket = self.scheduler.submit(
-            lambda ticket, workers: self.state.ingest.append(name, rows),
-            # always heavy-lane: strictly above the interactive threshold
-            estimated_cost=self.scheduler.config
-            .interactive_cost_threshold + 1.0,
-            tenant=tenant, weight=self.scheduler.config.ingest_weight)
-        return ticket.result() if wait else ticket
+        return self._ingest(
+            lambda: self.state.ingest.append(name, rows), tenant, wait)
 
     def upsert(self, name: str, rows, key: str, tenant: str = "admin",
                wait: bool = True):
-        """Insert-or-replace by ``key`` through the scheduler.
+        """Insert-or-replace by ``key`` through the scheduler; returns
+        the report or the ticket, like :meth:`append`."""
+        return self._ingest(
+            lambda: self.state.ingest.upsert(name, rows, key), tenant, wait)
 
-        Same admission treatment as :meth:`append` (heavy lane,
-        ``ingest_weight`` charge).  Returns the report or the ticket.
-        """
+    def _ingest(self, operation, tenant: str, wait: bool):
+        """Admit one ingest operation like a query, but charged
+        ``SchedulerConfig.ingest_weight`` against the tenant's in-flight
+        cap (a mutation holds the engine-wide ingest lock and re-executes
+        delta plans, so it displaces more capacity than one read), and
+        classified heavy — strictly above the interactive threshold — so
+        a burst of appends cannot starve the interactive lane."""
         self._check_open()
+        config = self.scheduler.config
         ticket = self.scheduler.submit(
-            lambda ticket, workers: self.state.ingest.upsert(name, rows,
-                                                             key),
-            estimated_cost=self.scheduler.config
-            .interactive_cost_threshold + 1.0,
-            tenant=tenant, weight=self.scheduler.config.ingest_weight)
+            lambda ticket, workers: operation(),
+            estimated_cost=config.interactive_cost_threshold + 1.0,
+            tenant=tenant, weight=config.ingest_weight)
         return ticket.result() if wait else ticket
 
     def invalidate_model(self, model_name: str) -> None:
@@ -190,175 +171,18 @@ class EngineServer:
 
     def submit(self, text: str, session: "ClientSession | None" = None,
                tenant: str | None = None) -> QueryTicket:
-        """Plan ``text`` now, queue its execution; returns the ticket.
-
-        Planning (plan-cache lookup, or parse/bind/optimize on a miss)
-        happens in the calling thread so the admission decision can use
-        the optimizer's cost estimate; execution happens on the worker
-        pool.  ``ticket.result()`` blocks for the table.
-        """
+        """Plan and probe ``text`` now, queue its execution if no cache
+        answered; returns the ticket (``.result()`` blocks for the
+        table).  ``tenant`` overrides the session's for accounting."""
         self._check_open()
         client = session if session is not None else self._admin
-        tenant = tenant if tenant is not None else client.tenant
-        # inline sample check — the result-cache hit path below is tens
-        # of microseconds, so with tracing disabled it pays one branch
-        # here, not a start() call (see the bench's no-op overhead gate)
-        tracer = self.state.tracer
-        trace: AnyTrace = tracer.start("statement", tenant=tenant) \
-            if tracer.sample > 0.0 else NULL_TRACE
-        self.state.statements_total.inc()
-        planned = client.plan_for(text, trace=trace)
-        # result cache before admission: a hit skips execution entirely,
-        # so it never competes for a worker — the scheduler records it
-        # as an interactive-lane no-op.  The key (catalog version +
-        # model/arena/index generations) is captured here, pre-execution,
-        # and reused for the post-execution store on a miss.
-        key = self.state.result_key(planned)
-        started = time.perf_counter()
-        if trace.enabled:
-            with trace.span("result_cache.probe") as probe:
-                cached = self.state.fetch_result(key)
-                probe.annotate(hit=cached is not None,
-                               cacheable=key is not None)
-        else:
-            cached = self.state.fetch_result(key)
-        if cached is not None:
-            ticket = self.scheduler.complete_cached(
-                cached, tenant=tenant,
-                estimated_cost=planned.estimated_cost,
-                plan_cache_hit=planned.cache_hit)
-            profile = QueryProfile(
-                total_seconds=time.perf_counter() - started)
-            profile.plan_cache_hit = planned.cache_hit
-            profile.result_cache_hit = True
-            profile.lane = ticket.lane
-            profile.tenant = ticket.tenant
-            if trace.enabled:
-                self._finish_submit(trace, profile)
-            client.last_profile = profile
-            return ticket
-        # subsumption next: a containing cached statement answers the
-        # refinement with a cheap residual (refilter/truncate/project of
-        # its snapshot) in the calling thread — an interactive-lane
-        # no-op that never competes for a worker
-        with trace.span("reuse.probe") as probe:
-            reused = self.state.fetch_reuse(planned, key)
-            probe.annotate(hit=reused is not None)
-        if reused is not None:
-            ticket = self.scheduler.complete_cached(
-                reused, tenant=tenant,
-                estimated_cost=planned.estimated_cost,
-                plan_cache_hit=planned.cache_hit, kind="reuse")
-            profile = QueryProfile(
-                total_seconds=time.perf_counter() - started)
-            profile.plan_cache_hit = planned.cache_hit
-            profile.result_cache_hit = False
-            profile.reuse_hit = True
-            profile.lane = ticket.lane
-            profile.tenant = ticket.tenant
-            self._finish_submit(trace, profile)
-            client.last_profile = profile
-            return ticket
-
-        def run(ticket: QueryTicket, workers: int) -> Table:
-            # the trace rides the closure onto the worker thread —
-            # explicit propagation, never a thread-local, so the pool
-            # cannot leak spans between concurrent statements
-            return self._execute(client, planned, ticket, workers, key,
-                                 trace)
-
-        return self.scheduler.submit(
-            run, estimated_cost=planned.estimated_cost, tenant=tenant,
-            plan_cache_hit=planned.cache_hit)
-
-    def _finish_submit(self, trace: AnyTrace,
-                       profile: QueryProfile) -> None:
-        """Seal a statement trace and pin it to the profile."""
-        trace.annotate(
-            lane=profile.lane, tenant=profile.tenant,
-            plan_cache_hit=profile.plan_cache_hit,
-            result_cache_hit=profile.result_cache_hit,
-            reuse_hit=profile.reuse_hit)
-        self.state.tracer.finish(trace)
-        if trace.enabled:
-            profile.trace = trace
+        return serve_statement(
+            client, text, scheduler=self.scheduler,
+            tenant=tenant if tenant is not None else client.tenant)
 
     def sql(self, text: str, tenant: str = "admin") -> Table:
         """Blocking convenience: submit and wait for the result."""
         return self.submit(text, tenant=tenant).result()
-
-    def _arena_counters(self) -> dict[str, tuple[int, int, int]]:
-        """(hits, misses, tokens_embedded) per model, for delta-snapshots.
-
-        Iterates a ``.copy()`` of the shared dict: ``cache_for`` on a
-        concurrent query may insert a new model's cache mid-iteration,
-        and a plain dict iteration would raise RuntimeError (the copy
-        is one C-level call, atomic under the GIL).
-        """
-        return {name: (cache.hits, cache.misses,
-                       cache.model.tokens_embedded)
-                for name, cache
-                in self.state.embedding_caches.copy().items()}
-
-    def _execute(self, client: "ClientSession", planned: PlannedStatement,
-                 ticket: QueryTicket, workers: int,
-                 result_key=None, trace: AnyTrace | None = None) -> Table:
-        """Run one admitted query on a worker thread."""
-        trace = trace if trace is not None else NULL_TRACE
-        # the queue wait was measured by the scheduler's clock; graft
-        # it in as a pre-measured span rather than re-timing it
-        trace.span_at("scheduler.queue", ticket.queue_wait_seconds,
-                      lane=ticket.lane, tenant=ticket.tenant,
-                      workers=workers)
-        # fresh context per query: shared caches, private metrics dict,
-        # kernel parallelism = this query's leased share of the budget
-        context = self.state.make_context(
-            parallelism=workers, batch_size=client.context.batch_size)
-        before = self._arena_counters()
-        with ExitStack() as stack:
-            # hold read stripes for every model the plan embeds with
-            # (deduped, bank order — see StripedRWLock.stripes_for)
-            for stripe in self.state.model_locks.stripes_for(
-                    plan_models(planned.plan)):
-                stack.enter_context(stripe.read())
-            started = time.perf_counter()
-            with trace.span("execute") as exec_span:
-                root = build_physical(planned.plan, context)
-                result = root.execute()
-            elapsed = time.perf_counter() - started
-        context.record_semantic_metrics()
-        # the shared arenas accumulate counters across every client, so
-        # a profile built from their absolutes would report the whole
-        # server's history; delta-snapshot instead.  Concurrent queries
-        # interleave their deltas, so under contention the attribution
-        # is approximate — but bounded by what actually ran while this
-        # query did, never the server's lifetime.
-        profile = QueryProfile.from_tree(root, elapsed)
-        for name, (hits, misses, tokens) in self._arena_counters().items():
-            hits0, misses0, tokens0 = before.get(name, (0, 0, 0))
-            profile.cache_hits += hits - hits0
-            profile.cache_misses += misses - misses0
-            profile.tokens_embedded += tokens - tokens0
-        for cache in list(self.state.embedding_caches.values()):
-            profile.arena_rows += cache.rows      # gauges, not counters
-            profile.arena_bytes += cache.nbytes
-        profile.plan_cache_hit = planned.cache_hit
-        profile.queue_wait_seconds = ticket.queue_wait_seconds
-        profile.lane = ticket.lane
-        profile.tenant = ticket.tenant
-        # store_result snapshots the full (aux-carrying) result and
-        # returns the caller-visible table with reuse columns stripped
-        result = self.state.store_result(result_key, result, planned)
-        if result_key is not None:
-            profile.result_cache_hit = False
-            profile.reuse_hit = False
-        self.state.statement_seconds.observe(elapsed)
-        for op in profile.operators:
-            self.state.operator_seconds.observe(op.seconds)
-        attach_profile_spans(exec_span, profile)
-        self._finish_submit(trace, profile)
-        client.last_profile = profile
-        return result
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle

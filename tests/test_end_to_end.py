@@ -122,14 +122,14 @@ class TestProfileOfSemanticQuery:
         statement = ("SELECT p.pid FROM products AS p "
                      "WHERE p.ptype ~ 'clothes' THRESHOLD 0.7")
         engine.sql(statement)
-        first_misses = engine.last_profile.cache_misses
         # re-execute through the unoptimized path: it bypasses the
         # result cache (which would skip execution entirely), so the
         # embedding arena's session-lifetime reuse is what's measured
         engine.sql(statement, optimize=False)
-        second_misses = engine.last_profile.cache_misses
-        # cache is session-lifetime: second run re-embeds nothing new
-        assert second_misses == first_misses
+        # profile counters are per-statement deltas: the second run
+        # re-embeds nothing, every lookup is an arena hit
+        assert engine.last_profile.cache_misses == 0
+        assert engine.last_profile.cache_hits > 0
         # the optimized repeat doesn't even execute: result-cache hit
         engine.sql(statement)
         assert engine.last_profile.result_cache_hit is True

@@ -455,3 +455,36 @@ class TestTicketTelemetry:
             assert scheduler.stats()["tenants"]["acme"]["failures"] == 1
         finally:
             scheduler.close()
+
+
+# ---------------------------------------------------------------------------
+# Idle workers hold nothing they ran
+# ---------------------------------------------------------------------------
+class TestIdleWorkerReleasesResult:
+    def test_collected_ticket_frees_its_result(self):
+        """The result (in production: a result table of tens of MB)
+        lives exactly as long as its ticket — an idle worker blocked in
+        ``wait()`` must not keep its last dispatch's locals alive."""
+        import gc
+        import time
+        import weakref
+
+        class Result:
+            pass
+
+        scheduler = make_scheduler()
+        try:
+            ticket = scheduler.submit(lambda ticket, workers: Result(),
+                                      estimated_cost=1.0)
+            result = weakref.ref(ticket.result(timeout=10))
+            assert scheduler.drain(timeout=10)
+            del ticket
+            # drain() can return a moment before the worker is back in
+            # wait(); give it that moment, then nothing may hold on
+            deadline = time.monotonic() + 5
+            while result() is not None and time.monotonic() < deadline:
+                time.sleep(0.01)
+                gc.collect()
+            assert result() is None
+        finally:
+            scheduler.close()

@@ -31,7 +31,7 @@ from repro.semantic import index_cache as index_cache_module
 from repro.semantic.cache import EmbeddingCache
 from repro.semantic.index_cache import IndexCache
 from repro.server import EngineServer, Scheduler, SchedulerConfig
-from repro.server.server import plan_models
+from repro.engine.state import plan_models
 from repro.storage.table import Table
 from repro.utils.parallel import WorkerBudget
 
