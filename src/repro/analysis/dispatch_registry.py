@@ -1,10 +1,18 @@
-"""Dispatcher registry: every place the engine branches on node type.
+"""Dispatcher registry: every place the engine's *behaviour* branches
+on node type.
 
-The dispatch-exhaustiveness verifier (:mod:`repro.analysis.dispatch`)
-enumerates the node families by walking base-class subtrees and checks
-each dispatcher declared here handles every member or rejects it
-explicitly.  To add a plan/expression node type: subclass the family
-base, run ``python -m repro.analysis`` and add an arm (or an explicit
+Structure — children, literal slots, printing, fingerprints, the
+tables/models a plan reads — is not dispatched at all: nodes declare
+their fields (:mod:`repro.relational.fields`) and the walkers are
+generic.  What remains here are the dispatchers whose arms do
+different *work* per node (cost, cardinality, physical build, column
+pruning, fusability, reuse eligibility, NNF, dtype inference, JIT
+support/emit, SQL binding).  The dispatch-exhaustiveness verifier
+(:mod:`repro.analysis.dispatch`) enumerates the node families by
+walking base-class subtrees and checks each dispatcher declared here
+handles every member or rejects it explicitly.  To add a
+plan/expression node type: subclass the family base and declare its
+fields, run ``python -m repro.analysis`` and add an arm (or an explicit
 rejection) to every dispatcher it reports — the verifier finds them
 all, so nothing silently falls through to a default.
 
@@ -72,26 +80,7 @@ SPECS: tuple[DispatcherSpec, ...] = (
         must_handle=("ScanNode", "FilterNode", "ProjectNode", "JoinNode",
                      "SemanticFilterNode", "SemanticJoinNode",
                      "SortNode", "LimitNode")),
-    DispatcherSpec(
-        function=f"{PKG}.reuse.analysis.describe_plan.visit_stage",
-        family="plan", default="declared",
-        must_handle=("ScanNode", "FilterNode", "ProjectNode", "JoinNode",
-                     "SemanticFilterNode", "SemanticSemiFilterNode",
-                     "SemanticJoinNode", "SortNode", "LimitNode"),
-        justification="the catch-all embeds the node's type name into "
-                      "the fingerprint, so two plans differing only in "
-                      "an unknown node never collide; reuse-eligible "
-                      "plans cannot reach it (_analyze refuses first)"),
-    DispatcherSpec(
-        function=f"{PKG}.engine.explain.explain_plan",
-        family="plan", kind="method", method="label"),
-    DispatcherSpec(
-        function=f"{PKG}.optimizer.parameterize._Rebinder._rebuild",
-        family="plan", default="reject"),
     # -- relational expression dispatchers -----------------------------
-    DispatcherSpec(
-        function=f"{PKG}.optimizer.rules.substitute",
-        family="expr", default="reject"),
     DispatcherSpec(
         function=f"{PKG}.optimizer.rules.normalize_predicate",
         family="expr", default="declared",
@@ -101,28 +90,24 @@ SPECS: tuple[DispatcherSpec, ...] = (
                       "every other expression is already normal and "
                       "returned verbatim"),
     DispatcherSpec(
-        function=f"{PKG}.optimizer.parameterize._Rebinder.expr",
-        family="expr", default="reject"),
-    DispatcherSpec(
         function=f"{PKG}.relational.logical.infer_dtype",
         family="expr", default="reject"),
     DispatcherSpec(
-        function=f"{PKG}.hardware.jit.jit_supported",
+        function=f"{PKG}.hardware.jit._first_unsupported",
         family="expr", default="declared",
-        justification="a closed-world predicate: unsupported expression "
-                      "types return False and the chain stays "
-                      "interpreted — never wrong codegen"),
-    DispatcherSpec(
-        function=f"{PKG}.hardware.jit._check_supported",
-        family="expr", default="declared",
-        justification="the negative guard raises ExpressionError for "
-                      "anything outside _SUPPORTED_NODES; fall-through "
-                      "is the supported case"),
+        # Func has no arm on purpose: it is outside _SUPPORTED_NODES,
+        # so it is reported as the unsupported sub-expression.
+        exclude=("Func",),
+        justification="a closed-world predicate: anything outside "
+                      "_SUPPORTED_NODES is returned as unsupported, so "
+                      "the chain stays interpreted (jit_supported) or "
+                      "compilation raises (_check_supported) — never "
+                      "wrong codegen"),
     DispatcherSpec(
         function=f"{PKG}.hardware.jit._Emitter.emit",
         family="expr", default="reject",
         # Func is rejected by the raising tail on purpose: callers gate
-        # on jit_supported, which returns False for Func.
+        # on jit_supported, which is False for Func.
         exclude=("Func",)),
     DispatcherSpec(
         function=f"{PKG}.reuse.residual.derive_residual",

@@ -6,7 +6,6 @@ from __future__ import annotations
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel
 from repro.relational.logical import LogicalPlan
-from repro.relational.pipeline import PipelineNode
 
 
 def explain_plan(plan: LogicalPlan,
@@ -29,10 +28,9 @@ def explain_plan(plan: LogicalPlan,
                 annotation += f", cost~{cost.total:,.0f}"
             annotation += "]"
         lines.append("  " * indent + node.label() + annotation)
-        if isinstance(node, PipelineNode):
-            for stage in reversed(node.stages):   # outermost first,
-                lines.append("  " * (indent + 1)  # like plan rendering
-                             + "· " + stage.label())
+        for stage in reversed(node.stages):       # outermost first,
+            lines.append("  " * (indent + 1)      # like plan rendering
+                         + "· " + stage.label())
         for child in node.children:
             visit(child, indent + 1)
 

@@ -13,7 +13,6 @@ from contextlib import ExitStack
 from typing import TYPE_CHECKING, Any
 
 from repro.engine.profiler import QueryProfile
-from repro.engine.state import plan_models
 from repro.obs.trace import NULL_TRACE, AnyTrace, attach_profile_spans
 from repro.relational.physical import (
     ExecutionContext, PhysicalOperator, build_physical)
@@ -142,8 +141,7 @@ def run_plan(session: Session, plan: LogicalPlan,
     with ExitStack() as stack:
         # spelled ``session.state.…`` on purpose: the lock-hierarchy lint
         # types receivers by attribute name, and must see these stripes
-        for stripe in session.state.model_locks.stripes_for(
-                plan_models(plan)):
+        for stripe in session.state.model_locks.stripes_for(plan.models):
             stack.enter_context(stripe.read())
         started = time.perf_counter()
         with trace.span("execute") as exec_span:

@@ -63,6 +63,7 @@ from repro.optimizer.parameterize import (
     plan_fingerprint,
     unparameterizable_reason,
 )
+from repro.relational.logical import LogicalPlan
 from repro.reuse.registry import FamilyDigestTracker, FamilyKey
 
 #: Default number of cached plans (and memoized texts) kept.
@@ -86,7 +87,7 @@ _PlanKey = tuple[Any, ...]
 class CachedPlan:
     """One optimized plan plus the metadata admission control needs."""
 
-    plan: object                 # relational.logical.LogicalPlan
+    plan: LogicalPlan
     #: Optimizer's total cost estimate — the scheduler's admission
     #: classifier reads this on a hit without re-costing anything.
     estimated_cost: float
@@ -112,7 +113,7 @@ class GenericPlan:
     tuples established — so the per-literal optimization is skipped.
     """
 
-    template: object             # relational.logical.LogicalPlan
+    template: LogicalPlan
     #: Template literal values in site order (types are authoritative:
     #: incoming parameters are coerced back to these types).
     sites: list = field(default_factory=list)
@@ -293,7 +294,7 @@ class PlanCache:
         return dropped
 
     def get_generic(self, canonical: CanonicalQuery, catalog_version: int,
-                    model_name: str) -> tuple[object, float] | None:
+                    model_name: str) -> tuple[LogicalPlan, float] | None:
         """Serve the family's generic plan for these literals, if any.
 
         Returns ``(plan, estimated_cost)`` with the statement's
@@ -329,7 +330,7 @@ class PlanCache:
             return plan, generic.estimated_cost
 
     def observe(self, canonical: CanonicalQuery, catalog_version: int,
-                model_name: str, plan: object,
+                model_name: str, plan: LogicalPlan,
                 estimated_cost: float) -> None:
         """Feed one *fully optimized* statement into promotion tracking.
 
@@ -353,11 +354,7 @@ class PlanCache:
         with self._lock:
             if self._tracker.is_demoted(key):
                 return
-            try:
-                fingerprint = plan_fingerprint(plan)  # type: ignore[arg-type]
-            except ParameterizeError:
-                self._tracker.demote(key)
-                return
+            fingerprint = plan_fingerprint(plan)
             generic = self._generics.get(key)
             if generic is not None:
                 if generic.fingerprint != fingerprint:
@@ -365,15 +362,11 @@ class PlanCache:
                     self._tracker.demote(key)
                     self._demotions.inc()
                 return
-            reason = unparameterizable_reason(plan)  # type: ignore[arg-type]
+            reason = unparameterizable_reason(plan)
             if reason is not None:
                 self._tracker.demote(key)
                 return
-            try:
-                sites = literal_sites(plan)  # type: ignore[arg-type]
-            except ParameterizeError:
-                self._tracker.demote(key)
-                return
+            sites = literal_sites(plan)
             order = parameter_order(sites, canonical.parameters)
             exemplars = self._tracker.observe(key, fingerprint,
                                               canonical.parameters)
@@ -399,7 +392,7 @@ class PlanCache:
             self._memo_text_locked(text, model_name, canonical)
 
     def put(self, text: str, canonical: CanonicalQuery,
-            catalog_version: int, model_name: str, plan: object,
+            catalog_version: int, model_name: str, plan: LogicalPlan,
             estimated_cost: float, reuse: object | None = None
             ) -> CachedPlan:
         """Insert an optimized plan (and memoize its text)."""

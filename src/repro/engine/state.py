@@ -65,41 +65,16 @@ def plan_models(plan: LogicalPlan) -> set[str]:
     running the plan, so cache invalidation (the write stripe) can
     never clear an arena out from under a running gather.
     """
-    models: set[str] = set()
-
-    def visit(node: LogicalPlan) -> None:
-        name = getattr(node, "model_name", None)
-        if name:
-            models.add(name)
-        for child in node.children:
-            visit(child)
-
-    visit(plan)
-    return models
+    return set(plan.models)
 
 
 def plan_tables(plan: LogicalPlan) -> set[str]:
-    """Names of every catalog table a plan scans.
+    """Names of every catalog table a plan scans (fused scans included).
 
     The result-cache key carries ``(table, data_version)`` for each —
-    the ingest subsystem's invalidation dimension — so the walk must see
-    through fusion: a :class:`~repro.relational.pipeline.PipelineNode`
-    embeds its scan as a stage, not a child.
+    the ingest subsystem's invalidation dimension.
     """
-    tables: set[str] = set()
-
-    def visit(node: LogicalPlan) -> None:
-        name = getattr(node, "table_name", None)
-        if name:
-            tables.add(name)
-        scan = getattr(node, "scan", None)
-        if scan is not None and getattr(scan, "table_name", None):
-            tables.add(scan.table_name)
-        for child in node.children:
-            visit(child)
-
-    visit(plan)
-    return tables
+    return set(plan.tables)
 
 
 class EngineState:
@@ -253,7 +228,7 @@ class EngineState:
         arena_generations = tuple(
             (name, cache.generation if (cache := caches.get(name))
              is not None else -1)
-            for name in sorted(plan_models(planned.plan)))
+            for name in sorted(planned.plan.models))
         return ResultKey(
             digest=planned.canonical.digest,
             parameters=planned.canonical.parameters,
@@ -263,7 +238,7 @@ class EngineState:
             arena_generations=arena_generations,
             table_versions=tuple(
                 (name, self.catalog.data_version(name))
-                for name in sorted(plan_tables(planned.plan))))
+                for name in sorted(planned.plan.tables)))
 
     def fetch_result(self, key: ResultKey | None):
         """A defensive snapshot of the cached result for ``key``, or

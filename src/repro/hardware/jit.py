@@ -73,6 +73,18 @@ _SUPPORTED_NODES = (ColumnRef, Literal, Compare, And, Or, Not, Arith,
                     InList)
 
 
+def _first_unsupported(expr: Expr) -> Expr | None:
+    """The first sub-expression (pre-order) the generator cannot
+    compile, or ``None`` when the whole tree is supported."""
+    if not isinstance(expr, _SUPPORTED_NODES):
+        return expr
+    for child in expr.children():
+        unsupported = _first_unsupported(child)
+        if unsupported is not None:
+            return unsupported
+    return None
+
+
 def jit_supported(expr: Expr) -> bool:
     """Whether ``expr`` can be soundly compiled.
 
@@ -83,25 +95,20 @@ def jit_supported(expr: Expr) -> bool:
     unsupported tree raises :class:`~repro.errors.ExpressionError` before
     any source is emitted.
     """
-    if isinstance(expr, Func):
-        return False
-    if not isinstance(expr, _SUPPORTED_NODES):
-        return False
-    return all(jit_supported(child) for child in expr.children())
+    return _first_unsupported(expr) is None
 
 
 def _check_supported(expr: Expr) -> None:
-    if isinstance(expr, Func):
+    unsupported = _first_unsupported(expr)
+    if isinstance(unsupported, Func):
         raise ExpressionError(
-            f"JIT specialization does not support function {expr.name!r} "
-            "(built-in or UDF calls cannot be soundly inlined; use the "
-            "interpreted path)"
+            f"JIT specialization does not support function "
+            f"{unsupported.name!r} (built-in or UDF calls cannot be "
+            "soundly inlined; use the interpreted path)"
         )
-    if not isinstance(expr, _SUPPORTED_NODES):
+    if unsupported is not None:
         raise ExpressionError(
-            f"cannot specialize {type(expr).__name__}")
-    for child in expr.children():
-        _check_supported(child)
+            f"cannot specialize {type(unsupported).__name__}")
 
 
 # ----------------------------------------------------------------------

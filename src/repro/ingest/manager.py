@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.engine.result_cache import ResultKey
-from repro.engine.state import plan_models, plan_tables
 from repro.errors import CatalogError
 from repro.ingest.delta import DeltaRefused, apply_delta, classify_plan
 from repro.relational.physical import execute_plan
@@ -196,7 +195,7 @@ class IngestManager:
         #    other plan survives (keyed on the unchanged catalog
         #    version).
         plans_dropped = state.plan_cache.drop_if(
-            lambda entry: table in plan_tables(entry.plan)
+            lambda entry: table in entry.plan.tables
             and not _dip_free(entry.plan))
         # 4. advance the watermark: every cached result over the table
         #    is now dead (including the ones about to be re-stored
@@ -288,7 +287,7 @@ class IngestManager:
         shim.register(table, delta)
         context = replace(state.make_context(), catalog=shim)
         with ExitStack() as stack:
-            for stripe in state.model_locks.stripes_for(plan_models(plan)):
+            for stripe in state.model_locks.stripes_for(plan.models):
                 stack.enter_context(stripe.read())
             return execute_plan(plan, context)
 
@@ -321,7 +320,7 @@ class IngestManager:
         # cached output — no merge can recover that, so: targeted
         # invalidation (this table only), plus the same DIP plan drop.
         plans_dropped = state.plan_cache.drop_if(
-            lambda entry: table in plan_tables(entry.plan)
+            lambda entry: table in entry.plan.tables
             and not _dip_free(entry.plan))
         entries_seen = 0
         if state.result_cache is not None:

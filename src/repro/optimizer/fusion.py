@@ -82,10 +82,9 @@ class PipelineFusion:
         return self._rewrite(plan)
 
     def _rewrite(self, node: LogicalPlan) -> LogicalPlan:
-        if isinstance(node, (FilterNode, ProjectNode, LimitNode)):
-            fused = self._try_fuse(node)
-            if fused is not None:
-                return fused
+        fused = self._try_fuse(node)
+        if fused is not None:
+            return fused
         children = tuple(self._rewrite(child) for child in node.children)
         return node.with_children(children)
 
@@ -95,8 +94,7 @@ class PipelineFusion:
         chain: list[LogicalPlan] = []     # outermost first
         seen_filter = False
         node = root
-        while isinstance(node, (FilterNode, ProjectNode, LimitNode)) \
-                and _stage_supported(node):
+        while _stage_supported(node):
             if isinstance(node, LimitNode) and seen_filter:
                 break                      # filter-after-limit: unsound
             if isinstance(node, FilterNode):

@@ -17,6 +17,11 @@ about an optimized plan, all provided here:
    those sites (physical hints preserved), which is how a promoted
    generic plan is served for literals it has never seen.
 
+None of the three knows a node type: which fields are literal slots
+and how a node prints are declared on the node classes
+(:mod:`repro.relational.fields`), and the walks are the generic
+``map_literals`` / ``render`` derived from those declarations.
+
 Everything here **refuses** rather than guesses:
 :func:`unparameterizable_reason` rejects plans with DIP-derived
 predicates (their probe lists are literal-*derived*, not literal
@@ -29,38 +34,15 @@ between sites and canonical parameters before promoting.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, cast
 
 from repro.errors import OptimizerError
-from repro.relational.expressions import (
-    AggExpr,
-    And,
-    Arith,
-    ColumnRef,
-    Compare,
-    Expr,
-    Func,
-    InList,
-    Literal,
-    Not,
-    Or,
-)
+from repro.relational.fields import mask
 from repro.relational.logical import (
-    AggregateNode,
-    FilterNode,
-    JoinNode,
-    LimitNode,
     LogicalPlan,
-    ProjectNode,
-    ScanNode,
     SemanticFilterNode,
-    SemanticGroupByNode,
     SemanticJoinNode,
     SemanticSemiFilterNode,
-    SortNode,
-    UnionNode,
 )
-from repro.relational.pipeline import PipelineNode
 from repro.reuse.analysis import REUSE_SAFE_METHODS
 
 __all__ = [
@@ -94,163 +76,24 @@ def _norm(value: object) -> object:
 
 
 # ---------------------------------------------------------------------------
-# literal-site walk (one walker for collect and rebind, so the two can
-# never disagree on ordering)
+# literal sites: collect and rebind are the one generic walk
+# (``LogicalPlan.map_literals``) over the nodes' declared literal slots
 # ---------------------------------------------------------------------------
-class _Rebinder:
-    """Visits literal sites in fixed pre-order; optionally replaces them.
-
-    With ``values=None`` it only collects (``bind_parameters`` passes
-    the replacement list).  ``self.sites`` afterwards holds the visited
-    values in order.
-    """
-
-    def __init__(self, values: list[object] | None = None) -> None:
-        self.sites: list[object] = []
-        self._values = values
-
-    def _visit(self, value: object) -> object:
-        index = len(self.sites)
-        self.sites.append(value)
-        if self._values is None:
-            return value
-        if index >= len(self._values):
-            raise ParameterizeError(
-                f"plan has more literal sites than values ({index + 1} > "
-                f"{len(self._values)})")
-        return self._values[index]
-
-    # -- expressions ----------------------------------------------------
-    def expr(self, node: Expr) -> Expr:
-        if isinstance(node, Literal):
-            return Literal(self._visit(node.value))
-        if isinstance(node, ColumnRef):
-            return node
-        if isinstance(node, Compare):
-            return Compare(node.op, self.expr(node.left),
-                           self.expr(node.right))
-        if isinstance(node, And):
-            return And(self.expr(node.left), self.expr(node.right))
-        if isinstance(node, Or):
-            return Or(self.expr(node.left), self.expr(node.right))
-        if isinstance(node, Not):
-            return Not(self.expr(node.operand))
-        if isinstance(node, Arith):
-            return Arith(node.op, self.expr(node.left),
-                         self.expr(node.right))
-        if isinstance(node, InList):
-            return InList(self.expr(node.operand),
-                          [self._visit(value) for value in node.values])
-        if isinstance(node, Func):
-            return Func(node.name,
-                        tuple(self.expr(arg) for arg in node.args))
-        raise ParameterizeError(
-            f"cannot parameterize expression {type(node).__name__}")
-
-    def agg(self, agg: AggExpr) -> AggExpr:
-        if agg.operand is None:
-            return agg
-        return AggExpr(agg.func, self.expr(agg.operand), agg.alias)
-
-    # -- plan nodes -----------------------------------------------------
-    def plan(self, node: LogicalPlan) -> LogicalPlan:
-        rebuilt = self._rebuild(node)
-        rebuilt.hints = dict(node.hints)
-        return rebuilt
-
-    def _rebuild(self, node: LogicalPlan) -> LogicalPlan:
-        if isinstance(node, PipelineNode):
-            # stages carry the fused predicates/projections; the stale
-            # pre-fusion child pointers inside each stage are kept (the
-            # pipeline contract routes consumers through .children)
-            stages = tuple(self._stage(stage) for stage in node.stages)
-            source = self.plan(node.children[0]) if node.children else None
-            return PipelineNode(stages, source)
-        if isinstance(node, ScanNode):
-            # cloned (via _clone) so a served generic plan never shares
-            # a mutable hints dict with the cached template
-            return node._clone(())
-        if isinstance(node, FilterNode):
-            predicate = self.expr(node.predicate)
-            return FilterNode(self.plan(node.child), predicate)
-        if isinstance(node, ProjectNode):
-            exprs = [(self.expr(expr), alias)
-                     for expr, alias in node.exprs]
-            return ProjectNode(self.plan(node.child), exprs)
-        if isinstance(node, JoinNode):
-            extra = (self.expr(node.extra_predicate)
-                     if node.extra_predicate is not None else None)
-            return JoinNode(self.plan(node.left), self.plan(node.right),
-                            node.join_type, list(node.left_keys),
-                            list(node.right_keys), extra)
-        if isinstance(node, AggregateNode):
-            aggregates = [self.agg(agg) for agg in node.aggregates]
-            return AggregateNode(self.plan(node.child),
-                                 list(node.group_keys), aggregates)
-        if isinstance(node, SortNode):
-            return SortNode(self.plan(node.child), list(node.keys))
-        if isinstance(node, LimitNode):
-            count = cast(int, self._visit(node.count))
-            return LimitNode(self.plan(node.child), count)
-        if isinstance(node, UnionNode):
-            return UnionNode([self.plan(child) for child in node.children])
-        if isinstance(node, SemanticFilterNode):
-            probe = cast(str, self._visit(node.probe))
-            threshold = cast(float, self._visit(node.threshold))
-            return SemanticFilterNode(self.plan(node.child), node.column,
-                                      probe, node.model_name, threshold,
-                                      score_alias=node.score_alias,
-                                      mode=node.mode)
-        if isinstance(node, SemanticJoinNode):
-            threshold = cast(float, self._visit(node.threshold))
-            top_k = (cast(int, self._visit(node.top_k))
-                     if node.top_k is not None else None)
-            return SemanticJoinNode(self.plan(node.left),
-                                    self.plan(node.right),
-                                    node.left_column, node.right_column,
-                                    node.model_name, threshold,
-                                    score_alias=node.score_alias,
-                                    top_k=top_k, aux_alias=node.aux_alias)
-        if isinstance(node, SemanticGroupByNode):
-            threshold = cast(float, self._visit(node.threshold))
-            return SemanticGroupByNode(
-                self.plan(node.child), node.column, node.model_name,
-                threshold, cluster_alias=node.cluster_alias,
-                representative_alias=node.representative_alias)
-        if isinstance(node, SemanticSemiFilterNode):
-            # DIP-derived: probes are literal-*derived*, not literal
-            # slots — a generic plan must never carry them
-            raise ParameterizeError(
-                "data-induced predicates are literal-derived")
-        raise ParameterizeError(
-            f"cannot parameterize plan node {type(node).__name__}")
-
-    def _stage(self, stage: LogicalPlan) -> LogicalPlan:
-        """A pipeline stage, exprs rebound but children left alone."""
-        if isinstance(stage, ScanNode):
-            return stage
-        if isinstance(stage, FilterNode):
-            return FilterNode(stage.child, self.expr(stage.predicate))
-        if isinstance(stage, LimitNode):
-            return LimitNode(stage.child,
-                             cast(int, self._visit(stage.count)))
-        if isinstance(stage, ProjectNode):
-            return ProjectNode(stage.child,
-                               [(self.expr(expr), alias)
-                                for expr, alias in stage.exprs])
-        raise ParameterizeError(
-            f"cannot parameterize pipeline stage {type(stage).__name__}")
-
-
 def literal_sites(plan: LogicalPlan) -> list[object]:
     """The plan's literal values in fixed traversal order.
 
-    Raises :class:`ParameterizeError` for plans that cannot carry
-    parameters (DIP nodes, unknown node types).
+    Only declared literal slots are sites: a DIP node's probe list is
+    literal-*derived* and is not one, which is why
+    :func:`unparameterizable_reason` refuses such plans outright.
     """
-    walker = _Rebinder()
-    walker.plan(plan)
-    return walker.sites
+    sites: list[object] = []
+
+    def collect(value: object) -> object:
+        sites.append(value)
+        return value
+
+    plan.map_literals(collect)
+    return sites
 
 
 def bind_parameters(plan: LogicalPlan, values: list[object]) -> LogicalPlan:
@@ -258,14 +101,20 @@ def bind_parameters(plan: LogicalPlan, values: list[object]) -> LogicalPlan:
 
     ``values`` must cover every site exactly (same walk as
     :func:`literal_sites`); physical hints are preserved on every
-    rebuilt node, so the clone lowers to the same operators.
+    rebuilt node, so the clone lowers to the same operators, and no
+    node (hence no mutable hints dict) is shared with the template.
     """
-    walker = _Rebinder(values)
-    rebound = walker.plan(plan)
-    if len(walker.sites) != len(values):
+    visited = 0
+
+    def rebind(old: object) -> object:
+        nonlocal visited
+        visited += 1
+        return values[visited - 1] if visited <= len(values) else old
+
+    rebound = plan.map_literals(rebind)
+    if visited != len(values):
         raise ParameterizeError(
-            f"plan has {len(walker.sites)} literal sites, "
-            f"got {len(values)} values")
+            f"plan has {visited} literal sites, got {len(values)} values")
     return rebound
 
 
@@ -345,110 +194,30 @@ def coerce_value(site: object, value: object) -> object:
 def plan_fingerprint(plan: LogicalPlan) -> str:
     """Literal-masked structural digest of an optimized plan.
 
-    Covers node types, schemas, join structure, aggregate/sort/project
-    specs, semantic operator wiring, physical ``hints``, and pipeline
-    stage layout; masks only literal *values*.  Statements of one
-    canonical family optimize to equal fingerprints exactly when their
-    literals did not steer any optimizer decision.
+    Every node contributes its masked rendering (node type, join
+    structure, aggregate/sort/project specs, semantic operator wiring —
+    literal values print as ``?type``), its physical ``hints`` and its
+    schema; a pipeline's stages follow it like EXPLAIN's pseudo-
+    children.  Statements of one canonical family optimize to equal
+    fingerprints exactly when their literals did not steer any
+    optimizer decision.
     """
     parts: list[str] = []
-    _fingerprint_node(plan, parts, 0)
+
+    def visit(node: LogicalPlan, depth: int) -> None:
+        hints = ",".join(f"{k}={node.hints[k]!r}" for k in sorted(node.hints))
+        schema = ",".join(f"{f.name}:{f.dtype.name}"
+                          for f in node.schema.fields)
+        parts.append(f"{'  ' * depth}{node.render(mask)} "
+                     f"hints({hints}) schema({schema})")
+        for stage in reversed(node.stages):
+            parts.append(f"{'  ' * depth}  · {stage.render(mask)}")
+        for child in node.children:
+            visit(child, depth + 1)
+
+    visit(plan, 0)
     return hashlib.blake2b("\n".join(parts).encode("utf-8"),
                            digest_size=16).hexdigest()
-
-
-def _fingerprint_node(node: LogicalPlan, parts: list[str],
-                      depth: int) -> None:
-    label: Callable[[str], None] = lambda text: parts.append(
-        f"{'  ' * depth}{text}")
-    hints = ",".join(f"{k}={node.hints[k]!r}" for k in sorted(node.hints))
-    schema = ",".join(f"{f.name}:{f.dtype.name}"
-                      for f in node.schema.fields)
-    if isinstance(node, PipelineNode):
-        stages = "|".join(_stage_fingerprint(stage)
-                          for stage in node.stages)
-        label(f"Pipeline[{stages}] hints({hints}) schema({schema})")
-    elif isinstance(node, FilterNode):
-        label(f"Filter[{_mask(node.predicate)}] hints({hints})")
-    elif isinstance(node, ProjectNode):
-        items = "; ".join(f"{_mask(expr)} AS {alias}"
-                          for expr, alias in node.exprs)
-        label(f"Project[{items}] hints({hints})")
-    elif isinstance(node, JoinNode):
-        extra = (_mask(node.extra_predicate)
-                 if node.extra_predicate is not None else "-")
-        label(f"Join[{node.join_type.value} on={node.left_keys}="
-              f"{node.right_keys} extra={extra}] hints({hints})")
-    elif isinstance(node, SemanticFilterNode):
-        label(f"SemanticFilter[{node.column} mode={node.mode} "
-              f"model={node.model_name} probe=? threshold=?] "
-              f"hints({hints})")
-    elif isinstance(node, SemanticSemiFilterNode):
-        label(f"SemanticSemiFilter[{node.column} model={node.model_name} "
-              f"probes=<{len(node.probes)}> threshold=?] hints({hints})")
-    elif isinstance(node, SemanticJoinNode):
-        topk = "?" if node.top_k is not None else "-"
-        label(f"SemanticJoin[{node.left_column}~{node.right_column} "
-              f"model={node.model_name} threshold=? top_k={topk} "
-              f"score={node.score_alias}] hints({hints})")
-    elif isinstance(node, SemanticGroupByNode):
-        label(f"SemanticGroupBy[{node.column} model={node.model_name} "
-              f"threshold=?] hints({hints})")
-    elif isinstance(node, AggregateNode):
-        aggs = "; ".join(
-            f"{agg.func.value}({_mask(agg.operand) if agg.operand else '*'})"
-            f" AS {agg.alias}" for agg in node.aggregates)
-        label(f"Aggregate[keys={node.group_keys} {aggs}] hints({hints})")
-    elif isinstance(node, SortNode):
-        label(f"Sort[{node.keys}] hints({hints})")
-    elif isinstance(node, LimitNode):
-        label(f"Limit[?] hints({hints})")
-    elif isinstance(node, ScanNode):
-        label(f"Scan[{node.table_name} as {node.qualifier}] "
-              f"hints({hints}) schema({schema})")
-    else:
-        label(f"{type(node).__name__} hints({hints}) schema({schema})")
-    for child in node.children:
-        _fingerprint_node(child, parts, depth + 1)
-
-
-def _stage_fingerprint(stage: LogicalPlan) -> str:
-    if isinstance(stage, FilterNode):
-        return f"filter {_mask(stage.predicate)}"
-    if isinstance(stage, ProjectNode):
-        return "project " + "; ".join(f"{_mask(expr)} AS {alias}"
-                                      for expr, alias in stage.exprs)
-    if isinstance(stage, LimitNode):
-        return "limit ?"
-    if isinstance(stage, ScanNode):
-        return f"scan {stage.table_name} as {stage.qualifier}"
-    return type(stage).__name__
-
-
-def _mask(expr: Expr) -> str:
-    """Expression rendering with literal values replaced by ``?type``."""
-    if isinstance(expr, Literal):
-        return f"?{type(expr.value).__name__}"
-    if isinstance(expr, ColumnRef):
-        return f"col({expr.name})"
-    if isinstance(expr, Compare):
-        return f"({_mask(expr.left)} {expr.op} {_mask(expr.right)})"
-    if isinstance(expr, And):
-        return f"({_mask(expr.left)} AND {_mask(expr.right)})"
-    if isinstance(expr, Or):
-        return f"({_mask(expr.left)} OR {_mask(expr.right)})"
-    if isinstance(expr, Not):
-        return f"(NOT {_mask(expr.operand)})"
-    if isinstance(expr, Arith):
-        return f"({_mask(expr.left)} {expr.op} {_mask(expr.right)})"
-    if isinstance(expr, InList):
-        masked = ",".join(f"?{type(v).__name__}" for v in expr.values)
-        return f"({_mask(expr.operand)} IN [{masked}])"
-    if isinstance(expr, Func):
-        inner = ", ".join(_mask(arg) for arg in expr.args)
-        return f"{expr.name}({inner})"
-    raise ParameterizeError(
-        f"cannot fingerprint expression {type(expr).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +239,4 @@ def unparameterizable_reason(plan: LogicalPlan) -> str | None:
             method = node.hints.get("method")
             if method is not None and method not in REUSE_SAFE_METHODS:
                 return f"approximate access path {method!r}"
-        if isinstance(node, PipelineNode):
-            for stage in node.stages:
-                if isinstance(stage, SemanticSemiFilterNode):
-                    return "plan carries data-induced predicates"
     return None

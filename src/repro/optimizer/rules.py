@@ -31,13 +31,9 @@ from dataclasses import dataclass, field
 
 from repro.relational.expressions import (
     And,
-    Arith,
     ColumnRef,
     Compare,
     Expr,
-    Func,
-    InList,
-    Literal,
     Not,
     Or,
     combine_conjuncts,
@@ -575,28 +571,7 @@ def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
         if expr.name in mapping:
             return mapping[expr.name]
         raise KeyError(expr.name)
-    if isinstance(expr, Literal):
-        return expr
-    if isinstance(expr, Compare):
-        return Compare(expr.op, substitute(expr.left, mapping),
-                       substitute(expr.right, mapping))
-    if isinstance(expr, And):
-        return And(substitute(expr.left, mapping),
-                   substitute(expr.right, mapping))
-    if isinstance(expr, Or):
-        return Or(substitute(expr.left, mapping),
-                  substitute(expr.right, mapping))
-    if isinstance(expr, Not):
-        return Not(substitute(expr.operand, mapping))
-    if isinstance(expr, Arith):
-        return Arith(expr.op, substitute(expr.left, mapping),
-                     substitute(expr.right, mapping))
-    if isinstance(expr, InList):
-        return InList(substitute(expr.operand, mapping), expr.values)
-    if isinstance(expr, Func):
-        return Func(expr.name,
-                    tuple(substitute(a, mapping) for a in expr.args))
-    raise KeyError(f"cannot substitute in {type(expr).__name__}")
+    return expr.map_terms(lambda child: substitute(child, mapping))
 
 
 # ----------------------------------------------------------------------

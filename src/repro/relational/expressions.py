@@ -2,8 +2,12 @@
 
 Expressions are immutable; ``evaluate`` maps a batch to a NumPy array and
 ``columns`` reports referenced column names (the optimizer's pushdown rules
-depend on it).  The ``col``/``lit`` helpers plus operator overloading give
-the builder API a readable surface::
+depend on it).  Each class declares its fields once (its dataclass fields,
+plus which of them are sub-expressions, literal slots or column names —
+see :mod:`repro.relational.fields`); ``children``, ``columns``, printing
+and literal rebinding are derived from that in :class:`Expr`.  The
+``col``/``lit`` helpers plus operator overloading give the builder API a
+readable surface::
 
     (col("price") > 20) & (col("type") == "clothes")
 """
@@ -13,71 +17,92 @@ from __future__ import annotations
 import datetime
 import enum
 from dataclasses import dataclass
+from typing import Any, Callable, ClassVar, Iterable, cast
 
 import numpy as np
 
 from repro.errors import ExpressionError
+from repro.relational.fields import Fielded, LiteralFormat, shown
 from repro.storage.table import Table
-from repro.storage.types import DataType, date_to_int
+from repro.storage.types import DataType, date_to_int, int_to_date
+
+Array = np.ndarray[Any, np.dtype[Any]]
 
 
-class Expr:
+class Expr(Fielded):
     """Base class for scalar expressions."""
 
-    def evaluate(self, batch: Table) -> np.ndarray:
-        raise NotImplementedError
+    #: The fields naming a column this expression reads.
+    column_fields: ClassVar[tuple[str, ...]] = ()
 
-    def columns(self) -> set[str]:
-        """Names of all columns referenced by this expression."""
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        # an expression's fields are its dataclass fields
+        cls.fields = cls.fields + tuple(vars(cls).get("__annotations__", ()))
+        super().__init_subclass__(**kwargs)
+
+    def evaluate(self, batch: Table) -> Array:
         raise NotImplementedError
 
     def children(self) -> tuple["Expr", ...]:
-        return ()
+        return cast("tuple[Expr, ...]", tuple(self.terms()))
+
+    def columns(self) -> set[str]:
+        """Names of all columns referenced by this expression."""
+        # memoized (expressions are immutable and rewrite rules ask
+        # again on every pass); written through ``__dict__`` because
+        # the dataclasses are frozen
+        found: set[str] | None = self.__dict__.get("_columns")
+        if found is None:
+            found = {getattr(self, name) for name in self.column_fields}
+            for child in self.children():
+                found |= child.columns()
+            self.__dict__["_columns"] = found
+        return set(found)
 
     # -- operator sugar -------------------------------------------------
-    def __eq__(self, other):  # type: ignore[override]
+    def __eq__(self, other: object) -> "Compare":  # type: ignore[override]
         return Compare("=", self, _wrap(other))
 
-    def __ne__(self, other):  # type: ignore[override]
+    def __ne__(self, other: object) -> "Compare":  # type: ignore[override]
         return Compare("!=", self, _wrap(other))
 
-    def __lt__(self, other):
+    def __lt__(self, other: object) -> "Compare":
         return Compare("<", self, _wrap(other))
 
-    def __le__(self, other):
+    def __le__(self, other: object) -> "Compare":
         return Compare("<=", self, _wrap(other))
 
-    def __gt__(self, other):
+    def __gt__(self, other: object) -> "Compare":
         return Compare(">", self, _wrap(other))
 
-    def __ge__(self, other):
+    def __ge__(self, other: object) -> "Compare":
         return Compare(">=", self, _wrap(other))
 
-    def __and__(self, other):
+    def __and__(self, other: object) -> "And":
         return And(self, _wrap(other))
 
-    def __or__(self, other):
+    def __or__(self, other: object) -> "Or":
         return Or(self, _wrap(other))
 
-    def __invert__(self):
+    def __invert__(self) -> "Not":
         return Not(self)
 
-    def __add__(self, other):
+    def __add__(self, other: object) -> "Arith":
         return Arith("+", self, _wrap(other))
 
-    def __sub__(self, other):
+    def __sub__(self, other: object) -> "Arith":
         return Arith("-", self, _wrap(other))
 
-    def __mul__(self, other):
+    def __mul__(self, other: object) -> "Arith":
         return Arith("*", self, _wrap(other))
 
-    def __truediv__(self, other):
+    def __truediv__(self, other: object) -> "Arith":
         return Arith("/", self, _wrap(other))
 
-    def isin(self, values) -> "InList":
+    def isin(self, values: Iterable[object]) -> "InList":
         return InList(self, list(values))
 
-    def __hash__(self):
+    def __hash__(self) -> int:
         return hash(repr(self))
 
     def same_as(self, other: "Expr") -> bool:
@@ -90,14 +115,12 @@ class ColumnRef(Expr):
     """Reference to a column by (possibly qualified) name."""
 
     name: str
+    column_fields = ("name",)
 
-    def evaluate(self, batch: Table) -> np.ndarray:
+    def evaluate(self, batch: Table) -> Array:
         return batch.column(self.name)
 
-    def columns(self) -> set[str]:
-        return {self.name}
-
-    def __repr__(self) -> str:
+    def render(self, lit: LiteralFormat = repr) -> str:
         return f"col({self.name})"
 
 
@@ -106,28 +129,26 @@ class Literal(Expr):
     """A constant value."""
 
     value: object
+    literal_fields = ("value",)
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if isinstance(self.value, datetime.date):
             object.__setattr__(self, "value", date_to_int(self.value))
 
-    def evaluate(self, batch: Table) -> np.ndarray:
+    def evaluate(self, batch: Table) -> Array:
         n = batch.num_rows
         if isinstance(self.value, str):
             return np.asarray([self.value] * n, dtype=object)
         return np.full(n, self.value)
 
-    def scalar(self):
+    def scalar(self) -> object:
         return self.value
 
-    def columns(self) -> set[str]:
-        return set()
-
-    def __repr__(self) -> str:
-        return f"lit({self.value!r})"
+    def render(self, lit: LiteralFormat = repr) -> str:
+        return f"lit({lit(self.value)})"
 
 
-_COMPARE_OPS = {
+_COMPARE_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "=": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
     "<": lambda a, b: a < b,
@@ -144,81 +165,64 @@ class Compare(Expr):
     op: str
     left: Expr
     right: Expr
+    expr_fields = ("left", "right")
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if self.op not in _COMPARE_OPS:
             raise ExpressionError(f"unknown comparison operator {self.op!r}")
 
-    def evaluate(self, batch: Table) -> np.ndarray:
+    def evaluate(self, batch: Table) -> Array:
         left = self.left.evaluate(batch)
         right = self.right.evaluate(batch)
         result = _COMPARE_OPS[self.op](left, right)
         return np.asarray(result, dtype=bool)
 
-    def columns(self) -> set[str]:
-        return self.left.columns() | self.right.columns()
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.left, self.right)
-
-    def __repr__(self) -> str:
-        return f"({self.left!r} {self.op} {self.right!r})"
+    def render(self, lit: LiteralFormat = repr) -> str:
+        return f"({self.left.render(lit)} {self.op} {self.right.render(lit)})"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class And(Expr):
     left: Expr
     right: Expr
+    expr_fields = ("left", "right")
 
-    def evaluate(self, batch: Table) -> np.ndarray:
-        return self.left.evaluate(batch) & self.right.evaluate(batch)
+    def evaluate(self, batch: Table) -> Array:
+        mask: Array = self.left.evaluate(batch) & self.right.evaluate(batch)
+        return mask
 
-    def columns(self) -> set[str]:
-        return self.left.columns() | self.right.columns()
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.left, self.right)
-
-    def __repr__(self) -> str:
-        return f"({self.left!r} AND {self.right!r})"
+    def render(self, lit: LiteralFormat = repr) -> str:
+        return f"({self.left.render(lit)} AND {self.right.render(lit)})"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Or(Expr):
     left: Expr
     right: Expr
+    expr_fields = ("left", "right")
 
-    def evaluate(self, batch: Table) -> np.ndarray:
-        return self.left.evaluate(batch) | self.right.evaluate(batch)
+    def evaluate(self, batch: Table) -> Array:
+        mask: Array = self.left.evaluate(batch) | self.right.evaluate(batch)
+        return mask
 
-    def columns(self) -> set[str]:
-        return self.left.columns() | self.right.columns()
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.left, self.right)
-
-    def __repr__(self) -> str:
-        return f"({self.left!r} OR {self.right!r})"
+    def render(self, lit: LiteralFormat = repr) -> str:
+        return f"({self.left.render(lit)} OR {self.right.render(lit)})"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Not(Expr):
     operand: Expr
+    expr_fields = ("operand",)
 
-    def evaluate(self, batch: Table) -> np.ndarray:
-        return ~self.operand.evaluate(batch)
+    def evaluate(self, batch: Table) -> Array:
+        mask: Array = ~self.operand.evaluate(batch)
+        return mask
 
-    def columns(self) -> set[str]:
-        return self.operand.columns()
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.operand,)
-
-    def __repr__(self) -> str:
-        return f"(NOT {self.operand!r})"
+    def render(self, lit: LiteralFormat = repr) -> str:
+        return f"(NOT {self.operand.render(lit)})"
 
 
-_ARITH_OPS = {
+_ARITH_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
     "*": lambda a, b: a * b,
@@ -233,23 +237,18 @@ class Arith(Expr):
     op: str
     left: Expr
     right: Expr
+    expr_fields = ("left", "right")
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if self.op not in _ARITH_OPS:
             raise ExpressionError(f"unknown arithmetic operator {self.op!r}")
 
-    def evaluate(self, batch: Table) -> np.ndarray:
-        return _ARITH_OPS[self.op](self.left.evaluate(batch),
-                                   self.right.evaluate(batch))
+    def evaluate(self, batch: Table) -> Array:
+        return cast(Array, _ARITH_OPS[self.op](self.left.evaluate(batch),
+                                               self.right.evaluate(batch)))
 
-    def columns(self) -> set[str]:
-        return self.left.columns() | self.right.columns()
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.left, self.right)
-
-    def __repr__(self) -> str:
-        return f"({self.left!r} {self.op} {self.right!r})"
+    def render(self, lit: LiteralFormat = repr) -> str:
+        return f"({self.left.render(lit)} {self.op} {self.right.render(lit)})"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -257,30 +256,24 @@ class InList(Expr):
     """Membership test against a literal list."""
 
     operand: Expr
-    values: list
+    values: list[Any]
+    expr_fields = ("operand",)
+    literal_fields = ("values",)
 
-    def evaluate(self, batch: Table) -> np.ndarray:
+    def evaluate(self, batch: Table) -> Array:
         data = self.operand.evaluate(batch)
         allowed = set(self.values)
         return np.asarray([value in allowed for value in data], dtype=bool)
 
-    def columns(self) -> set[str]:
-        return self.operand.columns()
-
-    def children(self) -> tuple[Expr, ...]:
-        return (self.operand,)
-
-    def __repr__(self) -> str:
-        return f"({self.operand!r} IN {self.values!r})"
+    def render(self, lit: LiteralFormat = repr) -> str:
+        return f"({self.operand.render(lit)} IN {shown(self.values, lit)})"
 
 
 def _scalar_year(days: float) -> int:
-    from repro.storage.types import int_to_date
-
     return int_to_date(int(days)).year
 
 
-_FUNCTIONS = {
+_FUNCTIONS: dict[str, Callable[[list[Any]], Any]] = {
     "lower": lambda args: np.asarray([s.lower() if isinstance(s, str) else s
                                       for s in args[0]], dtype=object),
     "upper": lambda args: np.asarray([s.upper() if isinstance(s, str) else s
@@ -302,8 +295,8 @@ FUNCTION_DTYPES = {
 }
 
 
-def register_function(name: str, batch_fn, result_dtype: DataType,
-                      replace: bool = False) -> None:
+def register_function(name: str, batch_fn: Callable[[list[Any]], Any],
+                      result_dtype: DataType, replace: bool = False) -> None:
     """Register a scalar function usable in expressions and SQL.
 
     ``batch_fn`` receives a list of evaluated argument arrays and returns
@@ -329,29 +322,21 @@ class Func(Expr):
 
     name: str
     args: tuple[Expr, ...]
+    expr_fields = ("args",)
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if self.name not in _FUNCTIONS:
             raise ExpressionError(
                 f"unknown function {self.name!r}; "
                 f"available: {sorted(_FUNCTIONS)}"
             )
 
-    def evaluate(self, batch: Table) -> np.ndarray:
+    def evaluate(self, batch: Table) -> Array:
         evaluated = [arg.evaluate(batch) for arg in self.args]
-        return _FUNCTIONS[self.name](evaluated)
+        return cast(Array, _FUNCTIONS[self.name](evaluated))
 
-    def columns(self) -> set[str]:
-        out: set[str] = set()
-        for arg in self.args:
-            out |= arg.columns()
-        return out
-
-    def children(self) -> tuple[Expr, ...]:
-        return self.args
-
-    def __repr__(self) -> str:
-        inner = ", ".join(repr(a) for a in self.args)
+    def render(self, lit: LiteralFormat = repr) -> str:
+        inner = ", ".join(arg.render(lit) for arg in self.args)
         return f"{self.name}({inner})"
 
 
@@ -370,12 +355,14 @@ class AggFunc(enum.Enum):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class AggExpr:
+class AggExpr(Fielded):
     """An aggregate over an input expression (None = ``COUNT(*)``)."""
 
     func: AggFunc
     operand: Expr | None
     alias: str
+    fields = ("func", "operand", "alias")
+    expr_fields = ("operand",)
 
     def result_dtype(self, input_dtype: DataType | None) -> DataType:
         if self.func in (AggFunc.COUNT, AggFunc.COUNT_DISTINCT):
@@ -386,8 +373,8 @@ class AggExpr:
             raise ExpressionError(f"{self.func} requires an operand")
         return input_dtype
 
-    def __repr__(self) -> str:
-        inner = "*" if self.operand is None else repr(self.operand)
+    def render(self, lit: LiteralFormat = repr) -> str:
+        inner = "*" if self.operand is None else self.operand.render(lit)
         return f"{self.func.value}({inner}) AS {self.alias}"
 
 
@@ -399,12 +386,12 @@ def col(name: str) -> ColumnRef:
     return ColumnRef(name)
 
 
-def lit(value) -> Literal:
+def lit(value: object) -> Literal:
     """Shorthand literal."""
     return Literal(value)
 
 
-def _wrap(value) -> Expr:
+def _wrap(value: object) -> Expr:
     return value if isinstance(value, Expr) else Literal(value)
 
 

@@ -23,8 +23,10 @@ whose output batches stream through the kernel.
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import PlanError
+from repro.relational.fields import LiteralFormat
 from repro.relational.logical import (
     FilterNode,
     LimitNode,
@@ -33,29 +35,37 @@ from repro.relational.logical import (
     ScanNode,
 )
 from repro.storage.schema import Schema
+from repro.storage.types import DataType
+
+if TYPE_CHECKING:
+    from repro.hardware.jit import PipelineSpec
 
 
 class PipelineNode(LogicalPlan):
     """A maximal fusible operator chain compiled to one kernel."""
 
+    fields = ("stages",)
+
     def __init__(self, stages: tuple[LogicalPlan, ...],
-                 source: LogicalPlan | None):
-        if not stages:
+                 source: LogicalPlan | None) -> None:
+        #: Original logical nodes, innermost first.  Their own child
+        #: pointers still reference the pre-fusion subtree; consumers
+        #: that need the input go through ``self.children``.
+        self.stages = tuple(stages)
+        super().__init__(() if source is None else (source,))
+
+    def _validate(self) -> None:
+        if not self.stages:
             raise PlanError("pipeline of zero stages")
-        for index, stage in enumerate(stages):
+        for index, stage in enumerate(self.stages):
             if isinstance(stage, ScanNode):
-                if index != 0 or source is not None:
+                if index != 0 or self.children:
                     raise PlanError(
                         "a scan may only be the innermost pipeline stage")
             elif not isinstance(stage, (FilterNode, ProjectNode,
                                         LimitNode)):
                 raise PlanError(
                     f"{type(stage).__name__} is not a fusible stage")
-        super().__init__(() if source is None else (source,))
-        #: Original logical nodes, innermost first.  Their own child
-        #: pointers still reference the pre-fusion subtree; consumers
-        #: that need the input go through ``self.children``.
-        self.stages = tuple(stages)
 
     # -- structure ------------------------------------------------------
     @property
@@ -91,51 +101,41 @@ class PipelineNode(LogicalPlan):
     def _compute_schema(self) -> Schema:
         return self.stages[-1].schema
 
-    def _clone(self, children):
-        return PipelineNode(self.stages,
-                            children[0] if children else None)
-
-    def label(self) -> str:
-        kinds = "→".join(_stage_kind(stage) for stage in self.stages)
-        return f"Pipeline[{kinds}]"
+    def render(self, lit: LiteralFormat = repr) -> str:
+        kinds = [type(stage).__name__.removesuffix("Node")
+                 for stage in self.stages]
+        if self.scan is not None:
+            kinds[0] = f"Scan({self.scan.table_name})"
+        return f"Pipeline[{'→'.join(kinds)}]"
 
     # -- identity -------------------------------------------------------
     def fingerprint(self) -> str:
         """Structural digest the kernel cache keys on.
 
         Covers everything the generated code depends on: the input
-        column names, every fused predicate/projection expression (their
-        ``repr`` is total — literals print their values), the trailing
-        limit, and the output column names + dtypes.  Catalog versions
-        and data generations are deliberately absent: a kernel is a pure
-        function of plan structure, so it stays valid across data
-        changes as long as the schema (and therefore this digest) does —
-        the invalidation note in ``docs/serving.md`` spells this out.
+        column names, every fused stage's label (total — literals print
+        their values; the scan adds nothing the input column names do
+        not already say), and the output column names + dtypes.
+        Catalog versions and data generations are deliberately absent:
+        a kernel is a pure function of plan structure, so it stays
+        valid across data changes as long as the schema (and therefore
+        this digest) does — the invalidation note in
+        ``docs/serving.md`` spells this out.
         """
         parts = [",".join(self.input_schema().names)]
-        for stage in self.stages:
-            if isinstance(stage, FilterNode):
-                parts.append(f"filter {stage.predicate!r}")
-            elif isinstance(stage, ProjectNode):
-                items = "; ".join(f"{expr!r} AS {alias}"
-                                  for expr, alias in stage.exprs)
-                parts.append(f"project {items}")
-            elif isinstance(stage, LimitNode):
-                parts.append(f"limit {stage.count}")
-            else:  # ScanNode: column names already cover the shape
-                parts.append(f"scan as {stage.qualifier}")
+        parts.extend(stage.label() for stage in self.stages
+                     if stage is not self.scan)
         parts.append(",".join(f"{field.name}:{field.dtype.name}"
                               for field in self.schema.fields))
         return hashlib.blake2b("\n".join(parts).encode("utf-8"),
                                digest_size=16).hexdigest()
 
-    def kernel_spec(self):
+    def kernel_spec(self) -> "PipelineSpec":
         """The backend-agnostic :class:`~repro.hardware.jit.PipelineSpec`
         for this chain (filter runs merged into single segments)."""
         from repro.hardware.jit import PipelineSpec
-        from repro.storage.types import DataType
 
-        ops: list[tuple] = []
+        ops: list[tuple[Any, ...]] = []
         for stage in self.stages:
             if isinstance(stage, FilterNode):
                 if ops and ops[-1][0] == "filter":
@@ -149,9 +149,3 @@ class PipelineNode(LogicalPlan):
             ops=tuple(ops),
             output=tuple((field.name, field.dtype == DataType.STRING)
                          for field in self.schema.fields))
-
-
-def _stage_kind(stage: LogicalPlan) -> str:
-    if isinstance(stage, ScanNode):
-        return f"Scan({stage.table_name})"
-    return type(stage).__name__.removesuffix("Node")

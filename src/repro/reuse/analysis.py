@@ -242,6 +242,13 @@ def _analyze(node: LogicalPlan, walk: _Walk, is_root: bool) -> None:
         walk.refuse(f"{type(node).__name__} is not subsumption-eligible")
 
 
+def _blank(value: object) -> str:
+    """Literal format of shape fingerprints: the numeric knobs a
+    refinement may move (threshold, k, limit) show presence only; a
+    probe string is part of the statement's identity."""
+    return repr(value) if isinstance(value, str) else "?"
+
+
 def _slot_names(index: int, kind: str) -> str:
     return f"{AUX_PREFIX}{kind}{index}"
 
@@ -253,19 +260,14 @@ def _rebuild(node: LogicalPlan, counters: dict) -> LogicalPlan:
     if isinstance(node, SemanticFilterNode):
         index = counters["f"]
         counters["f"] += 1
-        return SemanticFilterNode(
-            children[0], node.column, node.probe, node.model_name,
-            node.threshold, score_alias=_slot_names(index, "f"),
-            mode=node.mode)
+        return node.with_children(children,
+                                  score_alias=_slot_names(index, "f"))
     if isinstance(node, SemanticJoinNode):
         index = counters["j"]
         counters["j"] += 1
-        if node.top_k is None:
-            return node.with_children(children)
-        return SemanticJoinNode(
-            children[0], children[1], node.left_column, node.right_column,
-            node.model_name, node.threshold, score_alias=node.score_alias,
-            top_k=node.top_k, aux_alias=_slot_names(index, "j"))
+        if node.top_k is not None:
+            return node.with_children(children,
+                                      aux_alias=_slot_names(index, "j"))
     return node.with_children(children)
 
 
@@ -362,65 +364,31 @@ def describe_plan(plan: LogicalPlan) -> PlanShape:
     Filter and Project nodes are excluded from the fingerprint: their
     placement legitimately varies with pushdown, and (for eligible
     shapes) commutes with the row sets the residual executor reasons
-    about.  Join order, join algorithms, semantic access paths, sort
-    keys, and limit presence must all agree exactly.
+    about.  Every other node contributes its literal-blanked rendering,
+    so join order, join algorithms, semantic access paths, sort keys,
+    and limit presence must all agree exactly.
     """
     parts: list[str] = []
     methods: dict = {}
     ambiguous = False
     dip_free = True
-
-    def visit(node: LogicalPlan) -> None:
-        nonlocal ambiguous, dip_free
-        for child in node.children:
-            visit(child)
-        if isinstance(node, PipelineNode):
-            # fusion is transparent to reuse: a fused plan must
-            # fingerprint exactly like its unfused twin (Filter/Project
-            # stages excluded, Scan/Limit stages contribute their parts),
-            # or cost-model flips between a base statement and its
-            # refinement would silently break subsumption matching
-            for stage in node.stages:
-                visit_stage(stage)
-            return
-        visit_stage(node)
-
-    def visit_stage(node: LogicalPlan) -> None:
-        nonlocal ambiguous, dip_free
-        if isinstance(node, ScanNode):
-            parts.append(f"scan {node.table_name} as {node.qualifier}")
-        elif isinstance(node, (FilterNode, ProjectNode)):
-            pass
-        elif isinstance(node, SemanticSemiFilterNode):
+    # the fusion-aware walk visits a pipeline's stages where the unfused
+    # chain's nodes would have been, and the pipeline node itself is
+    # skipped: a fused plan must fingerprint exactly like its unfused
+    # twin, or cost-model flips between a base statement and its
+    # refinement would silently break subsumption matching
+    for node in plan.walk():
+        if isinstance(node, SemanticSemiFilterNode):
             dip_free = False
-        elif isinstance(node, JoinNode):
-            keys = ",".join(f"{l}={r}" for l, r
-                            in zip(node.left_keys, node.right_keys))
-            parts.append(f"join {node.join_type.value} [{keys}] "
-                         f"algo={node.hints.get('algorithm')}")
         elif isinstance(node, SemanticJoinNode):
-            method = node.hints.get("method", "blocked")
             key = (node.left_column, node.right_column, node.model_name)
-            if key in methods:
-                ambiguous = True
-            methods[key] = method
-            parts.append(f"semjoin {node.left_column} ~ "
-                         f"{node.right_column} model {node.model_name} "
-                         f"top {'?' if node.top_k is not None else 'none'} "
-                         f"method={method}")
-        elif isinstance(node, SemanticFilterNode):
-            parts.append(f"semfilter {node.column} ~[{node.mode}] "
-                         f"{node.probe!r} model {node.model_name}")
-        elif isinstance(node, SortNode):
-            keys = ",".join(f"{name}:{'a' if asc else 'd'}"
-                            for name, asc in node.keys)
-            parts.append(f"sort [{keys}]")
-        elif isinstance(node, LimitNode):
-            parts.append("limit ?")
-        else:
-            parts.append(f"other {type(node).__name__}")
-
-    visit(plan)
+            ambiguous = ambiguous or key in methods
+            methods[key] = node.hints.get("method", "blocked")
+        if not isinstance(node, (FilterNode, ProjectNode, PipelineNode,
+                                 SemanticSemiFilterNode)):
+            # ``method`` is part of a semantic join's rendering
+            parts.append(f"{node.render(_blank)} "
+                         f"algo={node.hints.get('algorithm')}")
     fingerprint = hashlib.blake2b("\n".join(parts).encode("utf-8"),
                                   digest_size=16).hexdigest()
     return PlanShape(fingerprint=fingerprint,

@@ -437,6 +437,58 @@ class TestCostGating:
                     compiled_pipelines="sometimes")
 
 
+class TestEstimatesSeeThroughFusion:
+    """Regression: ``LogicalPlan.walk()`` did not descend into a
+    pipeline's stages, so the estimator found no scan — hence no column
+    statistics — above a fused input: a join over fused scans fell back
+    to default NDVs and the statement's ``estimated_cost`` (what the
+    scheduler picks a lane from) moved by orders of magnitude with the
+    ``compiled_pipelines`` knob."""
+
+    SQL = ("SELECT u.country, COUNT(*) AS n, SUM(t.quantity) AS units "
+           "FROM transactions AS t JOIN users AS u ON t.uid = u.uid "
+           "WHERE u.age > 30 AND t.quantity >= 2 "
+           "GROUP BY u.country ORDER BY u.country")
+
+    def _planned(self, mode: str):
+        session = Session(load_default_model=False, compiled_pipelines=mode)
+        session.register_table("users", Table.from_dict({
+            "uid": list(range(200)),
+            "age": [18 + i % 50 for i in range(200)],
+            "country": [f"c{i % 7}" for i in range(200)]}))
+        session.register_table("transactions", Table.from_dict({
+            "uid": [i % 200 for i in range(20_000)],
+            "quantity": [1 + i % 4 for i in range(20_000)]}))
+        optimizer = session._optimizer()
+        plan = optimizer.optimize(session.sql_plan(self.SQL))
+        return plan, optimizer
+
+    def test_estimates_and_cost_agree_across_modes(self):
+        rows, costs = {}, {}
+        for mode in ("off", "auto", "on"):
+            plan, optimizer = self._planned(mode)
+            estimator, cost_model = optimizer.estimator, optimizer.cost_model
+            rows[mode] = {node.label(): estimator.estimate(node)
+                          for node in plan.walk()}
+            # the only legitimate cost difference: a fused Filter/Project
+            # chain runs at ``fused_row_fraction`` of its interpreted cost
+            saved = sum(cost_model.interpreted_chain_cost(node.stages)
+                        * (1.0 - cost_model.params.fused_row_fraction)
+                        for node in plan.walk()
+                        if isinstance(node, PipelineNode))
+            costs[mode] = optimizer.last_report.estimated_cost + saved
+            if mode == "on":
+                assert saved > 0.0
+                assert estimator.column_ndv("t.uid", plan) == 200.0
+        shared = set(rows["off"]) & set(rows["auto"]) & set(rows["on"])
+        assert any(label.startswith("Join[") for label in shared)
+        for label in shared:
+            assert rows["off"][label] == rows["auto"][label] \
+                == rows["on"][label], label
+        assert costs["auto"] == pytest.approx(costs["off"])
+        assert costs["on"] == pytest.approx(costs["off"])
+
+
 # ---------------------------------------------------------------------------
 # Kernel cache: repeats, invalidation semantics, telemetry surfaces
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.optimizer.rules import (
     DEFAULT_RULES,
     BreakupSelections,
     MergeFilters,
+    OrderFilterChain,
     NormalizePredicate,
     PruneColumns,
     PushFilterBelowSemanticFilter,
@@ -464,3 +465,165 @@ class TestNonConvergence:
         report = optimizer.last_report
         assert report.rewrite_converged is False
         assert optimizer._nonconvergence.value >= 1
+
+
+# ----------------------------------------------------------------------
+# radb-style rule table: build a plan, apply ONE rule once at the root,
+# compare the printed algebra.  One row per rule in optimizer/rules.py,
+# plus the two must-not-push shapes (a column resolving on both join
+# sides keeps its conjunct above the join — unchanged plan).
+# ----------------------------------------------------------------------
+_M = "wiki-ft-100"
+
+
+def _p(schema):
+    return ScanNode("products", schema, qualifier="p")
+
+
+def _q(schema):
+    return ScanNode("products", schema, qualifier="q")
+
+
+def _k(schema):
+    return ScanNode("kb", schema, qualifier="k")
+
+
+def _once(rule):
+    def apply(plan, ctx):
+        rewritten = rule.apply(plan, ctx)
+        return plan if rewritten is None else rewritten
+    return apply
+
+
+RULE_CASES = [
+    ("merge_filters",
+     lambda p, k: FilterNode(FilterNode(_p(p), col("p.price") > 1),
+                             col("p.price") < 100),
+     _once(MergeFilters()),
+     """\
+Filter[((col(p.price) < lit(100)) AND (col(p.price) > lit(1)))]
+  Scan(products AS p)"""),
+    ("normalize_predicate",
+     lambda p, k: FilterNode(_p(p), Not(Or(col("p.price") > 20,
+                                           col("p.brand") == "acme"))),
+     _once(NormalizePredicate()),
+     """\
+Filter[((NOT (col(p.price) > lit(20))) AND (col(p.brand) != lit('acme')))]
+  Scan(products AS p)"""),
+    ("breakup_selections",
+     lambda p, k: FilterNode(_p(p), (col("p.price") > 20)
+                             & (col("p.brand") == "acme")),
+     _once(BreakupSelections()),
+     """\
+Filter[(col(p.price) > lit(20))]
+  Filter[(col(p.brand) = lit('acme'))]
+    Scan(products AS p)"""),
+    ("push_filter_through_project",
+     lambda p, k: FilterNode(
+         ProjectNode(_p(p), [(col("p.price") * 2, "double"),
+                             (col("p.pid"), "pid")]),
+         col("double") > 100),
+     _once(PushFilterThroughProject()),
+     """\
+Project[(col(p.price) * lit(2)) AS double, col(p.pid) AS pid]
+  Filter[((col(p.price) * lit(2)) > lit(100))]
+    Scan(products AS p)"""),
+    ("push_filter_into_join",
+     lambda p, k: FilterNode(
+         JoinNode(_p(p), _k(k), JoinType.INNER, ["p.ptype"], ["k.label"]),
+         (col("p.price") > 20) & (col("k.category") == "clothes")),
+     _once(PushFilterIntoJoin()),
+     """\
+Join[inner: p.ptype=k.label]
+  Filter[(col(p.price) > lit(20))]
+    Scan(products AS p)
+  Filter[(col(k.category) = lit('clothes'))]
+    Scan(kb AS k)"""),
+    ("push_filter_into_join: column on both sides stays",
+     lambda p, k: FilterNode(
+         JoinNode(_p(p), _q(p), JoinType.INNER, ["p.pid"], ["q.pid"]),
+         col("price") > 20),
+     _once(PushFilterIntoJoin()),
+     """\
+Filter[(col(price) > lit(20))]
+  Join[inner: p.pid=q.pid]
+    Scan(products AS p)
+    Scan(products AS q)"""),
+    ("push_filter_through_semantic_join",
+     lambda p, k: FilterNode(
+         SemanticJoinNode(_p(p), _k(k), "p.ptype", "k.label", _M, 0.8),
+         col("k.category") == "clothes"),
+     _once(PushFilterThroughSemanticJoin()),
+     """\
+SemanticJoin[p.ptype ~ k.label model=wiki-ft-100 >= 0.8 method=auto]
+  Scan(products AS p)
+  Filter[(col(k.category) = lit('clothes'))]
+    Scan(kb AS k)"""),
+    ("push_filter_through_semantic_join: column on both sides stays",
+     lambda p, k: FilterNode(
+         SemanticJoinNode(_p(p), _q(p), "p.ptype", "q.ptype", _M, 0.9),
+         col("brand") == "acme"),
+     _once(PushFilterThroughSemanticJoin()),
+     """\
+Filter[(col(brand) = lit('acme'))]
+  SemanticJoin[p.ptype ~ q.ptype model=wiki-ft-100 >= 0.9 method=auto]
+    Scan(products AS p)
+    Scan(products AS q)"""),
+    ("push_filter_below_semantic_filter",
+     lambda p, k: FilterNode(
+         SemanticFilterNode(_p(p), "p.ptype", "clothes", _M, 0.7),
+         col("p.price") > 20),
+     _once(PushFilterBelowSemanticFilter()),
+     """\
+SemanticFilter[p.ptype ~ 'clothes' model=wiki-ft-100 >= 0.7]
+  Filter[(col(p.price) > lit(20))]
+    Scan(products AS p)"""),
+    ("push_filter_through_aggregate",
+     lambda p, k: FilterNode(
+         AggregateNode(_p(p), ["p.brand"],
+                       [AggExpr(AggFunc.COUNT, None, "n")]),
+         (col("brand") == "acme") & (col("n") > 1)),
+     _once(PushFilterThroughAggregate()),
+     """\
+Filter[(col(n) > lit(1))]
+  Aggregate[keys=['p.brand']; count(*) AS n]
+    Filter[(col(p.brand) = lit('acme'))]
+      Scan(products AS p)"""),
+    ("order_filter_chain",
+     lambda p, k: SemanticFilterNode(
+         SemanticFilterNode(_p(p), "p.ptype", "clothes", _M, 0.7),
+         "p.ptype", "sneakers", _M, 0.95),
+     _once(OrderFilterChain()),
+     # the more selective (sneakers @ 0.95) filter sinks to run first
+     """\
+SemanticFilter[p.ptype ~ 'clothes' model=wiki-ft-100 >= 0.7]
+  SemanticFilter[p.ptype ~ 'sneakers' model=wiki-ft-100 >= 0.95]
+    Scan(products AS p)"""),
+    ("remove_trivial_project",
+     lambda p, k: ProjectNode(_k(k), [(col("k.label"), "k.label"),
+                                      (col("k.category"), "k.category")]),
+     _once(RemoveTrivialProject()),
+     """\
+Scan(kb AS k)"""),
+    ("prune_columns",
+     lambda p, k: ProjectNode(
+         FilterNode(_p(p), col("p.price") > 20), [(col("p.pid"), "pid")]),
+     lambda plan, ctx: PruneColumns().run(plan),
+     """\
+Project[col(p.pid) AS pid]
+  Filter[(col(p.price) > lit(20))]
+    Project[col(p.pid) AS p.pid, col(p.price) AS p.price]
+      Scan(products AS p)"""),
+]
+
+
+@pytest.mark.parametrize("name,build,apply,expected", RULE_CASES,
+                         ids=[case[0] for case in RULE_CASES])
+def test_rule_prints_expected_algebra(name, build, apply, expected,
+                                      products_table, kb_table, catalog,
+                                      registry):
+    from repro.optimizer.cardinality import CardinalityEstimator
+
+    plan = build(products_table.schema, kb_table.schema)
+    ctx = RuleContext(estimator=CardinalityEstimator(catalog, registry))
+    assert apply(plan, ctx).pretty() == expected
