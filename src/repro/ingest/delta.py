@@ -62,6 +62,7 @@ from typing import Any
 import numpy as np
 
 from repro.relational.expressions import AggFunc, ColumnRef
+from repro.relational.keys import effective_directions, stable_order
 from repro.relational.logical import (
     AggregateNode,
     FilterNode,
@@ -288,58 +289,15 @@ def _merge_topk(cached: Table, delta_out: Table,
     first, second = (cached, delta_out) if parity == 0 \
         else (delta_out, cached)
     combined = Table.concat([first, second])
-    order = _stable_order(combined, _effective_directions(keys))
-    merged = combined.take(order)
-    if limit is not None and merged.num_rows > limit:
-        merged = merged.take(np.arange(limit, dtype=np.int64))
-    return merged
-
-
-def _effective_directions(keys: tuple[tuple[str, bool], ...]
-                          ) -> tuple[tuple[str, bool], ...]:
-    """Declared sort directions -> the ones ``Table.sort_by`` realizes.
-
-    Each whole-order reversal (one per descending key) flips every key
-    sorted *before* that pass — i.e. every key after it in declaration
-    order — so key ``i``'s effective direction is its declared one
-    flipped iff an odd number of keys ``0..i-1`` are descending.
-    """
-    effective: list[tuple[str, bool]] = []
-    flips = 0
-    for name, ascending in keys:
-        effective.append((name, ascending if flips % 2 == 0
-                          else not ascending))
-        if not ascending:
-            flips += 1
-    return tuple(effective)
-
-
-def _stable_order(table: Table,
-                  keys: tuple[tuple[str, bool], ...],
-                  ) -> np.ndarray[Any, np.dtype[Any]]:
-    """Stable lexicographic order by ``keys`` with NO reversals.
-
-    Descending keys negate their rank codes, which keeps ties in input
-    order — the property the parity argument in :func:`_merge_topk`
-    needs.  Object columns compare as strings, matching
-    ``Table.sort_by``.
-    """
-    if table.num_rows == 0:
-        return np.empty(0, dtype=np.int64)
-    code_arrays: list[np.ndarray[Any, np.dtype[Any]]] = []
-    for name, ascending in keys:
-        values = table.column(name)
-        if values.dtype == object:
-            values = values.astype(str)
-        elif values.dtype.kind == "f" and np.isnan(values).any():
-            # np.unique's NaN grouping differs across NumPy versions;
-            # proving tie order here is not worth the risk
-            raise DeltaRefused("nan-in-sort-key")
-        _, codes = np.unique(values, return_inverse=True)
-        codes = codes.astype(np.int64)
-        code_arrays.append(codes if ascending else -codes)
-    # np.lexsort treats its LAST key as primary; keys[0] is our primary
-    return np.lexsort(tuple(reversed(code_arrays))).astype(np.int64)
+    columns = [combined.column(name) for name, _ in keys]
+    if any(values.dtype.kind == "f" and np.isnan(values).any()
+           for values in columns):
+        # NaN ties are not worth proving across the merge
+        raise DeltaRefused("nan-in-sort-key")
+    # reversal-free, so ties keep the block order chosen above
+    order = stable_order(
+        columns, effective_directions([asc for _, asc in keys]))
+    return combined.take(order if limit is None else order[:limit])
 
 
 def _merge_aggregate(node: AggregateNode, cached: Table,

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.errors import ExecutionError, PlanError
 from repro.relational.expressions import AggExpr, AggFunc, Expr
+from repro.relational.keys import KeyIndex
 from repro.relational.logical import (
     AggregateNode,
     FilterNode,
@@ -36,7 +37,7 @@ from repro.relational.pipeline import PipelineNode
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Schema
 from repro.storage.table import Table
-from repro.storage.types import DataType
+from repro.storage.types import DataType, coerce_array
 
 DEFAULT_BATCH_SIZE = 4096
 
@@ -282,15 +283,18 @@ class FusedPipelineOp(PhysicalOperator):
 
 
 class SortOp(PhysicalOperator):
-    """Pipeline breaker: materialize, sort, re-emit."""
+    """Pipeline breaker: materialize, sort, re-emit — under a limit only
+    the first ``limit`` rows of the same order (top-k)."""
 
-    def __init__(self, child: PhysicalOperator, keys: list[tuple[str, bool]]):
+    def __init__(self, child: PhysicalOperator, keys: list[tuple[str, bool]],
+                 limit: int | None = None):
         super().__init__(child.schema, (child,))
         self.keys = keys
+        self.limit = limit
 
     def _batches(self) -> Iterator[Table]:
         table = self.children[0].execute()
-        yield table.sort_by(self.keys)
+        yield table.sort_by(self.keys, self.limit)
 
 
 class UnionOp(PhysicalOperator):
@@ -308,7 +312,12 @@ class UnionOp(PhysicalOperator):
 
 
 class HashJoinOp(PhysicalOperator):
-    """Equi hash join; builds on the right input, streams the left."""
+    """Equi hash join; builds on the right input, streams the left.
+
+    Pairs come out in probe order, then build-row order within a key.
+    A probe row counts as matched (LEFT / SEMI / ANTI) only if one of
+    its pairs survives the extra predicate.
+    """
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
                  left_keys: list[str], right_keys: list[str],
@@ -319,59 +328,38 @@ class HashJoinOp(PhysicalOperator):
         self.right_keys = right_keys
         self.join_type = join_type
         self.extra_predicate = extra_predicate
+        self.semi = join_type in (JoinType.SEMI, JoinType.ANTI)
+        #: candidate pairs carry both sides even when SEMI / ANTI output
+        #: only the left one: the extra predicate may read either
+        self.pair_schema = left.schema.concat(right.schema) if self.semi \
+            else schema
 
     def _batches(self) -> Iterator[Table]:
         if not self.left_keys:
             raise PlanError("HashJoinOp requires join keys")
         build = self.children[1].execute()
-        hash_table: dict[tuple, list[int]] = {}
-        build_key_arrays = [build.column(k) for k in self.right_keys]
-        for row, key in enumerate(zip(*build_key_arrays)):
-            hash_table.setdefault(tuple(key), []).append(row)
-
-        left = self.children[0]
-        for batch in left.batches():
-            probe_key_arrays = [batch.column(k) for k in self.left_keys]
-            left_indices: list[int] = []
-            right_indices: list[int] = []
-            matched_mask = np.zeros(batch.num_rows, dtype=bool)
-            for row, key in enumerate(zip(*probe_key_arrays)):
-                matches = hash_table.get(tuple(key))
-                if matches:
-                    matched_mask[row] = True
-                    if self.join_type in (JoinType.SEMI, JoinType.ANTI):
-                        continue
-                    left_indices.extend([row] * len(matches))
-                    right_indices.extend(matches)
-            yield from self._emit(batch, build, left_indices, right_indices,
-                                  matched_mask)
-
-    def _emit(self, batch: Table, build: Table, left_indices: list[int],
-              right_indices: list[int],
-              matched_mask: np.ndarray) -> Iterator[Table]:
-        if self.join_type == JoinType.SEMI:
-            if matched_mask.any():
-                yield batch.filter(matched_mask)
-            return
-        if self.join_type == JoinType.ANTI:
-            if (~matched_mask).any():
-                yield batch.filter(~matched_mask)
-            return
-        left_idx = np.asarray(left_indices, dtype=np.int64)
-        right_idx = np.asarray(right_indices, dtype=np.int64)
-        combined = _combine(batch.take(left_idx), build.take(right_idx),
-                            self.schema)
-        if self.extra_predicate is not None and combined.num_rows:
-            combined = combined.filter(
-                self.extra_predicate.evaluate(combined))
-        if self.join_type == JoinType.LEFT:
-            missing = ~matched_mask
-            if missing.any():
-                unmatched = _null_extend(batch.filter(missing), build.schema,
-                                         self.schema)
-                combined = Table.concat([combined, unmatched])
-        if combined.num_rows:
-            yield combined
+        index = KeyIndex([build.column(k) for k in self.right_keys])
+        for batch in self.children[0].batches():
+            codes = index.lookup([batch.column(k) for k in self.left_keys])
+            if self.semi and self.extra_predicate is None:
+                matched = codes >= 0
+            else:
+                left, right = index.matches(codes)
+                out = _combine(batch.take(left), build.take(right),
+                               self.pair_schema)
+                if self.extra_predicate is not None and out.num_rows:
+                    keep = self.extra_predicate.evaluate(out)
+                    out, left = out.filter(keep), left[keep]
+                matched = np.zeros(batch.num_rows, dtype=bool)
+                matched[left] = True
+            if self.semi:
+                out = batch.filter(
+                    matched if self.join_type == JoinType.SEMI else ~matched)
+            elif self.join_type == JoinType.LEFT and not matched.all():
+                out = Table.concat([out, _null_extend(
+                    batch.filter(~matched), build.schema, self.schema)])
+            if out.num_rows:
+                yield out
 
 
 class NestedLoopJoinOp(PhysicalOperator):
@@ -406,7 +394,9 @@ class NestedLoopJoinOp(PhysicalOperator):
 
 
 class AggregateOp(PhysicalOperator):
-    """Hash aggregate (pipeline breaker)."""
+    """Hash aggregate (pipeline breaker): groups in first-seen order, each
+    keyed by its first row; every operand is evaluated once, then reduced
+    over contiguous segments of its values in stable group order."""
 
     def __init__(self, child: PhysicalOperator, group_keys: list[str],
                  aggregates: list[AggExpr], schema: Schema):
@@ -416,42 +406,56 @@ class AggregateOp(PhysicalOperator):
 
     def _batches(self) -> Iterator[Table]:
         table = self.children[0].execute()
-        if not self.group_keys:
-            rows = [self._aggregate_rows(table,
-                                         np.arange(table.num_rows))]
-            yield Table.from_rows(rows, self.schema)
-            return
-        key_arrays = [table.column(k) for k in self.group_keys]
-        groups: dict[tuple, list[int]] = {}
-        for row, key in enumerate(zip(*key_arrays)):
-            groups.setdefault(tuple(key), []).append(row)
-        key_names = self.schema.names[: len(self.group_keys)]
-        rows = []
-        for key, indices in groups.items():
-            row = dict(zip(key_names, key))
-            row.update(self._aggregate_rows(table,
-                                            np.asarray(indices, np.int64)))
-            rows.append(row)
-        yield Table.from_rows(rows, self.schema)
+        n = table.num_rows
+        fields = self.schema.fields
+        columns = {}
+        if self.group_keys:
+            index = KeyIndex([table.column(k) for k in self.group_keys])
+            codes, (order, starts, sizes) = index.codes, index.segments()
+            for fld, key in zip(fields, self.group_keys):
+                first = table.column(key)[index.first]
+                # coerced like Table.from_rows: string cells through str()
+                columns[fld.name] = coerce_array(
+                    first.tolist() if fld.dtype == DataType.STRING
+                    else first, fld.dtype)
+        else:   # one group, even over no rows
+            codes, order = np.zeros(n, np.int64), np.arange(n)
+            starts, sizes = np.zeros(1, np.int64), np.full(1, n, np.int64)
+        for agg, fld in zip(self.aggregates, fields[len(self.group_keys):]):
+            if agg.operand is None and agg.func != AggFunc.COUNT:
+                raise ExecutionError(f"{agg.func} requires an operand")
+            values = None if agg.operand is None \
+                else agg.operand.evaluate(table)
+            if values is None or agg.func == AggFunc.COUNT:
+                cells = sizes
+            elif agg.func == AggFunc.COUNT_DISTINCT:
+                pairs = KeyIndex([codes, values])
+                cells = np.bincount(codes[pairs.first], minlength=len(sizes))
+            else:
+                cells = _reduce(agg.func, values[order], starts, sizes)
+            columns[fld.name] = coerce_array(cells, fld.dtype)
+        yield Table(self.schema, columns)
 
-    def _aggregate_rows(self, table: Table, indices: np.ndarray) -> dict:
-        out: dict = {}
-        for agg in self.aggregates:
-            if agg.operand is None:
-                if agg.func != AggFunc.COUNT:
-                    raise ExecutionError(f"{agg.func} requires an operand")
-                out[agg.alias] = int(indices.shape[0])
-                continue
-            values = agg.operand.evaluate(table.take(indices))
-            out[agg.alias] = _apply_agg(agg.func, values)
-        return out
+
+_REDUCEAT = {AggFunc.SUM: np.add, AggFunc.MIN: np.minimum,
+             AggFunc.MAX: np.maximum}
+
+
+def _reduce(func: AggFunc, ordered: np.ndarray, starts: np.ndarray,
+            sizes: np.ndarray) -> np.ndarray | list:
+    """One aggregate per segment of ``ordered`` (values in group order):
+    ``ufunc.reduceat`` for integers, else the per-group call the per-row
+    aggregate made (float results stay bit-identical)."""
+    if ordered.dtype.kind in "bi" and func in _REDUCEAT and sizes.all():
+        # SUM accumulates in int64, as ndarray.sum does
+        return _REDUCEAT[func].reduceat(
+            ordered.astype(np.int64) if func == AggFunc.SUM else ordered,
+            starts)
+    return [_apply_agg(func, ordered[start:start + size])
+            for start, size in zip(starts.tolist(), sizes.tolist())]
 
 
 def _apply_agg(func: AggFunc, values: np.ndarray):
-    if func == AggFunc.COUNT:
-        return int(values.shape[0])
-    if func == AggFunc.COUNT_DISTINCT:
-        return int(len(set(values.tolist())))
     if values.shape[0] == 0:
         return 0 if func == AggFunc.SUM else None
     if func == AggFunc.SUM:
@@ -466,63 +470,58 @@ def _apply_agg(func: AggFunc, values: np.ndarray):
 
 
 def _combine(left: Table, right: Table, schema: Schema) -> Table:
-    columns = {}
-    names = schema.names
-    position = 0
-    for name in left.schema.names:
-        columns[names[position]] = left.columns[name]
-        position += 1
-    for name in right.schema.names:
-        columns[names[position]] = right.columns[name]
-        position += 1
-    return Table(schema, columns)
+    """``left`` and ``right`` side by side, under ``schema``'s names."""
+    arrays = [side.columns[name] for side in (left, right)
+              for name in side.schema.names]
+    return Table(schema, dict(zip(schema.names, arrays)))
 
 
 def _null_extend(left: Table, right_schema: Schema, schema: Schema) -> Table:
     """Pad unmatched left rows with type-appropriate null fills."""
-    columns = {}
-    names = schema.names
-    position = 0
-    for name in left.schema.names:
-        columns[names[position]] = left.columns[name]
-        position += 1
-    n = left.num_rows
-    for fld in right_schema.fields:
-        if fld.dtype == DataType.STRING:
-            fill = np.asarray([None] * n, dtype=object)
-        elif fld.dtype == DataType.FLOAT64:
-            fill = np.full(n, np.nan)
-        elif fld.dtype == DataType.BOOL:
-            fill = np.zeros(n, dtype=bool)
-        else:
-            fill = np.zeros(n, dtype=np.int64)
-        columns[names[position]] = fill
-        position += 1
-    return Table(schema, columns)
+    nulls = {fld.name: _null_fill(fld.dtype, left.num_rows)
+             for fld in right_schema.fields}
+    return _combine(left, Table(right_schema, nulls), schema)
+
+
+def _null_fill(dtype: DataType, n: int) -> np.ndarray:
+    if dtype == DataType.STRING:
+        return np.full(n, None, dtype=object)
+    if dtype == DataType.FLOAT64:
+        return np.full(n, np.nan)
+    return np.zeros(n, dtype=bool if dtype == DataType.BOOL else np.int64)
 
 
 # ----------------------------------------------------------------------
 # Lowering: logical -> physical
 # ----------------------------------------------------------------------
-def build_physical(plan: LogicalPlan,
-                   context: ExecutionContext) -> PhysicalOperator:
-    """Lower a logical plan to a physical operator tree."""
+def build_physical(plan: LogicalPlan, context: ExecutionContext,
+                   limit: int | None = None) -> PhysicalOperator:
+    """Lower a logical plan to a physical operator tree.
+
+    ``limit`` says only that many leading rows of ``plan`` are read (its
+    parent is a limit); a sort there emits only those.
+    """
     if isinstance(plan, ScanNode):
         table = context.catalog.get(plan.table_name)
         return ScanOp(table, context.batch_size, plan.qualifier)
     if isinstance(plan, PipelineNode):
-        child = build_physical(plan.source, context) \
+        # without a filter stage the pipeline's limit keeps a prefix of
+        # its source's rows
+        filtered = any(isinstance(s, FilterNode) for s in plan.stages)
+        child = build_physical(plan.source, context,
+                               None if filtered else plan.limit) \
             if plan.source is not None else None
         return FusedPipelineOp(plan, context, child)
     if isinstance(plan, FilterNode):
         return FilterOp(build_physical(plan.child, context), plan.predicate)
-    if isinstance(plan, ProjectNode):
-        return ProjectOp(build_physical(plan.child, context), plan.exprs,
-                         plan.schema)
+    if isinstance(plan, ProjectNode):     # row for row: the limit holds
+        return ProjectOp(build_physical(plan.child, context, limit),
+                         plan.exprs, plan.schema)
     if isinstance(plan, LimitNode):
-        return LimitOp(build_physical(plan.child, context), plan.count)
+        return LimitOp(build_physical(plan.child, context, plan.count),
+                       plan.count)
     if isinstance(plan, SortNode):
-        return SortOp(build_physical(plan.child, context), plan.keys)
+        return SortOp(build_physical(plan.child, context), plan.keys, limit)
     if isinstance(plan, UnionNode):
         children = tuple(build_physical(c, context) for c in plan.children)
         return UnionOp(children)

@@ -179,18 +179,24 @@ class Table:
         for start in range(0, total, batch_size):
             yield self.slice(start, min(start + batch_size, total))
 
-    def sort_by(self, keys: list[tuple[str, bool]]) -> "Table":
-        """Stable multi-key sort; ``keys`` are (column, ascending) pairs."""
-        order = np.arange(self.num_rows)
-        for name, ascending in reversed(keys):
-            values = self.column(name)[order]
-            if values.dtype == object:
-                local = np.argsort(values.astype(str), kind="stable")
-            else:
-                local = np.argsort(values, kind="stable")
-            if not ascending:
-                local = local[::-1]
-            order = order[local]
+    def sort_by(self, keys: list[tuple[str, bool]],
+                limit: int | None = None) -> "Table":
+        """Stable multi-key sort; ``keys`` are (column, ascending) pairs.
+
+        Object columns compare as strings.  Rows tied on every key keep
+        input order when an even number of keys descend and reversed
+        input order when an odd number do (the order of one stable pass
+        per key, last key first, reversing once per descending key).
+        With ``limit`` only the first ``limit`` rows of that order are
+        gathered.
+        """
+        # deferred: repro.relational imports this module
+        from repro.relational.keys import sort_order
+
+        if not keys:
+            return self.slice(0, self.num_rows if limit is None else limit)
+        order = sort_order([self.column(name) for name, _ in keys],
+                           [ascending for _, ascending in keys], limit)
         return self.take(order)
 
 
