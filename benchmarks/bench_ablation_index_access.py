@@ -139,7 +139,8 @@ def test_index_cache_amortization(setup, capsys):
         print(f"\nindex-cache amortization (hnsw over 1,000 values, "
               f"50 probes): cold {cold.seconds:.3f}s -> warm "
               f"{warm.seconds:.3f}s ({cold.seconds / warm.seconds:.1f}x)")
-    assert index_cache.hits == 1 and index_cache.misses == 1
+    stats = index_cache.stats()
+    assert stats["hits"] == 1 and stats["misses"] == 1
     assert warm.seconds < cold.seconds / 2
 
 

@@ -177,9 +177,9 @@ def run_concurrent(workload: RetailWorkload, model, n_clients: int,
             raise errors[0]
 
         cache_after = server.state.plan_cache.stats()
-        lookups = ((cache_after.hits + cache_after.misses)
-                   - (cache_before.hits + cache_before.misses))
-        hits = cache_after.hits - cache_before.hits
+        lookups = ((cache_after["hits"] + cache_after["misses"])
+                   - (cache_before["hits"] + cache_before["misses"]))
+        hits = cache_after["hits"] - cache_before["hits"]
         metrics = server.metrics()
         queries = len(statements) * n_clients
         return {

@@ -175,8 +175,8 @@ def run_parity_sweep(n_rows: int, n_delta: int, n_appends: int) -> dict:
         "ingest_mismatched": mismatched,
         "maintained_by_form": maintained,
         "refusals": refused,
-        "plan_cache_survived": (plan_stats_after.misses
-                                == plan_stats_before.misses),
+        "plan_cache_survived": (plan_stats_after["misses"]
+                                == plan_stats_before["misses"]),
         "catalog_version_stable": (live.catalog.version
                                    == catalog_version_before),
     }
@@ -216,7 +216,7 @@ def run_streaming_workload(initial_rows: int, batch_rows: int,
         live.sql(query)
         baseline.sql(query)
 
-    plan_misses_before = live.state.plan_cache.stats().misses
+    plan_misses_before = live.state.plan_cache.stats()["misses"]
     delta_seconds = 0.0
     rerun_seconds = 0.0
     staleness: list[float] = []
@@ -264,7 +264,7 @@ def run_streaming_workload(initial_rows: int, batch_rows: int,
             sum(staleness) / len(staleness), 4),
         "serve_p95_seconds": round(p95, 5),
         "stream_plan_cache_survived": (
-            live.state.plan_cache.stats().misses == plan_misses_before),
+            live.state.plan_cache.stats()["misses"] == plan_misses_before),
         "stream_delta_maintained": ingest_stats["delta_maintained_total"],
         "stream_delta_refused": ingest_stats["delta_refused_total"],
     }

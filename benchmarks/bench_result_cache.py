@@ -140,12 +140,12 @@ def run(sizes: dict, rounds: int) -> dict:
         probe = STATEMENTS[0]
         products = cached.state.catalog.get("products")
         cached.sql(probe)
-        hits_before = cached.state.result_cache.stats().hits
+        hits_before = cached.state.result_cache.stats()["hits"]
         cached.register_table("products", Table(products.schema, {
             name: arr[: products.num_rows // 2]
             for name, arr in products.columns.items()}), replace=True)
         truncated_rows = canonical_rows(cached.sql(probe))
-        stale_served = (cached.state.result_cache.stats().hits
+        stale_served = (cached.state.result_cache.stats()["hits"]
                         > hits_before)
         # ground truth for the truncated contents, computed uncached in
         # a fresh server (`uncached` above still holds the full table)
@@ -157,7 +157,7 @@ def run(sizes: dict, rounds: int) -> dict:
         invalidation_ok = (not stale_served
                            and truncated_rows == fresh_reference)
 
-        result_cache_stats = cached.state.result_cache.stats().as_dict()
+        result_cache_stats = cached.state.result_cache.stats()
         scheduler_stats = cached.scheduler.stats()
         registry_snapshot = metrics_snapshot(cached)
 

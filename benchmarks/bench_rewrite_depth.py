@@ -9,7 +9,7 @@ Defends the systematized rewrite engine and the generic-plan tier:
    Every fixpoint must also converge.  Always enforced.
 2. **Generic-plan hit rate.**  A parameterized statement family with a
    fresh literal per statement promotes after
-   ``generic_promotion_threshold`` observations; the remaining sweep is
+   ``GENERIC_PROMOTION_THRESHOLD`` observations; the remaining sweep is
    served from the generic plan at >= 0.9 hit rate (the misses are the
    periodic full-optimization rechecks).  Every served result is
    bit-identical to a ``generic_plans=False`` control session.  Always
@@ -41,6 +41,7 @@ import platform
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -48,6 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 import numpy as np
 
 from benchmarks.common import ResultTable, metrics_snapshot, stopwatch
+from repro.engine import plan_cache
 from repro.engine.session import Session
 from repro.engine.sql.binder import Binder
 from repro.engine.sql.parser import parse_sql
@@ -162,7 +164,7 @@ def run_generic_sweep(tables: dict[str, Table], sweep: int) -> dict:
     # family's first observation (otherwise promotion slips a statement)
     for s in (session, control):
         s.sql("SELECT id FROM items WHERE id > 0")
-    threshold = cache.generic_promotion_threshold
+    threshold = plan_cache.GENERIC_PROMOTION_THRESHOLD
     mismatched = 0
     with stopwatch() as clock:
         for i in range(sweep):
@@ -174,13 +176,13 @@ def run_generic_sweep(tables: dict[str, Table], sweep: int) -> dict:
     # post-promotion statements are the generic tier's addressable set;
     # its misses are the forced full-optimization rechecks
     addressable = sweep - threshold
-    hit_rate = stats.generic_hits / addressable if addressable else 0.0
+    hit_rate = stats["generic_hits"] / addressable if addressable else 0.0
     return {
         "generic_sweep": sweep,
         "generic_promotion_threshold": threshold,
-        "generic_promotions": stats.promotions,
-        "generic_hits": stats.generic_hits,
-        "generic_rechecks": stats.generic_rechecks,
+        "generic_promotions": stats["promotions"],
+        "generic_hits": stats["generic_hits"],
+        "generic_rechecks": stats["generic_rechecks"],
         "generic_hit_rate": round(hit_rate, 4),
         "generic_hit_rate_target": GENERIC_HIT_RATE_TARGET,
         "generic_parity": mismatched == 0,
@@ -189,10 +191,16 @@ def run_generic_sweep(tables: dict[str, Table], sweep: int) -> dict:
 
 
 def run_demotion(tables: dict[str, Table]) -> dict:
+    # recheck every other generic serve so the flip demotes within two
+    # probes (the module constant is read at serve time)
+    with mock.patch.object(plan_cache, "GENERIC_RECHECK_INTERVAL", 2):
+        return _run_demotion(tables)
+
+
+def _run_demotion(tables: dict[str, Table]) -> dict:
     session = build_session(tables)
     control = build_session(tables, generic_plans=False)
     cache = session.state.plan_cache
-    cache.generic_recheck_interval = 2  # demote within two probes
     n_items = tables["items"].num_rows
     mismatched = 0
 
@@ -206,7 +214,7 @@ def run_demotion(tables: dict[str, Table]) -> dict:
     issue(0.5)  # warm lazy statistics (stable catalog version)
     for price in (1.0, 2.0, 3.0):  # low-price regime: promote
         issue(price)
-    promoted = cache.stats().promotions == 1
+    promoted = cache.stats()["promotions"] == 1
 
     # high-price regime: the probe side turns selective and the full
     # optimization at the recheck chooses a different physical plan
@@ -217,23 +225,23 @@ def run_demotion(tables: dict[str, Table]) -> dict:
 
     # demoted families take per-literal optimization and never
     # re-promote, however many fresh literals arrive
-    misses_before = after_flip.misses
-    hits_before = after_flip.generic_hits
+    misses_before = after_flip["misses"]
+    hits_before = after_flip["generic_hits"]
     for price in (4.0, 5.0, 6.0, 7.0):
         issue(price)
     final = cache.stats()
-    custom_restored = (final.misses - misses_before == 4
-                       and final.generic_hits == hits_before)
+    custom_restored = (final["misses"] - misses_before == 4
+                       and final["generic_hits"] == hits_before)
     return {
         "demotion_promoted_first": promoted,
-        "demotion_demotions": after_flip.demotions,
-        "demotion_generic_entries": final.generic_entries,
-        "demotion_final_promotions": final.promotions,
+        "demotion_demotions": after_flip["demotions"],
+        "demotion_generic_entries": final["generic_entries"],
+        "demotion_final_promotions": final["promotions"],
         "demotion_custom_restored": custom_restored,
         "demotion_parity": mismatched == 0,
-        "demotion_ok": (promoted and after_flip.demotions >= 1
-                        and final.generic_entries == 0
-                        and final.promotions == 1 and custom_restored),
+        "demotion_ok": (promoted and after_flip["demotions"] >= 1
+                        and final["generic_entries"] == 0
+                        and final["promotions"] == 1 and custom_restored),
     }
 
 

@@ -89,11 +89,11 @@ def bench_index_cache(model, n_unique: int) -> dict:
     index_cache = IndexCache()
     with stopwatch() as build_clock:
         index_cache.get_for_values("brute", first_query, cache)
-    first_misses = index_cache.misses
+    first_misses = index_cache.stats()["misses"]
     with stopwatch() as hit_clock:
         second_index, _ = index_cache.get_for_values("brute", second_query,
                                                      cache)
-    assert index_cache.hits == 1 and first_misses == 1
+    assert index_cache.stats()["hits"] == 1 and first_misses == 1
     assert len(index_cache) == 1
 
     # fingerprint cost, warm: the full id-space identity pipeline
@@ -113,7 +113,7 @@ def bench_index_cache(model, n_unique: int) -> dict:
         "first_query_values": len(first_query),
         "second_query_values": len(second_query),
         "first_query_misses": first_misses,
-        "second_query_hit": index_cache.hits == 1,
+        "second_query_hit": index_cache.stats()["hits"] == 1,
         "index_reused": True,
         "value_rehash_count": 0,   # fingerprint is id arithmetic only
         "build_seconds": round(build_clock.seconds, 4),
@@ -220,7 +220,7 @@ def bench_join_parity(model, n_join: int, workers: int) -> dict:
     # index cache must serve the built index (operator-level reuse)
     _, _, warm_seconds = run("index:brute")
     per_method_seconds["index:brute (warm)"] = round(warm_seconds, 4)
-    index_stats = session.context.index_cache
+    index_stats = session.context.index_cache.stats()
     return {
         "n_left": len(left_values),
         "n_right_rows": len(right_values),
@@ -228,9 +228,9 @@ def bench_join_parity(model, n_join: int, workers: int) -> dict:
         "methods": list(PARITY_METHODS),
         "exact_parity_atol_1e-6": parity,
         "per_method_seconds": per_method_seconds,
-        "index_cache_misses": index_stats.misses,
-        "index_cache_hits": index_stats.hits,
-        "index_reused_across_queries": index_stats.hits >= 1,
+        "index_cache_misses": index_stats["misses"],
+        "index_cache_hits": index_stats["hits"],
+        "index_reused_across_queries": index_stats["hits"] >= 1,
         # hoisted to the payload's top level by run()
         "metrics": metrics_snapshot(session),
     }

@@ -148,12 +148,12 @@ def run(sizes: dict, speedup_target: float) -> dict:
         # --- bit-identity on a parity sweep ---------------------------
         mismatched = []
         parity_set = refinements(rounds, offset_step=0.0031)
-        hits_before = reuse_server.state.reuse_registry.stats().hits
+        hits_before = reuse_server.state.reuse_registry.stats()["hits"]
         for statement in parity_set:
             if ordered_rows(reuse_server.sql(statement)) \
                     != ordered_rows(baseline.sql(statement)):
                 mismatched.append(statement)
-        reuse_hits = (reuse_server.state.reuse_registry.stats().hits
+        reuse_hits = (reuse_server.state.reuse_registry.stats()["hits"]
                       - hits_before)
         all_residual = reuse_hits == len(parity_set)
 
@@ -171,12 +171,12 @@ def run(sizes: dict, speedup_target: float) -> dict:
 
         # --- fallback proofs ------------------------------------------
         fallbacks = {}
-        hits = reuse_server.state.reuse_registry.stats().hits
+        hits = reuse_server.state.reuse_registry.stats()["hits"]
         loosened = JOIN_TEMPLATE.format(threshold=0.25, k=60)
         fallbacks["loosened_not_subsumed"] = (
             ordered_rows(reuse_server.sql(loosened))
             == ordered_rows(baseline.sql(loosened))
-            and reuse_server.state.reuse_registry.stats().hits == hits)
+            and reuse_server.state.reuse_registry.stats()["hits"] == hits)
         aggregate = ("SELECT brand, COUNT(*) AS n FROM products "
                      "WHERE ptype ~ 'shoes' THRESHOLD 0.30 "
                      "GROUP BY brand ORDER BY brand")
@@ -187,7 +187,7 @@ def run(sizes: dict, speedup_target: float) -> dict:
         fallbacks["aggregate_ineligible"] = (
             ordered_rows(reuse_server.sql(aggregate_refined))
             == ordered_rows(baseline.sql(aggregate_refined))
-            and reuse_server.state.reuse_registry.stats().hits == hits)
+            and reuse_server.state.reuse_registry.stats()["hits"] == hits)
 
         # --- invalidation: register_table between base and refinement -
         probe = FILTER_TEMPLATE.format(threshold=0.41)
@@ -203,7 +203,7 @@ def run(sizes: dict, speedup_target: float) -> dict:
         invalidation_ok = (ordered_rows(reuse_server.sql(probe))
                            == ordered_rows(baseline.sql(probe)))
 
-        reuse_stats = reuse_server.state.reuse_registry.stats().as_dict()
+        reuse_stats = reuse_server.state.reuse_registry.stats()
         scheduler_stats = reuse_server.scheduler.stats()
         registry_snapshot = metrics_snapshot(reuse_server)
 
@@ -215,7 +215,7 @@ def run(sizes: dict, speedup_target: float) -> dict:
         ann_server.sql(JOIN_TEMPLATE.format(threshold=0.35, k=20))
         ann_stats = ann_server.state.reuse_registry.stats()
         approximate_fell_back = (
-            ann_stats.hits == 0
+            ann_stats["hits"] == 0
             and ann_server.scheduler.stats()["admitted"]
             == admitted_before + 1)
 

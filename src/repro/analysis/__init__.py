@@ -14,10 +14,13 @@ declarations the analyzers enforce live beside them:
   pre-captured-key cache paths.
 - :mod:`repro.analysis.metric_names` — the metric-name vocabulary the
   observability registry may register.
+- ``mypy.ini`` — the strict-typing scope whose defs must be fully
+  annotated.
 
 Rule families: ``LH*`` locks, ``DX*`` dispatch, ``CK*`` cache keys,
-``MN*`` metric names, ``AN*`` the suite itself (pragma hygiene).  Suppress a false positive
-with ``# analysis: ignore[RULE] <why>`` on the offending line; see
+``MN*`` metric names, ``TY*`` annotations, ``AN*`` the suite itself
+(pragma hygiene).  Suppress a false positive with
+``# analysis: ignore[RULE] <why>`` on the offending line; see
 ``docs/static-analysis.md``.
 """
 
@@ -31,6 +34,7 @@ from repro.analysis.core import (
 
 def engine_config() -> AnalysisConfig:
     """Analysis configuration for the real ``src/repro`` tree."""
+    from repro.analysis.annotations import AnnotationModel, strict_modules
     from repro.analysis.cache_dimensions import engine_cache_model
     from repro.analysis.dispatch_registry import engine_dispatch_model
     from repro.analysis.lock_levels import engine_lock_model
@@ -45,6 +49,7 @@ def engine_config() -> AnalysisConfig:
         dispatch=engine_dispatch_model(),
         cache=engine_cache_model(),
         metrics=engine_metric_names_model(),
+        annotations=AnnotationModel(strict_modules(repo_root / "mypy.ini")),
     )
 
 

@@ -38,7 +38,8 @@ def main(argv: list[str] | None = None) -> int:
         kind, root = args.fixture
         config = fixture_config(kind, Path(root))
         rules = (kind,) if args.rules == ",".join(ALL_RULES) else rules
-        rules = tuple({"lock": "locks", "metric": "metrics"}.get(r, r)
+        rules = tuple({"lock": "locks", "metric": "metrics",
+                       "annotation": "annotations"}.get(r, r)
                       for r in rules)
     else:
         config = engine_config()

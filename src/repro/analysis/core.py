@@ -217,13 +217,14 @@ class AnalysisConfig:
     dispatch: "object | None" = None   # DispatchModel
     cache: "object | None" = None      # CacheModel
     metrics: "object | None" = None    # MetricNamesModel
+    annotations: "object | None" = None  # AnnotationModel
 
 
 #: Registered analyzer entry points, filled by the sibling modules to
 #: avoid an import cycle (each registers ``name -> callable``).
 ANALYZERS: dict[str, Callable[[AnalysisConfig], list[Finding]]] = {}
 
-ALL_RULES = ("locks", "dispatch", "cache", "metrics")
+ALL_RULES = ("locks", "dispatch", "cache", "metrics", "annotations")
 
 
 def pragma_findings(package: Package) -> list[Finding]:
@@ -260,7 +261,7 @@ def run_analysis(config: AnalysisConfig,
     """Run the selected analyzers, apply pragmas, return sorted findings."""
     # The analyzer modules register themselves on import.
     from repro.analysis import (  # noqa: F401
-        cachekeys, dispatch, locks, metricnames)
+        annotations, cachekeys, dispatch, locks, metricnames)
 
     findings: list[Finding] = []
     for rule in rules:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.analysis.annotations import AnnotationModel
 from repro.analysis.cachekeys import CacheModel, VersionBump
 from repro.analysis.core import AnalysisConfig, Package
 from repro.analysis.dispatch import DispatchModel, DispatcherSpec, Family
@@ -25,7 +26,7 @@ from repro.analysis.metricnames import MetricDecl, MetricNamesModel
 
 FIXTURE_PACKAGE = "analysis_fixtures"
 
-FIXTURE_KINDS = ("lock", "dispatch", "cache", "metric")
+FIXTURE_KINDS = ("lock", "dispatch", "cache", "metric", "annotation")
 
 
 def fixture_config(kind: str, root: Path) -> AnalysisConfig:
@@ -40,6 +41,9 @@ def fixture_config(kind: str, root: Path) -> AnalysisConfig:
         return AnalysisConfig(package=package, cache=_cache_model())
     if kind == "metric":
         return AnalysisConfig(package=package, metrics=_metric_model())
+    if kind == "annotation":
+        return AnalysisConfig(package=package, annotations=AnnotationModel(
+            strict=(f"{FIXTURE_PACKAGE}.untyped_def",)))
     raise ValueError(f"unknown fixture kind {kind!r}; "
                      f"choose from {FIXTURE_KINDS}")
 

@@ -98,6 +98,11 @@ DECLARATIONS: tuple[LockDecl, ...] = (
     LockDecl(name="lowering._CACHE_CREATE_LOCK",
              owner=f"{PKG}.semantic.lowering", attr="_CACHE_CREATE_LOCK",
              level=4),
+    # the kernel and index caches' shared in-flight table: held only
+    # around its own dict, never across the owner's probe or build
+    LockDecl(name="SingleFlight._lock",
+             owner=f"{PKG}.utils.store.SingleFlight", attr="_lock",
+             level=4),
     # -- level 4: observability instruments ----------------------------
     # Instruments never call out while locked, so they are safe leaves;
     # subsystems above level 4 may update them inside their own

@@ -135,6 +135,8 @@ DECLARED_METRICS: tuple[MetricDecl, ...] = (
                "index builds served by extending a predecessor"),
     MetricDecl("index_cache_single_flight_waits", "gauge",
                "misses coalesced onto another thread's build"),
+    MetricDecl("index_cache_evictions", "gauge",
+               "indexes dropped to hold the byte budget"),
     MetricDecl("index_cache_entries", "gauge",
                "built vector indexes resident"),
     MetricDecl("index_cache_generation", "gauge",

@@ -25,20 +25,22 @@ Keys are ``(pipeline fingerprint, model, backend)``:
   so an explicit-backend request never aliases an ``auto`` entry that
   resolved differently.
 
-Thread-safe with single-flight compiles: when a miss storm hits one key,
-exactly one thread compiles while the rest wait on a per-key event and
-then hit the finished entry (pattern shared with
-:class:`repro.semantic.index_cache.IndexCache`).  A failed compile never
-wedges the key — one waiter is promoted to compiler and retries.
+Thread-safe with single-flight compiles
+(:class:`repro.utils.store.SingleFlight`, shared with
+:class:`repro.semantic.index_cache.IndexCache`): when a miss storm hits
+one key, exactly one thread compiles while the rest wait and then hit
+the finished entry.  A failed compile never wedges the key — one waiter
+is promoted to compiler and retries.  Entries live in a count-budgeted
+:class:`repro.utils.store.LRUStore`.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 
 from repro.hardware.jit import PipelineKernel, PipelineSpec, compile_pipeline
 from repro.obs.metrics import MetricsRegistry, hit_ratio
+from repro.utils.store import LRUStore, SingleFlight
 
 DEFAULT_KERNEL_CACHE_CAPACITY = 256
 
@@ -56,9 +58,11 @@ class KernelCache:
 
     def __init__(self, capacity: int = DEFAULT_KERNEL_CACHE_CAPACITY,
                  registry: MetricsRegistry | None = None) -> None:
-        if capacity <= 0:
-            raise ValueError("kernel cache capacity must be positive")
-        self.capacity = capacity
+        self._entries: LRUStore[_KernelKey, PipelineKernel] = \
+            LRUStore(capacity)
+        self._flight: SingleFlight[_KernelKey, PipelineKernel] = \
+            SingleFlight()
+        self._lock = threading.Lock()
         registry = registry if registry is not None else MetricsRegistry()
         self._hits = registry.counter(
             "kernel_cache_hits_total", help="compiled-kernel cache hits")
@@ -82,40 +86,6 @@ class KernelCache:
             "kernel_cache_hit_ratio",
             fn=lambda: hit_ratio(self._hits.value, self._misses.value),
             help="hits / (hits + misses); 0.0 before any probe")
-        self._entries: OrderedDict[_KernelKey, PipelineKernel] = OrderedDict()
-        self._building: dict[_KernelKey, threading.Event] = {}
-        self._lock = threading.Lock()
-
-    # The pre-registry public counter attributes stay readable — tests
-    # and benchmarks assert on them directly.
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @property
-    def compiles(self) -> int:
-        """Actual compilations (one per distinct key under any
-        concurrency; a duplicate compile is a single-flight bug the
-        stress tests assert against)."""
-        return self._compiles.value
-
-    @property
-    def single_flight_waits(self) -> int:
-        """Concurrent misses that coalesced onto another compile."""
-        return self._single_flight_waits.value
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
-
-    @property
-    def compile_seconds(self) -> float:
-        """Total wall seconds spent inside ``compile_pipeline``."""
-        return self._compile_hist.sum
 
     def get_or_compile(self, fingerprint: str, spec: PipelineSpec,
                        model: str = "", backend: str = "auto",
@@ -127,66 +97,38 @@ class KernelCache:
         (they were served without compiling).
         """
         key = (fingerprint, model, backend)
-        coalesced = False
-        while True:
-            with self._lock:
-                kernel = self._entries.get(key)
-                if kernel is not None:
-                    self._entries.move_to_end(key)
-                    self._hits.inc()
-                    return kernel, True
-                event = self._building.get(key)
-                if event is None:
-                    # this thread compiles; racers wait on the event
-                    event = threading.Event()
-                    self._building[key] = event
-                    self._misses.inc()
-                    break
-                if not coalesced:
-                    coalesced = True
-                    self._single_flight_waits.inc()
-            event.wait()
-            # compiler finished (or failed): re-check the entries; on
-            # failure the first waiter through becomes the new compiler
-        try:
-            kernel = compile_pipeline(spec, backend=backend)
-            with self._lock:
-                self._entries[key] = kernel
-                self._entries.move_to_end(key)
-                self._compiles.inc()
-                self._compile_hist.observe(kernel.compile_seconds)
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self._evictions.inc()
-            return kernel, False
-        finally:
-            with self._lock:
-                del self._building[key]
-            event.set()
+        kernel, compiled = self._flight.fill(
+            key, lambda: self._probe(key),
+            lambda: self._compile(key, spec, backend),
+            on_wait=self._single_flight_waits.inc)
+        return kernel, not compiled
 
-    def clear(self) -> None:
+    def _probe(self, key: _KernelKey) -> PipelineKernel | None:
         with self._lock:
-            self._entries.clear()
-            self._hits.reset()
-            self._misses.reset()
-            self._compiles.reset()
-            self._single_flight_waits.reset()
-            self._evictions.reset()
-            self._compile_hist.reset()
+            kernel = self._entries.get(key)
+            if kernel is not None:
+                self._hits.inc()
+            return kernel
 
-    def stats(self) -> dict[str, int | float]:
-        """Counters for ``server.metrics()["kernels"]`` (one snapshot)."""
+    def _compile(self, key: _KernelKey, spec: PipelineSpec,
+                 backend: str) -> PipelineKernel:
+        self._misses.inc()
+        kernel = compile_pipeline(spec, backend=backend)
         with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "compiles": self.compiles,
-                "single_flight_waits": self.single_flight_waits,
-                "evictions": self.evictions,
-                "compile_seconds": self.compile_seconds,
-            }
+            self._evictions.inc(len(self._entries.put(key, kernel)))
+            self._compiles.inc()
+            self._compile_hist.observe(kernel.compile_seconds)
+        return kernel
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+    def stats(self) -> dict[str, float]:
+        """Counters for ``server.metrics()["kernels"]``, read from the
+        registered instruments."""
+        return {
+            "entries": len(self._entries),
+            "hits": self._hits.value,
+            "misses": self._misses.value,
+            "compiles": self._compiles.value,
+            "single_flight_waits": self._single_flight_waits.value,
+            "evictions": self._evictions.value,
+            "compile_seconds": self._compile_hist.sum,
+        }

@@ -29,7 +29,9 @@ Invalidation is **versioned**, not evented: every ``register_table``,
 ``drop``, or statistics refresh bumps ``Catalog.version``, and since
 the version is part of the key, stale plans simply stop matching.  A
 lazy sweep drops old-version entries whenever a newer version is first
-seen, so they do not squat in the LRU budget.
+seen, so they do not squat in the LRU budget.  Plans and text memos are
+each a count-budgeted :class:`~repro.utils.store.LRUStore` of
+``capacity`` entries.
 
 The cached artifact is the *optimized logical plan*, not the physical
 operator tree: physical operators are stateful one-shot iterators
@@ -47,9 +49,8 @@ returns a plan built before the change.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.engine.sql.canonical import CanonicalQuery
 from repro.errors import PlanError
@@ -65,18 +66,19 @@ from repro.optimizer.parameterize import (
 )
 from repro.relational.logical import LogicalPlan
 from repro.reuse.registry import FamilyDigestTracker, FamilyKey
+from repro.utils.store import LRUStore
 
 #: Default number of cached plans (and memoized texts) kept.
 DEFAULT_PLAN_CACHE_CAPACITY = 256
 
 #: Distinct literal tuples that must optimize to one fingerprint
 #: before the family is promoted to a generic plan.
-DEFAULT_GENERIC_PROMOTION_THRESHOLD = 3
+GENERIC_PROMOTION_THRESHOLD = 3
 
 #: Every Nth generic serve is instead a forced miss: the statement
 #: takes the full optimizer path and :meth:`PlanCache.observe`
 #: compares the outcome against the generic plan's fingerprint.
-DEFAULT_GENERIC_RECHECK_INTERVAL = 16
+GENERIC_RECHECK_INTERVAL = 16
 
 #: ``(*CanonicalQuery.key, catalog_version, model_name)`` — the literal
 #: tuple inside ``CanonicalQuery.key`` is heterogeneous, hence ``Any``.
@@ -91,13 +93,9 @@ class CachedPlan:
     #: Optimizer's total cost estimate — the scheduler's admission
     #: classifier reads this on a hit without re-costing anything.
     estimated_cost: float
-    canonical: CanonicalQuery
-    catalog_version: int
-    model_name: str
     #: Subsumption spec (repro.reuse.analysis.ReuseSpec) when the plan
     #: was augmented for semantic reuse; None otherwise.
     reuse: object | None = None
-    hits: int = 0
 
 
 @dataclass
@@ -109,61 +107,20 @@ class GenericPlan:
     sites (``order`` maps site index -> parameter index, proven unique
     at promotion time).  The result is structurally identical to what
     the optimizer would have produced — that is exactly what the
-    matching fingerprints of ``promotion_threshold`` distinct literal
+    matching fingerprints of ``GENERIC_PROMOTION_THRESHOLD`` distinct literal
     tuples established — so the per-literal optimization is skipped.
     """
 
     template: LogicalPlan
     #: Template literal values in site order (types are authoritative:
     #: incoming parameters are coerced back to these types).
-    sites: list = field(default_factory=list)
+    sites: list[object]
     #: Site index -> canonical parameter index.
-    order: list = field(default_factory=list)
+    order: list[int]
     #: Literal-masked structural fingerprint rechecks compare against.
-    fingerprint: str = ""
-    estimated_cost: float = 0.0
-    catalog_version: int = 0
-    model_name: str = ""
+    fingerprint: str
+    estimated_cost: float
     serves: int = 0
-
-
-@dataclass
-class PlanCacheStats:
-    """Counters the benchmarks and server metrics read."""
-
-    hits: int = 0
-    misses: int = 0
-    text_memo_hits: int = 0
-    evictions: int = 0
-    stale_evictions: int = 0
-    entries: int = 0
-    families: int = 0
-    generic_hits: int = 0
-    promotions: int = 0
-    demotions: int = 0
-    generic_rechecks: int = 0
-    generic_entries: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        return hit_ratio(self.hits, self.misses)
-
-    def as_dict(self) -> dict[str, int | float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-            "text_memo_hits": self.text_memo_hits,
-            "evictions": self.evictions,
-            "stale_evictions": self.stale_evictions,
-            "entries": self.entries,
-            "families": self.families,
-            "generic_hits": self.generic_hits,
-            "promotions": self.promotions,
-            "demotions": self.demotions,
-            "generic_rechecks": self.generic_rechecks,
-            "generic_entries": self.generic_entries,
-        }
 
 
 class PlanCache:
@@ -172,18 +129,11 @@ class PlanCache:
     def __init__(self, capacity: int = DEFAULT_PLAN_CACHE_CAPACITY,
                  registry: MetricsRegistry | None = None,
                  enable_generic: bool = True) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        #: Generic-plan promotion knobs (mutable; benchmarks tune them).
-        self.enable_generic = enable_generic
-        self.generic_promotion_threshold = \
-            DEFAULT_GENERIC_PROMOTION_THRESHOLD
-        self.generic_recheck_interval = DEFAULT_GENERIC_RECHECK_INTERVAL
+        self._enable_generic = enable_generic
         self._lock = threading.Lock()
-        self._plans: OrderedDict[_PlanKey, CachedPlan] = OrderedDict()
-        self._texts: OrderedDict[tuple[str, str], CanonicalQuery] = \
-            OrderedDict()
+        self._plans: LRUStore[_PlanKey, CachedPlan] = LRUStore(capacity)
+        self._texts: LRUStore[tuple[str, str], CanonicalQuery] = \
+            LRUStore(capacity)
         #: Promoted families; FamilyDigestTracker is lock-free and
         #: mutated only under self._lock (engine lock hierarchy).
         self._generics: dict[FamilyKey, GenericPlan] = {}
@@ -220,7 +170,7 @@ class PlanCache:
         registry.gauge("plan_cache_generic_entries",
                        fn=lambda: len(self._generics),
                        help="promoted generic plans resident")
-        registry.gauge(
+        self._hit_ratio = registry.gauge(
             "plan_cache_hit_ratio",
             fn=lambda: hit_ratio(self._hits.value, self._misses.value),
             help="hits / (hits + misses); 0.0 before any probe")
@@ -238,7 +188,6 @@ class PlanCache:
             memo = self._texts.get((text, model_name))
             if memo is not None:
                 self._text_memo_hits.inc()
-                self._texts.move_to_end((text, model_name))
             return memo
 
     def get(self, canonical: CanonicalQuery, catalog_version: int,
@@ -251,8 +200,6 @@ class PlanCache:
                 self._misses.inc()
                 return None
             self._hits.inc()
-            entry.hits += 1
-            self._plans.move_to_end(key)
             return entry
 
     def peek(self, digest: str, parameters: tuple[Any, ...],
@@ -267,9 +214,9 @@ class PlanCache:
         """
         key: _PlanKey = (digest, parameters, catalog_version, model_name)
         with self._lock:
-            return self._plans.get(key)
+            return self._plans.peek(key)
 
-    def drop_if(self, predicate) -> int:
+    def drop_if(self, predicate: Callable[[CachedPlan], bool]) -> int:
         """Drop cached plans that ``predicate(CachedPlan)`` selects.
 
         The targeted invalidation hook for row mutations: plans that
@@ -281,16 +228,11 @@ class PlanCache:
         the lock.  Returns the number dropped.
         """
         with self._lock:
-            entries = list(self._plans.items())
+            entries = self._plans.items()
         doomed = [key for key, entry in entries if predicate(entry)]
-        if not doomed:
-            return 0
-        dropped = 0
         with self._lock:
-            for key in doomed:
-                if self._plans.pop(key, None) is not None:
-                    self._stale_evictions.inc()
-                    dropped += 1
+            dropped = sum(self._plans.pop(key) is not None for key in doomed)
+            self._stale_evictions.inc(dropped)
         return dropped
 
     def get_generic(self, canonical: CanonicalQuery, catalog_version: int,
@@ -301,11 +243,11 @@ class PlanCache:
         parameters bound into the template, or ``None`` when the family
         is not promoted, the parameters cannot be typed to the
         template's sites, or this serve is a scheduled **recheck** —
-        every ``generic_recheck_interval``-th serve deliberately misses
+        every ``GENERIC_RECHECK_INTERVAL``-th serve deliberately misses
         so the caller runs the full optimizer and :meth:`observe`
         compares the outcome against the promoted fingerprint.
         """
-        if not self.enable_generic:
+        if not self._enable_generic:
             return None
         key: FamilyKey = (canonical.digest, catalog_version, model_name)
         with self._lock:
@@ -313,7 +255,7 @@ class PlanCache:
             if generic is None:
                 return None
             generic.serves += 1
-            if generic.serves % self.generic_recheck_interval == 0:
+            if generic.serves % GENERIC_RECHECK_INTERVAL == 0:
                 self._generic_rechecks.inc()
                 return None
             values = coerce_to_sites(generic.sites, generic.order,
@@ -342,13 +284,13 @@ class PlanCache:
           the generic entry is dropped and the family permanently
           demoted at this catalog version (recheck serves land here);
         - no generic yet: accumulate ``(fingerprint, parameters)``
-          evidence, and promote once ``generic_promotion_threshold``
+          evidence, and promote once ``GENERIC_PROMOTION_THRESHOLD``
           distinct literal tuples agree on one fingerprint with a
           provably unique site<->parameter mapping;
         - the plan is structurally unparameterizable (data-induced
           predicates, approximate access paths): demote permanently.
         """
-        if not self.enable_generic:
+        if not self._enable_generic:
             return
         key: FamilyKey = (canonical.digest, catalog_version, model_name)
         with self._lock:
@@ -375,13 +317,11 @@ class PlanCache:
                 # folded values) — evidence still counts, promotion
                 # waits for an exemplar with distinct literals
                 return
-            if exemplars >= self.generic_promotion_threshold:
+            if exemplars >= GENERIC_PROMOTION_THRESHOLD:
                 self._generics[key] = GenericPlan(
                     template=plan, sites=sites, order=order,
                     fingerprint=fingerprint,
-                    estimated_cost=estimated_cost,
-                    catalog_version=catalog_version,
-                    model_name=model_name)
+                    estimated_cost=estimated_cost)
                 self._promotions.inc()
 
     # -- population -----------------------------------------------------
@@ -389,7 +329,7 @@ class PlanCache:
                   canonical: CanonicalQuery) -> None:
         """Record text -> canonical so later repeats skip the lexer."""
         with self._lock:
-            self._memo_text_locked(text, model_name, canonical)
+            self._texts.put((text, model_name), canonical)
 
     def put(self, text: str, canonical: CanonicalQuery,
             catalog_version: int, model_name: str, plan: LogicalPlan,
@@ -397,56 +337,40 @@ class PlanCache:
             ) -> CachedPlan:
         """Insert an optimized plan (and memoize its text)."""
         entry = CachedPlan(plan=plan, estimated_cost=estimated_cost,
-                           canonical=canonical,
-                           catalog_version=catalog_version,
-                           model_name=model_name, reuse=reuse)
+                           reuse=reuse)
         key = (*canonical.key, catalog_version, model_name)
         with self._lock:
             self._sweep_stale_locked(catalog_version)
-            self._memo_text_locked(text, model_name, canonical)
-            self._plans[key] = entry
-            self._plans.move_to_end(key)
-            while len(self._plans) > self.capacity:
-                self._plans.popitem(last=False)
-                self._evictions.inc()
+            self._texts.put((text, model_name), canonical)
+            self._evictions.inc(len(self._plans.put(key, entry)))
             return entry
 
     # -- maintenance ----------------------------------------------------
-    def invalidate(self) -> None:
-        """Drop every cached plan, generic plan, and digest record
-        (text memos survive: parse output is catalog-independent)."""
+    def stats(self) -> dict[str, float]:
+        """Counters for ``server.metrics()["plan_cache"]``, read from the
+        registered instruments."""
         with self._lock:
-            self._plans.clear()
-            self._generics.clear()
-            self._tracker.clear()
-
-    def stats(self) -> PlanCacheStats:
-        with self._lock:
-            families = {key[0] for key in self._plans}
-            return PlanCacheStats(
-                hits=self._hits.value, misses=self._misses.value,
-                text_memo_hits=self._text_memo_hits.value,
-                evictions=self._evictions.value,
-                stale_evictions=self._stale_evictions.value,
-                entries=len(self._plans), families=len(families),
-                generic_hits=self._generic_hits.value,
-                promotions=self._promotions.value,
-                demotions=self._demotions.value,
-                generic_rechecks=self._generic_rechecks.value,
-                generic_entries=len(self._generics))
+            families = len({key[0] for key, _ in self._plans.items()})
+        return {
+            "hits": self._hits.value,
+            "misses": self._misses.value,
+            "hit_rate": self._hit_ratio.value,
+            "text_memo_hits": self._text_memo_hits.value,
+            "evictions": self._evictions.value,
+            "stale_evictions": self._stale_evictions.value,
+            "entries": len(self._plans),
+            "families": families,
+            "generic_hits": self._generic_hits.value,
+            "promotions": self._promotions.value,
+            "demotions": self._demotions.value,
+            "generic_rechecks": self._generic_rechecks.value,
+            "generic_entries": len(self._generics),
+        }
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)
+        return len(self._plans)
 
     # -- internals ------------------------------------------------------
-    def _memo_text_locked(self, text: str, model_name: str,
-                          canonical: CanonicalQuery) -> None:
-        self._texts[(text, model_name)] = canonical
-        self._texts.move_to_end((text, model_name))
-        while len(self._texts) > self.capacity:
-            self._texts.popitem(last=False)
-
     def _sweep_stale_locked(self, version: int) -> None:
         """Drop entries keyed under versions older than ``version``.
 
@@ -456,10 +380,8 @@ class PlanCache:
         if version <= self._newest_version:
             return
         self._newest_version = version
-        stale = [key for key in self._plans if key[2] < version]
-        for key in stale:
-            del self._plans[key]
-            self._stale_evictions.inc()
+        self._stale_evictions.inc(
+            self._plans.drop_if(lambda key, _: key[2] < version))
         stale_generics = [key for key in self._generics
                           if key[1] < version]
         for generic_key in stale_generics:

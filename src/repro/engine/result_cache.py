@@ -48,8 +48,9 @@ in place and re-fetch.
 
 **Budgeting** is by *estimated result bytes*, not entry count: results
 range from one aggregate row to a large join, so an LRU over counts
-would let a handful of giant results squat.  An entry larger than the
-whole budget is not cached at all (``oversize_skips``).
+would let a handful of giant results squat.  The store is a
+byte-budgeted :class:`~repro.utils.store.LRUStore`.  An entry larger
+than the whole budget is not cached at all (``oversize_skips``).
 
 Generation capture discipline: the key is built **before** execution
 (at lookup time) and the same key is used for the post-execution
@@ -67,16 +68,16 @@ statistics warm-up.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.obs.metrics import MetricsRegistry, hit_ratio
 from repro.semantic.cache import RETIRED_GENERATIONS
 from repro.storage.table import Table
+from repro.utils.store import DEFAULT_BYTE_BUDGET, LRUStore
 
 #: Default byte budget for cached result snapshots (64 MiB).
-DEFAULT_RESULT_CACHE_BYTES = 64 * 1024 * 1024
+DEFAULT_RESULT_CACHE_BYTES = DEFAULT_BYTE_BUDGET
 
 #: Estimated Python-object overhead per cached string element.
 _OBJECT_OVERHEAD = 56
@@ -166,7 +167,7 @@ def strip_columns(table: Table, names: tuple[str, ...]) -> Table:
 
 @dataclass
 class CachedResult:
-    """One cached result snapshot plus its accounting.
+    """One cached result snapshot plus its reuse aux column names.
 
     ``aux_names`` lists reuse-internal columns embedded in ``table``
     (per-row semantic scores / top-k ranks): :meth:`ResultCache.get`
@@ -175,46 +176,7 @@ class CachedResult:
     """
 
     table: Table          # private snapshot; never handed out directly
-    nbytes: int
     aux_names: tuple[str, ...] = ()
-    hits: int = 0
-
-
-@dataclass
-class ResultCacheStats:
-    """Counters the benchmarks and server metrics read."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
-    stale_evictions: int = 0
-    invalidations: int = 0
-    oversize_skips: int = 0
-    reuse_fetches: int = 0
-    entries: int = 0
-    bytes: int = 0
-    max_bytes: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        return hit_ratio(self.hits, self.misses)
-
-    def as_dict(self) -> dict[str, int | float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "stale_evictions": self.stale_evictions,
-            "invalidations": self.invalidations,
-            "oversize_skips": self.oversize_skips,
-            "reuse_fetches": self.reuse_fetches,
-            "entries": self.entries,
-            "bytes": self.bytes,
-            "max_bytes": self.max_bytes,
-        }
 
 
 class ResultCache:
@@ -228,12 +190,8 @@ class ResultCache:
 
     def __init__(self, max_bytes: int = DEFAULT_RESULT_CACHE_BYTES,
                  registry: MetricsRegistry | None = None) -> None:
-        if max_bytes < 1:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
-        self.max_bytes = max_bytes
         self._lock = threading.Lock()
-        self._store: OrderedDict[ResultKey, CachedResult] = OrderedDict()
-        self._bytes = 0
+        self._store: LRUStore[ResultKey, CachedResult] = LRUStore(max_bytes)
         registry = registry if registry is not None else MetricsRegistry()
         self._hits = registry.counter(
             "result_cache_hits_total", help="exact result-snapshot hits")
@@ -257,9 +215,9 @@ class ResultCache:
             help="full-snapshot reads by the subsumption path")
         registry.gauge("result_cache_entries", fn=lambda: len(self._store),
                        help="cached result snapshots resident")
-        registry.gauge("result_cache_bytes", fn=lambda: self._bytes,
+        registry.gauge("result_cache_bytes", fn=lambda: self._store.used,
                        help="estimated resident snapshot bytes")
-        registry.gauge(
+        self._hit_ratio = registry.gauge(
             "result_cache_hit_ratio",
             fn=lambda: hit_ratio(self._hits.value, self._misses.value),
             help="exact hits / probes; 0.0 before any probe")
@@ -270,6 +228,10 @@ class ResultCache:
         # size of RETIRED_GENERATIONS at the last sweep: the set only
         # grows, so an unchanged size means no new retirements to scan
         self._retired_seen = 0
+
+    @property
+    def max_bytes(self) -> int:
+        return self._store.budget
 
     # -- lookups --------------------------------------------------------
     def get(self, key: ResultKey) -> Table | None:
@@ -286,8 +248,6 @@ class ResultCache:
                 self._misses.inc()
                 return None
             self._hits.inc()
-            entry.hits += 1
-            self._store.move_to_end(key)
         return snapshot_table(strip_columns(entry.table, entry.aux_names))
 
     def get_full(self, key: ResultKey) -> tuple[Table, tuple[str, ...]] | None:
@@ -305,7 +265,6 @@ class ResultCache:
             if entry is None:
                 return None
             self._reuse_fetches.inc()
-            self._store.move_to_end(key)
             return entry.table, entry.aux_names
 
     # -- population -----------------------------------------------------
@@ -335,25 +294,17 @@ class ResultCache:
                 return False
         nbytes = estimate_table_bytes(table)
         if nbytes > self.max_bytes:
-            with self._lock:
-                self._oversize_skips.inc()
+            self._oversize_skips.inc()
             return False
         snapshot = table if owned else snapshot_table(table)
         with self._lock:
             # re-check: the watermark may have advanced while copying
             if self._dead_on_arrival_locked(key):
                 return False
-            previous = self._store.pop(key, None)
-            if previous is not None:
-                self._bytes -= previous.nbytes
-            self._store[key] = CachedResult(table=snapshot, nbytes=nbytes,
-                                            aux_names=tuple(aux_names))
-            self._bytes += nbytes
+            evicted = self._store.put(
+                key, CachedResult(snapshot, tuple(aux_names)), nbytes)
             self._puts.inc()
-            while self._bytes > self.max_bytes:
-                _, evicted = self._store.popitem(last=False)
-                self._bytes -= evicted.nbytes
-                self._evictions.inc()
+            self._evictions.inc(len(evicted))
             return True
 
     # -- maintenance ----------------------------------------------------
@@ -392,33 +343,34 @@ class ResultCache:
     def invalidate(self) -> int:
         """Drop every cached result; returns the number dropped."""
         with self._lock:
-            dropped = len(self._store)
-            self._store.clear()
-            self._bytes = 0
+            dropped = self._store.clear()
             self._invalidations.inc(dropped)
             return dropped
 
-    def stats(self) -> ResultCacheStats:
-        with self._lock:
-            return ResultCacheStats(
-                hits=self._hits.value, misses=self._misses.value,
-                puts=self._puts.value,
-                evictions=self._evictions.value,
-                stale_evictions=self._stale_evictions.value,
-                invalidations=self._invalidations.value,
-                oversize_skips=self._oversize_skips.value,
-                reuse_fetches=self._reuse_fetches.value,
-                entries=len(self._store), bytes=self._bytes,
-                max_bytes=self.max_bytes)
+    def stats(self) -> dict[str, float]:
+        """Counters for ``server.metrics()["result_cache"]``, read from
+        the registered instruments."""
+        return {
+            "hits": self._hits.value,
+            "misses": self._misses.value,
+            "hit_rate": self._hit_ratio.value,
+            "puts": self._puts.value,
+            "evictions": self._evictions.value,
+            "stale_evictions": self._stale_evictions.value,
+            "invalidations": self._invalidations.value,
+            "oversize_skips": self._oversize_skips.value,
+            "reuse_fetches": self._reuse_fetches.value,
+            "entries": len(self._store),
+            "bytes": self._store.used,
+            "max_bytes": self.max_bytes,
+        }
 
     @property
     def bytes_used(self) -> int:
-        with self._lock:
-            return self._bytes
+        return self._store.used
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._store)
+        return len(self._store)
 
     # -- internals ------------------------------------------------------
     def _dead_on_arrival_locked(self, key: ResultKey) -> bool:
@@ -457,15 +409,11 @@ class ResultCache:
         if len(RETIRED_GENERATIONS) != self._retired_seen:
             self._retired_seen = len(RETIRED_GENERATIONS)
             advanced = True
-        if not advanced:
-            return
-        self._drop_dead_locked()
+        if advanced:
+            self._drop_dead_locked()
 
     def _drop_dead_locked(self) -> int:
-        stale = [stored for stored in self._store
-                 if self._dead_on_arrival_locked(stored)]
-        for stored in stale:
-            entry = self._store.pop(stored)
-            self._bytes -= entry.nbytes
-            self._stale_evictions.inc()
-        return len(stale)
+        dropped = self._store.drop_if(
+            lambda key, _: self._dead_on_arrival_locked(key))
+        self._stale_evictions.inc(dropped)
+        return dropped

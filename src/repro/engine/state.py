@@ -68,15 +68,6 @@ def plan_models(plan: LogicalPlan) -> set[str]:
     return set(plan.models)
 
 
-def plan_tables(plan: LogicalPlan) -> set[str]:
-    """Names of every catalog table a plan scans (fused scans included).
-
-    The result-cache key carries ``(table, data_version)`` for each —
-    the ingest subsystem's invalidation dimension.
-    """
-    return set(plan.tables)
-
-
 class EngineState:
     """Read-mostly engine state shareable across client sessions."""
 

@@ -37,7 +37,7 @@ def hit_ratio(hits: float, misses: float) -> float:
     """The one shared hit-ratio rule: 0 probes is a 0.0 ratio, not NaN.
 
     Every surface that reports a ratio (``QueryProfile``, the cache
-    ``stats()`` dataclasses, ``server.metrics()``, the exporters) goes
+    ``stats()`` dicts, ``server.metrics()``, the exporters) goes
     through this helper so the 0/0 case cannot diverge per call site.
     """
     total = hits + misses

@@ -90,11 +90,9 @@ class ExecutionContext:
                 name: cache.stats()
                 for name, cache in dict(caches).items()}
         if self.index_cache is not None:
+            stats = self.index_cache.stats()
             self.metrics["vector_index_cache"] = {
-                "entries": len(self.index_cache),
-                "hits": self.index_cache.hits,
-                "misses": self.index_cache.misses,
-            }
+                name: stats[name] for name in ("entries", "hits", "misses")}
 
 
 class PhysicalOperator:

@@ -18,19 +18,20 @@ lives in the result cache.  Invalidation therefore needs no events:
   cache comes back empty on fetch and is dropped by the caller via
   :meth:`discard`.
 
-Families are LRU-bounded by entry count; metadata is tiny, so the bound
-exists to keep probes O(candidates-in-family) under adversarial
-workloads rather than to save memory.
+Entries are LRU-bounded by count (a count-budgeted
+:class:`~repro.utils.store.LRUStore` across all families); metadata is
+tiny, so the bound exists to keep probes O(candidates-in-family) under
+adversarial workloads rather than to save memory.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.obs.metrics import MetricsRegistry, hit_ratio
 from repro.reuse.analysis import PlanShape, ReuseSpec
+from repro.utils.store import LRUStore
 
 #: Default bound on registered entries across all families.
 DEFAULT_REGISTRY_CAPACITY = 1024
@@ -51,39 +52,6 @@ class ReuseEntry:
     #: names (extra-predicate / projection resolvability checks).
     rows: int
     columns: tuple[str, ...]
-
-
-@dataclass
-class ReuseStats:
-    """Counters surfaced through ``EngineServer.metrics()["reuse"]``."""
-
-    registered: int = 0
-    probes: int = 0
-    hits: int = 0
-    misses: int = 0
-    #: Containment held but a tie guard (or evicted snapshot) forced a
-    #: fallback to normal execution.
-    fallbacks: int = 0
-    stale_drops: int = 0
-    entries: int = 0
-    families: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        return hit_ratio(self.hits, self.probes - self.hits)
-
-    def as_dict(self) -> dict[str, int | float]:
-        return {
-            "registered": self.registered,
-            "probes": self.probes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hit_rate, 4),
-            "fallbacks": self.fallbacks,
-            "stale_drops": self.stale_drops,
-            "entries": self.entries,
-            "families": self.families,
-        }
 
 
 #: A plan-family identity for digest tracking:
@@ -166,26 +134,18 @@ class FamilyDigestTracker:
         for key in stale:
             del self._families[key]
 
-    def clear(self) -> None:
-        self._families.clear()
-
-    def __len__(self) -> int:
-        return len(self._families)
-
 
 class ReuseRegistry:
     """Thread-safe family index over subsumption-eligible entries."""
 
     def __init__(self, capacity: int = DEFAULT_REGISTRY_CAPACITY,
                  registry: MetricsRegistry | None = None) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
         self._lock = threading.Lock()
-        #: family digest -> (ResultKey -> ReuseEntry), LRU per family
-        self._families: dict[str, OrderedDict[_EntryKey, ReuseEntry]] = {}
-        #: global LRU of keys for the capacity bound
-        self._order: OrderedDict[_EntryKey, str] = OrderedDict()
+        #: family digest -> (ResultKey -> ReuseEntry), oldest
+        #: registration first
+        self._families: dict[str, dict[_EntryKey, ReuseEntry]] = {}
+        #: key -> family, LRU across all families for the capacity bound
+        self._order: LRUStore[_EntryKey, str] = LRUStore(capacity)
         metrics = registry if registry is not None else MetricsRegistry()
         self._registrations = metrics.counter(
             "reuse_registered_total",
@@ -206,7 +166,7 @@ class ReuseRegistry:
                       help="indexed entries resident")
         metrics.gauge("reuse_families", fn=lambda: len(self._families),
                       help="distinct containment families indexed")
-        metrics.gauge(
+        self._hit_ratio = metrics.gauge(
             "reuse_hit_ratio",
             fn=lambda: hit_ratio(
                 self._hits.value, self._probes.value - self._hits.value),
@@ -217,15 +177,12 @@ class ReuseRegistry:
         """Index ``entry`` (replacing any previous entry for its key)."""
         family = entry.spec.family
         with self._lock:
-            bucket = self._families.setdefault(family, OrderedDict())
+            bucket = self._families.setdefault(family, {})
+            bucket.pop(entry.key, None)
             bucket[entry.key] = entry
-            bucket.move_to_end(entry.key)
-            self._order[entry.key] = family
-            self._order.move_to_end(entry.key)
             self._registrations.inc()
-            while len(self._order) > self.capacity:
-                evicted_key, evicted_family = self._order.popitem(last=False)
-                self._drop_locked(evicted_key, evicted_family)
+            for evicted in self._order.put(entry.key, family):
+                self._drop_locked(*evicted)
 
     # -- probing --------------------------------------------------------
     def candidates(self, family: str) -> list[ReuseEntry]:
@@ -238,25 +195,21 @@ class ReuseRegistry:
             return list(reversed(bucket.values()))
 
     def record_hit(self) -> None:
-        with self._lock:
-            self._hits.inc()
+        self._hits.inc()
 
     def record_miss(self) -> None:
-        with self._lock:
-            self._misses.inc()
+        self._misses.inc()
 
     def record_fallback(self) -> None:
-        with self._lock:
-            self._fallbacks.inc()
+        self._fallbacks.inc()
 
     # -- maintenance ----------------------------------------------------
     def discard(self, key: _EntryKey, stale: bool = False) -> None:
         """Drop one entry (evicted snapshot or version-dead key)."""
         with self._lock:
-            family = self._order.get(key)
+            family = self._order.pop(key)
             if family is None:
                 return
-            del self._order[key]
             self._drop_locked(key, family)
             if stale:
                 self._stale_drops.inc()
@@ -270,21 +223,22 @@ class ReuseRegistry:
 
     def clear(self) -> int:
         with self._lock:
-            dropped = len(self._order)
             self._families.clear()
-            self._order.clear()
-            return dropped
+            return self._order.clear()
 
-    def stats(self) -> ReuseStats:
-        with self._lock:
-            return ReuseStats(
-                registered=self._registrations.value,
-                probes=self._probes.value,
-                hits=self._hits.value, misses=self._misses.value,
-                fallbacks=self._fallbacks.value,
-                stale_drops=self._stale_drops.value,
-                entries=len(self._order), families=len(self._families))
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._order)
+    def stats(self) -> dict[str, float]:
+        """Counters for ``server.metrics()["reuse"]``, read from the
+        registered instruments."""
+        return {
+            "registered": self._registrations.value,
+            "probes": self._probes.value,
+            "hits": self._hits.value,
+            "misses": self._misses.value,
+            "hit_rate": self._hit_ratio.value,
+            # containment held but a tie guard (or an evicted snapshot)
+            # forced normal execution
+            "fallbacks": self._fallbacks.value,
+            "stale_drops": self._stale_drops.value,
+            "entries": len(self._order),
+            "families": len(self._families),
+        }

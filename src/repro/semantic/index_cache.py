@@ -40,12 +40,12 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.obs.metrics import MetricsRegistry, hit_ratio
 from repro.semantic.cache import RETIRED_GENERATIONS, EmbeddingCache
+from repro.utils.store import DEFAULT_BYTE_BUDGET, LRUStore, SingleFlight
 from repro.vector.bruteforce import BruteForceIndex
 from repro.vector.hnsw import HNSWIndex
 from repro.vector.index import VectorIndex
@@ -69,79 +69,77 @@ def _digest_ids(unique_ids: np.ndarray) -> bytes:
     return hashlib.blake2b(unique_ids.tobytes(), digest_size=16).digest()
 
 
-@dataclass
 class IndexCache:
     """Caches built vector indexes keyed by (model, kind, row-id set).
 
-    Thread-safe with **single-flight builds**: when N threads miss on
+    **Byte-budgeted LRU** (:class:`~repro.utils.store.LRUStore`): an
+    entry is sized as its indexed matrix, ``len(unique_ids) × dim × 4``
+    bytes, and a build that would push the resident total past
+    ``max_bytes`` evicts least-recently-used indexes first (an index
+    larger than the whole budget is used once and not kept).  Evicting
+    an ingest predecessor only turns the next extension back into a
+    full build over the same rows.
+
+    Thread-safe with **single-flight builds**
+    (:class:`~repro.utils.store.SingleFlight`): when N threads miss on
     the same key concurrently, exactly one builds the index while the
-    other N-1 wait on a per-key event and then hit the finished entry
-    (counted in ``single_flight_waits``, and as hits — they were served
-    without building).  ``builds`` counts actual index constructions, so
-    under any concurrency ``builds`` equals the number of distinct keys
-    ever built; a duplicate build is a bug the stress tests assert
+    other N-1 wait and then hit the finished entry (counted in
+    ``single_flight_waits``, and as hits — they were served without
+    building).  ``builds`` counts actual index constructions, so under
+    any concurrency a duplicate build is a bug the stress tests assert
     against.  If a build fails, one waiter is promoted to builder and
     retries — an exception never wedges the key.
     """
 
-    seed: int = 0
-    hits: int = 0
-    misses: int = 0
-    #: Misses served by extending the previous index over a superset
-    #: id set (the ingest fast path) instead of building from scratch.
-    incremental_extends: int = 0
-    #: Monotonic id-space token for consumers that cache *derived*
-    #: artifacts (the cross-statement result cache keys on it):
-    #: ``clear()`` bumps it, so anything computed against the dropped
-    #: indexes lazily stops matching.
-    generation: int = 0
-    #: Number of indexes actually constructed (one per distinct key,
-    #: regardless of how many threads raced on the miss).
-    builds: int = 0
-    #: Concurrent misses that coalesced onto another thread's build.
-    single_flight_waits: int = 0
-    _store: dict[tuple, VectorIndex] = field(default_factory=dict)
-    #: (model, kind, arena generation) -> (key, unique_ids) of the most
-    #: recently built index for that stream.  When a later miss's id set
-    #: extends that one as a *sorted prefix* — exactly what an arena
-    #: append produces, since new strings intern above the old max id —
-    #: the new index is grown from the old one instead of rebuilt.
-    _latest: dict[tuple, tuple[tuple, np.ndarray]] = field(
-        default_factory=dict, repr=False)
-    #: key -> Event set when the in-flight build for that key finishes.
-    _building: dict[tuple, threading.Event] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False)
+    def __init__(self, seed: int = 0,
+                 max_bytes: int = DEFAULT_BYTE_BUDGET) -> None:
+        self._seed = seed
+        #: Monotonic id-space token for consumers that cache *derived*
+        #: artifacts (the cross-statement result cache keys on it):
+        #: ``clear()`` bumps it, so anything computed against the dropped
+        #: indexes lazily stops matching.
+        self.generation = 0
+        self._lock = threading.Lock()
+        self._store: LRUStore[tuple, VectorIndex] = LRUStore(max_bytes)
+        self._flight: SingleFlight[tuple, VectorIndex] = SingleFlight()
+        #: (model, kind, arena generation) -> (key, unique_ids) of the most
+        #: recently built index for that stream.  When a later miss's id set
+        #: extends that one as a *sorted prefix* — exactly what an arena
+        #: append produces, since new strings intern above the old max id —
+        #: the new index is grown from the old one instead of rebuilt.
+        self._latest: dict[tuple, tuple[tuple, np.ndarray]] = {}
+        #: Plain ints behind the registry's callback gauges (``clear()``
+        #: resets them in place).  ``builds`` counts every construction —
+        #: an ``incremental_extends`` one included.
+        self._counts = dict.fromkeys(
+            ("hits", "misses", "builds", "incremental_extends",
+             "single_flight_waits", "evictions"), 0)
 
     def register_metrics(self, registry: MetricsRegistry) -> None:
-        """Expose the cache's counters as callback gauges.
-
-        The counters stay plain ints — ``clear()`` resets them and the
-        stress tests read them directly — so the registry observes them
-        through read-time callbacks instead of owning them.
-        """
-        registry.gauge("index_cache_hits", fn=lambda: self.hits,
+        """Expose the cache's counters as callback gauges."""
+        counts = self._counts                  # clear() resets in place
+        registry.gauge("index_cache_hits", fn=lambda: counts["hits"],
                        help="vector-index cache hits")
-        registry.gauge("index_cache_misses", fn=lambda: self.misses,
+        registry.gauge("index_cache_misses", fn=lambda: counts["misses"],
                        help="vector-index cache misses")
-        registry.gauge("index_cache_builds", fn=lambda: self.builds,
+        registry.gauge("index_cache_builds", fn=lambda: counts["builds"],
                        help="actual index constructions")
-        registry.gauge(
-            "index_cache_incremental_extends",
-            fn=lambda: self.incremental_extends,
-            help="index builds served by extending a predecessor")
-        registry.gauge(
-            "index_cache_single_flight_waits",
-            fn=lambda: self.single_flight_waits,
-            help="misses coalesced onto another thread's build")
+        registry.gauge("index_cache_incremental_extends",
+                       fn=lambda: counts["incremental_extends"],
+                       help="index builds served by extending a predecessor")
+        registry.gauge("index_cache_single_flight_waits",
+                       fn=lambda: counts["single_flight_waits"],
+                       help="misses coalesced onto another thread's build")
+        registry.gauge("index_cache_evictions",
+                       fn=lambda: counts["evictions"],
+                       help="indexes dropped to hold the byte budget")
         registry.gauge("index_cache_entries", fn=lambda: len(self._store),
                        help="built vector indexes resident")
-        registry.gauge("index_cache_generation",
-                       fn=lambda: self.generation,
+        registry.gauge("index_cache_generation", fn=lambda: self.generation,
                        help="monotonic clear() token")
         registry.gauge(
             "index_cache_hit_ratio",
-            fn=lambda: hit_ratio(self.hits, self.misses),
+            fn=lambda: hit_ratio(counts["hits"], counts["misses"]),
             help="hits / (hits + misses); 0.0 before any probe")
 
     def get_for_ids(self, kind: str, row_ids: np.ndarray,
@@ -161,72 +159,62 @@ class IndexCache:
         unique_ids = np.unique(np.asarray(row_ids, dtype=np.int64))
         key = (cache.model.name, kind, cache.generation,
                int(unique_ids.shape[0]), _digest_ids(unique_ids))
-        coalesced = False
-        while True:
-            with self._lock:
-                index = self._store.get(key)
-                if index is not None:
-                    self.hits += 1
-                    return index, unique_ids
-                event = self._building.get(key)
-                if event is None:
-                    # this thread builds; racers wait on the event
-                    event = threading.Event()
-                    self._building[key] = event
-                    self.misses += 1
-                    break
-                if not coalesced:
-                    coalesced = True
-                    self.single_flight_waits += 1
-            event.wait()
-            # builder finished (or failed): re-check the store; on
-            # failure the first waiter through becomes the new builder
-        try:
-            stream = (cache.model.name, kind, cache.generation)
-            with self._lock:
-                # evict retired-generation entries: a cleared arena's
-                # ids can never hit again, so keeping them would leak
-                # one embedding-matrix copy per clear/rebuild cycle.
-                # Only *retired* tokens qualify — entries of a live
-                # sibling arena (another cache instance of this model
-                # sharing this IndexCache) stay cached.
-                stale = [stored for stored in self._store
-                         if stored[2] in RETIRED_GENERATIONS]
-                for stored in stale:
-                    del self._store[stored]
-                for tracked in [tracked for tracked in self._latest
-                                if tracked[2] in RETIRED_GENERATIONS]:
-                    del self._latest[tracked]
-                predecessor = self._latest.get(stream)
-                previous = (self._store.get(predecessor[0])
-                            if predecessor is not None else None)
-            index: VectorIndex | None = None
-            if previous is not None and previous.supports_incremental:
-                prior_ids = predecessor[1] if predecessor is not None \
-                    else np.empty(0, dtype=np.int64)
-                old_n = int(prior_ids.shape[0])
-                if (0 < old_n < unique_ids.shape[0]
-                        and np.array_equal(prior_ids, unique_ids[:old_n])):
-                    # arena append: the new id set extends the old one
-                    # as a sorted prefix, so only the tail is embedded
-                    # and inserted — the old rows are never touched.
-                    index = previous.extended(
-                        cache.rows_for(unique_ids[old_n:]))
-            with self._lock:
-                if index is not None:
-                    self.incremental_extends += 1
-            if index is None:
-                index = _FACTORIES[kind](self.seed)
-                index.build(cache.rows_for(unique_ids))
-            with self._lock:
-                self._store[key] = index
-                self.builds += 1
-                self._latest[stream] = (key, unique_ids)
-            return index, unique_ids
-        finally:
-            with self._lock:
-                del self._building[key]
-            event.set()
+        index, _ = self._flight.fill(
+            key, lambda: self._probe(key),
+            lambda: self._build(key, unique_ids, cache),
+            on_wait=self._count_wait)
+        return index, unique_ids
+
+    def _probe(self, key: tuple) -> VectorIndex | None:
+        with self._lock:
+            index = self._store.get(key)
+            if index is not None:
+                self._counts["hits"] += 1
+            return index
+
+    def _count_wait(self) -> None:
+        with self._lock:
+            self._counts["single_flight_waits"] += 1
+
+    def _build(self, key: tuple, unique_ids: np.ndarray,
+               cache: EmbeddingCache) -> VectorIndex:
+        kind, stream = key[1], key[:3]
+        with self._lock:
+            self._counts["misses"] += 1
+            # evict retired-generation entries: a cleared arena's ids can
+            # never hit again.  Only *retired* tokens qualify — entries of
+            # a live sibling arena (another cache instance of this model
+            # sharing this IndexCache) stay cached.
+            self._store.drop_if(
+                lambda stored, _: stored[2] in RETIRED_GENERATIONS)
+            for tracked in [tracked for tracked in self._latest
+                            if tracked[2] in RETIRED_GENERATIONS]:
+                del self._latest[tracked]
+            predecessor = self._latest.get(stream)
+            previous = (self._store.peek(predecessor[0])
+                        if predecessor is not None else None)
+        index: VectorIndex | None = None
+        if (predecessor is not None and previous is not None
+                and previous.supports_incremental):
+            old_n = int(predecessor[1].shape[0])
+            if (0 < old_n < unique_ids.shape[0]
+                    and np.array_equal(predecessor[1], unique_ids[:old_n])):
+                # arena append: the new id set extends the old one as a
+                # sorted prefix, so only the tail is embedded and
+                # inserted — the old rows are never touched.
+                index = previous.extended(cache.rows_for(unique_ids[old_n:]))
+        extended = index is not None
+        if index is None:
+            index = _FACTORIES[kind](self._seed)
+            index.build(cache.rows_for(unique_ids))
+        nbytes = int(unique_ids.shape[0]) * cache.model.dim * 4
+        with self._lock:
+            self._counts["incremental_extends"] += extended
+            self._counts["builds"] += 1
+            self._counts["evictions"] += len(
+                self._store.put(key, index, nbytes))
+            self._latest[stream] = (key, unique_ids)
+        return index
 
     def get_for_values(self, kind: str, values: list[str],
                        cache: EmbeddingCache
@@ -273,24 +261,13 @@ class IndexCache:
             self._store.clear()
             self._latest.clear()
             self.generation += 1
-            self.hits = 0
-            self.misses = 0
-            self.builds = 0
-            self.single_flight_waits = 0
-            self.incremental_extends = 0
+            self._counts.update(dict.fromkeys(self._counts, 0))
 
-    def stats(self) -> dict:
+    def stats(self) -> dict[str, int]:
         """Counters for metrics/profiling (one consistent snapshot)."""
         with self._lock:
-            return {
-                "entries": len(self._store),
-                "hits": self.hits,
-                "misses": self.misses,
-                "builds": self.builds,
-                "single_flight_waits": self.single_flight_waits,
-                "incremental_extends": self.incremental_extends,
-            }
+            return {**self._counts, "entries": len(self._store),
+                    "bytes": self._store.used}
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._store)
+        return len(self._store)

@@ -4,33 +4,18 @@ Turns the single-user engine into a query-serving system:
 
 - :class:`~repro.server.server.EngineServer` owns one shared
   :class:`~repro.engine.state.EngineState` (tables, models, embedding
-  arenas, vector-index cache, plan cache) and hands out lightweight
-  :class:`~repro.server.server.ClientSession` facades that share it;
-- :class:`~repro.server.plan_cache.PlanCache` lets repeated SQL skip
-  the lexer/parser/binder/optimizer entirely;
-- :class:`~repro.server.result_cache.ResultCache` lets a repeated
-  statement skip *execution* entirely, returning a defensive snapshot
-  of the previous result (versioned + generation-keyed invalidation);
+  arenas, vector-index, plan and result caches) and hands out
+  lightweight :class:`~repro.server.server.ClientSession` facades that
+  share it;
 - :class:`~repro.server.scheduler.Scheduler` admission-controls a
   bounded worker pool, classifying queries into interactive vs. heavy
   lanes by the cost model's estimate.
 
-See ``docs/serving.md`` for the architecture and lock hierarchy.
+The caches themselves are engine state: :mod:`repro.engine.plan_cache`
+and :mod:`repro.engine.result_cache`.  See ``docs/serving.md`` for the
+architecture and lock hierarchy.
 """
 
-from repro.server.plan_cache import (
-    DEFAULT_PLAN_CACHE_CAPACITY,
-    CachedPlan,
-    PlanCache,
-    PlanCacheStats,
-)
-from repro.server.result_cache import (
-    DEFAULT_RESULT_CACHE_BYTES,
-    CachedResult,
-    ResultCache,
-    ResultCacheStats,
-    ResultKey,
-)
 from repro.server.scheduler import (
     AdmissionError,
     QueryTicket,
@@ -41,18 +26,9 @@ from repro.server.server import ClientSession, EngineServer
 
 __all__ = [
     "AdmissionError",
-    "CachedPlan",
-    "CachedResult",
     "ClientSession",
-    "DEFAULT_PLAN_CACHE_CAPACITY",
-    "DEFAULT_RESULT_CACHE_BYTES",
     "EngineServer",
-    "PlanCache",
-    "PlanCacheStats",
     "QueryTicket",
-    "ResultCache",
-    "ResultCacheStats",
-    "ResultKey",
     "Scheduler",
     "SchedulerConfig",
 ]

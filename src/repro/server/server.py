@@ -190,11 +190,11 @@ class EngineServer:
     def metrics(self) -> dict:
         """One aggregate metrics snapshot across every subsystem."""
         return {
-            "plan_cache": self.state.plan_cache.stats().as_dict(),
-            "result_cache": (self.state.result_cache.stats().as_dict()
+            "plan_cache": self.state.plan_cache.stats(),
+            "result_cache": (self.state.result_cache.stats()
                              if self.state.result_cache is not None
                              else None),
-            "reuse": (self.state.reuse_registry.stats().as_dict()
+            "reuse": (self.state.reuse_registry.stats()
                       if self.state.reuse_registry is not None
                       else None),
             "kernels": self.state.kernel_cache.stats(),

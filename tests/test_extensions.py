@@ -135,8 +135,8 @@ class TestIndexCache:
         first = index_cache.get("brute", values, cache)
         second = index_cache.get("brute", list(values), cache)
         assert first is second
-        assert index_cache.hits == 1
-        assert index_cache.misses == 1
+        assert index_cache.stats()["hits"] == 1
+        assert index_cache.stats()["misses"] == 1
 
     def test_order_insensitive_fingerprint(self, cache):
         index_cache = IndexCache()
@@ -171,11 +171,11 @@ class TestIndexCache:
             return plan
 
         session.execute(hinted_plan(), optimize=False)
-        first_misses = session.context.index_cache.misses
+        first_misses = session.context.index_cache.stats()["misses"]
         assert first_misses >= 1
         session.execute(hinted_plan(), optimize=False)
-        assert session.context.index_cache.misses == first_misses
-        assert session.context.index_cache.hits >= 1
+        assert session.context.index_cache.stats()["misses"] == first_misses
+        assert session.context.index_cache.stats()["hits"] >= 1
 
 
 class TestTransferPlanner:

@@ -19,7 +19,7 @@ import pytest
 from repro.engine.session import Session
 from repro.engine.sql.canonical import canonicalize
 from repro.engine.sql.parser import parse_sql
-from repro.server.plan_cache import PlanCache
+from repro.engine.plan_cache import PlanCache
 from repro.storage.table import Table
 
 
@@ -88,14 +88,14 @@ class TestPlanCacheHits:
         session.sql("SELECT a FROM t WHERE a > 2")
         assert session.last_profile.plan_cache_hit is False
         stats = session.state.plan_cache.stats()
-        assert stats.entries == 2
-        assert stats.families == 1
+        assert stats["entries"] == 2
+        assert stats["families"] == 1
 
     def test_unoptimized_path_bypasses_cache(self, session):
         warm(session, "SELECT a FROM t WHERE a > 1")
-        hits_before = session.state.plan_cache.stats().hits
+        hits_before = session.state.plan_cache.stats()["hits"]
         session.sql("SELECT a FROM t WHERE a > 1", optimize=False)
-        assert session.state.plan_cache.stats().hits == hits_before
+        assert session.state.plan_cache.stats()["hits"] == hits_before
 
 
 class TestInvalidation:
@@ -139,8 +139,8 @@ class TestInvalidation:
                 replace=True)
             warm(session, "SELECT a FROM t WHERE a > 1")
         stats = session.state.plan_cache.stats()
-        assert stats.entries == 1
-        assert stats.stale_evictions >= 3
+        assert stats["entries"] == 1
+        assert stats["stale_evictions"] >= 3
 
 
 class TestLRU:
@@ -154,7 +154,7 @@ class TestLRU:
         warm(session, "SELECT a FROM t WHERE a > 2")
         warm(session, "SELECT a FROM t WHERE a > 3")
         assert len(cache) == 2
-        assert cache.stats().evictions >= 1
+        assert cache.stats()["evictions"] >= 1
         # oldest statement was evicted: re-running it misses
         session.sql("SELECT a FROM t WHERE a > 1")
         assert session.last_profile.plan_cache_hit is False

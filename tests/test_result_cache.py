@@ -84,9 +84,9 @@ class TestResultCacheUnit:
         hit = cache.get(key)
         assert rows(hit) == rows(small_table())
         stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.puts) == (1, 1, 1)
-        assert stats.entries == 1
-        assert stats.bytes > 0
+        assert (stats["hits"], stats["misses"], stats["puts"]) == (1, 1, 1)
+        assert stats["entries"] == 1
+        assert stats["bytes"] > 0
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -127,7 +127,7 @@ class TestResultCacheUnit:
             cache.put(key, small_table())
             assert cache.bytes_used <= cache.max_bytes
         stats = cache.stats()
-        assert stats.evictions >= 2
+        assert stats["evictions"] >= 2
         # oldest evicted, newest still resident
         assert cache.get(keys[0]) is None
         assert cache.get(keys[-1]) is not None
@@ -148,7 +148,7 @@ class TestResultCacheUnit:
         cache = ResultCache(max_bytes=estimate_table_bytes(table) - 1)
         assert not cache.put(key_for(), table)
         assert len(cache) == 0
-        assert cache.stats().oversize_skips == 1
+        assert cache.stats()["oversize_skips"] == 1
 
     def test_replacing_an_entry_does_not_double_count_bytes(self):
         cache = ResultCache()
@@ -164,8 +164,8 @@ class TestResultCacheUnit:
         cache.put(key_for(version=1), small_table())
         cache.put(key_for(digest="e", version=2), small_table())
         stats = cache.stats()
-        assert stats.stale_evictions == 1
-        assert stats.entries == 1
+        assert stats["stale_evictions"] == 1
+        assert stats["entries"] == 1
         assert cache.get(key_for(version=1)) is None
 
     def test_stale_keyed_put_is_refused_not_inserted(self):
@@ -202,7 +202,7 @@ class TestResultCacheUnit:
         cache = ResultCache()
         cache.put(key_for(index_generation=0), small_table())
         cache.put(key_for(digest="e", index_generation=1), small_table())
-        assert cache.stats().stale_evictions == 1
+        assert cache.stats()["stale_evictions"] == 1
 
     def test_retired_arena_generation_sweeps_entries(self, model):
         from repro.semantic.cache import EmbeddingCache
@@ -215,7 +215,7 @@ class TestResultCacheUnit:
         arena.clear()            # retires the generation token
         assert generation in RETIRED_GENERATIONS
         cache.put(key_for(digest="e"), small_table())
-        assert cache.stats().stale_evictions == 1
+        assert cache.stats()["stale_evictions"] == 1
 
     def test_invalidate_drops_everything_and_counts(self):
         cache = ResultCache()
@@ -223,9 +223,9 @@ class TestResultCacheUnit:
             cache.put(key_for(digest=digest), small_table())
         assert cache.invalidate() == 3
         stats = cache.stats()
-        assert stats.invalidations == 3
-        assert stats.entries == 0
-        assert stats.bytes == 0
+        assert stats["invalidations"] == 3
+        assert stats["entries"] == 0
+        assert stats["bytes"] == 0
 
     def test_estimate_counts_object_payload(self):
         numeric = Table.from_dict({"a": [1, 2, 3]})
@@ -254,7 +254,7 @@ class TestSessionIntegration:
         before = session.state.result_cache.stats()
         repeat = session.sql(statement)
         after = session.state.result_cache.stats()
-        assert after.hits == before.hits + 1
+        assert after["hits"] == before["hits"] + 1
         assert session.last_profile.result_cache_hit is True
         assert session.last_profile.plan_cache_hit is True
         assert rows(repeat) == reference
@@ -485,7 +485,7 @@ class TestRaces:
         admin = server.session("warm")
         admin.sql(statement)
         reference = rows(admin.sql(statement))   # cached, stable version
-        puts_before = server.state.result_cache.stats().puts
+        puts_before = server.state.result_cache.stats()["puts"]
         barrier = threading.Barrier(self.N_THREADS)
 
         def storm(index):
@@ -499,8 +499,8 @@ class TestRaces:
 
         run_threads(self.N_THREADS, storm)
         stats = server.state.result_cache.stats()
-        assert stats.puts == puts_before         # nothing re-executed
-        assert stats.hits >= self.N_THREADS * 10
+        assert stats["puts"] == puts_before      # nothing re-executed
+        assert stats["hits"] >= self.N_THREADS * 10
 
     def test_register_during_hits_never_serves_stale(self, server):
         """Readers racing register(replace=True) always get a table
@@ -586,5 +586,5 @@ class TestRaces:
 
             run_threads(self.N_THREADS, pressure)
             stats = server.state.result_cache.stats()
-            assert stats.bytes <= stats.max_bytes
-            assert stats.evictions > 0
+            assert stats["bytes"] <= stats["max_bytes"]
+            assert stats["evictions"] > 0

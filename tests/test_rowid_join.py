@@ -31,8 +31,8 @@ class TestIndexCacheIdentity:
         second = index_cache.get(
             "brute", ["jacket", "shoes", "jacket", "jacket"], cache)
         assert first is second
-        assert index_cache.hits == 1
-        assert index_cache.misses == 1
+        assert index_cache.stats()["hits"] == 1
+        assert index_cache.stats()["misses"] == 1
         assert len(index_cache) == 1
 
     def test_no_xor_pair_cancellation_collision(self, cache):
@@ -43,8 +43,8 @@ class TestIndexCacheIdentity:
         first = index_cache.get("brute", ["alpha", "alpha"], cache)
         second = index_cache.get("brute", ["beta", "beta"], cache)
         assert first is not second
-        assert index_cache.misses == 2
-        assert index_cache.hits == 0
+        assert index_cache.stats()["misses"] == 2
+        assert index_cache.stats()["hits"] == 0
 
     def test_no_collision_on_cancelled_quads(self, cache):
         # {x, y} each twice vs {p, q} each twice: both XOR to 0 with two
@@ -54,7 +54,7 @@ class TestIndexCacheIdentity:
         first = index_cache.get("brute", ["x", "y", "x", "y"], cache)
         second = index_cache.get("brute", ["p", "q", "p", "q"], cache)
         assert first is not second
-        assert index_cache.misses == 2
+        assert index_cache.stats()["misses"] == 2
 
     def test_order_insensitive(self, cache):
         index_cache = IndexCache()
@@ -69,7 +69,7 @@ class TestIndexCacheIdentity:
         first = index_cache.get("brute", ["Dog", "cat"], cache)
         second = index_cache.get("brute", ["dog", "  CAT  "], cache)
         assert first is second
-        assert index_cache.hits == 1
+        assert index_cache.stats()["hits"] == 1
 
     def test_arena_clear_invalidates_entries(self, cache):
         index_cache = IndexCache()
@@ -79,7 +79,7 @@ class TestIndexCacheIdentity:
         # generation in the fingerprint keeps the stale index unreachable
         second = index_cache.get("brute", ["bird"], cache)
         assert first is not second
-        assert index_cache.misses == 2
+        assert index_cache.stats()["misses"] == 2
 
     def test_distinct_cache_instances_never_alias(self, model):
         from repro.semantic.cache import EmbeddingCache
@@ -95,8 +95,8 @@ class TestIndexCacheIdentity:
         second, _ = index_cache.get_for_values(
             "brute", ["car", "train"], cache_b)
         assert first is not second
-        assert index_cache.misses == 2
-        assert index_cache.hits == 0
+        assert index_cache.stats()["misses"] == 2
+        assert index_cache.stats()["hits"] == 0
 
     def test_arena_clear_evicts_stale_entries(self, cache):
         index_cache = IndexCache()
@@ -122,8 +122,8 @@ class TestIndexCacheIdentity:
         again_a, _ = index_cache.get_for_values("brute", ["apple"], cache_a)
         again_b, _ = index_cache.get_for_values("brute", ["pear"], cache_b)
         assert first_a is again_a and first_b is again_b
-        assert index_cache.hits == 2
-        assert index_cache.misses == 2
+        assert index_cache.stats()["hits"] == 2
+        assert index_cache.stats()["misses"] == 2
         assert len(index_cache) == 2
 
     def test_index_rows_follow_sorted_id_order(self, cache):
@@ -139,6 +139,72 @@ class TestIndexCacheIdentity:
     def test_unknown_kind(self, cache):
         with pytest.raises(Exception):
             IndexCache().get("btree", ["a"], cache)
+
+
+class TestIndexCacheBudget:
+    """Built indexes are held under a byte budget (each entry sized as
+    its indexed matrix), least recently used first."""
+
+    def test_fill_past_budget_evicts_oldest_first(self, cache):
+        entry_bytes = 2 * cache.model.dim * 4        # two rows, float32
+        budget = 3 * entry_bytes
+        index_cache = IndexCache(max_bytes=budget)
+        groups = [[f"word{i}a", f"word{i}b"] for i in range(5)]
+        for group in groups:
+            index_cache.get("brute", group, cache)
+            assert index_cache.stats()["bytes"] <= budget
+        stats = index_cache.stats()
+        assert stats["entries"] == 3 and stats["evictions"] == 2
+        for group in groups[2:]:                     # the newest three hit
+            index_cache.get("brute", group, cache)
+        assert index_cache.stats()["misses"] == 5
+        index_cache.get("brute", groups[0], cache)   # the oldest went first
+        assert index_cache.stats()["misses"] == 6
+
+    def test_hits_refresh_recency(self, cache):
+        entry_bytes = 2 * cache.model.dim * 4
+        index_cache = IndexCache(max_bytes=2 * entry_bytes)
+        first, second, third = (["red", "blue"], ["cat", "dog"],
+                                ["car", "bus"])
+        index_cache.get("brute", first, cache)
+        index_cache.get("brute", second, cache)
+        index_cache.get("brute", first, cache)       # first is now recent
+        index_cache.get("brute", third, cache)       # evicts second
+        misses = index_cache.stats()["misses"]
+        index_cache.get("brute", first, cache)
+        assert index_cache.stats()["misses"] == misses
+        index_cache.get("brute", second, cache)
+        assert index_cache.stats()["misses"] == misses + 1
+
+    def test_evicted_predecessor_rebuilds_with_identical_results(
+            self, cache, model):
+        """Evicting an ingest predecessor turns the extension back into a
+        full build over the same rows — nothing else changes."""
+        from repro.semantic.cache import EmbeddingCache
+
+        first = cache.row_ids(["shoes", "jacket", "car", "fruit"])
+        grown = np.concatenate([first, cache.row_ids(["dog", "kitten"])])
+        sibling = EmbeddingCache(model)           # another index stream
+        other = sibling.row_ids(["sedan", "truck", "bus", "tram"])
+        row_bytes = cache.model.dim * 4
+        outcomes = []
+        for index_cache in (IndexCache(), IndexCache(max_bytes=6 * row_bytes)):
+            index_cache.get_for_ids("brute", first, cache)
+            index_cache.get_for_ids("brute", other, sibling)
+            index, unique_ids = index_cache.get_for_ids("brute", grown, cache)
+            outcomes.append((index, unique_ids, index_cache.stats()))
+        (kept, kept_ids, kept_stats), (rebuilt, rebuilt_ids, rebuilt_stats) \
+            = outcomes
+        assert kept_stats["incremental_extends"] == 1
+        assert rebuilt_stats["incremental_extends"] == 0
+        assert rebuilt_stats["evictions"] >= 1
+        assert rebuilt_stats["builds"] == kept_stats["builds"] == 3
+        assert np.array_equal(kept_ids, rebuilt_ids)
+        assert np.array_equal(kept.vectors, rebuilt.vectors)
+        for query in cache.rows_for(grown):
+            left, right = kept.search(query, 3), rebuilt.search(query, 3)
+            assert np.array_equal(left.ids, right.ids)
+            assert np.array_equal(left.scores, right.scores)
 
 
 class TestIndexIdMapping:

@@ -353,7 +353,7 @@ class TestSessionReuse:
     def test_filter_threshold_refinement(self, model):
         session = self.refined_matches_fresh(model, FILTER_BASE,
                                              FILTER_REFINED)
-        assert session.state.reuse_registry.stats().hits == 1
+        assert session.state.reuse_registry.stats()["hits"] == 1
 
     def test_contains_mode_refinement(self, model):
         base = ("SELECT ptype FROM products WHERE ptype ~* 'shoes' "
@@ -417,7 +417,7 @@ class TestSessionReuse:
         big = products_table(size=64)
         session = self.refined_matches_fresh(
             model, JOIN_BASE, JOIN_REFINED, expect=False, products=big)
-        assert session.state.reuse_registry.stats().hits == 0
+        assert session.state.reuse_registry.stats()["hits"] == 0
 
     def test_approximate_index_plans_fall_back(self, model):
         config = OptimizerConfig(semantic_join_methods=("index:lsh",))
@@ -425,7 +425,7 @@ class TestSessionReuse:
         warm(session, JOIN_BASE)
         session.sql(JOIN_REFINED)
         assert not session.last_profile.reuse_hit
-        assert session.state.reuse_registry.stats().hits == 0
+        assert session.state.reuse_registry.stats()["hits"] == 0
 
     def test_chained_refinement(self, model):
         session = build_session(model, reuse=True)

@@ -200,6 +200,26 @@ def test_fixture_metric_drift_reported():
     assert not [f for f in findings if f.rule == "MN002"]
 
 
+def test_fixture_untyped_def_reported():
+    findings = run_analysis(
+        fixture_config("annotation", FIXTURES), rules=("annotations",))
+    ty = [f for f in findings if f.rule == "TY001"]
+    # only the seeded def: the fully annotated function, the __init__
+    # with an annotated parameter, the method and the staticmethod pass
+    assert len(ty) == 1
+    assert ty[0].path == "analysis_fixtures/untyped_def.py"
+    assert ty[0].line == line_of(FIXTURES / "untyped_def.py",
+                                 "TY001 here")
+    assert "predicate, return" in ty[0].message
+
+
+def test_annotation_rule_reads_the_mypy_strict_scope(engine_cfg):
+    strict = engine_cfg.annotations.strict
+    assert "repro.utils.*" in strict
+    assert "repro.engine.plan_cache" in strict
+    assert "repro.semantic.index_cache" not in strict
+
+
 def test_engine_metric_vocabulary_matches_runtime():
     """Every name the engine actually registers is declared, and with
     the right kind — checked dynamically, complementing the static
@@ -234,7 +254,7 @@ def test_cli_engine_tree_exits_zero():
 
 @pytest.mark.parametrize("kind,rule", [
     ("lock", "LH001"), ("dispatch", "DX001"), ("cache", "CK001"),
-    ("metric", "MN001")])
+    ("metric", "MN001"), ("annotation", "TY001")])
 def test_cli_fixture_exits_nonzero(kind, rule):
     proc = _run_cli("--fixture", kind, str(FIXTURES))
     assert proc.returncode == 1, proc.stdout + proc.stderr
