@@ -1,9 +1,11 @@
-"""Ablation — just-in-time predicate specialization (§VI).
+"""Ablation — just-in-time pipeline specialization (§VI).
 
 The paper: "Just-in-time code generation ... enables specializing the code
-paths".  This benchmark measures the interpreted expression tree against
-the generated straight-line kernel across batch counts, exposing the
-classic JIT trade-off: a fixed compile cost amortized per batch.
+paths".  This benchmark measures the interpreted filter (expression-tree
+mask + ``Table.filter``) against the generated one-filter pipeline kernel
+(:func:`repro.relational.codegen.compile_pipeline`) across batch counts,
+exposing the classic JIT trade-off: a fixed compile cost amortized per
+batch.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from benchmarks.common import ResultTable, stopwatch
 import numpy as np
 import pytest
 
-from repro.hardware.jit import compile_predicate
+from repro.relational.codegen import PipelineSpec, compile_pipeline
 from repro.relational.expressions import col
 from repro.storage.table import Table
+from repro.storage.types import DataType
 from repro.utils.rng import make_rng
 
 N_ROWS = 4_096
@@ -41,6 +44,19 @@ def make_batch(seed: int = 3) -> Table:
     })
 
 
+def filter_spec(batch: Table) -> PipelineSpec:
+    """``PREDICATE`` as a one-filter pipeline over every batch column."""
+    return PipelineSpec(
+        input_columns=tuple(batch.schema.names),
+        ops=(("filter", (PREDICATE,)),),
+        output=tuple((field.name, field.dtype == DataType.STRING)
+                     for field in batch.schema.fields))
+
+
+def interpreted_filter(batch: Table) -> Table:
+    return batch.filter(PREDICATE.evaluate(batch))
+
+
 @pytest.fixture(scope="module")
 def batch():
     return make_batch()
@@ -48,20 +64,23 @@ def batch():
 
 @pytest.mark.benchmark(group="jit")
 def test_interpreted_predicate(benchmark, batch):
-    mask = benchmark(PREDICATE.evaluate, batch)
-    assert mask.dtype == bool
+    result = benchmark(interpreted_filter, batch)
+    assert result.num_rows > 0
 
 
 @pytest.mark.benchmark(group="jit")
 def test_compiled_predicate(benchmark, batch):
-    kernel = compile_predicate(PREDICATE)
-    mask = benchmark(kernel, batch)
-    assert mask.dtype == bool
+    kernel = compile_pipeline(filter_spec(batch))
+    arrays = benchmark(kernel, batch)
+    assert len(arrays) == len(batch.schema.names)
 
 
 def test_jit_shape(batch, capsys):
-    kernel = compile_predicate(PREDICATE)
-    assert np.array_equal(kernel(batch), PREDICATE.evaluate(batch))
+    expected = interpreted_filter(batch)
+    kernel = compile_pipeline(filter_spec(batch))
+    for name, array in zip(batch.schema.names, kernel(batch)):
+        assert array.dtype == expected.column(name).dtype
+        assert np.array_equal(array, expected.column(name))
 
     table = ResultTable(
         f"JIT specialization — {N_ROWS}-row batches",
@@ -69,9 +88,9 @@ def test_jit_shape(batch, capsys):
     for batches in BATCHES:
         with stopwatch() as interpreted:
             for _ in range(batches):
-                PREDICATE.evaluate(batch)
+                interpreted_filter(batch)
         with stopwatch() as compiled:
-            fresh = compile_predicate(PREDICATE)
+            fresh = compile_pipeline(filter_spec(batch))
             for _ in range(batches):
                 fresh(batch)
         table.add(batches, interpreted.seconds, compiled.seconds,
@@ -81,8 +100,8 @@ def test_jit_shape(batch, capsys):
     # at high batch counts the compiled kernel must not lose
     with stopwatch() as interpreted:
         for _ in range(256):
-            PREDICATE.evaluate(batch)
-    fresh = compile_predicate(PREDICATE)
+            interpreted_filter(batch)
+    fresh = compile_pipeline(filter_spec(batch))
     with stopwatch() as compiled:
         for _ in range(256):
             fresh(batch)

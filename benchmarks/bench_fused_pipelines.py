@@ -5,9 +5,7 @@ Defends the compiled-pipeline execution tier's claims:
 
 1. **Bit-identical parity.**  Every statement answers identically with
    ``compiled_pipelines`` on and off — values *and* dtypes, atol=0.
-   When numba is importable the numba backend is additionally checked
-   against the pure-python kernel on the same pipeline.  Always
-   enforced.
+   Always enforced.
 2. **Compiled speedup.**  With a warm kernel cache, the repeat loop of
    the 50k-row filter→project chain must run >= 2x faster fused than
    interpreted.  The interpreted side still enjoys the plan cache, so
@@ -46,10 +44,6 @@ import numpy as np
 
 from benchmarks.common import ResultTable, metrics_snapshot, stopwatch
 from repro.engine.session import Session
-from repro.hardware.jit import NUMBA_AVAILABLE, compile_pipeline
-from repro.relational.expressions import Arith, ColumnRef, Compare, Literal
-from repro.relational.logical import FilterNode, ProjectNode, ScanNode
-from repro.relational.pipeline import PipelineNode
 from repro.storage.table import Table
 from repro.utils.parallel import default_parallelism
 
@@ -111,29 +105,6 @@ def exact_equal(left: Table, right: Table) -> bool:
     return True
 
 
-def numba_backend_parity(session: Session) -> bool | None:
-    """Compile the chain pipeline on both backends, compare outputs.
-
-    Returns None (recorded, not gated) when numba is not installed.
-    """
-    if not NUMBA_AVAILABLE:
-        return None
-    events = session.state.catalog.get("events")
-    scan = ScanNode("events", events.schema)
-    chain = ProjectNode(
-        FilterNode(scan, Compare(">", ColumnRef("price"), Literal(20.0))),
-        [(Arith("*", ColumnRef("price"), Literal(2.0)), "doubled"),
-         (ColumnRef("qty"), "qty")])
-    node = PipelineNode((scan, chain.child, chain), None)
-    spec = node.kernel_spec()
-    python_kernel = compile_pipeline(spec, backend="python")
-    numba_kernel = compile_pipeline(spec, backend="numba")
-    for want, got in zip(python_kernel(events), numba_kernel(events)):
-        if want.dtype != got.dtype or not np.array_equal(want, got):
-            return False
-    return True
-
-
 def measure_repeats(session: Session, rounds: int) -> dict[str, float]:
     timings = {}
     for statement in STATEMENTS:
@@ -156,7 +127,6 @@ def run(rows: int, rounds: int) -> dict:
                            fused.sql(statement)):
             mismatched.append(statement)
         fused_counts[statement] = fused.last_profile.fused_pipelines
-    numba_parity = numba_backend_parity(fused)
 
     # --- repeat-statement latency with a warm kernel cache -------------
     before = fused.state.kernel_cache.stats()
@@ -196,8 +166,6 @@ def run(rows: int, rounds: int) -> dict:
         "n_statements": len(STATEMENTS),
         "parity": not mismatched,
         "mismatched_statements": sorted(set(mismatched)),
-        "numba_available": NUMBA_AVAILABLE,
-        "numba_backend_parity": numba_parity,
         "per_statement": per_statement,
         "chain_speedup": chain_row["speedup"],
         "speedup_target": SPEEDUP_TARGET,
@@ -238,12 +206,7 @@ def main(argv: list[str] | None = None) -> None:
                   row["interpreted_seconds"], row["fused_seconds"],
                   f"{row['speedup']}x")
     table.show()
-    numba_note = ("skipped (numba not installed)"
-                  if results["numba_backend_parity"] is None
-                  else "OK" if results["numba_backend_parity"]
-                  else "MISMATCH")
     print(f"\nparity: {'OK' if results['parity'] else 'MISMATCH'}   "
-          f"numba backend: {numba_note}   "
           f"kernel-cache hit rate: {results['kernel_cache_hit_rate']}   "
           f"tiny one-shot interpreted: "
           f"{'yes' if results['tiny_stays_interpreted'] else 'NO'}")
@@ -253,8 +216,6 @@ def main(argv: list[str] | None = None) -> None:
         failures.append(
             f"fused diverged from interpreted on "
             f"{results['mismatched_statements']}")
-    if results["numba_backend_parity"] is False:
-        failures.append("numba backend diverged from python backend")
     if results["chain_speedup"] < SPEEDUP_TARGET:
         failures.append(
             f"filter->project chain speedup {results['chain_speedup']}x "

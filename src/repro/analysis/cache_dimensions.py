@@ -14,8 +14,8 @@ rests on two disciplines the cache-key lint
    dimension (``KEY_DISCIPLINES``; the pre-captured-key rule from the
    result-cache PR).
 
-The kernel cache is deliberately absent: its keys are pure pipeline
-structure (fingerprint, model, backend) with no version dimension —
+The kernel cache is deliberately absent: its key is pure pipeline
+structure (the fingerprint) with no version dimension —
 see ``engine/kernel_cache.py`` for why recompilation is idempotent.
 """
 

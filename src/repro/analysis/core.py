@@ -195,9 +195,6 @@ class Package:
         except ValueError:
             return str(module.path)
 
-    def module_of_class(self, fq: str) -> str:
-        return self.class_module[fq].name if fq in self.class_module else ""
-
 
 def _sub_bodies(node: ast.stmt) -> Iterator[list]:
     for attr in ("body", "orelse", "finalbody"):

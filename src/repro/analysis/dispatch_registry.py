@@ -93,7 +93,7 @@ SPECS: tuple[DispatcherSpec, ...] = (
         function=f"{PKG}.relational.logical.infer_dtype",
         family="expr", default="reject"),
     DispatcherSpec(
-        function=f"{PKG}.hardware.jit._first_unsupported",
+        function=f"{PKG}.relational.codegen._first_unsupported",
         family="expr", default="declared",
         # Func has no arm on purpose: it is outside _SUPPORTED_NODES,
         # so it is reported as the unsupported sub-expression.
@@ -104,7 +104,7 @@ SPECS: tuple[DispatcherSpec, ...] = (
                       "compilation raises (_check_supported) — never "
                       "wrong codegen"),
     DispatcherSpec(
-        function=f"{PKG}.hardware.jit._Emitter.emit",
+        function=f"{PKG}.relational.codegen._Emitter.emit",
         family="expr", default="reject",
         # Func is rejected by the raising tail on purpose: callers gate
         # on jit_supported, which is False for Func.

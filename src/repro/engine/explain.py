@@ -70,14 +70,14 @@ def explain_analyzed(plan: LogicalPlan, root, estimator: CardinalityEstimator,
 def pipeline_annotation(physical) -> str:
     """EXPLAIN ANALYZE suffix for a compiled pipeline operator.
 
-    Says which backend the kernel ran on and whether this execution hit
-    the kernel cache or paid the compile.
+    Says whether this execution hit the kernel cache or paid the
+    compile.
     """
     from repro.relational.physical import FusedPipelineOp
 
     if not isinstance(physical, FusedPipelineOp):
         return ""
     if physical.cache_hit:
-        return f"  {{compiled backend={physical.backend}, kernel cache hit}}"
-    return (f"  {{compiled backend={physical.backend}, "
-            f"compiled in {physical.compile_seconds * 1e3:.2f} ms}}")
+        return "  {compiled, kernel cache hit}"
+    return (f"  {{compiled, compiled in "
+            f"{physical.compile_seconds * 1e3:.2f} ms}}")

@@ -1,29 +1,22 @@
 """Engine-wide cache of compiled pipeline kernels.
 
-Compiling a fused pipeline (:func:`repro.hardware.jit.compile_pipeline`)
-costs real wall time — source generation plus ``compile()``, plus numba
-type-specialization when that backend is active.  The serving layer runs
-many statements against the same schema, so the same pipeline shapes
-recur constantly; this cache makes compilation a once-per-shape cost the
-way the plan cache makes planning one.
+Compiling a fused pipeline
+(:func:`repro.relational.codegen.compile_pipeline`) costs real wall time
+— source generation plus ``compile()``.  The serving layer runs many
+statements against the same schema, so the same pipeline shapes recur
+constantly; this cache makes compilation a once-per-shape cost the way
+the plan cache makes planning one.
 
-Keys are ``(pipeline fingerprint, model, backend)``:
-
-- *fingerprint* — :meth:`PipelineNode.fingerprint`, a structural digest
-  over input column names, every fused expression, the trailing limit,
-  and output names + dtypes.  A kernel is a pure function of plan
-  structure, so — unlike plan-cache and result-cache entries — kernel
-  entries need **no catalog-version or generation component**: inserts
-  and replaces change data, not the generated code.  Schema changes
-  produce a different fingerprint and therefore a fresh compile; the
-  stale entry ages out of the LRU.  (``docs/serving.md`` contrasts the
-  three invalidation regimes.)
-- *model* — reserved for pipelines fused around semantic operators,
-  whose kernels would specialize on the embedding model; purely
-  relational pipelines use ``""``.
-- *backend* — the **requested** backend (``auto``/``python``/``numba``),
-  so an explicit-backend request never aliases an ``auto`` entry that
-  resolved differently.
+The key is the pipeline fingerprint alone —
+:meth:`PipelineNode.fingerprint`, a structural digest over input column
+names, every fused expression, the trailing limit, and output names +
+dtypes.  A kernel is a pure function of plan structure, so — unlike
+plan-cache and result-cache entries — kernel entries need **no
+catalog-version or generation component**: inserts and replaces change
+data, not the generated code.  Schema changes produce a different
+fingerprint and therefore a fresh compile; the stale entry ages out of
+the LRU.  (``docs/serving.md`` contrasts the three invalidation
+regimes.)
 
 Thread-safe with single-flight compiles
 (:class:`repro.utils.store.SingleFlight`, shared with
@@ -38,30 +31,28 @@ from __future__ import annotations
 
 import threading
 
-from repro.hardware.jit import PipelineKernel, PipelineSpec, compile_pipeline
 from repro.obs.metrics import MetricsRegistry, hit_ratio
+from repro.relational.codegen import (
+    PipelineKernel,
+    PipelineSpec,
+    compile_pipeline,
+)
 from repro.utils.store import LRUStore, SingleFlight
 
 DEFAULT_KERNEL_CACHE_CAPACITY = 256
-
-#: ``(pipeline fingerprint, model, requested backend)``.
-_KernelKey = tuple[str, str, str]
 
 
 class KernelCache:
     """LRU of :class:`PipelineKernel` with single-flight compilation."""
 
     #: Fixed edges for the compile-latency histogram: generated-source
-    #: ``compile()`` lands in the sub-millisecond buckets, numba
-    #: type-specialization in the 0.1–10 s tail.
+    #: ``compile()`` lands in the sub-millisecond buckets.
     COMPILE_BUCKETS = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0)
 
     def __init__(self, capacity: int = DEFAULT_KERNEL_CACHE_CAPACITY,
                  registry: MetricsRegistry | None = None) -> None:
-        self._entries: LRUStore[_KernelKey, PipelineKernel] = \
-            LRUStore(capacity)
-        self._flight: SingleFlight[_KernelKey, PipelineKernel] = \
-            SingleFlight()
+        self._entries: LRUStore[str, PipelineKernel] = LRUStore(capacity)
+        self._flight: SingleFlight[str, PipelineKernel] = SingleFlight()
         self._lock = threading.Lock()
         registry = registry if registry is not None else MetricsRegistry()
         self._hits = registry.counter(
@@ -87,35 +78,33 @@ class KernelCache:
             fn=lambda: hit_ratio(self._hits.value, self._misses.value),
             help="hits / (hits + misses); 0.0 before any probe")
 
-    def get_or_compile(self, fingerprint: str, spec: PipelineSpec,
-                       model: str = "", backend: str = "auto",
-                       ) -> tuple[PipelineKernel, bool]:
+    def get_or_compile(self, fingerprint: str,
+                       spec: PipelineSpec) -> tuple[PipelineKernel, bool]:
         """The compiled kernel for ``fingerprint``, compiling on miss.
 
         Returns ``(kernel, cache_hit)``; ``cache_hit`` is also True for
         threads that coalesced onto another thread's in-flight compile
         (they were served without compiling).
         """
-        key = (fingerprint, model, backend)
         kernel, compiled = self._flight.fill(
-            key, lambda: self._probe(key),
-            lambda: self._compile(key, spec, backend),
+            fingerprint, lambda: self._probe(fingerprint),
+            lambda: self._compile(fingerprint, spec),
             on_wait=self._single_flight_waits.inc)
         return kernel, not compiled
 
-    def _probe(self, key: _KernelKey) -> PipelineKernel | None:
+    def _probe(self, fingerprint: str) -> PipelineKernel | None:
         with self._lock:
-            kernel = self._entries.get(key)
+            kernel = self._entries.get(fingerprint)
             if kernel is not None:
                 self._hits.inc()
             return kernel
 
-    def _compile(self, key: _KernelKey, spec: PipelineSpec,
-                 backend: str) -> PipelineKernel:
+    def _compile(self, fingerprint: str,
+                 spec: PipelineSpec) -> PipelineKernel:
         self._misses.inc()
-        kernel = compile_pipeline(spec, backend=backend)
+        kernel = compile_pipeline(spec)
         with self._lock:
-            self._evictions.inc(len(self._entries.put(key, kernel)))
+            self._evictions.inc(len(self._entries.put(fingerprint, kernel)))
             self._compiles.inc()
             self._compile_hist.observe(kernel.compile_seconds)
         return kernel

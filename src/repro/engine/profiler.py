@@ -36,16 +36,13 @@ class QueryProfile:
     kernel_cache_hits: int = 0
     #: Wall seconds spent compiling during this execution.
     kernel_compile_seconds: float = 0.0
-    #: Backends the fused pipelines ran on ("python"/"numba").
-    kernel_backends: list[str] = field(default_factory=list)
     # -- serving-layer fields (filled by engine.lifecycle; None/zero
     #    for builder queries and unscheduled executions) ---------------
     #: Whether the statement's optimized plan came from the plan cache.
     plan_cache_hit: bool | None = None
     #: Whether the statement's *result* came from the cross-statement
     #: result cache (execution skipped entirely).  ``None`` when the
-    #: result cache was not consulted (disabled, builder query, or the
-    #: uncacheable planning path).
+    #: result cache was not consulted (disabled, or a builder query).
     result_cache_hit: bool | None = None
     #: Whether the result was derived from a *containing* cached
     #: statement by the semantic-reuse subsystem (threshold/top-k
@@ -88,7 +85,6 @@ class QueryProfile:
                 else:
                     profile.kernel_compiles += 1
                 profile.kernel_compile_seconds += op.compile_seconds
-                profile.kernel_backends.append(op.backend)
             for child in op.children:
                 visit(child, depth + 1)
 
@@ -107,10 +103,9 @@ class QueryProfile:
                          f"reuse={flag[self.reuse_hit]}  "
                          f"queue wait {self.queue_wait_seconds * 1e3:.2f} ms")
         if self.fused_pipelines:
-            backends = ",".join(sorted(set(self.kernel_backends)))
             lines.append(
-                f"kernels: {self.fused_pipelines} fused pipeline(s) "
-                f"[{backends}]  {self.kernel_compiles} compiles / "
+                f"kernels: {self.fused_pipelines} fused pipeline(s)  "
+                f"{self.kernel_compiles} compiles / "
                 f"{self.kernel_cache_hits} cache hits  "
                 f"compile {self.kernel_compile_seconds * 1e3:.2f} ms")
         if self.arena_rows:

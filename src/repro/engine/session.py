@@ -48,9 +48,8 @@ class PlannedStatement(NamedTuple):
     #: keys on.
     estimated_cost: float
     #: Canonical form of the statement (digest + literal tuple) — the
-    #: result cache keys on it.  ``None`` on the uncacheable path (no
-    #: plan cache, or a facade with a diverged optimizer config).
-    canonical: CanonicalQuery | None = None
+    #: result cache keys on it.
+    canonical: CanonicalQuery
     #: Catalog version the statement was planned under (captured before
     #: binding, like the plan cache's key).
     catalog_version: int = -1
@@ -117,13 +116,19 @@ class Session:
         self.catalog = shared_state.catalog
         self.models = shared_state.models
         self.federation = shared_state.federation
-        self.optimizer_config = shared_state.optimizer_config
         self.context = shared_state.make_context(
             parallelism=parallelism, batch_size=batch_size)
         # no override yet: default_model_name tracks the shared state
         # until this session picks its own (register_model(default=True))
         self._default_model_override: str | None = None
         self.last_profile: QueryProfile | None = None
+
+    @property
+    def optimizer_config(self) -> OptimizerConfig:
+        """The shared state's optimizer config (read-only: every session
+        over one state plans with the config its plan cache keys
+        assume)."""
+        return self.state.optimizer_config
 
     @property
     def default_model_name(self) -> str:
@@ -254,20 +259,6 @@ class Session:
         feeds ``PlanCache.observe`` for promotion/demotion tracking.
         """
         cache = self.state.plan_cache
-        if cache is None or (self.optimizer_config
-                             is not self.state.optimizer_config):
-            # no cache, or this facade's optimizer config diverged from
-            # the shared state's: cached plans would not match what this
-            # session's optimizer would produce
-            optimizer = self._optimizer()
-            with trace.span("frontend.parse"):
-                plan = self.sql_plan(text)
-            with trace.span("optimize"):
-                plan = optimizer.optimize(plan)
-            return PlannedStatement(
-                plan, False, optimizer.last_report.estimated_cost)
-        # (canonical stays None above: without the shared-cache key
-        # discipline the statement is not result-cacheable either)
         model = self.default_model_name
         version = self.catalog.version
         statement = None

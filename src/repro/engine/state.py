@@ -75,7 +75,6 @@ class EngineState:
                  optimizer_config: OptimizerConfig | None = None,
                  batch_size: int = DEFAULT_BATCH_SIZE,
                  parallelism: int | None = None,
-                 plan_cache_capacity: int | None = None,
                  result_cache_bytes: int | None = None,
                  semantic_reuse: bool = True,
                  compiled_pipelines: str | None = None,
@@ -121,8 +120,7 @@ class EngineState:
         # generic_plans=False pins every statement to per-literal
         # optimization (the promotion machinery never engages)
         self.plan_cache = PlanCache(
-            plan_cache_capacity or DEFAULT_PLAN_CACHE_CAPACITY,
-            registry=self.metrics_registry,
+            DEFAULT_PLAN_CACHE_CAPACITY, registry=self.metrics_registry,
             enable_generic=generic_plans)
         # result_cache_bytes=0 disables cross-statement result caching
         # (every statement executes); None takes the default budget
@@ -200,10 +198,7 @@ class EngineState:
     def result_key(self, planned) -> ResultKey | None:
         """The result-cache key for a planned statement, or ``None``.
 
-        ``None`` means the statement is not result-cacheable: the result
-        cache is disabled, or the statement bypassed the plan-cache
-        machinery (no canonical form — e.g. a facade whose optimizer
-        config diverged from the shared state's).
+        ``None`` means the result cache is disabled.
 
         Generations are read *now*, at lookup time, and the caller
         stores the post-execution result under this same key — see the
@@ -213,7 +208,7 @@ class EngineState:
         the very execution that produced the result, so the key could
         never match again).
         """
-        if self.result_cache is None or planned.canonical is None:
+        if self.result_cache is None:
             return None
         caches = self.embedding_caches
         arena_generations = tuple(

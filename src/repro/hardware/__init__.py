@@ -12,6 +12,10 @@ shipping costs; links have bandwidth and latency.  What is real is the
 device assignments) and a deterministic execution simulator that evaluates
 any placement — which is exactly what the paper's §VI asks the optimizer
 to do.
+
+This is the Figure 5 simulation package: benchmarks, examples and tests
+import it, no engine module does.  The engine's code generator lives in
+:mod:`repro.relational.codegen`.
 """
 
 from repro.hardware.devices import (
@@ -31,7 +35,6 @@ from repro.hardware.devices import (
 from repro.hardware.topology import HardwareTopology, standard_topologies
 from repro.hardware.placement import Placement, PlacementOptimizer
 from repro.hardware.simulator import ExecutionSimulator, SimulationResult
-from repro.hardware.jit import compile_predicate, SpecializedKernel
 
 __all__ = [
     "Device",
@@ -52,6 +55,4 @@ __all__ = [
     "PlacementOptimizer",
     "ExecutionSimulator",
     "SimulationResult",
-    "compile_predicate",
-    "SpecializedKernel",
 ]

@@ -35,9 +35,6 @@ class ConsolidationReport:
     def n_clusters(self) -> int:
         return len(self.clusters)
 
-    def apply_to(self, values) -> list[str]:
-        return [self.mapping.get(v, v) for v in values]
-
 
 class ResultConsolidator:
     """Consolidates values by semantic or syntactic similarity."""

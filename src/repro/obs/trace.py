@@ -267,7 +267,6 @@ class _ProfileLike(Protocol):
     kernel_cache_hits: int
     kernel_compiles: int
     kernel_compile_seconds: float
-    kernel_backends: "list[str]"
     cache_hits: int
     cache_misses: int
     arena_rows: int
@@ -301,8 +300,7 @@ def attach_profile_spans(parent: AnySpan, profile: _ProfileLike) -> None:
             "kernel_cache.probe",
             seconds=profile.kernel_compile_seconds,
             hits=profile.kernel_cache_hits,
-            compiles=profile.kernel_compiles,
-            backends=",".join(sorted(set(profile.kernel_backends))))
+            compiles=profile.kernel_compiles)
     if profile.cache_hits or profile.cache_misses:
         parent.child(
             "embedding_cache.probe",

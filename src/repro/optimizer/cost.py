@@ -68,8 +68,7 @@ class CostParams:
     #: Embedding dimensionality assumed by the pair costs.
     dim: int = 100
     #: One-shot cost of compiling a fused pipeline kernel (source gen +
-    #: ``compile()``; numba specialization is charged the same — its
-    #: extra latency is hidden behind the call-time python fallback).
+    #: ``compile()``).
     pipeline_compile: float = 2_000.0
     #: Per-row cost of a fused chain relative to interpreted execution:
     #: one boolean-index pass and no intermediate Tables vs. one

@@ -14,8 +14,8 @@ recursed into.
 A chain fuses only when every stage can be compiled soundly:
 
 - filter predicates and projection expressions must be
-  :func:`~repro.hardware.jit.jit_supported` (no ``Func``/UDF calls — the
-  interpreter owns those);
+  :func:`~repro.relational.codegen.jit_supported` (no ``Func``/UDF
+  calls — the interpreter owns those);
 - every predicate, and every non-``Literal`` projection item, must
   reference at least one column — a column-free expression evaluates to
   a scalar where the interpreter broadcasts an array, so the kernel
@@ -35,8 +35,8 @@ suites use it), ``mode="off"`` disables the stage.
 
 from __future__ import annotations
 
-from repro.hardware.jit import jit_supported
 from repro.optimizer.cost import CostModel
+from repro.relational.codegen import jit_supported
 from repro.relational.expressions import Literal
 from repro.relational.logical import (
     FilterNode,

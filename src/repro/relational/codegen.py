@@ -1,21 +1,15 @@
-"""Just-in-time kernel specialization (paper §VI).
+"""Code generation for fused pipelines (paper §VI).
 
 "Just-in-time code generation using frameworks such as LLVM enables
-specializing the code paths" — the Python analogue: compile an expression
-tree (or a whole Scan→Filter→Project pipeline) into a flat function via
-source generation + ``compile``, removing the per-batch interpretive walk
-over the tree.  The compile cost is real and measured, so benchmarks can
-show the classic JIT trade-off: a fixed compilation overhead bought back
-on every subsequent batch.
-
-Two backends produce bit-identical results:
-
-- **python** (always available) — generated straight-line NumPy source,
-  ``compile()``-ed and ``exec``-ed into a private namespace;
-- **numba** (optional) — the numeric inner section of the same generated
-  source wrapped in ``numba.njit`` (IEEE semantics, no fastmath), used
-  only when the module imports and every bound column is numeric.  Any
-  failure at wrap time silently falls back to the python backend.
+specializing the code paths" — the Python analogue: compile a whole
+Scan→Filter→Project pipeline (:class:`~repro.relational.pipeline.
+PipelineNode`) into one flat function via source generation +
+``compile``, removing the per-batch interpretive walk over the
+expression trees and the intermediate table per operator.  The compile
+cost is real and measured, so the optimizer's cost gate
+(:meth:`~repro.optimizer.cost.CostModel.should_fuse`) and the kernel
+cache (:mod:`repro.engine.kernel_cache`) can trade a fixed compilation
+overhead against the batches that buy it back.
 
 Soundness rules: literal values are bound as *namespace constants*, never
 ``repr()``-ed into source (a NumPy scalar's repr like ``np.float64(3.5)``
@@ -31,7 +25,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -39,6 +35,7 @@ from repro.errors import ExpressionError
 from repro.relational.expressions import (
     And,
     Arith,
+    Array,
     ColumnRef,
     Compare,
     Expr,
@@ -51,18 +48,6 @@ from repro.relational.expressions import (
 from repro.storage.table import Table
 
 _OPS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
-
-try:  # optional accelerator backend; the pure-NumPy path is always on
-    import numba  # type: ignore[import-not-found]
-
-    NUMBA_AVAILABLE = True
-except Exception:  # pragma: no cover - environment without numba
-    numba = None
-    NUMBA_AVAILABLE = False
-
-#: Backends ``compile_pipeline`` accepts.  ``auto`` resolves to numba
-#: when importable *and* the pipeline is numeric-only, else python.
-BACKENDS = ("auto", "python", "numba")
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +97,7 @@ def _check_supported(expr: Expr) -> None:
 
 
 # ----------------------------------------------------------------------
-# Shared emit machinery
+# Emit machinery
 # ----------------------------------------------------------------------
 class _Emitter:
     """Generates straight-line source; literals become namespace
@@ -120,11 +105,11 @@ class _Emitter:
     strings with quotes, dates already int-coerced — can never produce
     invalid source."""
 
-    def __init__(self):
+    def __init__(self) -> None:
         self.constants: dict[str, object] = {}
         self._counter = itertools.count()
 
-    def bind_constant(self, value) -> str:
+    def bind_constant(self, value: object) -> str:
         name = f"_k{next(self._counter)}"
         self.constants[name] = value
         return name
@@ -156,20 +141,21 @@ class _Emitter:
         raise ExpressionError(f"cannot specialize {type(expr).__name__}")
 
 
-def _asbool(x):
+def _asbool(x: Any) -> Any:
+    # Any, not Array: a bool NumPy scalar passes through unchanged
     return (x if getattr(x, "dtype", None) == np.dtype(bool)
             else np.asarray(x, dtype=bool))
 
 
-def _asobj(x):
+def _asobj(x: Any) -> Array:
     return np.asarray(x, dtype=object)
 
 
-def _in_list(values, allowed: frozenset) -> np.ndarray:
+def _in_list(values: Iterable[object], allowed: frozenset[object]) -> Array:
     return np.asarray([value in allowed for value in values], dtype=bool)
 
 
-def _fill(n: int, value) -> np.ndarray:
+def _fill(n: int, value: object) -> Array:
     """Replicates ``Literal.evaluate`` for a top-level projection item."""
     if isinstance(value, str):
         return np.asarray([value] * n, dtype=object)
@@ -185,65 +171,12 @@ _BASE_NAMESPACE = {
 }
 
 
-def _exec_source(source: str) -> dict:
-    namespace = dict(_BASE_NAMESPACE)
-    code = compile(source, filename="<repro-jit>", mode="exec")
-    exec(code, namespace)  # noqa: S102 - deliberate codegen
-    return namespace
-
-
-# ----------------------------------------------------------------------
-# Single-expression kernels (the pre-existing tier)
-# ----------------------------------------------------------------------
-@dataclass
-class SpecializedKernel:
-    """A compiled predicate/projection kernel."""
-
-    source: str
-    function: object
-    compile_seconds: float
-
-    def __call__(self, batch: Table) -> np.ndarray:
-        return self.function(batch)  # type: ignore[operator]
-
-
-def compile_predicate(expr: Expr) -> SpecializedKernel:
-    """Compile ``expr`` into a specialized batch kernel.
-
-    The generated source binds column arrays to locals once, then runs one
-    straight-line NumPy expression — the code-shape a query compiler emits.
-    Raises :class:`~repro.errors.ExpressionError` (before emitting any
-    source) for trees :func:`jit_supported` rejects.
-    """
-    started = time.perf_counter()
-    _check_supported(expr)
-    emitter = _Emitter()
-    columns = sorted(expr.columns())
-    bindings = "\n    ".join(
-        f"_c{i} = batch.column({name!r})" for i, name in enumerate(columns)
-    )
-    column_vars = {name: f"_c{i}" for i, name in enumerate(columns)}
-    body = emitter.emit(expr, column_vars)
-    source = (
-        "def _kernel(batch):\n"
-        f"    {bindings if bindings else 'pass'}\n"
-        f"    return _asbool({body})\n"
-    )
-    namespace = _exec_source(source)
-    namespace.update(emitter.constants)
-    function = namespace["_kernel"]
-    function.__globals__.update(emitter.constants)
-    elapsed = time.perf_counter() - started
-    return SpecializedKernel(source=source, function=function,
-                             compile_seconds=elapsed)
-
-
 # ----------------------------------------------------------------------
 # Fused pipeline kernels
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class PipelineSpec:
-    """Backend-agnostic description of one fusible pipeline.
+    """Description of one fusible pipeline.
 
     ``ops`` is an ordered tuple of segments, innermost first:
 
@@ -259,7 +192,7 @@ class PipelineSpec:
     """
 
     input_columns: tuple[str, ...]
-    ops: tuple[tuple, ...]
+    ops: tuple[tuple[Any, ...], ...]
     output: tuple[tuple[str, bool], ...]
 
 
@@ -268,22 +201,11 @@ class PipelineKernel:
     """One compiled pipeline: batch in, output column arrays out."""
 
     source: str
-    function: object
+    function: Callable[[Table], tuple[Array, ...]]
     compile_seconds: float
-    backend: str
-    output_names: tuple[str, ...]
-    #: How often the kernel ran (telemetry; benign under races).
-    calls: int = field(default=0)
 
-    def __call__(self, batch: Table) -> tuple[np.ndarray, ...]:
-        self.calls += 1
-        return self.function(batch)  # type: ignore[operator]
-
-
-def supported_pipeline_expr(expr: Expr) -> bool:
-    """Alias of :func:`jit_supported` (pipeline stages share the same
-    expression support set)."""
-    return jit_supported(expr)
+    def __call__(self, batch: Table) -> tuple[Array, ...]:
+        return self.function(batch)
 
 
 def _emit_pipeline_source(spec: PipelineSpec, emitter: _Emitter) -> str:
@@ -366,18 +288,16 @@ def _referenced_columns(spec: PipelineSpec) -> set[str]:
     return {name for name in needed if name in set(spec.input_columns)}
 
 
-def compile_pipeline(spec: PipelineSpec,
-                     backend: str = "auto") -> PipelineKernel:
+def compile_pipeline(spec: PipelineSpec) -> PipelineKernel:
     """Compile a :class:`PipelineSpec` into one fused batch kernel.
 
-    Results are bit-identical across backends and to the interpreted
-    operator chain: masks are applied in stage order, projections are
-    evaluated on already-masked arrays, and string outputs get the same
-    object-dtype coercion ``ProjectOp`` applies.
+    Results are bit-identical to the interpreted operator chain: masks
+    are applied in stage order, projections are evaluated on
+    already-masked arrays, and string outputs get the same object-dtype
+    coercion ``ProjectOp`` applies.  Raises
+    :class:`~repro.errors.ExpressionError` (before emitting any source)
+    for an expression :func:`jit_supported` rejects.
     """
-    if backend not in BACKENDS:
-        raise ExpressionError(
-            f"unknown JIT backend {backend!r}; expected one of {BACKENDS}")
     for kind, items in spec.ops:
         exprs = (items if kind == "filter"
                  else tuple(expr for expr, _ in items))
@@ -386,75 +306,10 @@ def compile_pipeline(spec: PipelineSpec,
     started = time.perf_counter()
     emitter = _Emitter()
     source = _emit_pipeline_source(spec, emitter)
-    namespace = _exec_source(source)
+    namespace: dict[str, Any] = dict(_BASE_NAMESPACE)
+    exec(compile(source, filename="<repro-jit>", mode="exec"),  # noqa: S102
+         namespace)
     namespace.update(emitter.constants)
-    function = namespace["_kernel"]
-    function.__globals__.update(emitter.constants)
-    resolved = "python"
-    if backend in ("auto", "numba") and NUMBA_AVAILABLE:
-        accelerated = _try_numba(source, emitter.constants, spec,
-                                 function)
-        if accelerated is not None:
-            function = accelerated
-            resolved = "numba"
-        # an explicit backend="numba" request that cannot be honoured
-        # stays correct on the python path rather than failing the query
-    elapsed = time.perf_counter() - started
     return PipelineKernel(
-        source=source, function=function, compile_seconds=elapsed,
-        backend=resolved,
-        output_names=tuple(name for name, _ in spec.output))
-
-
-def _try_numba(source: str, constants: dict, spec: PipelineSpec,
-               python_function):
-    """Wrap the generated numeric section in ``numba.njit``.
-
-    Only attempted for pipelines with no string/object data (numba has
-    no object-array support): no ``_in_list``/``_fill``-of-string, no
-    string outputs.  The njit wrapper takes the bound arrays
-    positionally; the outer function still does the ``batch.column``
-    binding in Python.  Any failure — at wrap time, or at first call
-    when numba's lazy type inference rejects an input — falls back to
-    the already-compiled python kernel, so a query can never fail on
-    backend grounds.  IEEE float semantics are preserved (no fastmath),
-    keeping results bit-identical with the python backend.
-    """
-    if any(is_string for _, is_string in spec.output):
-        return None
-    if "_in_list(" in source or "_fill(" in source or "_asobj(" in source:
-        return None
-    if any(isinstance(value, (str, frozenset))
-           for value in constants.values()):
-        return None
-    try:  # pragma: no cover - exercised only where numba is installed
-        lines = source.splitlines()
-        binds = [line for line in lines if "batch.column(" in line]
-        body = [line for line in lines[1:] if "batch.column(" not in line]
-        args = [line.split("=")[0].strip() for line in binds]
-        const_names = sorted(constants)
-        inner_lines = ([f"def _inner({', '.join(args + const_names)}):"]
-                       + [line.replace("_asbool(", "(")
-                          for line in body])
-        inner_source = "\n".join(inner_lines) + "\n"
-        inner_ns = {"_np": np}
-        exec(compile(inner_source, "<repro-jit-numba>", "exec"),  # noqa: S102
-             inner_ns)
-        jitted = numba.njit(cache=False)(inner_ns["_inner"])
-        const_values = tuple(constants[name] for name in const_names)
-        bound = tuple(
-            line.split("batch.column(")[1].rsplit(")", 1)[0].strip("'\"")
-            for line in binds)
-
-        def _wrapper(batch):
-            arrays = [batch.column(name) for name in bound]
-            try:
-                return jitted(*arrays, *const_values)
-            except Exception:
-                # lazy njit compilation rejected these dtypes: results
-                # must still be produced, bit-identically
-                return python_function(batch)
-
-        return _wrapper
-    except Exception:
-        return None
+        source=source, function=namespace["_kernel"],
+        compile_seconds=time.perf_counter() - started)

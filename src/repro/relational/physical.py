@@ -15,6 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import ExecutionError, PlanError
+from repro.relational.codegen import compile_pipeline
 from repro.relational.expressions import AggExpr, AggFunc, Expr
 from repro.relational.keys import KeyIndex
 from repro.relational.logical import (
@@ -214,8 +215,8 @@ class FusedPipelineOp(PhysicalOperator):
     Kernels come from the shared :class:`~repro.engine.kernel_cache.
     KernelCache` when the context carries one (so repeat statements skip
     compilation entirely); a context without a cache compiles inline.
-    Either way the op records ``backend``/``cache_hit``/
-    ``compile_seconds`` for the profiler and EXPLAIN ANALYZE.
+    Either way the op records ``cache_hit``/``compile_seconds`` for the
+    profiler and EXPLAIN ANALYZE.
     """
 
     def __init__(self, node, context: ExecutionContext,
@@ -230,10 +231,7 @@ class FusedPipelineOp(PhysicalOperator):
             self.kernel, self.cache_hit = cache.get_or_compile(
                 node.fingerprint(), spec)
         else:
-            from repro.hardware.jit import compile_pipeline
-
             self.kernel, self.cache_hit = compile_pipeline(spec), False
-        self.backend = self.kernel.backend
         self.compile_seconds = 0.0 if self.cache_hit \
             else self.kernel.compile_seconds
 

@@ -4,8 +4,8 @@ The optimizer's fusion pass (:mod:`repro.optimizer.fusion`) groups
 maximal fusible chains — ``Scan -> Filter* -> Project? -> Filter* ->
 Limit`` and the pre-/post-filter chains around semantic operators — into
 one :class:`PipelineNode`.  Physical lowering compiles the whole chain
-into a single generated kernel (:func:`repro.hardware.jit.compile_pipeline`)
-that binds input columns once, evaluates the fused predicate mask,
+into a single generated kernel
+(:func:`repro.relational.codegen.compile_pipeline`) that binds input columns once, evaluates the fused predicate mask,
 applies projections on the masked selection, and returns output columns
 — no intermediate :class:`~repro.storage.table.Table` per operator, one
 boolean-index pass per filter segment instead of one per operator.
@@ -23,9 +23,10 @@ whose output batches stream through the kernel.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.errors import PlanError
+from repro.relational.codegen import PipelineSpec
 from repro.relational.fields import LiteralFormat
 from repro.relational.logical import (
     FilterNode,
@@ -36,10 +37,6 @@ from repro.relational.logical import (
 )
 from repro.storage.schema import Schema
 from repro.storage.types import DataType
-
-if TYPE_CHECKING:
-    from repro.hardware.jit import PipelineSpec
-
 
 class PipelineNode(LogicalPlan):
     """A maximal fusible operator chain compiled to one kernel."""
@@ -78,12 +75,6 @@ class PipelineNode(LogicalPlan):
     def scan(self) -> ScanNode | None:
         head = self.stages[0]
         return head if isinstance(head, ScanNode) else None
-
-    @property
-    def compute_stages(self) -> tuple[LogicalPlan, ...]:
-        """The Filter/Project stages the kernel actually fuses."""
-        return tuple(stage for stage in self.stages
-                     if isinstance(stage, (FilterNode, ProjectNode)))
 
     @property
     def limit(self) -> int | None:
@@ -130,11 +121,9 @@ class PipelineNode(LogicalPlan):
         return hashlib.blake2b("\n".join(parts).encode("utf-8"),
                                digest_size=16).hexdigest()
 
-    def kernel_spec(self) -> "PipelineSpec":
-        """The backend-agnostic :class:`~repro.hardware.jit.PipelineSpec`
-        for this chain (filter runs merged into single segments)."""
-        from repro.hardware.jit import PipelineSpec
-
+    def kernel_spec(self) -> PipelineSpec:
+        """The :class:`~repro.relational.codegen.PipelineSpec` for this
+        chain (filter runs merged into single segments)."""
         ops: list[tuple[Any, ...]] = []
         for stage in self.stages:
             if isinstance(stage, FilterNode):

@@ -25,9 +25,6 @@ class Clustering:
     representatives: list[str]  # cluster id -> representative string
     n_clusters: int
 
-    def representative_of(self, value_index: int) -> str:
-        return self.representatives[int(self.labels[value_index])]
-
 
 def cluster_strings(values, cache: EmbeddingCache,
                     threshold: float) -> Clustering:

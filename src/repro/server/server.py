@@ -43,7 +43,6 @@ class EngineServer:
                  optimizer_config: OptimizerConfig | None = None,
                  batch_size: int = DEFAULT_BATCH_SIZE,
                  parallelism: int | None = None,
-                 plan_cache_capacity: int | None = None,
                  result_cache_bytes: int | None = None,
                  semantic_reuse: bool = True,
                  compiled_pipelines: str | None = None,
@@ -55,7 +54,6 @@ class EngineServer:
             seed=seed, load_default_model=load_default_model,
             optimizer_config=optimizer_config, batch_size=batch_size,
             parallelism=parallelism,
-            plan_cache_capacity=plan_cache_capacity,
             result_cache_bytes=result_cache_bytes,
             semantic_reuse=semantic_reuse,
             compiled_pipelines=compiled_pipelines,

@@ -102,10 +102,6 @@ class Table:
             return 0
         return int(self.columns[self.schema.names[0]].shape[0])
 
-    @property
-    def num_columns(self) -> int:
-        return len(self.schema)
-
     def column(self, name: str) -> np.ndarray:
         index = self.schema.index_of(name)
         return self.columns[self.schema.names[index]]

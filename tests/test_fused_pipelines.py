@@ -13,16 +13,15 @@ from hypothesis import strategies as st
 from repro.engine.kernel_cache import KernelCache
 from repro.engine.session import Session
 from repro.errors import ExpressionError
-from repro.hardware.jit import (
-    NUMBA_AVAILABLE,
-    PipelineSpec,
-    compile_pipeline,
-    compile_predicate,
-    jit_supported,
-)
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel
 from repro.optimizer.fusion import PipelineFusion
+from repro.relational import codegen
+from repro.relational.codegen import (
+    PipelineSpec,
+    compile_pipeline,
+    jit_supported,
+)
 from repro.relational.expressions import (
     And,
     Arith,
@@ -83,12 +82,33 @@ def assert_bit_identical(expected: Table, actual: Table) -> None:
         np.testing.assert_array_equal(got, want)   # exact; NaN == NaN
 
 
+def filter_spec(predicate: Expr, schema: Schema) -> PipelineSpec:
+    """A one-filter pipeline passing every column of ``schema`` through."""
+    return PipelineSpec(
+        input_columns=tuple(schema.names),
+        ops=(("filter", (predicate,)),),
+        output=tuple((field.name, field.dtype == DataType.STRING)
+                     for field in schema.fields))
+
+
+def assert_filter_parity(predicate: Expr, batch: Table) -> None:
+    """The compiled one-filter pipeline keeps exactly the rows (values
+    and dtypes) ``Table.filter`` keeps under the interpreted mask."""
+    assert jit_supported(predicate)
+    kernel = compile_pipeline(filter_spec(predicate, batch.schema))
+    expected = batch.filter(
+        np.asarray(predicate.evaluate(batch), dtype=bool))
+    assert_bit_identical(expected, Table(
+        batch.schema, dict(zip(batch.schema.names, kernel(batch)))))
+
+
 # ---------------------------------------------------------------------------
 # JIT support rules: one regression test per expression node type
 # ---------------------------------------------------------------------------
 class TestJitSupport:
-    """`hardware/jit` must *reject* what it cannot soundly compile —
-    never emit broken source — and compile everything else to parity."""
+    """`relational/codegen` must *reject* what it cannot soundly compile
+    — never emit broken source — and compile everything else to
+    parity."""
 
     @pytest.fixture()
     def batch(self):
@@ -97,64 +117,74 @@ class TestJitSupport:
             "s": ["x", "y", "x", "z"], "flag": [True, False, True, True],
         })
 
-    def _parity(self, predicate: Expr, batch: Table) -> None:
-        assert jit_supported(predicate)
-        kernel = compile_predicate(predicate)
-        expected = np.asarray(predicate.evaluate(batch), dtype=bool)
-        np.testing.assert_array_equal(kernel(batch), expected)
-
     def test_column_ref(self, batch):
-        self._parity(ColumnRef("flag"), batch)
+        assert_filter_parity(ColumnRef("flag"), batch)
 
     def test_literal(self, batch):
-        self._parity(Compare(">", ColumnRef("a"), Literal(2)), batch)
+        assert_filter_parity(Compare(">", ColumnRef("a"), Literal(2)),
+                             batch)
 
     def test_literal_numpy_scalar_binds_as_constant(self, batch):
         # np scalar reprs like np.float64(3.5) would break repr-based
         # codegen; constants must be namespace-bound instead
         predicate = Compare(">=", ColumnRef("b"), Literal(np.float64(1.5)))
-        kernel = compile_predicate(predicate)
+        kernel = compile_pipeline(filter_spec(predicate, batch.schema))
         assert "np.float64" not in kernel.source
-        self._parity(predicate, batch)
+        assert_filter_parity(predicate, batch)
 
     def test_compare_all_operators(self, batch):
         for op in ("=", "!=", "<", "<=", ">", ">="):
-            self._parity(Compare(op, ColumnRef("a"), Literal(2)), batch)
+            assert_filter_parity(Compare(op, ColumnRef("a"), Literal(2)),
+                                 batch)
 
     def test_and(self, batch):
-        self._parity(And(Compare(">", ColumnRef("a"), Literal(1)),
-                         Compare("<", ColumnRef("b"), Literal(3.0))), batch)
+        assert_filter_parity(And(Compare(">", ColumnRef("a"), Literal(1)),
+                                 Compare("<", ColumnRef("b"), Literal(3.0))),
+                             batch)
 
     def test_or(self, batch):
-        self._parity(Or(Compare("=", ColumnRef("s"), Literal("x")),
-                        Compare(">", ColumnRef("a"), Literal(3))), batch)
+        assert_filter_parity(Or(Compare("=", ColumnRef("s"), Literal("x")),
+                                Compare(">", ColumnRef("a"), Literal(3))),
+                             batch)
 
     def test_not(self, batch):
-        self._parity(Not(Compare("=", ColumnRef("s"), Literal("y"))), batch)
+        assert_filter_parity(Not(Compare("=", ColumnRef("s"), Literal("y"))),
+                             batch)
 
     def test_arith(self, batch):
-        self._parity(Compare(">", Arith("*", ColumnRef("a"), Literal(2)),
-                             ColumnRef("b")), batch)
+        assert_filter_parity(
+            Compare(">", Arith("*", ColumnRef("a"), Literal(2)),
+                    ColumnRef("b")), batch)
 
     def test_in_list(self, batch):
-        self._parity(InList(ColumnRef("s"), ["x", "z"]), batch)
+        assert_filter_parity(InList(ColumnRef("s"), ["x", "z"]), batch)
 
-    def test_func_rejected_not_broken_source(self, batch):
+    def test_func_rejected_not_broken_source(self, batch, monkeypatch):
         predicate = Compare("=", Func("upper", (ColumnRef("s"),)),
                             Literal("X"))
         assert not jit_supported(predicate)
+        # rejected before any source is emitted
+        monkeypatch.setattr(codegen, "_emit_pipeline_source", None)
         with pytest.raises(ExpressionError, match="upper"):
-            compile_predicate(predicate)
+            compile_pipeline(filter_spec(predicate, batch.schema))
 
-    def test_func_rejected_when_nested(self):
+    def test_func_rejected_when_nested(self, batch):
         nested = And(Compare(">", ColumnRef("a"), Literal(0)),
                      Compare(">", Func("abs", (ColumnRef("a"),)),
                              Literal(1)))
         assert not jit_supported(nested)
         with pytest.raises(ExpressionError):
-            compile_predicate(nested)
+            compile_pipeline(filter_spec(nested, batch.schema))
 
-    def test_unknown_node_rejected(self):
+    def test_func_rejected_in_projection(self, batch):
+        spec = PipelineSpec(
+            input_columns=("s",),
+            ops=(("project", ((Func("upper", (ColumnRef("s"),)), "u"),)),),
+            output=(("u", True),))
+        with pytest.raises(ExpressionError, match="upper"):
+            compile_pipeline(spec)
+
+    def test_unknown_node_rejected(self, batch):
         class Opaque(Expr):
             def children(self):
                 return ()
@@ -164,7 +194,7 @@ class TestJitSupport:
 
         assert not jit_supported(Opaque())
         with pytest.raises(ExpressionError):
-            compile_predicate(Opaque())
+            compile_pipeline(filter_spec(Opaque(), batch.schema))
 
     def test_func_stage_splits_fusion(self, batch):
         """A UDF filter mid-chain is a barrier: the chains on either
@@ -348,25 +378,6 @@ class TestFusedParity:
         assert fused_plan.source is not None           # limit is outside
         assert_bit_identical(interpreted, fused)
 
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    def test_numba_backend_bit_identical(self):
-        spec = _numeric_spec()
-        python = compile_pipeline(spec, backend="python")
-        numba_kernel = compile_pipeline(spec, backend="numba")
-        assert numba_kernel.backend == "numba"
-        batch = Table.from_dict({"a": list(range(100)),
-                                 "b": [v * 0.5 for v in range(100)]})
-        for want, got in zip(python(batch), numba_kernel(batch)):
-            assert want.dtype == got.dtype
-            np.testing.assert_array_equal(want, got)
-
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba installed")
-    def test_numba_request_falls_back_to_python(self):
-        kernel = compile_pipeline(_numeric_spec(), backend="numba")
-        assert kernel.backend == "python"
-        batch = Table.from_dict({"a": [1, 2, 3], "b": [1.0, 2.0, 3.0]})
-        assert kernel(batch)[0].tolist() == [4, 6]
-
 
 def _numeric_spec() -> PipelineSpec:
     predicate = Compare(">", ColumnRef("a"), Literal(1))
@@ -531,7 +542,8 @@ class TestKernelCache:
         session = self._session()
         text = session.explain_analyze("SELECT a FROM t WHERE a > 10")
         assert "Pipeline[" in text
-        assert "compiled backend=" in text
+        assert "{compiled, compiled in " in text
+        assert "backend" not in text
 
     def test_server_metrics_expose_kernels(self):
         from repro.server import EngineServer

@@ -1,5 +1,5 @@
-"""Tests for the hardware layer: devices, topology, placement, simulator,
-JIT specialization."""
+"""Tests for the hardware layer: devices, topology, placement, simulator;
+plus compiled one-filter pipelines over the products fixture."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.hardware.devices import (
     tpu_v4,
     xeon_cpu,
 )
-from repro.hardware.jit import compile_predicate
 from repro.hardware.placement import (
     PlacementOptimizer,
     estimate_row_bytes,
@@ -22,6 +21,7 @@ from repro.hardware.simulator import ExecutionSimulator
 from repro.hardware.topology import HardwareTopology, standard_topologies
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel
+from repro.relational.codegen import PipelineSpec, compile_pipeline
 from repro.relational.expressions import col
 from repro.relational.logical import (
     FilterNode,
@@ -201,32 +201,43 @@ class TestSimulator:
         assert result.bytes_transferred > 0
 
 
+#: Products columns the one-filter kernels pass through (price numeric).
+_JIT_COLUMNS = ("price", "brand", "ptype")
+
+
+def _filter_kernel(predicate):
+    return compile_pipeline(PipelineSpec(
+        input_columns=_JIT_COLUMNS, ops=(("filter", (predicate,)),),
+        output=tuple((name, name != "price") for name in _JIT_COLUMNS)))
+
+
+def _assert_filters_like_interpreter(predicate, table):
+    expected = table.filter(np.asarray(predicate.evaluate(table), bool))
+    for name, array in zip(_JIT_COLUMNS, _filter_kernel(predicate)(table)):
+        assert array.dtype == expected.column(name).dtype
+        assert np.array_equal(array, expected.column(name))
+
+
 class TestJit:
     def test_compiled_predicate_matches_interpreter(self, products_table):
-        expr = (col("price") > 20) & (col("brand") == "acme")
-        kernel = compile_predicate(expr)
-        expected = expr.evaluate(products_table)
-        assert np.array_equal(kernel(products_table), expected)
+        _assert_filters_like_interpreter(
+            (col("price") > 20) & (col("brand") == "acme"), products_table)
 
     def test_compile_cost_recorded(self):
-        kernel = compile_predicate(col("price") > 20)
+        kernel = _filter_kernel(col("price") > 20)
         assert kernel.compile_seconds > 0
         assert "_kernel" in kernel.source
 
     def test_in_list_compiles(self, products_table):
-        expr = col("ptype").isin(["sneakers", "parka"])
-        kernel = compile_predicate(expr)
-        expected = expr.evaluate(products_table)
-        assert np.array_equal(kernel(products_table), expected)
+        _assert_filters_like_interpreter(
+            col("ptype").isin(["sneakers", "parka"]), products_table)
 
     def test_arithmetic_and_not(self, products_table):
-        expr = ~((col("price") * 2) > 100)
-        kernel = compile_predicate(expr)
-        assert np.array_equal(kernel(products_table),
-                              expr.evaluate(products_table))
+        _assert_filters_like_interpreter(
+            ~((col("price") * 2) > 100), products_table)
 
     def test_functions_unsupported(self):
         from repro.relational.expressions import Func
 
         with pytest.raises(ExpressionError):
-            compile_predicate(Func("lower", (col("s"),)) == "x")
+            _filter_kernel(Func("lower", (col("brand"),)) == "x")

@@ -236,14 +236,19 @@ def test_engine_metric_vocabulary_matches_runtime():
 
 # -- the CLI ------------------------------------------------------------
 
-def _run_cli(*args: str) -> subprocess.CompletedProcess:
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with ``src`` on its path."""
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return subprocess.run(
-        [sys.executable, "-m", "repro.analysis", *args],
+        [sys.executable, *args],
         capture_output=True, text=True, env=env, cwd=REPO_ROOT)
+
+
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    return _run_python("-m", "repro.analysis", *args)
 
 
 def test_cli_engine_tree_exits_zero():
@@ -262,6 +267,24 @@ def test_cli_fixture_exits_nonzero(kind, rule):
                 if line.startswith(rule)]
     assert reported and "analysis_fixtures/" in reported[0] \
         and ":" in reported[0]
+
+
+# -- import boundaries --------------------------------------------------
+
+#: The paper-figure packages (Fig. 3 consolidation, Fig. 5 hardware
+#: simulation, the workload-loading ``Engine``): benchmarks, examples
+#: and tests import them, the engine never does.
+SIMULATION_PACKAGES = ("repro.hardware", "repro.integration", "repro.core")
+
+
+def test_server_import_loads_no_simulation_package():
+    proc = _run_python(
+        "-c", "import sys, repro.server; print(*sorted(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = [name for name in proc.stdout.split()
+              if any(name == package or name.startswith(package + ".")
+                     for package in SIMULATION_PACKAGES)]
+    assert loaded == []
 
 
 # -- regressions for the findings this suite forced ---------------------
