@@ -2,14 +2,14 @@
 on node type.
 
 Structure — children, literal slots, printing, fingerprints, the
-tables/models a plan reads — is not dispatched at all: nodes declare
-their fields (:mod:`repro.relational.fields`) and the walkers are
-generic.  What remains here are the dispatchers whose arms do
-different *work* per node (cost, cardinality, physical build, column
-pruning, fusability, reuse eligibility, NNF, dtype inference, JIT
-support/emit, SQL binding).  The dispatch-exhaustiveness verifier
-(:mod:`repro.analysis.dispatch`) enumerates the node families by
-walking base-class subtrees and checks each dispatcher declared here
+tables/models/columns a plan reads — is not dispatched at all: nodes
+declare their fields (:mod:`repro.relational.fields`) and the walkers
+are generic (column pruning among them).  What remains here are the
+dispatchers whose arms do different *work* per node (cost,
+cardinality, physical build, fusability, reuse eligibility, NNF, dtype
+inference, JIT support/emit, SQL binding).  The dispatch-exhaustiveness
+verifier (:mod:`repro.analysis.dispatch`) enumerates the node families
+by walking base-class subtrees and checks each dispatcher declared here
 handles every member or rejects it explicitly.  To add a
 plan/expression node type: subclass the family base and declare its
 fields, run ``python -m repro.analysis`` and add an arm (or an explicit
@@ -60,13 +60,6 @@ SPECS: tuple[DispatcherSpec, ...] = (
         justification="an unknown node estimates as its first child's "
                       "rows (conservative passthrough); every concrete "
                       "node still needs an explicit arm"),
-    DispatcherSpec(
-        function=f"{PKG}.optimizer.rules.PruneColumns._rewrite",
-        family="plan", default="declared",
-        exclude=("PipelineNode",),
-        justification="pruning runs before fusion, so PipelineNode "
-                      "cannot occur; the verbatim-return default is the "
-                      "explicit no-prune choice"),
     DispatcherSpec(
         function=f"{PKG}.optimizer.fusion._stage_supported",
         family="plan", default="declared",

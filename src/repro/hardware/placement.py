@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from repro.hardware.topology import HardwareTopology
 from repro.optimizer.cost import CostModel
-from repro.optimizer.properties import traits_of
 from repro.relational.logical import LogicalPlan
 from repro.storage.schema import Schema
 from repro.storage.types import DataType
@@ -28,6 +27,17 @@ _TYPE_BYTES = {
     DataType.DATE: 8,
     DataType.STRING: 24,
 }
+
+#: Bytes of model state a model operator ships to an accelerator the
+#: first time one lands there: the serialized synthetic pretrained model
+#: (vocab + subword buckets at dim=100, float32).
+MODEL_STATE_BYTES = 8_000_000
+
+
+def is_model_operator(node: LogicalPlan) -> bool:
+    """A node that embeds through a model (it declares one) — what may
+    run on an accelerator and pays the model-state shipping there."""
+    return bool(node.model_fields)
 
 
 def estimate_row_bytes(schema: Schema) -> int:
@@ -78,13 +88,12 @@ class PlacementOptimizer:
             for child in node.children:
                 solve(child)
             node_cost = self.cost_model.node_cost(node)
-            traits = traits_of(node)
-            output_bytes = self._output_bytes(node)
+            model_operator = is_model_operator(node)
             for device in devices:
                 execution = device.execution_seconds(node_cost.cpu,
                                                      node_cost.model)
-                if traits.compute_class == "model":
-                    execution += self._model_ship_seconds(traits, device.name)
+                if model_operator:
+                    execution += self._model_ship_seconds(device.name)
                 total = execution + device.startup_seconds
                 child_devices: list[str] = []
                 for child in node.children:
@@ -135,8 +144,7 @@ class PlacementOptimizer:
         """Static policy: model operators on the accelerator, rest on host."""
         placement = Placement()
         for node in plan.walk():
-            traits = traits_of(node)
-            device = accelerator if traits.compute_class == "model" \
+            device = accelerator if is_model_operator(node) \
                 else self.topology.host
             placement.assignment[id(node)] = device
         return placement
@@ -146,8 +154,8 @@ class PlacementOptimizer:
         rows = self.cost_model.estimator.estimate(node)
         return rows * estimate_row_bytes(node.schema)
 
-    def _model_ship_seconds(self, traits, device_name: str) -> float:
+    def _model_ship_seconds(self, device_name: str) -> float:
         if device_name == self.topology.host:
             return 0.0
         return self.topology.transfer_seconds(
-            self.topology.host, device_name, traits.model_state_bytes)
+            self.topology.host, device_name, MODEL_STATE_BYTES)

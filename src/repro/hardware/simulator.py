@@ -12,10 +12,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from repro.hardware.placement import Placement, estimate_row_bytes
+from repro.hardware.placement import (
+    MODEL_STATE_BYTES,
+    Placement,
+    estimate_row_bytes,
+    is_model_operator,
+)
 from repro.hardware.topology import HardwareTopology
 from repro.optimizer.cost import CostModel
-from repro.optimizer.properties import traits_of
 from repro.relational.logical import LogicalPlan
 
 
@@ -105,16 +109,14 @@ class ExecutionSimulator:
                     result.bytes_transferred += child_bytes
                 ready = max(ready, finish_time[id(child)] + move)
 
-            traits = traits_of(node)
             extra = 0.0
-            if (traits.compute_class == "model"
+            if (is_model_operator(node)
                     and device_name != self.topology.host
                     and device_name not in shipped):
                 extra = self.topology.transfer_seconds(
-                    self.topology.host, device_name,
-                    traits.model_state_bytes)
+                    self.topology.host, device_name, MODEL_STATE_BYTES)
                 shipped.add(device_name)
-                result.bytes_transferred += traits.model_state_bytes
+                result.bytes_transferred += MODEL_STATE_BYTES
 
             cost = self.cost_model.node_cost(node)
             duration = device.execution_seconds(cost.cpu, cost.model) + extra

@@ -18,7 +18,6 @@ Pipeline (see :class:`~repro.optimizer.optimizer.Optimizer`):
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import Cost, CostModel, CostParams
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
-from repro.optimizer.properties import OperatorTraits, traits_of
 from repro.optimizer.rules import (
     MergeFilters,
     OrderFilterChain,
@@ -36,8 +35,6 @@ __all__ = [
     "CostParams",
     "Optimizer",
     "OptimizerConfig",
-    "OperatorTraits",
-    "traits_of",
     "MergeFilters",
     "OrderFilterChain",
     "PushFilterIntoJoin",

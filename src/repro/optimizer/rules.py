@@ -44,16 +44,12 @@ from repro.relational.logical import (
     FilterNode,
     JoinNode,
     JoinType,
-    LimitNode,
     LogicalPlan,
     ProjectNode,
     ScanNode,
     SemanticFilterNode,
-    SemanticGroupByNode,
     SemanticJoinNode,
     SemanticSemiFilterNode,
-    SortNode,
-    UnionNode,
 )
 from repro.storage.schema import Schema
 
@@ -578,7 +574,18 @@ def substitute(expr: Expr, mapping: dict[str, Expr]) -> Expr:
 # Projection pruning (one-shot top-down pass, not a local rule)
 # ----------------------------------------------------------------------
 class PruneColumns:
-    """Insert projections above scans so only required columns flow up."""
+    """Insert projections above scans so only required columns flow up.
+
+    Only the nodes that rewrite themselves or define their whole output
+    are handled by type: a scan gains the narrowing projection, a
+    projection drops the items nobody requires, an aggregate passes none
+    of its parent's names through.  Every other node — including node
+    types added later — requires from each child the names asked of it
+    that the child's schema holds, plus the columns it reads itself
+    (:meth:`~repro.relational.fields.Fielded.reads`) that resolve there.
+    Pruning runs before fusion, so it never meets a fused pipeline
+    (whose stages keep their pre-fusion children).
+    """
 
     name = "prune_columns"
 
@@ -587,101 +594,27 @@ class PruneColumns:
         return self._rewrite(plan, required)
 
     def _rewrite(self, node: LogicalPlan, required: set[str]) -> LogicalPlan:
-        required = self._canonical(required, node.schema)
+        required = _canonical(required, node.schema)
         if isinstance(node, ScanNode):
             names = [n for n in node.schema.names if n in required]
             if len(names) == len(node.schema.names) or not names:
                 return node
             return ProjectNode(node, [(ColumnRef(n), n) for n in names])
-        if isinstance(node, FilterNode):
-            child_required = required | self._canonical(
-                node.predicate.columns(), node.child.schema)
-            return node.with_children(
-                (self._rewrite(node.child, child_required),))
         if isinstance(node, ProjectNode):
-            child_required: set[str] = set()
-            for expr, alias in node.exprs:
-                if alias in required:
-                    child_required |= expr.columns()
             kept = [(e, a) for e, a in node.exprs if a in required]
-            if not kept:
-                kept = node.exprs
-                child_required = set()
-                for expr, _ in node.exprs:
-                    child_required |= expr.columns()
-            child = self._rewrite(node.child, self._canonical(
-                child_required, node.child.schema))
-            return ProjectNode(child, kept)
-        if isinstance(node, JoinNode):
-            return self._rewrite_join(node, required)
-        if isinstance(node, SemanticJoinNode):
-            left_schema = node.left.schema
-            right_schema = node.right.schema
-            left_required = {n for n in required if n in left_schema}
-            right_required = {n for n in required if n in right_schema}
-            left_required |= self._canonical({node.left_column}, left_schema)
-            right_required |= self._canonical({node.right_column},
-                                              right_schema)
-            return node.with_children((
-                self._rewrite(node.left, left_required),
-                self._rewrite(node.right, right_required),
-            ))
-        if isinstance(node, (SemanticFilterNode, SemanticSemiFilterNode)):
-            child_required = {n for n in required
-                              if n in node.child.schema}
-            child_required |= self._canonical({node.column},
-                                              node.child.schema)
-            return node.with_children(
-                (self._rewrite(node.child, child_required),))
-        if isinstance(node, SemanticGroupByNode):
-            child_required = {n for n in required if n in node.child.schema}
-            child_required |= self._canonical({node.column},
-                                              node.child.schema)
-            return node.with_children(
-                (self._rewrite(node.child, child_required),))
-        if isinstance(node, AggregateNode):
-            child_required = self._canonical(set(node.group_keys),
-                                             node.child.schema)
-            for agg in node.aggregates:
-                if agg.operand is not None:
-                    child_required |= self._canonical(
-                        agg.operand.columns(), node.child.schema)
-            return node.with_children(
-                (self._rewrite(node.child, child_required),))
-        if isinstance(node, SortNode):
-            child_required = required | self._canonical(
-                {k for k, _ in node.keys}, node.child.schema)
-            return node.with_children(
-                (self._rewrite(node.child, child_required),))
-        if isinstance(node, (LimitNode, UnionNode)):
-            children = tuple(self._rewrite(c, set(required))
-                             for c in node.children)
-            return node.with_children(children)
-        return node
+            node = ProjectNode(node.child, kept or node.exprs)
+            required = set()
+        elif isinstance(node, AggregateNode):
+            required = set()
+        reads = node.reads()
+        return node.with_children(tuple(
+            self._rewrite(child, {n for n in required if n in child.schema}
+                          | _canonical(reads, child.schema))
+            for child in node.children))
 
-    def _rewrite_join(self, node: JoinNode, required: set[str]) -> JoinNode:
-        left_schema = node.left.schema
-        right_schema = node.right.schema
-        left_required = {n for n in required if n in left_schema}
-        right_required = {n for n in required if n in right_schema}
-        left_required |= self._canonical(set(node.left_keys), left_schema)
-        right_required |= self._canonical(set(node.right_keys), right_schema)
-        if node.extra_predicate is not None:
-            for name in node.extra_predicate.columns():
-                if name in left_schema:
-                    left_required.add(name)
-                elif name in right_schema:
-                    right_required.add(name)
-        left = self._rewrite(node.left, left_required)
-        right = self._rewrite(node.right, right_required)
-        return node.with_children((left, right))  # type: ignore[return-value]
 
-    @staticmethod
-    def _canonical(names: set[str], schema: Schema) -> set[str]:
-        out = set()
-        for name in names:
-            try:
-                out.add(schema.names[schema.index_of(name)])
-            except Exception:
-                out.add(name)
-        return out
+def _canonical(names: set[str], schema: Schema) -> set[str]:
+    """The ``names`` that resolve in ``schema``, spelled as it spells
+    them."""
+    return {schema.field(name).name for name in names
+            if _resolves_one(name, schema)}

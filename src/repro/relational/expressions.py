@@ -17,7 +17,7 @@ from __future__ import annotations
 import datetime
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Iterable, cast
+from typing import Any, Callable, Iterable, cast
 
 import numpy as np
 
@@ -32,9 +32,6 @@ Array = np.ndarray[Any, np.dtype[Any]]
 class Expr(Fielded):
     """Base class for scalar expressions."""
 
-    #: The fields naming a column this expression reads.
-    column_fields: ClassVar[tuple[str, ...]] = ()
-
     def __init_subclass__(cls, **kwargs: Any) -> None:
         # an expression's fields are its dataclass fields
         cls.fields = cls.fields + tuple(vars(cls).get("__annotations__", ()))
@@ -48,15 +45,12 @@ class Expr(Fielded):
 
     def columns(self) -> set[str]:
         """Names of all columns referenced by this expression."""
-        # memoized (expressions are immutable and rewrite rules ask
-        # again on every pass); written through ``__dict__`` because
-        # the dataclasses are frozen
+        # ``reads`` memoized (expressions are immutable and rewrite
+        # rules ask again on every pass); written through ``__dict__``
+        # because the dataclasses are frozen
         found: set[str] | None = self.__dict__.get("_columns")
         if found is None:
-            found = {getattr(self, name) for name in self.column_fields}
-            for child in self.children():
-                found |= child.columns()
-            self.__dict__["_columns"] = found
+            found = self.__dict__["_columns"] = self.reads()
         return set(found)
 
     # -- operator sugar -------------------------------------------------

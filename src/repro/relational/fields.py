@@ -2,15 +2,17 @@
 
 A class states its structure once — ``fields`` (its non-child
 constructor parameters, in constructor order), ``expr_fields`` (the
-fields that hold expressions) and ``literal_fields`` (the fields that
-are literal slots) — plus how it prints (``render``).  Every
-structural walker is derived from that declaration here and in the two
-base classes (:class:`~repro.relational.expressions.Expr`,
+fields that hold expressions), ``literal_fields`` (the fields that are
+literal slots) and ``column_fields`` (the fields naming columns it
+reads) — plus how it prints (``render``).  Every structural walker is
+derived from that declaration here and in the two base classes
+(:class:`~repro.relational.expressions.Expr`,
 :class:`~repro.relational.logical.LogicalPlan`): sub-expression
-iteration and rebuild, the literal map that both collects and rebinds
-literal sites, and valued (``repr``) versus masked (:func:`mask`)
-rendering.  Adding a node type is therefore a declaration, not an arm
-in each walker.
+iteration and rebuild, the columns read (``reads``, which
+``Expr.columns`` and column pruning build on), the literal map that
+both collects and rebinds literal sites, and valued (``repr``) versus
+masked (:func:`mask`) rendering.  Adding a node type is therefore a
+declaration, not an arm in each walker.
 """
 
 from __future__ import annotations
@@ -48,6 +50,14 @@ def _terms(value: object) -> Iterator["Fielded"]:
             yield from _terms(item)
 
 
+def _names(value: object) -> Iterator[str]:
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _names(item)
+
+
 def _map_terms(value: Any, fn: TermFn) -> Any:
     if isinstance(value, Fielded):
         return fn(value)
@@ -70,6 +80,10 @@ class Fielded:
     #: and a list holds one slot per item.  Sites are visited in
     #: ``fields`` order, so declaration order *is* literal-site order.
     literal_fields: ClassVar[tuple[str, ...]] = ()
+    #: The fields naming a column this node reads: a name, or a
+    #: (nested) sequence holding names (other items, such as a sort
+    #: key's direction, are skipped).
+    column_fields: ClassVar[tuple[str, ...]] = ()
     #: ``(field, is_literal)`` for every expression/literal field —
     #: resolved once per class, not per call.
     _slots: ClassVar[tuple[tuple[str, bool], ...]] = ()
@@ -77,10 +91,11 @@ class Fielded:
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         marked = set(cls.expr_fields) | set(cls.literal_fields)
-        if not marked <= set(cls.fields):
-            raise TypeError(f"{cls.__name__}: {sorted(marked - set(cls.fields))}"
-                            f" marked as expression/literal but not declared"
-                            f" in fields")
+        undeclared = (marked | set(cls.column_fields)) - set(cls.fields)
+        if undeclared:
+            raise TypeError(f"{cls.__name__}: {sorted(undeclared)} marked"
+                            f" as expression/literal/column but not"
+                            f" declared in fields")
         cls._slots = tuple((name, name in cls.literal_fields)
                            for name in cls.fields if name in marked)
 
@@ -101,6 +116,15 @@ class Fielded:
             else:
                 held.extend(_terms(value))
         return held
+
+    def reads(self) -> set[str]:
+        """Names of the columns this node reads: its ``column_fields``
+        plus those of every expression it holds."""
+        found = set(_names([getattr(self, name)
+                            for name in self.column_fields]))
+        for term in self.terms():
+            found |= term.reads()
+        return found
 
     def map_terms(self: _F, fn: TermFn) -> _F:
         """A copy with ``fn`` applied to each directly held expression."""

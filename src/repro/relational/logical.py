@@ -10,11 +10,13 @@ open ``hints`` mapping the optimizer uses to record physical decisions
 (join algorithm, semantic-join access path, device placement).
 
 Each node class declares its fields once (:mod:`repro.relational.fields`:
-``fields`` / ``expr_fields`` / ``literal_fields``, plus ``table_fields``
-/ ``model_fields`` and a ``render``); cloning, literal collection and
-rebinding, printing, masked fingerprints, the tables and models a plan
-reads, and the fusion-aware traversal are all derived from that in
-:class:`LogicalPlan` — a new node type needs no arm in any of them.
+``fields`` / ``expr_fields`` / ``literal_fields`` / ``column_fields``,
+plus ``table_fields`` / ``model_fields`` and a ``render``); cloning,
+literal collection and rebinding, printing, masked fingerprints, the
+columns a node reads (``reads()``, which drives column pruning), the
+tables and models a plan reads, and the fusion-aware traversal are all
+derived from that in :class:`LogicalPlan` — a new node type needs no
+arm in any of them.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class LogicalPlan(Fielded):
     """
 
     #: The fields naming a catalog table / an embedding model this node
-    #: reads (what ``tables`` / ``models`` collect).
+    #: reads (what ``tables`` / ``models`` collect).  A node declaring a
+    #: model is a *model operator* (embeds through it).
     table_fields: ClassVar[tuple[str, ...]] = ()
     model_fields: ClassVar[tuple[str, ...]] = ()
     #: Logical nodes this node runs fused into one kernel, innermost
@@ -265,6 +268,7 @@ class JoinNode(LogicalPlan):
 
     fields = ("join_type", "left_keys", "right_keys", "extra_predicate")
     expr_fields = ("extra_predicate",)
+    column_fields = ("left_keys", "right_keys")
 
     def __init__(self, left: LogicalPlan, right: LogicalPlan,
                  join_type: JoinType = JoinType.INNER,
@@ -307,6 +311,7 @@ class AggregateNode(LogicalPlan):
 
     fields = ("group_keys", "aggregates")
     expr_fields = ("aggregates",)
+    column_fields = ("group_keys",)
 
     def __init__(self, child: LogicalPlan, group_keys: list[str],
                  aggregates: list[AggExpr]) -> None:
@@ -339,7 +344,7 @@ class AggregateNode(LogicalPlan):
 class SortNode(LogicalPlan):
     """Stable multi-key sort; keys are (column, ascending)."""
 
-    fields = ("keys",)
+    fields = column_fields = ("keys",)
 
     def __init__(self, child: LogicalPlan,
                  keys: list[tuple[str, bool]]) -> None:
@@ -422,6 +427,7 @@ class SemanticFilterNode(LogicalPlan):
               "mode")
     literal_fields = ("probe", "threshold")
     model_fields = ("model_name",)
+    column_fields = ("column",)
 
     def __init__(self, child: LogicalPlan, column: str, probe: str,
                  model_name: str, threshold: float,
@@ -474,6 +480,7 @@ class SemanticSemiFilterNode(LogicalPlan):
 
     fields = ("column", "probes", "model_name", "threshold")
     model_fields = ("model_name",)
+    column_fields = ("column",)
 
     def __init__(self, child: LogicalPlan, column: str, probes: list[str],
                  model_name: str, threshold: float) -> None:
@@ -513,6 +520,7 @@ class SemanticJoinNode(LogicalPlan):
               "score_alias", "top_k", "aux_alias")
     literal_fields = ("threshold", "top_k")
     model_fields = ("model_name",)
+    column_fields = ("left_column", "right_column")
 
     def __init__(self, left: LogicalPlan, right: LogicalPlan,
                  left_column: str, right_column: str, model_name: str,
@@ -575,6 +583,7 @@ class SemanticGroupByNode(LogicalPlan):
               "representative_alias")
     literal_fields = ("threshold",)
     model_fields = ("model_name",)
+    column_fields = ("column",)
 
     def __init__(self, child: LogicalPlan, column: str, model_name: str,
                  threshold: float, cluster_alias: str = "cluster_id",

@@ -24,7 +24,9 @@ Three jobs, all over the same statement structure:
 
 The *family* groups statements that can possibly subsume one another:
 same scans, joins, semantic operators (column/probe/model/mode — with
-threshold and top-k values masked out), sort keys, and limit-presence.
+threshold and top-k values masked out), sort keys, and limit-presence —
+each node's ``render`` in the literal-blanked format
+:func:`describe_plan` uses.
 Relational WHERE conjuncts and the projection are deliberately **not**
 part of the family — they are the axes along which a refined statement
 may differ — and are compared explicitly by the matcher instead.
@@ -67,6 +69,9 @@ REUSE_SAFE_METHODS = frozenset({
 #: own schema uses the prefix are ineligible rather than ambiguous.
 AUX_PREFIX = "__reuse_"
 
+#: A semantic join's identity: (left_column, right_column, model).
+SlotKey = tuple[str, str, str]
+
 
 @dataclass(frozen=True)
 class SemanticSlot:
@@ -83,8 +88,8 @@ class SemanticSlot:
     group_column: str | None = None
     rank_column: str | None = None
     #: Joins only: identity used to align this slot with the optimized
-    #: plan's method decision — (left_column, right_column, model).
-    slot_key: tuple | None = None
+    #: plan's method decision.
+    slot_key: SlotKey | None = None
 
 
 @dataclass(frozen=True)
@@ -130,7 +135,7 @@ class PlanShape:
     fingerprint: str
     #: (left_column, right_column, model) -> physical method, for every
     #: semantic join.  ``None`` when two joins share a key (ambiguous).
-    methods: tuple | None
+    methods: tuple[tuple[SlotKey, str], ...] | None
     #: False when DIP inserted a semantic semi-filter: its pruning mask
     #: is computed in a different GEMM shape than the join's scores, so
     #: boundary rows are not provably identical across thresholds.
@@ -161,12 +166,12 @@ class ResidualPlan:
 class _Walk:
     """Mutable state shared by the analysis/augmentation traversals."""
 
-    parts: list = field(default_factory=list)          # family text parts
-    filters: list = field(default_factory=list)        # SemanticFilterNode
-    joins: list = field(default_factory=list)          # SemanticJoinNode
-    conjunct_ids: list = field(default_factory=list)
-    conjunct_exprs: list = field(default_factory=list)
-    projection: list | None = None
+    parts: list[str] = field(default_factory=list)     # family text parts
+    filters: list[SemanticFilterNode] = field(default_factory=list)
+    joins: list[SemanticJoinNode] = field(default_factory=list)
+    conjunct_ids: list[str] = field(default_factory=list)
+    conjunct_exprs: list[Expr] = field(default_factory=list)
+    projection: list[tuple[str, str, Expr]] | None = None
     limit: int | None = None
     has_outer: bool = False
     reason: str = ""
@@ -189,11 +194,7 @@ def _analyze(node: LogicalPlan, walk: _Walk, is_root: bool) -> None:
     order operators *apply* (innermost filter = slot 0)."""
     for child in node.children:
         _analyze(child, walk, False)
-    if isinstance(node, ScanNode):
-        walk.parts.append(f"scan {node.table_name} as {node.qualifier}")
-        if any(name.startswith(AUX_PREFIX) for name in node.schema.names):
-            walk.refuse("reserved __reuse_ column in source schema")
-    elif isinstance(node, FilterNode):
+    if isinstance(node, FilterNode):
         conjuncts: list[Expr] = []
         _split_conjuncts(node.predicate, conjuncts)
         for conjunct in conjuncts:
@@ -206,46 +207,39 @@ def _analyze(node: LogicalPlan, walk: _Walk, is_root: bool) -> None:
             walk.refuse("reserved __reuse_ projection alias")
         walk.projection = [(repr(expr), alias, expr) for expr, alias
                            in node.exprs]
-    elif isinstance(node, JoinNode):
-        keys = ",".join(f"{l}={r}" for l, r
-                        in zip(node.left_keys, node.right_keys))
-        walk.parts.append(f"join {node.join_type.value} [{keys}]")
-        if node.extra_predicate is not None:
-            walk.refuse("join with residual theta predicate")
-        if node.join_type not in (JoinType.INNER, JoinType.CROSS):
-            walk.has_outer = True
-    elif isinstance(node, SemanticFilterNode):
-        if node.score_alias:
-            walk.refuse("semantic filter already aliases its score")
-        walk.parts.append(
-            f"semfilter {node.column} ~[{node.mode}] {node.probe!r} "
-            f"model {node.model_name} threshold ?")
-        walk.filters.append(node)
-    elif isinstance(node, SemanticJoinNode):
-        if node.score_alias.startswith(AUX_PREFIX) \
-                or node.aux_alias is not None:
-            walk.refuse("semantic join already carries reuse aliases")
-        walk.parts.append(
-            f"semjoin {node.left_column} ~ {node.right_column} "
-            f"model {node.model_name} threshold ? "
-            f"top {'?' if node.top_k is not None else 'none'} "
-            f"score={node.score_alias}")
-        walk.joins.append(node)
-    elif isinstance(node, SortNode):
-        keys = ",".join(f"{name}:{'a' if asc else 'd'}"
-                        for name, asc in node.keys)
-        walk.parts.append(f"sort [{keys}]")
-    elif isinstance(node, LimitNode):
-        walk.parts.append("limit ?")
-        walk.limit = node.count
+    elif isinstance(node, (ScanNode, JoinNode, SemanticFilterNode,
+                           SemanticJoinNode, SortNode, LimitNode)):
+        # the literal-blanked rendering describe_plan fingerprints
+        walk.parts.append(node.render(_blank))
+        if isinstance(node, ScanNode) and any(
+                name.startswith(AUX_PREFIX) for name in node.schema.names):
+            walk.refuse("reserved __reuse_ column in source schema")
+        elif isinstance(node, JoinNode):
+            if node.extra_predicate is not None:
+                walk.refuse("join with residual theta predicate")
+            walk.has_outer |= node.join_type not in (JoinType.INNER,
+                                                     JoinType.CROSS)
+        elif isinstance(node, SemanticFilterNode):
+            if node.score_alias:
+                walk.refuse("semantic filter already aliases its score")
+            walk.filters.append(node)
+        elif isinstance(node, SemanticJoinNode):
+            if node.score_alias.startswith(AUX_PREFIX) \
+                    or node.aux_alias is not None:
+                walk.refuse("semantic join already carries reuse aliases")
+            # the score column names an output column render leaves out
+            walk.parts.append(f"score={node.score_alias}")
+            walk.joins.append(node)
+        elif isinstance(node, LimitNode):
+            walk.limit = node.count
     else:
         walk.refuse(f"{type(node).__name__} is not subsumption-eligible")
 
 
 def _blank(value: object) -> str:
-    """Literal format of shape fingerprints: the numeric knobs a
-    refinement may move (threshold, k, limit) show presence only; a
-    probe string is part of the statement's identity."""
+    """Literal format of families and shape fingerprints: the numeric
+    knobs a refinement may move (threshold, k, limit) show presence
+    only; a probe string is part of the statement's identity."""
     return repr(value) if isinstance(value, str) else "?"
 
 
@@ -253,7 +247,7 @@ def _slot_names(index: int, kind: str) -> str:
     return f"{AUX_PREFIX}{kind}{index}"
 
 
-def _rebuild(node: LogicalPlan, counters: dict) -> LogicalPlan:
+def _rebuild(node: LogicalPlan, counters: dict[str, int]) -> LogicalPlan:
     """Rebuild the plan bottom-up with aux aliases set (fresh nodes, so
     cached schemas are recomputed with the extra columns)."""
     children = tuple(_rebuild(child, counters) for child in node.children)
@@ -288,29 +282,31 @@ def analyze_and_augment(
     slots: list[SemanticSlot] = []
     aux_columns: list[str] = []
     has_project = walk.projection is not None
-    for index, node in enumerate(walk.filters):
+    for index, semfilter in enumerate(walk.filters):
         name = _slot_names(index, "f")
-        slots.append(SemanticSlot(kind="filter", threshold=node.threshold,
+        slots.append(SemanticSlot(kind="filter",
+                                  threshold=semfilter.threshold,
                                   top_k=None, score_column=name))
         aux_columns.append(name)
-    join_keys_seen = set()
+    join_keys_seen: set[SlotKey] = set()
     ambiguous = False
-    for index, node in enumerate(walk.joins):
+    for index, join in enumerate(walk.joins):
         prefix = _slot_names(index, "j")
         score_column = (f"{prefix}_score" if has_project
-                        else node.score_alias)
-        group = rank = None
-        if node.top_k is not None:
+                        else join.score_alias)
+        group: str | None = None
+        rank: str | None = None
+        if join.top_k is not None:
             group, rank = f"{prefix}_group", f"{prefix}_rank"
             aux_columns.extend([group, rank])
         if has_project:
             aux_columns.append(score_column)
-        slot_key = (node.left_column, node.right_column, node.model_name)
+        slot_key = (join.left_column, join.right_column, join.model_name)
         if slot_key in join_keys_seen:
             ambiguous = True
         join_keys_seen.add(slot_key)
-        slots.append(SemanticSlot(kind="join", threshold=node.threshold,
-                                  top_k=node.top_k,
+        slots.append(SemanticSlot(kind="join", threshold=join.threshold,
+                                  top_k=join.top_k,
                                   score_column=score_column,
                                   group_column=group, rank_column=rank,
                                   slot_key=slot_key))
@@ -320,7 +316,7 @@ def analyze_and_augment(
 
     family = hashlib.blake2b("\n".join(walk.parts).encode("utf-8"),
                              digest_size=16).hexdigest()
-    projection = None
+    projection: tuple[ProjectionItem, ...] | None = None
     if walk.projection is not None:
         projection = tuple(
             ProjectionItem(identity=identity, alias=alias,
@@ -340,13 +336,13 @@ def analyze_and_augment(
     augmented = _rebuild(plan, {"f": 0, "j": 0})
     if isinstance(augmented, ProjectNode) and aux_columns:
         exprs = list(augmented.exprs)
-        for index, node in enumerate(walk.filters):
+        for index in range(len(walk.filters)):
             name = _slot_names(index, "f")
             exprs.append((ColumnRef(name), name))
-        for index, node in enumerate(walk.joins):
+        for index, join in enumerate(walk.joins):
             prefix = _slot_names(index, "j")
-            exprs.append((ColumnRef(node.score_alias), f"{prefix}_score"))
-            if node.top_k is not None:
+            exprs.append((ColumnRef(join.score_alias), f"{prefix}_score"))
+            if join.top_k is not None:
                 exprs.append((ColumnRef(f"{prefix}_group"),
                               f"{prefix}_group"))
                 exprs.append((ColumnRef(f"{prefix}_rank"),
@@ -369,7 +365,7 @@ def describe_plan(plan: LogicalPlan) -> PlanShape:
     and limit presence must all agree exactly.
     """
     parts: list[str] = []
-    methods: dict = {}
+    methods: dict[SlotKey, str] = {}
     ambiguous = False
     dip_free = True
     # the fusion-aware walk visits a pipeline's stages where the unfused
@@ -400,7 +396,7 @@ def describe_plan(plan: LogicalPlan) -> PlanShape:
 # ---------------------------------------------------------------------------
 # containment proof
 # ---------------------------------------------------------------------------
-def _method_for(shape: PlanShape, slot_key: tuple) -> str | None:
+def _method_for(shape: PlanShape, slot_key: SlotKey | None) -> str | None:
     if shape.methods is None:
         return None
     for key, method in shape.methods:
@@ -462,7 +458,7 @@ def plan_containment(cached_spec: ReuseSpec, cached_shape: PlanShape,
             return None
         if (cached_slot.top_k is None) != (probe_slot.top_k is None):
             return None
-        if (cached_slot.top_k is not None
+        if (cached_slot.top_k is not None and probe_slot.top_k is not None
                 and probe_slot.top_k > cached_slot.top_k):
             return None
         if cached_slot.kind == "join":
@@ -522,7 +518,7 @@ def plan_containment(cached_spec: ReuseSpec, cached_shape: PlanShape,
         cached_by_identity = {item.identity: item.alias
                               for item in (cached_spec.projection or ())}
         column_set = set(cached_columns)
-        mapping = []
+        mapping: list[tuple[str, str]] = []
         for item in probe_spec.projection:
             source = cached_by_identity.get(item.identity)
             if source is None and item.column is not None \
@@ -534,10 +530,10 @@ def plan_containment(cached_spec: ReuseSpec, cached_shape: PlanShape,
         projection = tuple(mapping)
 
     # -- limit ---------------------------------------------------------
-    limit = None
+    limit: int | None = None
     if (cached_spec.limit is None) != (probe_spec.limit is None):
         return None
-    if probe_spec.limit is not None:
+    if probe_spec.limit is not None and cached_spec.limit is not None:
         if probe_spec.limit > cached_spec.limit:
             return None
         if cached_rows >= cached_spec.limit and refined:

@@ -8,6 +8,11 @@ predicate runs); the differential test only compares those join types
 without an extra predicate.  ``reference_sort_by`` is the old
 ``Table.sort_by``: one stable argsort per key, last key first, and one
 whole-order reversal per descending key.
+
+``ReferencePruneColumns`` is the column-pruning pass as it was before
+plan nodes declared the columns they read: one arm per node type, kept
+verbatim as the oracle of ``tests/test_prune_columns.py``.  A node type
+it does not know is returned as-is (never pruned below).
 """
 
 from __future__ import annotations
@@ -17,8 +22,23 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import ExecutionError, PlanError
-from repro.relational.expressions import AggExpr, AggFunc, Expr
-from repro.relational.logical import JoinType
+from repro.relational.expressions import AggExpr, AggFunc, ColumnRef, Expr
+from repro.relational.logical import (
+    AggregateNode,
+    FilterNode,
+    JoinNode,
+    JoinType,
+    LimitNode,
+    LogicalPlan,
+    ProjectNode,
+    ScanNode,
+    SemanticFilterNode,
+    SemanticGroupByNode,
+    SemanticJoinNode,
+    SemanticSemiFilterNode,
+    SortNode,
+    UnionNode,
+)
 from repro.relational.physical import PhysicalOperator
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -213,3 +233,113 @@ def _null_extend(left: Table, right_schema: Schema, schema: Schema) -> Table:
         columns[names[position]] = fill
         position += 1
     return Table(schema, columns)
+
+
+class ReferencePruneColumns:
+    """Insert projections above scans so only required columns flow up."""
+
+    name = "prune_columns"
+
+    def run(self, plan: LogicalPlan) -> LogicalPlan:
+        required = set(plan.schema.names)
+        return self._rewrite(plan, required)
+
+    def _rewrite(self, node: LogicalPlan, required: set[str]) -> LogicalPlan:
+        required = self._canonical(required, node.schema)
+        if isinstance(node, ScanNode):
+            names = [n for n in node.schema.names if n in required]
+            if len(names) == len(node.schema.names) or not names:
+                return node
+            return ProjectNode(node, [(ColumnRef(n), n) for n in names])
+        if isinstance(node, FilterNode):
+            child_required = required | self._canonical(
+                node.predicate.columns(), node.child.schema)
+            return node.with_children(
+                (self._rewrite(node.child, child_required),))
+        if isinstance(node, ProjectNode):
+            child_required: set[str] = set()
+            for expr, alias in node.exprs:
+                if alias in required:
+                    child_required |= expr.columns()
+            kept = [(e, a) for e, a in node.exprs if a in required]
+            if not kept:
+                kept = node.exprs
+                child_required = set()
+                for expr, _ in node.exprs:
+                    child_required |= expr.columns()
+            child = self._rewrite(node.child, self._canonical(
+                child_required, node.child.schema))
+            return ProjectNode(child, kept)
+        if isinstance(node, JoinNode):
+            return self._rewrite_join(node, required)
+        if isinstance(node, SemanticJoinNode):
+            left_schema = node.left.schema
+            right_schema = node.right.schema
+            left_required = {n for n in required if n in left_schema}
+            right_required = {n for n in required if n in right_schema}
+            left_required |= self._canonical({node.left_column}, left_schema)
+            right_required |= self._canonical({node.right_column},
+                                              right_schema)
+            return node.with_children((
+                self._rewrite(node.left, left_required),
+                self._rewrite(node.right, right_required),
+            ))
+        if isinstance(node, (SemanticFilterNode, SemanticSemiFilterNode)):
+            child_required = {n for n in required
+                              if n in node.child.schema}
+            child_required |= self._canonical({node.column},
+                                              node.child.schema)
+            return node.with_children(
+                (self._rewrite(node.child, child_required),))
+        if isinstance(node, SemanticGroupByNode):
+            child_required = {n for n in required if n in node.child.schema}
+            child_required |= self._canonical({node.column},
+                                              node.child.schema)
+            return node.with_children(
+                (self._rewrite(node.child, child_required),))
+        if isinstance(node, AggregateNode):
+            child_required = self._canonical(set(node.group_keys),
+                                             node.child.schema)
+            for agg in node.aggregates:
+                if agg.operand is not None:
+                    child_required |= self._canonical(
+                        agg.operand.columns(), node.child.schema)
+            return node.with_children(
+                (self._rewrite(node.child, child_required),))
+        if isinstance(node, SortNode):
+            child_required = required | self._canonical(
+                {k for k, _ in node.keys}, node.child.schema)
+            return node.with_children(
+                (self._rewrite(node.child, child_required),))
+        if isinstance(node, (LimitNode, UnionNode)):
+            children = tuple(self._rewrite(c, set(required))
+                             for c in node.children)
+            return node.with_children(children)
+        return node
+
+    def _rewrite_join(self, node: JoinNode, required: set[str]) -> JoinNode:
+        left_schema = node.left.schema
+        right_schema = node.right.schema
+        left_required = {n for n in required if n in left_schema}
+        right_required = {n for n in required if n in right_schema}
+        left_required |= self._canonical(set(node.left_keys), left_schema)
+        right_required |= self._canonical(set(node.right_keys), right_schema)
+        if node.extra_predicate is not None:
+            for name in node.extra_predicate.columns():
+                if name in left_schema:
+                    left_required.add(name)
+                elif name in right_schema:
+                    right_required.add(name)
+        left = self._rewrite(node.left, left_required)
+        right = self._rewrite(node.right, right_required)
+        return node.with_children((left, right))  # type: ignore[return-value]
+
+    @staticmethod
+    def _canonical(names: set[str], schema: Schema) -> set[str]:
+        out = set()
+        for name in names:
+            try:
+                out.add(schema.names[schema.index_of(name)])
+            except Exception:
+                out.add(name)
+        return out

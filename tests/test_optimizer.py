@@ -3,6 +3,7 @@ full optimizer pipeline."""
 
 import pytest
 
+from repro.hardware.placement import is_model_operator
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import Cost, CostModel, CostParams, \
     semantic_join_method_cost
@@ -10,7 +11,6 @@ from repro.optimizer.dip import DataInducedPredicates
 from repro.optimizer.join_order import JoinOrderOptimizer
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.optimizer.physical_selection import PhysicalSelector
-from repro.optimizer.properties import traits_of
 from repro.relational.expressions import col
 from repro.relational.logical import (
     FilterNode,
@@ -18,10 +18,12 @@ from repro.relational.logical import (
     JoinType,
     ScanNode,
     SemanticFilterNode,
+    SemanticGroupByNode,
     SemanticJoinNode,
     SemanticSemiFilterNode,
 )
 from repro.relational.physical import ExecutionContext, execute_plan
+from repro.relational.pipeline import PipelineNode
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 from repro.utils.rng import make_rng
@@ -187,18 +189,28 @@ class TestCostModel:
 
 
 class TestTraits:
+    """A node is a model operator exactly when it declares a model — the
+    classification the Fig. 5 placement and simulator read."""
+
     def test_model_operators_flagged(self, big_catalog):
         scan = _scan(big_catalog, "products", "p")
-        semantic = SemanticFilterNode(scan, "p.ptype", "x", "m", 0.9)
-        assert traits_of(semantic).compute_class == "model"
-        assert traits_of(semantic).model_state_bytes > 0
-        assert traits_of(scan).compute_class == "relational"
-
-    def test_join_expanding(self, big_catalog):
-        scan = _scan(big_catalog, "products", "p")
         kb = _scan(big_catalog, "kb", "k")
-        join = JoinNode(scan, kb, JoinType.CROSS)
-        assert traits_of(join).expanding
+        model_operators = [
+            SemanticFilterNode(scan, "p.ptype", "x", "m", 0.9),
+            # the data-induced semi-filter embeds its probes too
+            SemanticSemiFilterNode(scan, "p.ptype", ["x", "y"], "m", 0.9),
+            SemanticJoinNode(scan, kb, "p.ptype", "k.label", "m", 0.9),
+            SemanticGroupByNode(scan, "p.ptype", "m", 0.9),
+        ]
+        for node in model_operators:
+            assert is_model_operator(node), node.label()
+        relational = [
+            scan,
+            JoinNode(scan, kb, JoinType.CROSS),
+            PipelineNode((scan, FilterNode(scan, col("p.price") > 5)), None),
+        ]
+        for node in relational:
+            assert not is_model_operator(node), node.label()
 
 
 class TestJoinOrder:

@@ -4,8 +4,9 @@ Three angles:
 
 - **add a node** — a toy plan node and a toy expression defined *here*,
   with field declarations only, clone, print, fingerprint (masked),
-  collect/rebind literals, report tables/models and EXPLAIN with no
-  edit under ``src/``;
+  collect/rebind literals, report tables/models, EXPLAIN and have the
+  columns below them pruned with no edit under ``src/``, while delta
+  maintenance and reuse refuse the toy node;
 - **rebinding is the identity on its own sites** (hypothesis, reusing
   the plan strategy of ``test_rewrite_equivalence``), and fresh values
   change the printed plan but never the masked fingerprint;
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 from repro.engine.explain import explain_plan
 from repro.engine.session import Session
 from repro.errors import PlanError
+from repro.ingest.delta import DeltaRefused, classify_plan
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.optimizer.parameterize import (
@@ -37,14 +39,16 @@ from repro.optimizer.parameterize import (
     literal_sites,
     plan_fingerprint,
 )
-from repro.optimizer.rules import substitute
+from repro.optimizer.rules import PruneColumns, substitute
 from repro.relational.expressions import Expr, col
 from repro.relational.fields import mask
 from repro.relational.logical import (
     LimitNode,
     LogicalPlan,
+    ProjectNode,
     ScanNode,
 )
+from repro.reuse.analysis import analyze_and_augment
 from test_rewrite_equivalence import SETTINGS, plans
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -175,6 +179,24 @@ class TestAddANode:
                                  "low=10.0, high=500.0]")
         assert clamp.evaluate(products_table).tolist() == [
             50.0, 240.0, 500.0, 500.0, 30.0, 10.0]
+
+    def test_pruned_below_to_what_it_reads(self, toy_plan):
+        sample = toy_plan.children[0]
+        assert sample.reads() == {"p.price"}
+        plan = ProjectNode(sample, [(col("p.brand"), "brand")])
+        assert PruneColumns().run(plan).pretty() == (
+            "Project[col(p.brand) AS brand]\n"
+            f"  {sample.label()}\n"
+            "    Project[col(p.price) AS p.price, col(p.brand) AS p.brand]\n"
+            "      Scan(products AS p)")
+
+    def test_delta_and_reuse_refuse_it(self, toy_plan):
+        with pytest.raises(DeltaRefused) as refused:
+            classify_plan(toy_plan, "products")
+        assert refused.value.reason == "non-monotone-operator:SampleNode"
+        spec, augmented = analyze_and_augment(toy_plan)
+        assert not spec.eligible and augmented is toy_plan
+        assert spec.reason == "SampleNode is not subsumption-eligible"
 
     def test_misdeclared_field_is_rejected_at_class_definition(self):
         with pytest.raises(TypeError, match="count"):
