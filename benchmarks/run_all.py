@@ -6,7 +6,7 @@ Usage:
 Prints, in order: Table I, Figure 4 (two-series ladder), Figure 2
 (motivating query), Figure 3 (consolidation), Figure 5 (hardware
 placement), and the ablations (optimizer stages, index access paths,
-quantization, JIT).  See EXPERIMENTS.md for the shape claims each section
+quantization).  See EXPERIMENTS.md for the shape claims each section
 verifies.
 """
 
@@ -34,12 +34,10 @@ def main() -> None:
     # scale must be set before the bench modules read it at import time
     from benchmarks import (
         bench_ablation_index_access,
-        bench_ablation_jit,
         bench_ablation_optimizer,
         bench_ablation_quantization,
         bench_concurrent_serving,
         bench_embedding_pipeline,
-        bench_fused_pipelines,
         bench_incremental_ingest,
         bench_result_cache,
         bench_rewrite_depth,
@@ -63,13 +61,11 @@ def main() -> None:
         ("Ablation — optimizer stages", bench_ablation_optimizer),
         ("Ablation — index access paths", bench_ablation_index_access),
         ("Ablation — int8 quantization", bench_ablation_quantization),
-        ("Ablation — JIT specialization", bench_ablation_jit),
         ("PR 1 — embedding pipeline", bench_embedding_pipeline),
         ("PR 2 — row-id joins + kernels", bench_rowid_join),
         ("PR 3 — concurrent serving", bench_concurrent_serving),
         ("PR 4 — cross-statement result cache", bench_result_cache),
         ("PR 5 — semantic subsumption reuse", bench_semantic_reuse),
-        ("PR 6 — compiled fused pipelines", bench_fused_pipelines),
         ("PR 9 — rewrite depth + generic plans", bench_rewrite_depth),
         ("PR 10 — incremental ingest", bench_incremental_ingest),
     ]
@@ -81,8 +77,8 @@ def main() -> None:
     pr_bench_argv = ["--quick"] if scale == "small" else []
     takes_argv = {bench_embedding_pipeline, bench_rowid_join,
                   bench_concurrent_serving, bench_result_cache,
-                  bench_semantic_reuse, bench_fused_pipelines,
-                  bench_rewrite_depth, bench_incremental_ingest}
+                  bench_semantic_reuse, bench_rewrite_depth,
+                  bench_incremental_ingest}
     total_start = time.perf_counter()
     for title, module in sections:
         banner = f"  {title}  "
@@ -108,8 +104,7 @@ _GATE_KEYS = (
     "parity", "parity_atol_1e-6", "join_parity", "invalidation_ok",
     "all_parity_answers_residual", "approximate_index_fell_back",
     "speedup_enforced", "workload_speedup", "refinement_speedup",
-    "speedup", "idspace_gather_speedup", "chain_speedup",
-    "kernel_cache_hit_rate", "tiny_stays_interpreted", "speedup_target",
+    "speedup", "idspace_gather_speedup", "speedup_target",
     "rewrite_parity", "rewrite_converged", "generic_hit_rate",
     "generic_parity", "demotion_ok", "ingest_parity", "never_stale",
     "delta_speedup", "plan_cache_survived",

@@ -13,10 +13,6 @@ rests on two disciplines the cache-key lint
    execution, when a concurrent mutation could have changed a
    dimension (``KEY_DISCIPLINES``; the pre-captured-key rule from the
    result-cache PR).
-
-The kernel cache is deliberately absent: its key is pure pipeline
-structure (the fingerprint) with no version dimension —
-see ``engine/kernel_cache.py`` for why recompilation is idempotent.
 """
 
 from __future__ import annotations

@@ -41,8 +41,6 @@ class DispatcherSpec:
     method: str = ""          # dispatch method for kind="method"
     #: members that need an arm; None = every family member
     must_handle: tuple[str, ...] | None = None
-    #: members excused from must_handle (used with must_handle=None)
-    exclude: tuple[str, ...] = ()
     default: str = "reject"   # "reject" | "refuse" | "declared"
     refuse_attr: str = "refuse"
     justification: str = ""
@@ -95,12 +93,11 @@ def check_dispatch(config: AnalysisConfig) -> list[Finding]:
 def _spec_targets(spec: DispatcherSpec,
                   members: Mapping[str, str]) -> tuple[list[str], list[str]]:
     """(member names that need arms, unknown names in the spec)."""
-    unknown = [name for name in (*(spec.must_handle or ()), *spec.exclude)
-               if name not in members]
+    unknown = [name for name in spec.must_handle or () if name not in members]
     if spec.must_handle is not None:
         needed = [n for n in spec.must_handle if n in members]
     else:
-        needed = [n for n in members if n not in spec.exclude]
+        needed = list(members)
     return sorted(needed), unknown
 
 

@@ -6,11 +6,11 @@ tables/models/columns a plan reads — is not dispatched at all: nodes
 declare their fields (:mod:`repro.relational.fields`) and the walkers
 are generic (column pruning among them).  What remains here are the
 dispatchers whose arms do different *work* per node (cost,
-cardinality, physical build, fusability, reuse eligibility, NNF, dtype
-inference, JIT support/emit, SQL binding).  The dispatch-exhaustiveness
-verifier (:mod:`repro.analysis.dispatch`) enumerates the node families
-by walking base-class subtrees and checks each dispatcher declared here
-handles every member or rejects it explicitly.  To add a
+cardinality, physical build, reuse eligibility, NNF, dtype inference,
+SQL binding).  The dispatch-exhaustiveness verifier
+(:mod:`repro.analysis.dispatch`) enumerates the node families by walking
+base-class subtrees and checks each dispatcher declared here handles
+every member or rejects it explicitly.  To add a
 plan/expression node type: subclass the family base and declare its
 fields, run ``python -m repro.analysis`` and add an arm (or an explicit
 rejection) to every dispatcher it reports — the verifier finds them
@@ -61,13 +61,6 @@ SPECS: tuple[DispatcherSpec, ...] = (
                       "rows (conservative passthrough); every concrete "
                       "node still needs an explicit arm"),
     DispatcherSpec(
-        function=f"{PKG}.optimizer.fusion._stage_supported",
-        family="plan", default="declared",
-        must_handle=("FilterNode", "ProjectNode", "LimitNode"),
-        justification="barrier classification is closed-world: anything "
-                      "that is not a fusable Filter/Project/Limit stage "
-                      "returns False and becomes a pipeline barrier"),
-    DispatcherSpec(
         function=f"{PKG}.reuse.analysis._analyze",
         family="plan", default="refuse",
         must_handle=("ScanNode", "FilterNode", "ProjectNode", "JoinNode",
@@ -85,23 +78,6 @@ SPECS: tuple[DispatcherSpec, ...] = (
     DispatcherSpec(
         function=f"{PKG}.relational.logical.infer_dtype",
         family="expr", default="reject"),
-    DispatcherSpec(
-        function=f"{PKG}.relational.codegen._first_unsupported",
-        family="expr", default="declared",
-        # Func has no arm on purpose: it is outside _SUPPORTED_NODES,
-        # so it is reported as the unsupported sub-expression.
-        exclude=("Func",),
-        justification="a closed-world predicate: anything outside "
-                      "_SUPPORTED_NODES is returned as unsupported, so "
-                      "the chain stays interpreted (jit_supported) or "
-                      "compilation raises (_check_supported) — never "
-                      "wrong codegen"),
-    DispatcherSpec(
-        function=f"{PKG}.relational.codegen._Emitter.emit",
-        family="expr", default="reject",
-        # Func is rejected by the raising tail on purpose: callers gate
-        # on jit_supported, which is False for Func.
-        exclude=("Func",)),
     DispatcherSpec(
         function=f"{PKG}.reuse.residual.derive_residual",
         family="expr", kind="method", method="evaluate"),

@@ -30,7 +30,7 @@ Levels (acquire downward only):
    the catalog acquires nothing upward while locked (``stats`` only
    recurses into its own reentrant lock).
 4. **Leaf locks** — embedding-cache internals, index cache, result
-   cache, kernel cache, reuse registry, worker budget, counters, the
+   cache, reuse registry, worker budget, counters, the
    semantic cache-creation latch, and the observability instruments
    (``obs.metrics`` counters/histograms, the metrics registry, the
    tracer ring).  A leaf lock is never held across a call into the
@@ -86,9 +86,6 @@ DECLARATIONS: tuple[LockDecl, ...] = (
     LockDecl(name="ResultCache._lock",
              owner=f"{PKG}.engine.result_cache.ResultCache", attr="_lock",
              level=4),
-    LockDecl(name="KernelCache._lock",
-             owner=f"{PKG}.engine.kernel_cache.KernelCache", attr="_lock",
-             level=4),
     LockDecl(name="ReuseRegistry._lock",
              owner=f"{PKG}.reuse.registry.ReuseRegistry", attr="_lock",
              level=4),
@@ -98,8 +95,8 @@ DECLARATIONS: tuple[LockDecl, ...] = (
     LockDecl(name="lowering._CACHE_CREATE_LOCK",
              owner=f"{PKG}.semantic.lowering", attr="_CACHE_CREATE_LOCK",
              level=4),
-    # the kernel and index caches' shared in-flight table: held only
-    # around its own dict, never across the owner's probe or build
+    # the index cache's in-flight table: held only around its own
+    # dict, never across the owner's probe or build
     LockDecl(name="SingleFlight._lock",
              owner=f"{PKG}.utils.store.SingleFlight", attr="_lock",
              level=4),
@@ -130,8 +127,6 @@ ALLOWED_SAME_LEVEL: frozenset[tuple[str, str]] = frozenset({
     # acquires nothing, so these edges cannot invert.
     ("ResultCache._lock", "Counter._lock"),
     ("ReuseRegistry._lock", "Counter._lock"),
-    ("KernelCache._lock", "Counter._lock"),
-    ("KernelCache._lock", "Histogram._lock"),
 })
 
 #: Attribute name -> class it holds, engine-wide.  This is how the
@@ -144,7 +139,6 @@ ATTR_TYPES: dict[str, str] = {
     "catalog": f"{PKG}.storage.catalog.Catalog",
     "plan_cache": f"{PKG}.engine.plan_cache.PlanCache",
     "result_cache": f"{PKG}.engine.result_cache.ResultCache",
-    "kernel_cache": f"{PKG}.engine.kernel_cache.KernelCache",
     "reuse_registry": f"{PKG}.reuse.registry.ReuseRegistry",
     "index_cache": f"{PKG}.semantic.index_cache.IndexCache",
     "scheduler": f"{PKG}.server.scheduler.Scheduler",

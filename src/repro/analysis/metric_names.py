@@ -85,22 +85,6 @@ DECLARED_METRICS: tuple[MetricDecl, ...] = (
     MetricDecl("reuse_entries", "gauge", "registered candidates"),
     MetricDecl("reuse_families", "gauge", "distinct statement families"),
     MetricDecl("reuse_hit_ratio", "gauge", "hits / probes"),
-    # -- kernel cache --------------------------------------------------
-    MetricDecl("kernel_cache_hits_total", "counter",
-               "compiled-kernel cache hits"),
-    MetricDecl("kernel_cache_misses_total", "counter",
-               "compiled-kernel cache misses"),
-    MetricDecl("kernel_cache_compiles_total", "counter",
-               "actual compilations"),
-    MetricDecl("kernel_cache_single_flight_waits_total", "counter",
-               "misses coalesced onto another thread's compile"),
-    MetricDecl("kernel_cache_evictions_total", "counter", "LRU evictions"),
-    MetricDecl("kernel_cache_entries", "gauge",
-               "compiled kernels resident"),
-    MetricDecl("kernel_cache_hit_ratio", "gauge",
-               "hits / (hits + misses)"),
-    MetricDecl("kernel_compile_seconds", "histogram",
-               "wall seconds per compile_pipeline call"),
     # -- scheduler -----------------------------------------------------
     MetricDecl("scheduler_dispatches_total", "counter",
                "queries handed to the admission classifier"),

@@ -5,17 +5,14 @@ from __future__ import annotations
 
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel
-from repro.relational.logical import LogicalPlan
+from repro.relational.logical import FilterNode, LogicalPlan
+from repro.relational.physical import filter_run
 
 
 def explain_plan(plan: LogicalPlan,
                  estimator: CardinalityEstimator | None = None,
                  cost_model: CostModel | None = None) -> str:
-    """Human-readable plan with per-node row/cost estimates.
-
-    Fused pipelines render their stages as indented ``·`` pseudo-children
-    so the pre-fusion operator chain stays visible in EXPLAIN output.
-    """
+    """Human-readable plan with per-node row/cost estimates."""
     lines: list[str] = []
 
     def visit(node: LogicalPlan, indent: int) -> None:
@@ -28,9 +25,6 @@ def explain_plan(plan: LogicalPlan,
                 annotation += f", cost~{cost.total:,.0f}"
             annotation += "]"
         lines.append("  " * indent + node.label() + annotation)
-        for stage in reversed(node.stages):       # outermost first,
-            lines.append("  " * (indent + 1)      # like plan rendering
-                         + "· " + stage.label())
         for child in node.children:
             visit(child, indent + 1)
 
@@ -42,11 +36,17 @@ def explain_analyzed(plan: LogicalPlan, root, estimator: CardinalityEstimator,
                      total_seconds: float) -> str:
     """EXPLAIN ANALYZE table: estimated vs actual rows and wall time per
     operator of an *executed* tree (``root`` is ``plan``'s physical
-    lowering, node for node)."""
+    lowering).  A run of consecutive filters ran as one ``FilterOp``,
+    so it prints as one line."""
     lines = [f"EXPLAIN ANALYZE  (total {total_seconds * 1e3:.2f} ms)"]
 
     def visit(logical: LogicalPlan, physical, indent: int) -> None:
         estimated = estimator.estimate(logical)
+        label = logical.label()
+        if isinstance(logical, FilterNode):
+            run = filter_run(logical)
+            label = " AND ".join(node.label() for node in run)
+            logical = run[-1]
         actual = physical.rows_out
         drift = ""
         if estimated > 0 and actual > 0:
@@ -55,29 +55,12 @@ def explain_analyzed(plan: LogicalPlan, root, estimator: CardinalityEstimator,
                 drift = f"  <-- estimate off {ratio:.0f}x"
         lines.append(
             "  " * indent
-            + f"{logical.label()}  [est~{estimated:,.0f} rows, "
+            + f"{label}  [est~{estimated:,.0f} rows, "
               f"actual {actual:,} rows, "
-              f"{physical.elapsed * 1e3:.2f} ms]{drift}"
-            + pipeline_annotation(physical))
+              f"{physical.elapsed * 1e3:.2f} ms]{drift}")
         for logical_child, physical_child in zip(logical.children,
                                                  physical.children):
             visit(logical_child, physical_child, indent + 1)
 
     visit(plan, root, 1)
     return "\n".join(lines)
-
-
-def pipeline_annotation(physical) -> str:
-    """EXPLAIN ANALYZE suffix for a compiled pipeline operator.
-
-    Says whether this execution hit the kernel cache or paid the
-    compile.
-    """
-    from repro.relational.physical import FusedPipelineOp
-
-    if not isinstance(physical, FusedPipelineOp):
-        return ""
-    if physical.cache_hit:
-        return "  {compiled, kernel cache hit}"
-    return (f"  {{compiled, compiled in "
-            f"{physical.compile_seconds * 1e3:.2f} ms}}")

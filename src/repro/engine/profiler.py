@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.obs.metrics import hit_ratio
-from repro.relational.physical import FusedPipelineOp, PhysicalOperator
+from repro.relational.physical import PhysicalOperator
 
 
 @dataclass
@@ -27,15 +28,6 @@ class QueryProfile:
     tokens_embedded: int = 0
     arena_rows: int = 0
     arena_bytes: int = 0
-    # -- compiled-pipeline telemetry (zero when nothing fused) ---------
-    #: Fused pipelines in the executed physical tree.
-    fused_pipelines: int = 0
-    #: Of those, how many paid a kernel compile this execution ...
-    kernel_compiles: int = 0
-    #: ... and how many were served from the shared kernel cache.
-    kernel_cache_hits: int = 0
-    #: Wall seconds spent compiling during this execution.
-    kernel_compile_seconds: float = 0.0
     # -- serving-layer fields (filled by engine.lifecycle; None/zero
     #    for builder queries and unscheduled executions) ---------------
     #: Whether the statement's optimized plan came from the plan cache.
@@ -61,7 +53,7 @@ class QueryProfile:
     #: The statement's span tree (:class:`repro.obs.trace.Trace`), when
     #: the statement was sampled.  The operator spans and ``operators``
     #: are built from the same rows, so the two views cannot disagree.
-    trace: object | None = None
+    trace: Any = None
 
     @property
     def cache_hit_rate(self) -> float:
@@ -70,21 +62,14 @@ class QueryProfile:
     @classmethod
     def from_tree(cls, root: PhysicalOperator,
                   total_seconds: float) -> "QueryProfile":
-        """Operator rows and kernel telemetry of an executed tree; the
-        embedding-arena fields are per-statement deltas the caller fills
-        in (``engine.lifecycle.run_plan``)."""
+        """Operator rows of an executed tree; the embedding-arena
+        fields are per-statement deltas the caller fills in
+        (``engine.lifecycle.run_plan``)."""
         profile = cls(total_seconds=total_seconds)
 
         def visit(op: PhysicalOperator, depth: int) -> None:
             profile.operators.append(OperatorProfile(
                 op.label(), depth, op.rows_out, op.elapsed))
-            if isinstance(op, FusedPipelineOp):
-                profile.fused_pipelines += 1
-                if op.cache_hit:
-                    profile.kernel_cache_hits += 1
-                else:
-                    profile.kernel_compiles += 1
-                profile.kernel_compile_seconds += op.compile_seconds
             for child in op.children:
                 visit(child, depth + 1)
 
@@ -102,12 +87,6 @@ class QueryProfile:
                          f"result-cache={flag[self.result_cache_hit]}  "
                          f"reuse={flag[self.reuse_hit]}  "
                          f"queue wait {self.queue_wait_seconds * 1e3:.2f} ms")
-        if self.fused_pipelines:
-            lines.append(
-                f"kernels: {self.fused_pipelines} fused pipeline(s)  "
-                f"{self.kernel_compiles} compiles / "
-                f"{self.kernel_cache_hits} cache hits  "
-                f"compile {self.kernel_compile_seconds * 1e3:.2f} ms")
         if self.arena_rows:
             lines.append(f"arena: {self.arena_rows} rows / "
                          f"{self.arena_bytes / 1024:.1f} KiB  "

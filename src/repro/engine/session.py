@@ -80,10 +80,8 @@ class Session:
     super-results); it rides on result-cache snapshots, so disabling
     the result cache disables it too.
 
-    ``compiled_pipelines`` controls the fused-kernel execution tier:
-    ``"auto"`` (default) lets the cost model decide when a chain is
-    worth compiling, ``"on"`` compiles every eligible chain, ``"off"``
-    keeps everything interpreted.
+    ``compiled_pipelines`` accepts only ``None`` or ``"off"``: there is
+    one, interpreted executor.
 
     ``shared_state`` plugs the session into an existing
     :class:`~repro.engine.state.EngineState` (the server path).  When it
@@ -101,6 +99,13 @@ class Session:
                  semantic_reuse: bool = True,
                  compiled_pipelines: str | None = None,
                  generic_plans: bool = True):
+        # kept with its one legal value for callers that still pass
+        # "off"; it goes when the engine knobs become one config
+        # (ROADMAP item 1(g))
+        if compiled_pipelines not in (None, "off"):
+            raise ValueError(
+                "compiled_pipelines accepts only None or 'off', got "
+                f"{compiled_pipelines!r}")
         if shared_state is None:
             shared_state = EngineState(
                 seed=seed, load_default_model=load_default_model,
@@ -108,7 +113,6 @@ class Session:
                 parallelism=parallelism,
                 result_cache_bytes=result_cache_bytes,
                 semantic_reuse=semantic_reuse,
-                compiled_pipelines=compiled_pipelines,
                 generic_plans=generic_plans)
         self.state = shared_state
         # shared references, not copies: mutating through any facade is

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.embeddings.registry import ModelRegistry
-from repro.engine.kernel_cache import KernelCache
 from repro.engine.plan_cache import DEFAULT_PLAN_CACHE_CAPACITY, PlanCache
 from repro.engine.result_cache import (
     DEFAULT_RESULT_CACHE_BYTES,
@@ -45,7 +44,6 @@ from repro.engine.result_cache import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.optimizer.fusion import FUSION_MODES
 from repro.optimizer.optimizer import OptimizerConfig
 from repro.polystore.federation import Federation
 from repro.relational.logical import LogicalPlan
@@ -68,6 +66,12 @@ def plan_models(plan: LogicalPlan) -> set[str]:
     return set(plan.models)
 
 
+def _checked_batch_size(batch_size: int) -> int:
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    return batch_size
+
+
 class EngineState:
     """Read-mostly engine state shareable across client sessions."""
 
@@ -77,7 +81,6 @@ class EngineState:
                  parallelism: int | None = None,
                  result_cache_bytes: int | None = None,
                  semantic_reuse: bool = True,
-                 compiled_pipelines: str | None = None,
                  generic_plans: bool = True,
                  trace_sample: float = 1.0,
                  trace_log: object = None):
@@ -107,7 +110,7 @@ class EngineState:
         self.models = ModelRegistry()
         self.federation = Federation(self.catalog)
         self.workers = resolve_workers(parallelism)
-        self.batch_size = batch_size
+        self.batch_size = _checked_batch_size(batch_size)
         #: model name -> EmbeddingCache; created lazily and race-safely
         #: by :func:`repro.semantic.lowering.cache_for`.
         self.embedding_caches: dict = {}
@@ -148,18 +151,7 @@ class EngineState:
             # into later ones.
             config = replace(config, cost_params=replace(
                 config.cost_params, workers=self.workers))
-        if compiled_pipelines is not None:
-            if compiled_pipelines not in FUSION_MODES:
-                raise ValueError(
-                    f"compiled_pipelines must be one of {FUSION_MODES}, "
-                    f"got {compiled_pipelines!r}")
-            # knob beats config default, same copy-don't-mutate rule
-            config = replace(config, compiled_pipelines=compiled_pipelines)
         self.optimizer_config = config
-        #: Compiled fused-pipeline kernels, shared by every client the
-        #: way the plan cache is (single-flight compiles; see
-        #: engine.kernel_cache for the invalidation story).
-        self.kernel_cache = KernelCache(registry=self.metrics_registry)
         #: Append/upsert front door: delta-maintains or precisely
         #: invalidates the caches above on row mutations
         #: (:mod:`repro.ingest`).
@@ -184,7 +176,8 @@ class EngineState:
             else resolve_workers(parallelism)
         return ExecutionContext(
             catalog=self.catalog, models=self.models,
-            batch_size=batch_size or self.batch_size,
+            batch_size=self.batch_size if batch_size is None
+            else _checked_batch_size(batch_size),
             parallelism=workers,
             # caches outlive the query that happens to create them, so
             # their embed parallelism is the machine-wide budget — not
@@ -192,7 +185,6 @@ class EngineState:
             cache_parallelism=self.workers,
             embedding_cache=self.embedding_caches,
             index_cache=self.index_cache,
-            kernel_cache=self.kernel_cache,
             metrics_registry=self.metrics_registry)
 
     def result_key(self, planned) -> ResultKey | None:

@@ -14,8 +14,7 @@ any placement — which is exactly what the paper's §VI asks the optimizer
 to do.
 
 This is the Figure 5 simulation package: benchmarks, examples and tests
-import it, no engine module does.  The engine's code generator lives in
-:mod:`repro.relational.codegen`.
+import it, no engine module does.
 """
 
 from repro.hardware.devices import (

@@ -13,8 +13,7 @@ into targeted invalidation (the same prove-or-refuse discipline as
 Proof obligations (``docs/ingest.md`` carries the full argument):
 
 - **Concat form** — a chain of row-local, order-preserving operators
-  (filter, project, semantic filter, fused pipelines without a limit
-  stage) over a single scan satisfies
+  (filter, project, semantic filter) over a single scan satisfies
   ``out(old ++ delta) == out(old) ++ out(delta)``: each operator decides
   and computes per row, and batch boundaries never change per-row
   results (cosine scores are one GEMV row each).
@@ -50,8 +49,8 @@ Proof obligations (``docs/ingest.md`` carries the full argument):
 
 Everything else — joins, unions, semantic group-by (clustering is a
 global function of the column), semantic semi-filters (data-induced
-predicates derived from old contents), fused limits, sort keys
-projected away, NaN in a sort key — is refused.
+predicates derived from old contents), sort keys projected away, NaN
+in a sort key — is refused.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ from repro.relational.logical import (
     SemanticFilterNode,
     SortNode,
 )
-from repro.relational.pipeline import PipelineNode
 from repro.storage.table import Table
 from repro.storage.types import DataType
 
@@ -117,8 +115,8 @@ def classify_plan(plan: LogicalPlan, table: str) -> DeltaSpec:
 
     Accepted shape (top-down): ``Project* [Limit] Project* [Sort]
     chain`` or a bare ``Aggregate(chain)``, where ``chain`` is built
-    from :data:`_CHAIN_NODES` and limit-free fused pipelines over a
-    single scan of ``table``.  Raises :class:`DeltaRefused` otherwise.
+    from :data:`_CHAIN_NODES` over a single scan of ``table``.  Raises
+    :class:`DeltaRefused` otherwise.
     """
     node = plan
     limit: int | None = None
@@ -175,22 +173,6 @@ def _check_chain(node: LogicalPlan, table: str) -> None:
             return
         if isinstance(node, _CHAIN_NODES):
             node = node.children[0]
-            continue
-        if isinstance(node, PipelineNode):
-            if node.limit is not None:
-                # a fused limit truncates inside the chain; the kept
-                # prefix is not recoverable from the cached output
-                raise DeltaRefused("limit-fused-into-pipeline")
-            scan = node.scan
-            if scan is not None:
-                if scan.table_name != table:
-                    raise DeltaRefused(
-                        f"scan-of-other-table:{scan.table_name}")
-                return
-            source = node.source
-            if source is None:
-                raise DeltaRefused("pipeline-without-input")
-            node = source
             continue
         raise DeltaRefused(f"non-monotone-operator:{type(node).__name__}")
 

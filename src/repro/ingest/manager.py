@@ -6,9 +6,9 @@ plans, results, and reuse entries engine-wide).  The
 :class:`IngestManager` gives the engine a second, *precise* invalidation
 dimension — the per-table ``data_version`` — and spends it carefully:
 
-- the **plan cache** and **kernel cache** key on the catalog version and
-  structural fingerprints, neither of which an append changes, so they
-  survive untouched (asserted by the ingest benchmark's hit-rate gate).
+- the **plan cache** keys on the catalog version and structural
+  fingerprints, neither of which an append changes, so it survives
+  untouched (asserted by the ingest benchmark's hit-rate gate).
   The one exception: plans containing data-induced predicates
   (:class:`SemanticSemiFilterNode` — their probe sets were derived from
   the *old* rows) are dropped via :meth:`PlanCache.drop_if`;

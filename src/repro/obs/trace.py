@@ -263,10 +263,6 @@ class _ProfileLike(Protocol):
     # read-only, so ``list[OperatorProfile]`` satisfies it covariantly
     @property
     def operators(self) -> "Sequence[_OperatorLike]": ...
-    fused_pipelines: int
-    kernel_cache_hits: int
-    kernel_compiles: int
-    kernel_compile_seconds: float
     cache_hits: int
     cache_misses: int
     arena_rows: int
@@ -277,8 +273,7 @@ def attach_profile_spans(parent: AnySpan, profile: _ProfileLike) -> None:
     """Operator + cache-probe child spans from a ``QueryProfile``.
 
     One call site (``engine.lifecycle.run_plan``) so the execute span's
-    children always have the same shape: the operator tree, then a
-    ``kernel_cache.probe`` span when pipelines were fused, then an
+    children always have the same shape: the operator tree, then an
     ``embedding_cache.probe`` span when any embedding was requested.
     The operator spans mirror ``profile.operators`` row for row (label,
     depth, rows_out, seconds), so EXPLAIN ANALYZE,
@@ -295,12 +290,6 @@ def attach_profile_spans(parent: AnySpan, profile: _ProfileLike) -> None:
                     attrs={"rows_out": op.rows_out, "depth": op.depth})
         stack[-1][1].children.append(span)
         stack.append((op.depth, span))
-    if profile.fused_pipelines:
-        parent.child(
-            "kernel_cache.probe",
-            seconds=profile.kernel_compile_seconds,
-            hits=profile.kernel_cache_hits,
-            compiles=profile.kernel_compiles)
     if profile.cache_hits or profile.cache_misses:
         parent.child(
             "embedding_cache.probe",

@@ -38,7 +38,6 @@ from repro.relational.logical import (
     SortNode,
     UnionNode,
 )
-from repro.relational.pipeline import PipelineNode
 from repro.storage.catalog import Catalog
 from repro.storage.statistics import ColumnStats
 from repro.utils.rng import make_rng
@@ -138,10 +137,6 @@ class CardinalityEstimator:
             # generic passthrough below yielded) until sampled probe
             # selectivities prove worth modeling.
             return self.estimate(plan.child)
-        if isinstance(plan, PipelineNode):
-            # stage nodes keep their pre-fusion child pointers, so the
-            # outermost stage estimates exactly as the unfused chain did
-            return self.estimate(plan.stages[-1])
         return float(self.estimate(plan.children[0])) if plan.children else 1.0
 
     # ------------------------------------------------------------------

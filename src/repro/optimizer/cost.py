@@ -31,7 +31,6 @@ from repro.relational.logical import (
     UnionNode,
 )
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.relational.pipeline import PipelineNode
 
 
 @dataclass(frozen=True)
@@ -67,14 +66,6 @@ class CostParams:
     workers: int | None = None
     #: Embedding dimensionality assumed by the pair costs.
     dim: int = 100
-    #: One-shot cost of compiling a fused pipeline kernel (source gen +
-    #: ``compile()``).
-    pipeline_compile: float = 2_000.0
-    #: Per-row cost of a fused chain relative to interpreted execution:
-    #: one boolean-index pass and no intermediate Tables vs. one
-    #: materialization per operator.  The fused-pipeline benchmark
-    #: measures >2x, so 0.4 is deliberately conservative.
-    fused_row_fraction: float = 0.4
 
 
 #: Worker count assumed when CostParams.workers is left unspecified and
@@ -199,47 +190,9 @@ class CostModel:
         """
         return self.cost(plan).total
 
-    def interpreted_chain_cost(self, stages) -> float:
-        """CPU cost of running a fusible Filter/Project chain operator-
-        at-a-time (stage nodes keep their pre-fusion child pointers, so
-        per-stage cardinalities estimate exactly as in the unfused plan).
-        """
-        total = 0.0
-        for stage in stages:
-            if isinstance(stage, (FilterNode, ProjectNode)):
-                total += self.node_cost(stage).total
-        return total
-
-    def should_fuse(self, stages) -> bool:
-        """The classic JIT trade-off: fuse iff compile cost plus the
-        fused per-row cost undercuts interpreting the chain.
-
-        One-shot cost accounting — compile is charged in full even
-        though the kernel cache would amortize it, so a tiny query
-        (e.g. 10 rows) always stays interpreted.
-        """
-        interpreted = self.interpreted_chain_cost(stages)
-        fused = (self.params.pipeline_compile
-                 + interpreted * self.params.fused_row_fraction)
-        return fused < interpreted
-
     def node_cost(self, plan: LogicalPlan) -> Cost:
         """Cost of the node itself, given estimated input cardinalities."""
         params = self.params
-        if isinstance(plan, PipelineNode):
-            # Scan/Limit stages cost what they always cost; the fused
-            # Filter/Project chain runs at ``fused_row_fraction`` of its
-            # interpreted cost.  Compile cost is deliberately absent:
-            # by the time a PipelineNode exists, ``should_fuse`` already
-            # charged it, and admission control should classify on
-            # steady-state (kernel-cache-hit) cost.
-            other = sum((self.node_cost(stage) for stage in plan.stages
-                         if not isinstance(stage, (FilterNode,
-                                                   ProjectNode))),
-                        Cost())
-            fused = (self.interpreted_chain_cost(plan.stages)
-                     * params.fused_row_fraction)
-            return other + Cost(cpu=fused)
         if isinstance(plan, ScanNode):
             return Cost(cpu=self.estimator.estimate(plan) * params.scan_row)
         if isinstance(plan, FilterNode):

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel, CostParams
 from repro.optimizer.dip import DataInducedPredicates
-from repro.optimizer.fusion import PipelineFusion
 from repro.optimizer.join_order import JoinOrderOptimizer
 from repro.optimizer.physical_selection import PhysicalSelector
 from repro.obs.metrics import MetricsRegistry
@@ -47,10 +46,6 @@ class OptimizerConfig:
     #: forces one method — what the reuse benchmarks use to prove that
     #: approximate-index plans fall back to normal execution.
     semantic_join_methods: tuple[str, ...] | None = None
-    #: Pipeline fusion + compilation: ``"auto"`` fuses when the cost
-    #: model votes the compile pays for itself, ``"on"`` fuses every
-    #: eligible chain, ``"off"`` disables the stage.
-    compiled_pipelines: str = "auto"
 
 
 @dataclass
@@ -61,7 +56,6 @@ class OptimizationReport:
     joins_reordered: int = 0
     dip_applied: int = 0
     physical_decisions: list[tuple[str, str]] = field(default_factory=list)
-    pipelines_fused: int = 0
     estimated_cost: float = 0.0
     #: Bottom-up rewrite passes executed across every fixpoint.
     rewrite_passes: int = 0
@@ -142,13 +136,6 @@ class Optimizer:
                 selector = PhysicalSelector(self.cost_model)
             plan = selector.run(plan)
             report.physical_decisions = selector.decisions
-        if config.compiled_pipelines != "off":
-            # last stage by design: every earlier pass sees only the
-            # classic node types, and fused stages carry final hints
-            fusion = PipelineFusion(self.cost_model,
-                                    mode=config.compiled_pipelines)
-            plan = fusion.run(plan)
-            report.pipelines_fused = fusion.fused
 
         report.rules_applied = dict(rule_ctx.applied)
         report.rewrite_passes = rule_ctx.passes

@@ -5,10 +5,10 @@ about an optimized plan, all provided here:
 
 1. :func:`plan_fingerprint` — a deterministic structural digest with
    literal *values* masked but everything else (node types, schemas,
-   join keys, physical hints, pipeline stages) included.  Two
-   same-family statements whose optimizations agree on this digest
-   chose the same physical plan; the family's literals demonstrably do
-   not steer the optimizer.
+   join keys, physical hints) included.  Two same-family statements
+   whose optimizations agree on this digest chose the same physical
+   plan; the family's literals demonstrably do not steer the
+   optimizer.
 2. :func:`literal_sites` — the plan's literal values in a fixed
    traversal order.  The binder and rewrite suite are deterministic,
    so for two statements of one canonical family the i-th site of one
@@ -197,8 +197,7 @@ def plan_fingerprint(plan: LogicalPlan) -> str:
     Every node contributes its masked rendering (node type, join
     structure, aggregate/sort/project specs, semantic operator wiring —
     literal values print as ``?type``), its physical ``hints`` and its
-    schema; a pipeline's stages follow it like EXPLAIN's pseudo-
-    children.  Statements of one canonical family optimize to equal
+    schema.  Statements of one canonical family optimize to equal
     fingerprints exactly when their literals did not steer any
     optimizer decision.
     """
@@ -210,8 +209,6 @@ def plan_fingerprint(plan: LogicalPlan) -> str:
                           for f in node.schema.fields)
         parts.append(f"{'  ' * depth}{node.render(mask)} "
                      f"hints({hints}) schema({schema})")
-        for stage in reversed(node.stages):
-            parts.append(f"{'  ' * depth}  · {stage.render(mask)}")
         for child in node.children:
             visit(child, depth + 1)
 

@@ -583,8 +583,6 @@ class PruneColumns:
     types added later — requires from each child the names asked of it
     that the child's schema holds, plus the columns it reads itself
     (:meth:`~repro.relational.fields.Fielded.reads`) that resolve there.
-    Pruning runs before fusion, so it never meets a fused pipeline
-    (whose stages keep their pre-fusion children).
     """
 
     name = "prune_columns"

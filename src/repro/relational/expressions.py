@@ -142,6 +142,16 @@ class Literal(Expr):
         return f"lit({lit(self.value)})"
 
 
+def _operands(left: Expr, right: Expr, batch: Table) -> tuple[Any, Any]:
+    """Both operands of a binary operator.  A ``Literal`` against an
+    array stays a scalar NumPy broadcasts, instead of an n-row array."""
+    if isinstance(right, Literal) and not isinstance(left, Literal):
+        return left.evaluate(batch), right.value
+    if isinstance(left, Literal) and not isinstance(right, Literal):
+        return left.value, right.evaluate(batch)
+    return left.evaluate(batch), right.evaluate(batch)
+
+
 _COMPARE_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "=": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
@@ -166,9 +176,8 @@ class Compare(Expr):
             raise ExpressionError(f"unknown comparison operator {self.op!r}")
 
     def evaluate(self, batch: Table) -> Array:
-        left = self.left.evaluate(batch)
-        right = self.right.evaluate(batch)
-        result = _COMPARE_OPS[self.op](left, right)
+        result = _COMPARE_OPS[self.op](*_operands(self.left, self.right,
+                                                  batch))
         return np.asarray(result, dtype=bool)
 
     def render(self, lit: LiteralFormat = repr) -> str:
@@ -238,8 +247,8 @@ class Arith(Expr):
             raise ExpressionError(f"unknown arithmetic operator {self.op!r}")
 
     def evaluate(self, batch: Table) -> Array:
-        return cast(Array, _ARITH_OPS[self.op](self.left.evaluate(batch),
-                                               self.right.evaluate(batch)))
+        return cast(Array, _ARITH_OPS[self.op](*_operands(
+            self.left, self.right, batch)))
 
     def render(self, lit: LiteralFormat = repr) -> str:
         return f"({self.left.render(lit)} {self.op} {self.right.render(lit)})"

@@ -13,10 +13,9 @@ Each node class declares its fields once (:mod:`repro.relational.fields`:
 ``fields`` / ``expr_fields`` / ``literal_fields`` / ``column_fields``,
 plus ``table_fields`` / ``model_fields`` and a ``render``); cloning,
 literal collection and rebinding, printing, masked fingerprints, the
-columns a node reads (``reads()``, which drives column pruning), the
-tables and models a plan reads, and the fusion-aware traversal are all
-derived from that in :class:`LogicalPlan` — a new node type needs no
-arm in any of them.
+columns a node reads (``reads()``, which drives column pruning) and the
+tables and models a plan reads are all derived from that in
+:class:`LogicalPlan` — a new node type needs no arm in any of them.
 """
 
 from __future__ import annotations
@@ -92,11 +91,6 @@ class LogicalPlan(Fielded):
     #: model is a *model operator* (embeds through it).
     table_fields: ClassVar[tuple[str, ...]] = ()
     model_fields: ClassVar[tuple[str, ...]] = ()
-    #: Logical nodes this node runs fused into one kernel, innermost
-    #: first (only a ``PipelineNode`` has any).  They keep their
-    #: pre-fusion child pointers, so every generic walker treats a
-    #: stage as its own fields only, never its children.
-    stages: tuple["LogicalPlan", ...] = ()
 
     def __init__(self, children: tuple["LogicalPlan", ...]) -> None:
         self.children = children
@@ -137,25 +131,15 @@ class LogicalPlan(Fielded):
     def _replace(self: _P, changes: dict[str, Any]) -> _P:
         return self.with_children(self.children, **changes)
 
-    def map_literals(self: _P, fn: Callable[[Any], Any],
-                     deep: bool = True) -> _P:
-        """Own literal sites first, then fused stages (innermost
-        first, each shallow), then children."""
+    def map_literals(self: _P, fn: Callable[[Any], Any]) -> _P:
+        """Own literal sites first, then children."""
         changes = self._map_slots(fn)
-        if self.stages:
-            changes["stages"] = tuple([stage.map_literals(fn, deep=False)
-                                       for stage in self.stages])
-        children = self.children
-        if deep:
-            children = tuple([child.map_literals(fn) for child in children])
+        children = tuple([child.map_literals(fn) for child in self.children])
         return self.with_children(children, **changes)
 
     def walk(self) -> Iterator["LogicalPlan"]:
-        """Pre-order traversal that sees through fusion: a pipeline is
-        followed by its stages, outermost first — the order the unfused
-        chain would have been visited in."""
+        """Pre-order traversal."""
         yield self
-        yield from reversed(self.stages)
         for child in self.children:
             yield from child.walk()
 

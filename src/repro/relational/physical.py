@@ -4,19 +4,23 @@
 honouring the optimizer's ``hints`` (join algorithm, semantic access path).
 Every operator records simple metrics (output rows, wall time) that the
 profiler and the benchmarks read back.
+
+A scan emits its whole table as one batch, so each operator above it
+runs one vectorized pass; it streams ``batch_size`` slices only under a
+limit that can stop early.  A run of consecutive filters is one
+:class:`FilterOp`: the masks are ANDed and the survivors gathered once.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
 from repro.errors import ExecutionError, PlanError
-from repro.relational.codegen import compile_pipeline
-from repro.relational.expressions import AggExpr, AggFunc, Expr
+from repro.relational.expressions import AggExpr, AggFunc, Array, Expr
 from repro.relational.keys import KeyIndex
 from repro.relational.logical import (
     AggregateNode,
@@ -34,7 +38,6 @@ from repro.relational.logical import (
     SortNode,
     UnionNode,
 )
-from repro.relational.pipeline import PipelineNode
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -48,10 +51,10 @@ class ExecutionContext:
     """Everything physical operators need at run time."""
 
     catalog: Catalog
-    models: object | None = None  # ModelRegistry (typed loosely: no cycle)
+    models: Any = None  # ModelRegistry (typed loosely: no cycle)
     batch_size: int = DEFAULT_BATCH_SIZE
-    embedding_cache: object | None = None
-    index_cache: object | None = None  # semantic.index_cache.IndexCache
+    embedding_cache: Any = None
+    index_cache: Any = None  # semantic.index_cache.IndexCache
     parallelism: int = 1
     #: Worker count baked into embedding caches *created through this
     #: context* (``None`` = use ``parallelism``).  Under the serving
@@ -61,18 +64,14 @@ class ExecutionContext:
     #: Safe even under concurrency: the cache serializes embeds behind
     #: its write lock, so at most one machine-wide embed runs per model.
     cache_parallelism: int | None = None
-    #: engine.kernel_cache.KernelCache shared across statements (typed
-    #: loosely: no cycle).  ``None`` = compile fused pipelines inline,
-    #: uncached (bare ``execute_plan`` calls outside an engine).
-    kernel_cache: object | None = None
     #: obs.metrics.MetricsRegistry owned by the engine state (typed
     #: loosely: no cycle).  ``None`` for bare ``execute_plan`` calls;
     #: when set, caches created through this context register their
     #: gauges on it.
-    metrics_registry: object | None = None
-    metrics: dict = field(default_factory=dict)
+    metrics_registry: Any = None
+    metrics: dict[str, Any] = field(default_factory=dict)
 
-    def model(self, name: str):
+    def model(self, name: str) -> Any:
         if self.models is None:
             raise ExecutionError(
                 "query uses a semantic operator but the context has no "
@@ -100,7 +99,7 @@ class PhysicalOperator:
     """Base physical operator (pull-based batch iterator)."""
 
     def __init__(self, schema: Schema,
-                 children: tuple["PhysicalOperator", ...] = ()):
+                 children: tuple["PhysicalOperator", ...] = ()) -> None:
         self.schema = schema
         self.children = children
         self.rows_out = 0
@@ -137,10 +136,12 @@ class PhysicalOperator:
 
 
 class ScanOp(PhysicalOperator):
-    """Scan a materialized table in batches."""
+    """Scan a materialized table: the whole table as one batch, or
+    ``batch_size`` slices when one is given (a limit above can stop
+    early)."""
 
-    def __init__(self, table: Table, batch_size: int,
-                 qualifier: str | None = None):
+    def __init__(self, table: Table, batch_size: int | None,
+                 qualifier: str | None = None) -> None:
         if qualifier:
             table = table.qualified(qualifier)
         super().__init__(table.schema)
@@ -148,24 +149,39 @@ class ScanOp(PhysicalOperator):
         self.batch_size = batch_size
 
     def _batches(self) -> Iterator[Table]:
-        yield from self.table.batches(self.batch_size)
+        if self.batch_size is not None:
+            yield from self.table.batches(self.batch_size)
+        elif self.table.num_rows:
+            yield self.table
 
 
 class FilterOp(PhysicalOperator):
-    def __init__(self, child: PhysicalOperator, predicate: Expr):
+    """A run of consecutive filters (``predicates`` innermost first):
+    their masks are ANDed over each batch — every predicate sees the
+    whole batch, as both sides of an ``And`` do — and the surviving
+    rows are gathered once."""
+
+    def __init__(self, child: PhysicalOperator,
+                 predicates: list[Expr]) -> None:
         super().__init__(child.schema, (child,))
-        self.predicate = predicate
+        self.predicates = predicates
 
     def _batches(self) -> Iterator[Table]:
+        first, *rest = self.predicates
         for batch in self.children[0].batches():
-            mask = self.predicate.evaluate(batch)
+            mask = first.evaluate(batch)
+            for predicate in rest:
+                if not mask.any():
+                    break
+                # not &=: the first mask may be a column's own array
+                mask = mask & predicate.evaluate(batch)
             if mask.any():
                 yield batch.filter(mask)
 
 
 class ProjectOp(PhysicalOperator):
     def __init__(self, child: PhysicalOperator, exprs: list[tuple[Expr, str]],
-                 schema: Schema):
+                 schema: Schema) -> None:
         super().__init__(schema, (child,))
         self.exprs = exprs
 
@@ -181,7 +197,7 @@ class ProjectOp(PhysicalOperator):
 
 
 class LimitOp(PhysicalOperator):
-    def __init__(self, child: PhysicalOperator, count: int):
+    def __init__(self, child: PhysicalOperator, count: int) -> None:
         super().__init__(child.schema, (child,))
         self.count = count
 
@@ -200,90 +216,12 @@ class LimitOp(PhysicalOperator):
                 return
 
 
-class FusedPipelineOp(PhysicalOperator):
-    """Run a fused Scan/Filter/Project/Limit chain as one compiled kernel.
-
-    The kernel binds input columns once, evaluates merged predicate
-    masks, applies projections on the masked selection, and returns
-    output columns — no intermediate :class:`Table` per stage.  When the
-    pipeline embeds its own scan the whole base table goes through the
-    kernel in a single pass (no batch loop at all), except when the
-    pipeline carries a limit — then the scan streams in batches so the
-    limit keeps its early exit.  Without an embedded scan the barrier
-    child's batches stream through the kernel.
-
-    Kernels come from the shared :class:`~repro.engine.kernel_cache.
-    KernelCache` when the context carries one (so repeat statements skip
-    compilation entirely); a context without a cache compiles inline.
-    Either way the op records ``cache_hit``/``compile_seconds`` for the
-    profiler and EXPLAIN ANALYZE.
-    """
-
-    def __init__(self, node, context: ExecutionContext,
-                 child: PhysicalOperator | None):
-        super().__init__(node.schema, (child,) if child is not None else ())
-        self.node = node
-        self.context = context
-        self.limit = node.limit
-        spec = node.kernel_spec()
-        cache = context.kernel_cache
-        if cache is not None:
-            self.kernel, self.cache_hit = cache.get_or_compile(
-                node.fingerprint(), spec)
-        else:
-            self.kernel, self.cache_hit = compile_pipeline(spec), False
-        self.compile_seconds = 0.0 if self.cache_hit \
-            else self.kernel.compile_seconds
-
-    def label(self) -> str:
-        return f"FusedPipelineOp[{self.node.label()}]"
-
-    def _batches(self) -> Iterator[Table]:
-        remaining = self.limit
-        if remaining is not None and remaining <= 0:
-            return
-        names = self.schema.names
-        for batch in self._input_batches():
-            arrays = self.kernel(batch)
-            rows = int(arrays[0].shape[0]) if arrays else 0
-            if rows == 0:
-                continue
-            if remaining is not None and rows > remaining:
-                arrays = tuple(arr[:remaining] for arr in arrays)
-                rows = remaining
-            yield Table(self.schema, dict(zip(names, arrays)))
-            if remaining is not None:
-                remaining -= rows
-                if remaining == 0:
-                    return
-
-    def _input_batches(self) -> Iterator[Table]:
-        scan = self.node.scan
-        if scan is None:
-            yield from self.children[0].batches()
-            return
-        table = self.context.catalog.get(scan.table_name)
-        if scan.qualifier:
-            table = table.qualified(scan.qualifier)
-        if table.num_rows == 0:
-            return
-        if self.limit is None:
-            # one pass over the whole base table: fusing exists precisely
-            # to skip the per-batch Table materialization between stages
-            yield table
-            return
-        # a fused limit keeps its early exit: stream the scan so the
-        # kernel stops once the limit fills instead of filtering the
-        # whole table for rows it will slice away
-        yield from table.batches(self.context.batch_size)
-
-
 class SortOp(PhysicalOperator):
     """Pipeline breaker: materialize, sort, re-emit — under a limit only
     the first ``limit`` rows of the same order (top-k)."""
 
     def __init__(self, child: PhysicalOperator, keys: list[tuple[str, bool]],
-                 limit: int | None = None):
+                 limit: int | None = None) -> None:
         super().__init__(child.schema, (child,))
         self.keys = keys
         self.limit = limit
@@ -294,7 +232,7 @@ class SortOp(PhysicalOperator):
 
 
 class UnionOp(PhysicalOperator):
-    def __init__(self, children: tuple[PhysicalOperator, ...]):
+    def __init__(self, children: tuple[PhysicalOperator, ...]) -> None:
         super().__init__(children[0].schema, children)
 
     def _batches(self) -> Iterator[Table]:
@@ -318,7 +256,7 @@ class HashJoinOp(PhysicalOperator):
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
                  left_keys: list[str], right_keys: list[str],
                  join_type: JoinType, extra_predicate: Expr | None,
-                 schema: Schema):
+                 schema: Schema) -> None:
         super().__init__(schema, (left, right))
         self.left_keys = left_keys
         self.right_keys = right_keys
@@ -359,13 +297,16 @@ class HashJoinOp(PhysicalOperator):
 
 
 class NestedLoopJoinOp(PhysicalOperator):
-    """Cross/theta join: materializes the right side, streams the left."""
+    """Cross/theta join: materializes the right side, streams the left
+    in slices of ``batch_size`` rows (pairs grow with the right side)."""
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
-                 predicate: Expr | None, join_type: JoinType, schema: Schema):
+                 predicate: Expr | None, join_type: JoinType, schema: Schema,
+                 batch_size: int = DEFAULT_BATCH_SIZE) -> None:
         super().__init__(schema, (left, right))
         self.predicate = predicate
         self.join_type = join_type
+        self.batch_size = batch_size
         if join_type not in (JoinType.INNER, JoinType.CROSS):
             raise PlanError(
                 f"NestedLoopJoinOp supports inner/cross, got {join_type}"
@@ -374,19 +315,20 @@ class NestedLoopJoinOp(PhysicalOperator):
     def _batches(self) -> Iterator[Table]:
         right = self.children[1].execute()
         n_right = right.num_rows
-        for batch in self.children[0].batches():
-            if batch.num_rows == 0 or n_right == 0:
+        for whole in self.children[0].batches():
+            if n_right == 0:
                 continue
-            left_idx = np.repeat(np.arange(batch.num_rows), n_right)
-            right_idx = np.tile(np.arange(n_right), batch.num_rows)
-            combined = _combine(batch.take(left_idx), right.take(right_idx),
-                                self.schema)
-            if self.predicate is not None:
-                mask = self.predicate.evaluate(combined)
-                if not mask.any():
-                    continue
-                combined = combined.filter(mask)
-            yield combined
+            for batch in whole.batches(self.batch_size):
+                left_idx = np.repeat(np.arange(batch.num_rows), n_right)
+                right_idx = np.tile(np.arange(n_right), batch.num_rows)
+                combined = _combine(batch.take(left_idx),
+                                    right.take(right_idx), self.schema)
+                if self.predicate is not None:
+                    mask = self.predicate.evaluate(combined)
+                    if not mask.any():
+                        continue
+                    combined = combined.filter(mask)
+                yield combined
 
 
 class AggregateOp(PhysicalOperator):
@@ -395,7 +337,7 @@ class AggregateOp(PhysicalOperator):
     over contiguous segments of its values in stable group order."""
 
     def __init__(self, child: PhysicalOperator, group_keys: list[str],
-                 aggregates: list[AggExpr], schema: Schema):
+                 aggregates: list[AggExpr], schema: Schema) -> None:
         super().__init__(schema, (child,))
         self.group_keys = group_keys
         self.aggregates = aggregates
@@ -437,8 +379,8 @@ _REDUCEAT = {AggFunc.SUM: np.add, AggFunc.MIN: np.minimum,
              AggFunc.MAX: np.maximum}
 
 
-def _reduce(func: AggFunc, ordered: np.ndarray, starts: np.ndarray,
-            sizes: np.ndarray) -> np.ndarray | list:
+def _reduce(func: AggFunc, ordered: Array, starts: Array,
+            sizes: Array) -> Array | list[Any]:
     """One aggregate per segment of ``ordered`` (values in group order):
     ``ufunc.reduceat`` for integers, else the per-group call the per-row
     aggregate made (float results stay bit-identical)."""
@@ -451,7 +393,7 @@ def _reduce(func: AggFunc, ordered: np.ndarray, starts: np.ndarray,
             for start, size in zip(starts.tolist(), sizes.tolist())]
 
 
-def _apply_agg(func: AggFunc, values: np.ndarray):
+def _apply_agg(func: AggFunc, values: Array) -> Any:
     if values.shape[0] == 0:
         return 0 if func == AggFunc.SUM else None
     if func == AggFunc.SUM:
@@ -479,7 +421,7 @@ def _null_extend(left: Table, right_schema: Schema, schema: Schema) -> Table:
     return _combine(left, Table(right_schema, nulls), schema)
 
 
-def _null_fill(dtype: DataType, n: int) -> np.ndarray:
+def _null_fill(dtype: DataType, n: int) -> Array:
     if dtype == DataType.STRING:
         return np.full(n, None, dtype=object)
     if dtype == DataType.FLOAT64:
@@ -491,31 +433,29 @@ def _null_fill(dtype: DataType, n: int) -> np.ndarray:
 # Lowering: logical -> physical
 # ----------------------------------------------------------------------
 def build_physical(plan: LogicalPlan, context: ExecutionContext,
-                   limit: int | None = None) -> PhysicalOperator:
+                   limit: int | None = None,
+                   stream: bool = False) -> PhysicalOperator:
     """Lower a logical plan to a physical operator tree.
 
     ``limit`` says only that many leading rows of ``plan`` are read (its
-    parent is a limit); a sort there emits only those.
+    parent is a limit); a sort there emits only those.  ``stream`` says
+    a limit sits above ``plan`` through filters and projections only, so
+    a scan there streams batches the limit can stop early on.
     """
     if isinstance(plan, ScanNode):
         table = context.catalog.get(plan.table_name)
-        return ScanOp(table, context.batch_size, plan.qualifier)
-    if isinstance(plan, PipelineNode):
-        # without a filter stage the pipeline's limit keeps a prefix of
-        # its source's rows
-        filtered = any(isinstance(s, FilterNode) for s in plan.stages)
-        child = build_physical(plan.source, context,
-                               None if filtered else plan.limit) \
-            if plan.source is not None else None
-        return FusedPipelineOp(plan, context, child)
+        return ScanOp(table, context.batch_size if stream else None,
+                      plan.qualifier)
     if isinstance(plan, FilterNode):
-        return FilterOp(build_physical(plan.child, context), plan.predicate)
+        run = filter_run(plan)
+        return FilterOp(build_physical(run[-1].child, context, stream=stream),
+                        [node.predicate for node in reversed(run)])
     if isinstance(plan, ProjectNode):     # row for row: the limit holds
-        return ProjectOp(build_physical(plan.child, context, limit),
+        return ProjectOp(build_physical(plan.child, context, limit, stream),
                          plan.exprs, plan.schema)
     if isinstance(plan, LimitNode):
-        return LimitOp(build_physical(plan.child, context, plan.count),
-                       plan.count)
+        return LimitOp(build_physical(plan.child, context, plan.count,
+                                      stream=True), plan.count)
     if isinstance(plan, SortNode):
         return SortOp(build_physical(plan.child, context), plan.keys, limit)
     if isinstance(plan, UnionNode):
@@ -530,7 +470,8 @@ def build_physical(plan: LogicalPlan, context: ExecutionContext,
                               plan.schema)
         return NestedLoopJoinOp(left, right, plan.extra_predicate,
                                 plan.join_type if plan.extra_predicate is None
-                                else JoinType.INNER, plan.schema)
+                                else JoinType.INNER, plan.schema,
+                                context.batch_size)
     if isinstance(plan, AggregateNode):
         return AggregateOp(build_physical(plan.child, context),
                            plan.group_keys, plan.aggregates, plan.schema)
@@ -540,6 +481,15 @@ def build_physical(plan: LogicalPlan, context: ExecutionContext,
 
         return build_semantic_physical(plan, context, build_physical)
     raise PlanError(f"no physical lowering for {type(plan).__name__}")
+
+
+def filter_run(plan: FilterNode) -> list[FilterNode]:
+    """The consecutive filters from ``plan`` down, outermost first: what
+    one :class:`FilterOp` runs."""
+    run = [plan]
+    while isinstance(run[-1].child, FilterNode):
+        run.append(run[-1].child)
+    return run
 
 
 def execute_plan(plan: LogicalPlan, context: ExecutionContext) -> Table:

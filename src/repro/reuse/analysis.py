@@ -51,7 +51,6 @@ from repro.relational.logical import (
     SemanticSemiFilterNode,
     SortNode,
 )
-from repro.relational.pipeline import PipelineNode
 
 #: Physical semantic-join methods whose per-pair scores are a pure,
 #: execution-config-independent function of the inputs.  ``parallel``
@@ -368,11 +367,6 @@ def describe_plan(plan: LogicalPlan) -> PlanShape:
     methods: dict[SlotKey, str] = {}
     ambiguous = False
     dip_free = True
-    # the fusion-aware walk visits a pipeline's stages where the unfused
-    # chain's nodes would have been, and the pipeline node itself is
-    # skipped: a fused plan must fingerprint exactly like its unfused
-    # twin, or cost-model flips between a base statement and its
-    # refinement would silently break subsumption matching
     for node in plan.walk():
         if isinstance(node, SemanticSemiFilterNode):
             dip_free = False
@@ -380,7 +374,7 @@ def describe_plan(plan: LogicalPlan) -> PlanShape:
             key = (node.left_column, node.right_column, node.model_name)
             ambiguous = ambiguous or key in methods
             methods[key] = node.hints.get("method", "blocked")
-        if not isinstance(node, (FilterNode, ProjectNode, PipelineNode,
+        if not isinstance(node, (FilterNode, ProjectNode,
                                  SemanticSemiFilterNode)):
             # ``method`` is part of a semantic join's rendering
             parts.append(f"{node.render(_blank)} "

@@ -45,7 +45,6 @@ class EngineServer:
                  parallelism: int | None = None,
                  result_cache_bytes: int | None = None,
                  semantic_reuse: bool = True,
-                 compiled_pipelines: str | None = None,
                  generic_plans: bool = True,
                  scheduler_config: SchedulerConfig | None = None,
                  trace_sample: float = 1.0,
@@ -56,7 +55,6 @@ class EngineServer:
             parallelism=parallelism,
             result_cache_bytes=result_cache_bytes,
             semantic_reuse=semantic_reuse,
-            compiled_pipelines=compiled_pipelines,
             generic_plans=generic_plans,
             trace_sample=trace_sample, trace_log=trace_log)
         config = scheduler_config or SchedulerConfig()
@@ -195,7 +193,6 @@ class EngineServer:
             "reuse": (self.state.reuse_registry.stats()
                       if self.state.reuse_registry is not None
                       else None),
-            "kernels": self.state.kernel_cache.stats(),
             "ingest": self.state.ingest.stats(),
             "scheduler": self.scheduler.stats(),
             "embedding_arenas": self.state.arena_stats(),
@@ -254,8 +251,9 @@ class ClientSession(Session):
 
     def __init__(self, server: EngineServer, tenant: str = "default",
                  batch_size: int | None = None):
-        super().__init__(shared_state=server.state, batch_size=batch_size
-                         or server.state.batch_size)
+        super().__init__(shared_state=server.state,
+                         batch_size=server.state.batch_size
+                         if batch_size is None else batch_size)
         self.server = server
         self.tenant = tenant
 

@@ -28,7 +28,7 @@ downward, never upward):
 1. scheduler / plan-cache mutexes
 2. per-model striped locks (held around build + execute)
 3. catalog lock (taken *under* the stripes during physical lowering)
-4. leaf mutexes (embedding/index/result/kernel caches, counters,
+4. leaf mutexes (embedding/index/result caches, counters,
    single-flight registries)
 """
 

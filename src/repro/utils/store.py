@@ -1,7 +1,7 @@
 """The two shapes every engine cache shares: a budgeted LRU map and a
 single-flight fill.
 
-The plan, result, kernel, index and reuse caches differ in what they
+The plan, result, index and reuse caches differ in what they
 key on and when an entry dies — that stays with each owner.  What they
 have in common lives here, once:
 

@@ -9,6 +9,14 @@ without an extra predicate.  ``reference_sort_by`` is the old
 ``Table.sort_by``: one stable argsort per key, last key first, and one
 whole-order reversal per descending key.
 
+``ReferenceFilterOp`` / ``ReferenceProjectOp`` and ``reference_build``
+are the operator-at-a-time Scan/Filter/Project/Limit executor as it ran
+before filter runs merged and literals became scalars: one predicate
+per filter op, scans in ``batch_size`` slices, and every ``Literal``
+operand broadcast to an n-row array (``reference_evaluate``, the old
+``Expr.evaluate`` bodies).  They are the oracle of
+``tests/test_fused_pipelines.py``.
+
 ``ReferencePruneColumns`` is the column-pruning pass as it was before
 plan nodes declared the columns they read: one arm per node type, kept
 verbatim as the oracle of ``tests/test_prune_columns.py``.  A node type
@@ -22,7 +30,22 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import ExecutionError, PlanError
-from repro.relational.expressions import AggExpr, AggFunc, ColumnRef, Expr
+from repro.relational.expressions import (
+    _ARITH_OPS,
+    _COMPARE_OPS,
+    _FUNCTIONS,
+    AggExpr,
+    AggFunc,
+    And,
+    Arith,
+    ColumnRef,
+    Compare,
+    Expr,
+    Func,
+    InList,
+    Not,
+    Or,
+)
 from repro.relational.logical import (
     AggregateNode,
     FilterNode,
@@ -39,10 +62,91 @@ from repro.relational.logical import (
     SortNode,
     UnionNode,
 )
-from repro.relational.physical import PhysicalOperator
+from repro.relational.physical import (
+    ExecutionContext,
+    LimitOp,
+    PhysicalOperator,
+    ScanOp,
+)
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.storage.types import DataType
+
+
+def reference_evaluate(expr: Expr, batch: Table) -> np.ndarray:
+    """``expr.evaluate(batch)`` with every operand evaluated to an array
+    — a ``Literal`` broadcasts to ``batch.num_rows`` rows."""
+    if isinstance(expr, Compare):
+        result = _COMPARE_OPS[expr.op](reference_evaluate(expr.left, batch),
+                                       reference_evaluate(expr.right, batch))
+        return np.asarray(result, dtype=bool)
+    if isinstance(expr, Arith):
+        return _ARITH_OPS[expr.op](reference_evaluate(expr.left, batch),
+                                   reference_evaluate(expr.right, batch))
+    if isinstance(expr, And):
+        return (reference_evaluate(expr.left, batch)
+                & reference_evaluate(expr.right, batch))
+    if isinstance(expr, Or):
+        return (reference_evaluate(expr.left, batch)
+                | reference_evaluate(expr.right, batch))
+    if isinstance(expr, Not):
+        return ~reference_evaluate(expr.operand, batch)
+    if isinstance(expr, InList):
+        allowed = set(expr.values)
+        return np.asarray([value in allowed for value in
+                           reference_evaluate(expr.operand, batch)],
+                          dtype=bool)
+    if isinstance(expr, Func):
+        return _FUNCTIONS[expr.name](
+            [reference_evaluate(arg, batch) for arg in expr.args])
+    return expr.evaluate(batch)          # ColumnRef, Literal
+
+
+class ReferenceFilterOp(PhysicalOperator):
+    """One filter, one predicate: mask the batch, gather the survivors."""
+
+    def __init__(self, child: PhysicalOperator, predicate: Expr):
+        super().__init__(child.schema, (child,))
+        self.predicate = predicate
+
+    def _batches(self) -> Iterator[Table]:
+        for batch in self.children[0].batches():
+            mask = reference_evaluate(self.predicate, batch)
+            if mask.any():
+                yield batch.filter(mask)
+
+
+class ReferenceProjectOp(PhysicalOperator):
+    def __init__(self, child: PhysicalOperator, exprs: list[tuple[Expr, str]],
+                 schema: Schema):
+        super().__init__(schema, (child,))
+        self.exprs = exprs
+
+    def _batches(self) -> Iterator[Table]:
+        for batch in self.children[0].batches():
+            columns = {}
+            for (expr, alias), fld in zip(self.exprs, self.schema.fields):
+                values = reference_evaluate(expr, batch)
+                if fld.dtype == DataType.STRING:
+                    values = np.asarray(values, dtype=object)
+                columns[alias] = values
+            yield Table(self.schema, columns)
+
+
+def reference_build(plan: LogicalPlan,
+                    context: ExecutionContext) -> PhysicalOperator:
+    """Lower a Scan/Filter/Project/Limit chain one operator per node."""
+    if isinstance(plan, ScanNode):
+        return ScanOp(context.catalog.get(plan.table_name),
+                      context.batch_size, plan.qualifier)
+    child = reference_build(plan.children[0], context)
+    if isinstance(plan, FilterNode):
+        return ReferenceFilterOp(child, plan.predicate)
+    if isinstance(plan, ProjectNode):
+        return ReferenceProjectOp(child, plan.exprs, plan.schema)
+    if isinstance(plan, LimitNode):
+        return LimitOp(child, plan.count)
+    raise PlanError(f"no reference lowering for {type(plan).__name__}")
 
 
 def reference_sort_by(table: Table, keys: list[tuple[str, bool]]) -> Table:

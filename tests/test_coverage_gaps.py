@@ -136,8 +136,9 @@ class TestExplainAndProfile:
         root = build_physical(plan, context)
         root.execute()
         profile = QueryProfile.from_tree(root, 0.001)
-        depths = [op.depth for op in profile.operators]
-        assert depths == [0, 1, 2]
+        # the two filters run as one FilterOp over the scan
+        assert [(op.label, op.depth) for op in profile.operators] == [
+            ("FilterOp", 0), ("ScanOp", 1)]
 
 
 class TestDipEdgeCases:

@@ -58,6 +58,27 @@ class TestExplainAnalyze:
             "SELECT * FROM products", optimize=False)
         assert "estimate off" not in text
 
+    def test_filter_run_prints_as_one_line(self, session,
+                                           products_table):
+        """Consecutive filters run as one FilterOp: one line, with the
+        rows that op kept — not the scan's rows on the inner filter."""
+        from repro.relational.expressions import col
+        from repro.relational.logical import FilterNode, ScanNode
+
+        scan = ScanNode("products", products_table.schema, qualifier="p")
+        plan = FilterNode(FilterNode(scan, col("p.price") > 100),
+                          col("p.price") < 1_000_000)
+        lines = [line for line in session.explain_analyze(
+            plan, optimize=False).splitlines() if "est~" in line]
+        filters = [line for line in lines if "Filter[" in line]
+        assert len(filters) == 1
+        assert filters[0].count("Filter[") == 2
+        assert "actual 3 rows" in filters[0]
+        scans = [line for line in lines if "Scan" in line]
+        assert len(scans) == 1
+        assert f"actual {products_table.num_rows} rows" in scans[0]
+        assert scans[0].index("Scan") > filters[0].index("Filter[")
+
     def test_accepts_plan_objects(self, session):
         plan = session.sql_plan("SELECT p.pid FROM products AS p")
         text = session.explain_analyze(plan)

@@ -1,10 +1,8 @@
-"""Tests for the hardware layer: devices, topology, placement, simulator;
-plus compiled one-filter pipelines over the products fixture."""
+"""Tests for the hardware layer: devices, topology, placement, simulator."""
 
-import numpy as np
 import pytest
 
-from repro.errors import ExpressionError, HardwareError
+from repro.errors import HardwareError
 from repro.hardware.devices import (
     DeviceKind,
     a100_gpu,
@@ -21,14 +19,7 @@ from repro.hardware.simulator import ExecutionSimulator
 from repro.hardware.topology import HardwareTopology, standard_topologies
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel
-from repro.relational.codegen import PipelineSpec, compile_pipeline
-from repro.relational.expressions import col
-from repro.relational.logical import (
-    FilterNode,
-    ScanNode,
-    SemanticJoinNode,
-)
-from repro.storage.table import Table
+from repro.relational.logical import ScanNode, SemanticJoinNode
 
 
 @pytest.fixture()
@@ -199,45 +190,3 @@ class TestSimulator:
         on_gpu = optimizer.place_model_ops_on(model_heavy_plan, "gpu0")
         result = simulator.simulate(model_heavy_plan, on_gpu)
         assert result.bytes_transferred > 0
-
-
-#: Products columns the one-filter kernels pass through (price numeric).
-_JIT_COLUMNS = ("price", "brand", "ptype")
-
-
-def _filter_kernel(predicate):
-    return compile_pipeline(PipelineSpec(
-        input_columns=_JIT_COLUMNS, ops=(("filter", (predicate,)),),
-        output=tuple((name, name != "price") for name in _JIT_COLUMNS)))
-
-
-def _assert_filters_like_interpreter(predicate, table):
-    expected = table.filter(np.asarray(predicate.evaluate(table), bool))
-    for name, array in zip(_JIT_COLUMNS, _filter_kernel(predicate)(table)):
-        assert array.dtype == expected.column(name).dtype
-        assert np.array_equal(array, expected.column(name))
-
-
-class TestJit:
-    def test_compiled_predicate_matches_interpreter(self, products_table):
-        _assert_filters_like_interpreter(
-            (col("price") > 20) & (col("brand") == "acme"), products_table)
-
-    def test_compile_cost_recorded(self):
-        kernel = _filter_kernel(col("price") > 20)
-        assert kernel.compile_seconds > 0
-        assert "_kernel" in kernel.source
-
-    def test_in_list_compiles(self, products_table):
-        _assert_filters_like_interpreter(
-            col("ptype").isin(["sneakers", "parka"]), products_table)
-
-    def test_arithmetic_and_not(self, products_table):
-        _assert_filters_like_interpreter(
-            ~((col("price") * 2) > 100), products_table)
-
-    def test_functions_unsupported(self):
-        from repro.relational.expressions import Func
-
-        with pytest.raises(ExpressionError):
-            _filter_kernel(Func("lower", (col("brand"),)) == "x")

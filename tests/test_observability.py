@@ -205,8 +205,6 @@ class TestExporters:
             == metrics["result_cache"]["misses"]
         assert snapshot["scheduler_admitted_total"] \
             == metrics["scheduler"]["admitted"]
-        assert snapshot["kernel_cache_hits_total"] \
-            == metrics["kernels"]["hits"]
         assert snapshot["catalog_version"] == metrics["catalog_version"]
 
     def test_parse_prometheus_rejects_malformed(self):

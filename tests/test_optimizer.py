@@ -23,7 +23,6 @@ from repro.relational.logical import (
     SemanticSemiFilterNode,
 )
 from repro.relational.physical import ExecutionContext, execute_plan
-from repro.relational.pipeline import PipelineNode
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 from repro.utils.rng import make_rng
@@ -207,7 +206,7 @@ class TestTraits:
         relational = [
             scan,
             JoinNode(scan, kb, JoinType.CROSS),
-            PipelineNode((scan, FilterNode(scan, col("p.price") > 5)), None),
+            FilterNode(scan, col("p.price") > 5),
         ]
         for node in relational:
             assert not is_model_operator(node), node.label()

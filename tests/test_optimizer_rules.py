@@ -454,8 +454,7 @@ class TestNonConvergence:
         config = OptimizerConfig(
             rules=[MergeFilters(), BreakupSelections()],
             enable_prune=False, enable_join_order=False,
-            enable_dip=False, enable_physical=False,
-            compiled_pipelines="off")
+            enable_dip=False, enable_physical=False)
         optimizer = Optimizer(catalog, config=config)
         scan = ScanNode("products", catalog.get("products").schema,
                         qualifier="p")

@@ -37,10 +37,24 @@ def orders_catalog(catalog):
 
 class TestScanFilterProject:
     def test_scan_batches(self, context, scan_products):
+        # without a limit the scan is one batch of all 6 rows
         op = build_physical(scan_products, context)
-        batches = list(op.batches())
-        assert len(batches) == 2  # batch_size fixture = 3, table = 6 rows
-        assert sum(b.num_rows for b in batches) == 6
+        assert [b.num_rows for b in op.batches()] == [6]
+        # under a limit it streams batch_size = 3 slices and stops early:
+        # a limit of 2 pulls one batch, not both
+        root = build_physical(LimitNode(scan_products, 2), context)
+        scan = root.children[0]
+        pulled = []
+        inner = scan.batches
+
+        def counted():
+            for batch in inner():
+                pulled.append(batch.num_rows)
+                yield batch
+
+        scan.batches = counted
+        assert root.execute().num_rows == 2
+        assert pulled == [3]
 
     def test_filter(self, context, scan_products):
         plan = FilterNode(scan_products, col("p.price") > 100)
@@ -163,6 +177,18 @@ class TestNestedLoopJoin:
         plan = JoinNode(scan_products, kb, JoinType.CROSS)
         result = execute_plan(plan, context)
         assert result.num_rows == 6 * 6
+
+    def test_cross_pairs_in_left_slices(self, context, scan_products,
+                                        kb_table):
+        # the scan is one 6-row batch; pairs form per batch_size = 3
+        # left rows, so the pair arrays stay batch_size x right rows
+        kb = ScanNode("kb", kb_table.schema, qualifier="k")
+        op = build_physical(JoinNode(scan_products, kb, JoinType.CROSS),
+                            context)
+        batches = list(op.batches())
+        assert [b.num_rows for b in batches] == [3 * 6, 3 * 6]
+        assert Table.concat(batches).column("p.pid").tolist() == [
+            pid for pid in range(1, 7) for _ in range(6)]
 
     def test_theta(self, context, scan_products, kb_table):
         kb = ScanNode("kb", kb_table.schema, qualifier="k")

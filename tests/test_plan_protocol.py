@@ -229,11 +229,10 @@ class TestRebindProperties:
     def test_rebind_roundtrip_and_fresh_values(self, data, catalog,
                                                registry, context):
         plan = data.draw(plans(catalog))
-        fused = Optimizer(
+        optimized = Optimizer(
             catalog, models=registry, execution_context=context,
-            config=OptimizerConfig(enable_dip=False,
-                                   compiled_pipelines="on")).optimize(plan)
-        for candidate in (plan, fused):
+            config=OptimizerConfig(enable_dip=False)).optimize(plan)
+        for candidate in (plan, optimized):
             sites = literal_sites(candidate)
             same = bind_parameters(candidate, sites)
             assert same is not candidate
@@ -245,7 +244,6 @@ class TestRebindProperties:
                 continue
             fresh = bind_parameters(candidate, [_fresh(v) for v in sites])
             assert literal_sites(fresh) == [_fresh(v) for v in sites]
-            # EXPLAIN, not pretty(): it also prints fused stages
             assert explain_plan(fresh) != explain_plan(candidate)
             assert plan_fingerprint(fresh) == plan_fingerprint(candidate)
 
@@ -256,8 +254,7 @@ class TestRebindProperties:
 def family_literal_sites() -> dict[str, list]:
     """``literal_sites`` of the first generated statement of each of the
     nine ad-hoc families of ``benchmarks/e2e/workloads.py`` (smoke
-    scale, seed 1), optimized with pipelines off and forced on — stage
-    order inside a fused pipeline is part of the site order."""
+    scale, seed 1), optimized."""
     sys.path.insert(0, str(REPO_ROOT / "benchmarks" / "e2e"))
     try:
         import workloads
@@ -269,14 +266,13 @@ def family_literal_sites() -> dict[str, list]:
         texts.setdefault(op.family, op.text)
     assert len(texts) == 9
     sites: dict[str, list] = {}
-    for mode in ("off", "on"):
-        session = Session(seed=1, compiled_pipelines=mode)
-        workload.install(session)
-        for family, text in sorted(texts.items()):
-            plan = session.optimize(session.sql_plan(text))
-            sites[f"{family}/{mode}"] = [
-                value.item() if isinstance(value, np.generic) else value
-                for value in literal_sites(plan)]
+    session = Session(seed=1)
+    workload.install(session)
+    for family, text in sorted(texts.items()):
+        plan = session.optimize(session.sql_plan(text))
+        sites[family] = [
+            value.item() if isinstance(value, np.generic) else value
+            for value in literal_sites(plan)]
     return sites
 
 

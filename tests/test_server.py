@@ -72,6 +72,13 @@ def server(model):
 # Shared-state basics (no races)
 # ---------------------------------------------------------------------------
 class TestSharedState:
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, server, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            server.session("a", batch_size=batch_size)
+        with pytest.raises(ValueError, match="batch_size"):
+            EngineServer(load_default_model=False, batch_size=batch_size)
+
     def test_client_sessions_share_catalog_and_caches(self, server):
         one, two = server.session("a"), server.session("b")
         assert one.catalog is two.catalog

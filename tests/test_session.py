@@ -19,6 +19,11 @@ def session(products_table, kb_table):
 
 
 class TestSession:
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            Session(load_default_model=False, batch_size=batch_size)
+
     def test_register_and_query(self, session):
         result = session.sql("SELECT * FROM products")
         assert result.num_rows == 6

@@ -65,7 +65,8 @@ def test_lock_extraction_sees_the_engine(engine_cfg):
     # the load-bearing edges of the serving path
     assert ("EngineState.model_locks", "Catalog._lock") in pairs
     assert ("EngineState.model_locks", "EmbeddingCache._lock") in pairs
-    assert ("EngineState.model_locks", "KernelCache._lock") in pairs
+    assert ("EngineState.model_locks",
+            "lowering._CACHE_CREATE_LOCK") in pairs
     assert ("EmbeddingCache._lock", "EmbeddingCache._stats_lock") in pairs
 
 
@@ -98,7 +99,7 @@ def test_node_families_enumerated(engine_cfg):
         "ScanNode", "FilterNode", "ProjectNode", "JoinNode",
         "AggregateNode", "SortNode", "LimitNode", "UnionNode",
         "SemanticFilterNode", "SemanticSemiFilterNode",
-        "SemanticJoinNode", "SemanticGroupByNode", "PipelineNode"}
+        "SemanticJoinNode", "SemanticGroupByNode"}
     assert set(members["expr"]) == {
         "ColumnRef", "Literal", "Compare", "And", "Or", "Not", "Arith",
         "InList", "Func"}
