@@ -7,13 +7,14 @@ Defends the systematized rewrite engine and the generic-plan tier:
    bit-identically with the optimizer on and off — the phased rewrite
    suite (normalize -> pushdown -> breakup) never changes results.
    Every fixpoint must also converge.  Always enforced.
-2. **Generic-plan hit rate.**  A parameterized statement family with a
-   fresh literal per statement promotes after
-   ``GENERIC_PROMOTION_THRESHOLD`` observations; the remaining sweep is
-   served from the generic plan at >= 0.9 hit rate (the misses are the
-   periodic full-optimization rechecks).  Every served result is
-   bit-identical to a ``generic_plans=False`` control session.  Always
-   enforced.
+2. **Generic-plan hit rate.**  Three parameterized statement families
+   with a fresh literal per statement — a relational one, one with a
+   DATE literal, and a semantic-threshold filter planned with reuse
+   aux columns — each promote after ``GENERIC_PROMOTION_THRESHOLD``
+   observations; the remaining sweep is served from the generic plan
+   at >= 0.9 hit rate per family (the misses are the periodic
+   full-optimization rechecks).  Every served result is bit-identical
+   to a ``generic_plans=False`` control session.  Always enforced.
 3. **Demotion.**  A join family whose literal flips the chosen physical
    plan is promoted in one selectivity regime, then probed in the
    other: the recheck detects the fingerprint change, drops the generic
@@ -36,6 +37,7 @@ defend.  Exits nonzero on any gate failure.
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
 import platform
 import sys
@@ -75,9 +77,27 @@ REWRITE_STATEMENTS = (
     "SELECT qty, COUNT(*) AS n FROM items GROUP BY qty",
 )
 
-#: The promotion family: a fresh literal pair per statement, same plan
-#: shape regardless of the literals.
-GENERIC_FAMILY = "SELECT id, price FROM items WHERE price > {} AND qty = {}"
+#: The promotion families: a fresh literal tuple per statement, same
+#: plan shape regardless of the literals.  Each maps sweep index ->
+#: statement; ``semantic`` runs on sessions with a model and the result
+#: cache on, so its plans carry reuse aux columns.
+SWEEP_START = datetime.date(2022, 1, 1)
+GENERIC_FAMILIES = {
+    "relational": lambda i: (
+        f"SELECT id, price FROM items WHERE price > {10.5 + i} "
+        f"AND qty = {i % 5}"),
+    "date": lambda i: (
+        "SELECT id, price FROM items WHERE added > DATE "
+        f"'{SWEEP_START + datetime.timedelta(days=3 * i)}' "
+        f"AND qty = {i % 5}"),
+    "semantic": lambda i: (
+        "SELECT id, label FROM items WHERE label ~ 'shoes' "
+        f"THRESHOLD {0.30 + 0.01 * i:.2f} AND price > {10.5 + i} "
+        "ORDER BY id"),
+}
+
+LABELS = ("shoes", "boots", "parka", "jacket", "sedan", "truck", "kitten",
+          "apple")
 
 #: The demotion family: the ``i.price`` literal decides whether the
 #: probe side is selective, which flips fusion/DIP placement — exactly
@@ -92,6 +112,9 @@ def make_tables(n_items: int, n_orders: int) -> dict[str, Table]:
             "id": list(range(n_items)),
             "price": [i * 1.5 for i in range(n_items)],
             "qty": [i % 100 for i in range(n_items)],
+            "added": [SWEEP_START + datetime.timedelta(days=i % 365)
+                      for i in range(n_items)],
+            "label": [LABELS[i % len(LABELS)] for i in range(n_items)],
         }),
         "orders": Table.from_dict({
             "item_id": [i % n_items for i in range(n_orders)],
@@ -101,8 +124,12 @@ def make_tables(n_items: int, n_orders: int) -> dict[str, Table]:
 
 
 def build_session(tables: dict[str, Table], *,
-                  generic_plans: bool = True) -> Session:
-    session = Session(load_default_model=False, result_cache_bytes=0,
+                  generic_plans: bool = True,
+                  semantic: bool = False) -> Session:
+    """A session over ``tables``; ``semantic`` loads the default model
+    and keeps the result cache (and with it reuse) on."""
+    session = Session(load_default_model=semantic,
+                      result_cache_bytes=None if semantic else 0,
                       generic_plans=generic_plans)
     for name, table in tables.items():
         session.register_table(name, table)
@@ -157,36 +184,57 @@ def run_rewrite_parity(tables: dict[str, Table]) -> dict:
 
 
 def run_generic_sweep(tables: dict[str, Table], sweep: int) -> dict:
-    session = build_session(tables)
-    control = build_session(tables, generic_plans=False)
+    families = {name: _sweep_family(tables, sweep, name)
+                for name in GENERIC_FAMILIES}
+    total = {key: sum(family[key] for family in families.values())
+             for key in ("promotions", "hits", "rechecks", "seconds")}
+    return {
+        "generic_sweep": sweep,
+        "generic_promotion_threshold":
+            plan_cache.GENERIC_PROMOTION_THRESHOLD,
+        "generic_promotions": total["promotions"],
+        "generic_hits": total["hits"],
+        "generic_rechecks": total["rechecks"],
+        # the worst family: every family is gated on its own rate
+        "generic_hit_rate": min(family["hit_rate"]
+                                for family in families.values()),
+        "generic_hit_rate_target": GENERIC_HIT_RATE_TARGET,
+        "generic_parity": all(family["parity"]
+                              for family in families.values()),
+        "generic_sweep_seconds": round(total["seconds"], 4),
+        "generic_families": families,
+    }
+
+
+def _sweep_family(tables: dict[str, Table], sweep: int, name: str) -> dict:
+    semantic = name == "semantic"
+    session = build_session(tables, semantic=semantic)
+    control = build_session(tables, generic_plans=False, semantic=semantic)
     cache = session.state.plan_cache
     # warm lazy statistics so the catalog version is stable before the
     # family's first observation (otherwise promotion slips a statement)
     for s in (session, control):
         s.sql("SELECT id FROM items WHERE id > 0")
-    threshold = plan_cache.GENERIC_PROMOTION_THRESHOLD
+    statement_of = GENERIC_FAMILIES[name]
     mismatched = 0
     with stopwatch() as clock:
         for i in range(sweep):
-            statement = GENERIC_FAMILY.format(10.5 + i, i % 5)
+            statement = statement_of(i)
             if not exact_equal(session.sql(statement),
                                control.sql(statement)):
                 mismatched += 1
     stats = cache.stats()
     # post-promotion statements are the generic tier's addressable set;
     # its misses are the forced full-optimization rechecks
-    addressable = sweep - threshold
+    addressable = sweep - plan_cache.GENERIC_PROMOTION_THRESHOLD
     hit_rate = stats["generic_hits"] / addressable if addressable else 0.0
     return {
-        "generic_sweep": sweep,
-        "generic_promotion_threshold": threshold,
-        "generic_promotions": stats["promotions"],
-        "generic_hits": stats["generic_hits"],
-        "generic_rechecks": stats["generic_rechecks"],
-        "generic_hit_rate": round(hit_rate, 4),
-        "generic_hit_rate_target": GENERIC_HIT_RATE_TARGET,
-        "generic_parity": mismatched == 0,
-        "generic_sweep_seconds": round(clock.seconds, 4),
+        "promotions": stats["promotions"],
+        "hits": stats["generic_hits"],
+        "rechecks": stats["generic_rechecks"],
+        "hit_rate": round(hit_rate, 4),
+        "parity": mismatched == 0,
+        "seconds": round(clock.seconds, 4),
     }
 
 
@@ -303,15 +351,16 @@ def main(argv: list[str] | None = None) -> None:
             f"optimizer diverged on {results['rewrite_mismatched']}")
     if not results["rewrite_converged"]:
         failures.append("a rewrite fixpoint failed to converge")
-    if results["generic_promotions"] < 1:
-        failures.append("the literal sweep never promoted its family")
-    if results["generic_hit_rate"] < GENERIC_HIT_RATE_TARGET:
-        failures.append(
-            f"generic hit rate {results['generic_hit_rate']} < "
-            f"{GENERIC_HIT_RATE_TARGET}")
-    if not results["generic_parity"]:
-        failures.append("a generic-served result diverged from the "
-                        "generic-disabled control")
+    for name, family in results["generic_families"].items():
+        if family["promotions"] < 1:
+            failures.append(f"the {name} sweep never promoted its family")
+        if family["hit_rate"] < GENERIC_HIT_RATE_TARGET:
+            failures.append(
+                f"{name} generic hit rate {family['hit_rate']} < "
+                f"{GENERIC_HIT_RATE_TARGET}")
+        if not family["parity"]:
+            failures.append(f"a generic-served {name} result diverged "
+                            "from the generic-disabled control")
     if not results["demotion_parity"]:
         failures.append("a result diverged during the demotion cycle")
     if not results["demotion_ok"]:

@@ -46,6 +46,9 @@ DECLARED_METRICS: tuple[MetricDecl, ...] = (
                "generic serves diverted through full optimization"),
     MetricDecl("plan_cache_generic_entries", "gauge",
                "promoted generic plans resident"),
+    MetricDecl("plan_cache_promotion_refusals_total", "counter",
+               "observed exemplars that did not promote their family, "
+               "by reason"),
     # -- optimizer -----------------------------------------------------
     MetricDecl("optimizer_rewrite_nonconvergence_total", "counter",
                "rewrite fixpoints that hit max_passes still firing"),

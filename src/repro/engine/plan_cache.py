@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.engine.sql.canonical import CanonicalQuery
 from repro.errors import PlanError
@@ -65,6 +65,7 @@ from repro.optimizer.parameterize import (
     unparameterizable_reason,
 )
 from repro.relational.logical import LogicalPlan
+from repro.reuse.analysis import ReuseSpec, analyze_and_augment
 from repro.reuse.registry import FamilyDigestTracker, FamilyKey
 from repro.utils.store import LRUStore
 
@@ -79,6 +80,13 @@ GENERIC_PROMOTION_THRESHOLD = 3
 #: takes the full optimizer path and :meth:`PlanCache.observe`
 #: compares the outcome against the generic plan's fingerprint.
 GENERIC_RECHECK_INTERVAL = 16
+
+#: Why an observed exemplar did not (yet) promote its family — the
+#: ``reason`` label of ``plan_cache_promotion_refusals_total``.
+#: ``unmappable_sites`` leaves the family waiting for a better exemplar;
+#: the other three demote it at this catalog version.
+PROMOTION_REFUSAL_REASONS = ("data_induced", "approximate_access_path",
+                             "unmappable_sites", "fingerprint_mismatch")
 
 #: ``(*CanonicalQuery.key, catalog_version, model_name)`` — the literal
 #: tuple inside ``CanonicalQuery.key`` is heterogeneous, hence ``Any``.
@@ -109,6 +117,11 @@ class GenericPlan:
     the optimizer would have produced — that is exactly what the
     matching fingerprints of ``GENERIC_PROMOTION_THRESHOLD`` distinct literal
     tuples established — so the per-literal optimization is skipped.
+
+    ``bound`` is the same exemplar's bound plan before reuse
+    augmentation, with its own site order: a serve rebinds it and
+    re-derives the statement's reuse spec from it, exactly as the full
+    path derives it from the binder's output.
     """
 
     template: LogicalPlan
@@ -117,10 +130,29 @@ class GenericPlan:
     sites: list[object]
     #: Site index -> canonical parameter index.
     order: list[int]
+    #: The exemplar's bound, un-augmented plan and its site mapping.
+    bound: LogicalPlan
+    bound_sites: list[object]
+    bound_order: list[int]
+    #: Reuse aux columns the template carries, or ``None`` when the
+    #: exemplar was planned without reuse analysis (a serve then
+    #: derives no spec).  A serve whose re-derived spec names other
+    #: columns falls back to the full path.
+    aux_columns: tuple[str, ...] | None
     #: Literal-masked structural fingerprint rechecks compare against.
     fingerprint: str
     estimated_cost: float
     serves: int = 0
+
+
+class GenericServe(NamedTuple):
+    """A statement served from its family's generic plan."""
+
+    plan: LogicalPlan
+    estimated_cost: float
+    #: The reuse spec re-derived from the rebound exemplar plan
+    #: (``None`` when the family is planned without reuse analysis).
+    reuse: ReuseSpec | None
 
 
 class PlanCache:
@@ -161,6 +193,13 @@ class PlanCache:
         self._demotions = registry.counter(
             "plan_cache_demotions_total",
             help="generic plans dropped after a fingerprint mismatch")
+        self._refusals = {
+            reason: registry.counter(
+                "plan_cache_promotion_refusals_total",
+                labels={"reason": reason},
+                help="observed exemplars that did not promote their "
+                     "family, by reason")
+            for reason in PROMOTION_REFUSAL_REASONS}
         self._generic_rechecks = registry.counter(
             "plan_cache_generic_rechecks_total",
             help="generic serves diverted to full optimization to "
@@ -236,16 +275,21 @@ class PlanCache:
         return dropped
 
     def get_generic(self, canonical: CanonicalQuery, catalog_version: int,
-                    model_name: str) -> tuple[LogicalPlan, float] | None:
+                    model_name: str) -> GenericServe | None:
         """Serve the family's generic plan for these literals, if any.
 
-        Returns ``(plan, estimated_cost)`` with the statement's
-        parameters bound into the template, or ``None`` when the family
-        is not promoted, the parameters cannot be typed to the
-        template's sites, or this serve is a scheduled **recheck** —
-        every ``GENERIC_RECHECK_INTERVAL``-th serve deliberately misses
-        so the caller runs the full optimizer and :meth:`observe`
-        compares the outcome against the promoted fingerprint.
+        Returns the template with the statement's parameters bound in,
+        or ``None`` when the family is not promoted, the parameters
+        cannot be typed to the template's sites, or this serve is a
+        scheduled **recheck** — every ``GENERIC_RECHECK_INTERVAL``-th
+        serve deliberately misses so the caller runs the full optimizer
+        and :meth:`observe` compares the outcome against the promoted
+        fingerprint.
+
+        A family planned with reuse analysis also rebinds the
+        exemplar's bound plan and re-derives the reuse spec from it;
+        when the spec's aux columns differ from the template's, the
+        serve misses so the full path plans it.
         """
         if not self._enable_generic:
             return None
@@ -258,26 +302,42 @@ class PlanCache:
             if generic.serves % GENERIC_RECHECK_INTERVAL == 0:
                 self._generic_rechecks.inc()
                 return None
-            values = coerce_to_sites(generic.sites, generic.order,
-                                     canonical.parameters)
-            if values is None:
-                return None
-            try:
-                plan = bind_parameters(generic.template, values)
-            except (ParameterizeError, PlanError):
-                # e.g. a bound literal fails a node invariant the full
-                # binder would also reject — fall through to that path
-                return None
-            self._generic_hits.inc()
-            return plan, generic.estimated_cost
+        # the template and bound plans are never mutated: binding clones
+        values = coerce_to_sites(generic.sites, generic.order,
+                                 canonical.parameters)
+        if values is None:
+            return None
+        spec: ReuseSpec | None = None
+        try:
+            plan = bind_parameters(generic.template, values)
+            if generic.aux_columns is not None:
+                bound_values = coerce_to_sites(
+                    generic.bound_sites, generic.bound_order,
+                    canonical.parameters)
+                if bound_values is None:
+                    return None
+                spec, _ = analyze_and_augment(
+                    bind_parameters(generic.bound, bound_values))
+        except (ParameterizeError, PlanError):
+            # e.g. a bound literal fails a node invariant the full
+            # binder would also reject — fall through to that path
+            return None
+        if spec is not None and spec.aux_columns != generic.aux_columns:
+            return None
+        self._generic_hits.inc()
+        return GenericServe(plan, generic.estimated_cost, spec)
 
     def observe(self, canonical: CanonicalQuery, catalog_version: int,
-                model_name: str, plan: LogicalPlan,
-                estimated_cost: float) -> None:
+                model_name: str, plan: LogicalPlan, estimated_cost: float,
+                bound: LogicalPlan, reuse: ReuseSpec | None = None
+                ) -> None:
         """Feed one *fully optimized* statement into promotion tracking.
 
         Call this whenever the optimizer actually ran (exact-cache
-        miss and generic miss).  Three outcomes:
+        miss and generic miss); ``bound`` is the binder's plan before
+        reuse augmentation and ``reuse`` the spec augmentation derived
+        (``None`` when the session plans without reuse analysis).
+        Three outcomes:
 
         - the family already has a generic plan: compare fingerprints —
           a mismatch means a literal **did** change the chosen plan, so
@@ -285,10 +345,15 @@ class PlanCache:
           demoted at this catalog version (recheck serves land here);
         - no generic yet: accumulate ``(fingerprint, parameters)``
           evidence, and promote once ``GENERIC_PROMOTION_THRESHOLD``
-          distinct literal tuples agree on one fingerprint with a
-          provably unique site<->parameter mapping;
+          distinct literal tuples agree on one fingerprint with
+          provably unique site<->parameter mappings for both the
+          optimized and the bound plan;
         - the plan is structurally unparameterizable (data-induced
           predicates, approximate access paths): demote permanently.
+
+        Every exemplar that does not promote for a reason other than
+        "not enough evidence yet" counts one
+        ``plan_cache_promotion_refusals_total{reason}``.
         """
         if not self._enable_generic:
             return
@@ -307,19 +372,29 @@ class PlanCache:
             reason = unparameterizable_reason(plan)
             if reason is not None:
                 self._tracker.demote(key)
+                self._refusals[reason].inc()
                 return
             sites = literal_sites(plan)
             order = parameter_order(sites, canonical.parameters)
+            bound_sites = literal_sites(bound)
+            bound_order = parameter_order(bound_sites, canonical.parameters)
             exemplars = self._tracker.observe(key, fingerprint,
                                               canonical.parameters)
-            if order is None:
+            if exemplars < 0:
+                self._refusals["fingerprint_mismatch"].inc()
+                return
+            if order is None or bound_order is None:
                 # mapping not provable from THIS exemplar (duplicate or
                 # folded values) — evidence still counts, promotion
                 # waits for an exemplar with distinct literals
+                self._refusals["unmappable_sites"].inc()
                 return
             if exemplars >= GENERIC_PROMOTION_THRESHOLD:
                 self._generics[key] = GenericPlan(
-                    template=plan, sites=sites, order=order,
+                    template=plan, sites=sites, order=order, bound=bound,
+                    bound_sites=bound_sites, bound_order=bound_order,
+                    aux_columns=None if reuse is None
+                    else reuse.aux_columns,
                     fingerprint=fingerprint,
                     estimated_cost=estimated_cost)
                 self._promotions.inc()

@@ -32,6 +32,7 @@ from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.polystore.source import DataSource
 from repro.relational.logical import LogicalPlan, ScanNode
 from repro.relational.physical import DEFAULT_BATCH_SIZE
+from repro.reuse.analysis import analyze_and_augment
 from repro.storage.table import Table
 
 __all__ = ["DEFAULT_MODEL_NAME", "PlannedStatement", "Session"]
@@ -293,35 +294,31 @@ class Session:
         if generic is not None:
             if statement is not None:
                 cache.memo_text(text, model, canonical)
-            generic_plan, generic_cost = generic
-            return PlannedStatement(generic_plan, True, generic_cost,
+            return PlannedStatement(generic.plan, True,
+                                    generic.estimated_cost,
                                     canonical=canonical,
                                     catalog_version=version,
-                                    model_name=model)
+                                    model_name=model, reuse=generic.reuse)
         with trace.span("frontend.bind"):
             if statement is None:
                 statement = parse_sql(text)
-            plan = Binder(self.catalog, model).bind(statement)
-            reuse = None
+            bound = Binder(self.catalog, model).bind(statement)
+            plan, reuse = bound, None
             if self.state.reuse_registry is not None:
                 # subsumption analysis + aux-column augmentation happen
                 # before optimization, so the optimizer plans (and the
                 # plan cache stores) the score-carrying variant once
-                from repro.reuse.analysis import analyze_and_augment
-
-                reuse, plan = analyze_and_augment(plan)
+                reuse, plan = analyze_and_augment(bound)
         optimizer = self._optimizer()
         with trace.span("optimize"):
             plan = optimizer.optimize(plan)
         estimated = optimizer.last_report.estimated_cost
         cache.put(text, canonical, version, model, plan, estimated,
                   reuse=reuse)
-        if reuse is None or not getattr(reuse, "aux_columns", ()):
-            # promotion evidence (and recheck verification) — skipped
-            # for plans the reuse analysis actually *augmented*: their
-            # aux score columns are tied to the registered result-cache
-            # snapshot and must not leak into a family-wide template
-            cache.observe(canonical, version, model, plan, estimated)
+        # promotion evidence (and recheck verification); a generic
+        # serve re-derives the reuse spec from ``bound``
+        cache.observe(canonical, version, model, plan, estimated, bound,
+                      reuse)
         return PlannedStatement(plan, False, estimated,
                                 canonical=canonical, catalog_version=version,
                                 model_name=model, reuse=reuse)

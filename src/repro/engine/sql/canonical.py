@@ -33,6 +33,7 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.engine.sql import ast
+from repro.storage.types import parse_date
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ def _expr(node: ast.SqlExpr, out: list) -> str:
         out.append(node.value)
         return "?str"
     if isinstance(node, ast.DateLit):
-        out.append(node.iso)
+        out.append(_date_parameter(node.iso))
         return "?date"
     if isinstance(node, ast.BoolOp):
         return (f"({_expr(node.left, out)} {node.op} "
@@ -167,3 +168,13 @@ def _expr(node: ast.SqlExpr, out: list) -> str:
         return (f"({node.column.dotted} ~[{node.mode}] ?str"
                 f" model {node.model or '<default>'} threshold ?float)")
     raise TypeError(f"cannot canonicalize {type(node).__name__}")
+
+
+def _date_parameter(iso: str) -> int | str:
+    """A DATE literal's parameter: the day number the binder puts at its
+    plan site, so promotion can map the site back to the parameter.  An
+    unparseable date stays its text; binding reports the error."""
+    try:
+        return parse_date(iso)
+    except ValueError:
+        return iso

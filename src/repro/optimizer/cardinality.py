@@ -10,6 +10,8 @@ values through the model and measures the match fraction directly.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Callable
+
 import numpy as np
 
 from repro.relational.expressions import (
@@ -39,8 +41,12 @@ from repro.relational.logical import (
     UnionNode,
 )
 from repro.storage.catalog import Catalog
-from repro.storage.statistics import ColumnStats
+from repro.storage.statistics import Array, ColumnStats
 from repro.utils.rng import make_rng
+
+if TYPE_CHECKING:
+    from repro.embeddings.registry import ModelRegistry
+    from repro.relational.physical import ExecutionContext
 
 #: Fallback selectivity when nothing better is known (System R's 1/3).
 DEFAULT_SELECTIVITY = 1.0 / 3.0
@@ -80,8 +86,9 @@ SAMPLE_SIZE = 64
 class CardinalityEstimator:
     """Estimates output row counts of logical plans."""
 
-    def __init__(self, catalog: Catalog, models=None, sample_size: int = SAMPLE_SIZE,
-                 seed: int = 97, execution_context=None):
+    def __init__(self, catalog: Catalog, models: ModelRegistry | None = None,
+                 sample_size: int = SAMPLE_SIZE, seed: int = 97,
+                 execution_context: ExecutionContext | None = None) -> None:
         self.catalog = catalog
         self.models = models
         self.sample_size = sample_size
@@ -92,15 +99,17 @@ class CardinalityEstimator:
         #: make re-planning a statement family arena-hot.  Embeddings
         #: are identical either way, so estimates do not change.
         self.execution_context = execution_context
-        self._semantic_cache: dict[tuple, float] = {}
+        self._semantic_cache: dict[tuple[object, ...], float] = {}
 
-    def _embed_sample(self, model_name: str, values: list[str]):
+    def _embed_sample(self, model_name: str, values: list[str]
+                      ) -> tuple[Array, Callable[[str], Array]]:
         """(matrix, vector_of) for sample values under ``model_name``."""
         if self.execution_context is not None:
             from repro.semantic.lowering import cache_for
 
             cache = cache_for(self.execution_context, model_name)
             return cache.matrix(values), cache.vector
+        assert self.models is not None
         model = self.models.get(model_name)
         return model.embed_batch(values), model.embed
 
@@ -289,7 +298,12 @@ class CardinalityEstimator:
         return default
 
     def _sample_column(self, column: str, plan: LogicalPlan) -> list[str]:
-        """Sample raw values of ``column`` from the scan beneath ``plan``."""
+        """Sample raw values of ``column`` from the scan beneath ``plan``.
+
+        Draws ``sample_size`` distinct picks over the column's non-null
+        positions (memoized on the base table), so a statement pays for
+        the sample, not for a pass over the column.
+        """
         for scan in plan.walk():
             if not isinstance(scan, ScanNode):
                 continue
@@ -299,19 +313,19 @@ class CardinalityEstimator:
                 except Exception:
                     continue
             table = self.catalog.get(scan.table_name)
-            qualified = table.qualified(scan.qualifier) if scan.qualifier \
-                else table
+            schema = table.schema.qualified(scan.qualifier) \
+                if scan.qualifier else table.schema
             try:
-                values = qualified.column(column)
+                name = table.schema.names[schema.index_of(column)]
             except Exception:
                 continue
-            non_null = [v for v in values if v is not None]
-            if not non_null:
+            positions = table.non_null_positions(name)
+            if not positions.shape[0]:
                 return []
-            rng = make_rng(self.seed)
-            if len(non_null) <= self.sample_size:
-                return list(non_null)
-            picks = rng.choice(len(non_null), size=self.sample_size,
-                               replace=False)
-            return [non_null[int(i)] for i in picks]
+            values = table.columns[name]
+            if positions.shape[0] <= self.sample_size:
+                return list(values[positions])
+            picks = make_rng(self.seed).choice(
+                positions.shape[0], size=self.sample_size, replace=False)
+            return list(values[positions[picks]])
         return []

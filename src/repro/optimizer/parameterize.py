@@ -223,17 +223,18 @@ def plan_fingerprint(plan: LogicalPlan) -> str:
 def unparameterizable_reason(plan: LogicalPlan) -> str | None:
     """Why ``plan`` must not back a generic plan, or ``None`` if it may.
 
-    - DIP-derived semi-filters embed values computed *from* this
-      statement's literals; new literals would silently reuse them.
-    - Approximate semantic-join access paths (outside
-      ``REUSE_SAFE_METHODS``) may legitimately change results, so the
-      method choice must stay per-literal.
+    - ``"data_induced"``: DIP-derived semi-filters embed values computed
+      *from* this statement's literals; new literals would silently
+      reuse them.
+    - ``"approximate_access_path"``: approximate semantic-join access
+      paths (outside ``REUSE_SAFE_METHODS``) may legitimately change
+      results, so the method choice must stay per-literal.
     """
     for node in plan.walk():
         if isinstance(node, SemanticSemiFilterNode):
-            return "plan carries data-induced predicates"
+            return "data_induced"
         if isinstance(node, (SemanticJoinNode, SemanticFilterNode)):
             method = node.hints.get("method")
             if method is not None and method not in REUSE_SAFE_METHODS:
-                return f"approximate access path {method!r}"
+                return "approximate_access_path"
     return None

@@ -8,7 +8,9 @@ computed here.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -17,6 +19,8 @@ from repro.storage.types import DataType
 
 #: Histogram resolution for numeric columns.
 HISTOGRAM_BINS = 32
+
+Array = np.ndarray[Any, np.dtype[Any]]
 
 
 @dataclass
@@ -30,8 +34,11 @@ class ColumnStats:
     distinct: int
     min_value: float | None = None
     max_value: float | None = None
-    histogram: np.ndarray | None = field(default=None, repr=False)
-    bin_edges: np.ndarray | None = field(default=None, repr=False)
+    histogram: Array | None = field(default=None, repr=False)
+    bin_edges: Array | None = field(default=None, repr=False)
+    _histogram_memo: tuple[Array, Array, list[float], list[float],
+                           float] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def selectivity_eq(self) -> float:
         """Estimated selectivity of ``col = literal`` (uniform over NDV)."""
@@ -58,26 +65,41 @@ class ColumnStats:
             return 0.0
         return float(np.clip((hi - lo) / span, 0.0, 1.0))
 
-    def _histogram_fraction(self, low: float | None, high: float | None) -> float:
-        assert self.histogram is not None and self.bin_edges is not None
-        edges = self.bin_edges
-        counts = self.histogram.astype(np.float64)
-        total = counts.sum()
+    def _histogram_fraction(self, low: float | None,
+                            high: float | None) -> float:
+        counts, edges, total = self._histogram_floats()
         if total == 0:
             return 0.0
         lo = edges[0] if low is None else low
         hi = edges[-1] if high is None else high
+        # Only bins whose right edge reaches lo and whose left edge
+        # reaches hi can add anything; every other bin adds exactly 0.0,
+        # so skipping them leaves the float sum's bits unchanged.
+        first = max(bisect_left(edges, lo), 1) - 1
+        stop = min(bisect_right(edges, hi), len(counts))
         covered = 0.0
-        for i in range(counts.shape[0]):
+        for i in range(first, stop):
             left, right = edges[i], edges[i + 1]
             width = right - left
             if width <= 0:
-                inside = lo <= left <= hi
-                covered += counts[i] if inside else 0.0
+                covered += counts[i] if lo <= left <= hi else 0.0
                 continue
             overlap = max(0.0, min(hi, right) - max(lo, left))
             covered += counts[i] * (overlap / width)
-        return float(np.clip(covered / total, 0.0, 1.0))
+        return min(1.0, max(0.0, covered / total))
+
+    def _histogram_floats(self) -> tuple[list[float], list[float], float]:
+        """(counts, edges, total) as Python floats, cached against the
+        arrays they were read from (merges assign new arrays)."""
+        assert self.histogram is not None and self.bin_edges is not None
+        memo = self._histogram_memo
+        if memo is None or memo[0] is not self.histogram \
+                or memo[1] is not self.bin_edges:
+            counts = self.histogram.astype(np.float64)
+            memo = (self.histogram, self.bin_edges, counts.tolist(),
+                    self.bin_edges.tolist(), float(counts.sum()))
+            self._histogram_memo = memo
+        return memo[2], memo[3], memo[4]
 
 
 @dataclass
@@ -97,7 +119,7 @@ class TableStats:
 
 
 def compute_column_stats(name: str, dtype: DataType,
-                         values: np.ndarray) -> ColumnStats:
+                         values: Array) -> ColumnStats:
     """Compute stats for one column array."""
     count = int(values.shape[0])
     if dtype == DataType.STRING:

@@ -106,6 +106,26 @@ class Table:
         index = self.schema.index_of(name)
         return self.columns[self.schema.names[index]]
 
+    def non_null_positions(self, name: str) -> np.ndarray:
+        """Row positions of column ``name`` whose value is not ``None``.
+
+        Memoized per table: a table is never mutated in place (appends
+        and upserts register a new one), so the memo cannot go stale.
+        Only an object column can hold ``None``; a NaN float is a value.
+        """
+        memo = self.__dict__.setdefault("_non_null_positions", {})
+        positions = memo.get(name)
+        if positions is None:
+            values = self.columns[name]
+            if values.dtype == object:
+                present = np.fromiter((v is not None for v in values),
+                                      dtype=bool, count=values.shape[0])
+                positions = np.flatnonzero(present)
+            else:
+                positions = np.arange(values.shape[0])
+            memo[name] = positions
+        return positions
+
     def row(self, index: int) -> dict:
         return {name: self.columns[name][index] for name in self.schema.names}
 

@@ -21,6 +21,12 @@ operand broadcast to an n-row array (``reference_evaluate``, the old
 plan nodes declared the columns they read: one arm per node type, kept
 verbatim as the oracle of ``tests/test_prune_columns.py``.  A node type
 it does not know is returned as-is (never pruned below).
+
+``reference_sample_values`` and ``reference_histogram_fraction`` are the
+estimator's statistics reads as they ran before planning got cheap: a
+semantic sample drawn from a Python list of the whole column's non-null
+values, and a histogram range fraction summed over every bin with NumPy
+scalars.  They are the oracle of ``tests/test_estimator_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -447,3 +453,47 @@ class ReferencePruneColumns:
             except Exception:
                 out.add(name)
         return out
+
+
+# ---------------------------------------------------------------------------
+# estimator statistics reads (oracle of test_estimator_equivalence.py)
+# ---------------------------------------------------------------------------
+def reference_sample_values(values: np.ndarray, sample_size: int,
+                            seed: int) -> list:
+    """``CardinalityEstimator._sample_column``'s draw over one column:
+    the non-null values copied into a list, then ``sample_size``
+    distinct picks from a fresh generator."""
+    non_null = [v for v in values if v is not None]
+    if not non_null:
+        return []
+    rng = np.random.default_rng(seed)
+    if len(non_null) <= sample_size:
+        return list(non_null)
+    picks = rng.choice(len(non_null), size=sample_size, replace=False)
+    return [non_null[int(i)] for i in picks]
+
+
+def reference_histogram_fraction(histogram: np.ndarray,
+                                 bin_edges: np.ndarray,
+                                 low: float | None,
+                                 high: float | None) -> float:
+    """``ColumnStats._histogram_fraction``: every bin visited, NumPy
+    scalar arithmetic."""
+    edges = bin_edges
+    counts = histogram.astype(np.float64)
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    lo = edges[0] if low is None else low
+    hi = edges[-1] if high is None else high
+    covered = 0.0
+    for i in range(counts.shape[0]):
+        left, right = edges[i], edges[i + 1]
+        width = right - left
+        if width <= 0:
+            inside = lo <= left <= hi
+            covered += counts[i] if inside else 0.0
+            continue
+        overlap = max(0.0, min(hi, right) - max(lo, left))
+        covered += counts[i] * (overlap / width)
+    return float(np.clip(covered / total, 0.0, 1.0))
