@@ -52,6 +52,9 @@ DECLARED_METRICS: tuple[MetricDecl, ...] = (
     # -- optimizer -----------------------------------------------------
     MetricDecl("optimizer_rewrite_nonconvergence_total", "counter",
                "rewrite fixpoints that hit max_passes still firing"),
+    MetricDecl("optimizer_semantic_join_method_total", "counter",
+               "semantic-join access paths chosen by full optimizations, "
+               "by method"),
     # -- result cache --------------------------------------------------
     MetricDecl("result_cache_hits_total", "counter", "result cache hits"),
     MetricDecl("result_cache_misses_total", "counter",

@@ -10,7 +10,7 @@ values through the model and measures the match fraction directly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -77,6 +77,17 @@ def _oriented_op(predicate: Compare) -> str:
             predicate.right, ColumnRef):
         return _FLIPPED_OPS[predicate.op]
     return predicate.op
+
+
+def _conjuncts(predicate: Expr) -> Iterator[Expr]:
+    """The top-level conjuncts of ``predicate``, ``And`` flattened."""
+    if isinstance(predicate, And):
+        yield from _conjuncts(predicate.left)
+        yield from _conjuncts(predicate.right)
+    else:
+        yield predicate
+
+
 #: Fallback match probability for semantic predicates.
 DEFAULT_SEMANTIC_SELECTIVITY = 0.05
 #: Values sampled per semantic estimate.
@@ -119,8 +130,7 @@ class CardinalityEstimator:
         if isinstance(plan, ScanNode):
             return float(self.catalog.stats(plan.table_name).row_count)
         if isinstance(plan, FilterNode):
-            child = self.estimate(plan.child)
-            return child * self.selectivity(plan.predicate, plan.child)
+            return self._estimate_filter_run(plan)
         if isinstance(plan, (ProjectNode, SortNode, SemanticGroupByNode)):
             return self.estimate(plan.children[0])
         if isinstance(plan, LimitNode):
@@ -151,6 +161,98 @@ class CardinalityEstimator:
     # ------------------------------------------------------------------
     # Relational selectivities
     # ------------------------------------------------------------------
+    def _estimate_filter_run(self, plan: FilterNode) -> float:
+        """Rows out of ``plan`` and the filters stacked beneath it.
+
+        The run down to the first non-filter child is one conjunction
+        (the executor evaluates it as one ``FilterOp``).  Numeric range
+        bounds on one resolved column fold into a single ``[max lo,
+        min hi]`` interval priced by one ``selectivity_range`` call —
+        PostgreSQL's ``clauselist_selectivity`` range pairing — instead
+        of multiplying as if independent.  Every other conjunct
+        multiplies in exactly as a filter-at-a-time estimate did, in
+        the same order, so a run with nothing to pair is unchanged.
+        """
+        predicates: list[Expr] = []
+        node: LogicalPlan = plan
+        while isinstance(node, FilterNode):
+            predicates.append(node.predicate)
+            node = node.child
+        rows = self.estimate(node)
+        if len(predicates) == 1 and not isinstance(predicates[0], And):
+            return rows * self.selectivity(predicates[0], node)  # no pair
+        predicates.reverse()  # bottom filter first, as they apply
+        factors = iter(self._paired_range_factors(
+            [c for p in predicates for c in _conjuncts(p)], node))
+        for predicate in predicates:
+            rows *= self._conjunction_selectivity(predicate, node, factors)
+        return rows
+
+    def _conjunction_selectivity(self, predicate: Expr,
+                                 input_plan: LogicalPlan,
+                                 factors: Iterator[float | None]) -> float:
+        """:meth:`selectivity` of one filter's predicate, with each
+        top-level conjunct's paired factor (left to right) taken from
+        ``factors`` where it is not ``None``."""
+        if isinstance(predicate, And):
+            left = self._conjunction_selectivity(predicate.left,
+                                                 input_plan, factors)
+            return left * self._conjunction_selectivity(
+                predicate.right, input_plan, factors)
+        factor = next(factors)
+        if factor is None:
+            return self.selectivity(predicate, input_plan)
+        return factor
+
+    def _paired_range_factors(self, conjuncts: list[Expr],
+                              input_plan: LogicalPlan
+                              ) -> list[float | None]:
+        """Per conjunct: ``None`` (own selectivity) or, for a column
+        with two or more numeric range bounds, the interval's
+        selectivity on its first bound and 1.0 on the rest.  Columns
+        key on the scan they resolve to plus the column name — a
+        self-join's ``l.x`` and ``r.x`` share one stats object but
+        bound different rows."""
+        groups: dict[tuple[int, str], list[tuple[int, float | None,
+                                                 float | None]]] = {}
+        stats_of: dict[tuple[int, str], ColumnStats] = {}
+        for position, conjunct in enumerate(conjuncts):
+            if not isinstance(conjunct, Compare):
+                continue
+            column, literal = _column_literal(conjunct)
+            if column is None or literal is None:
+                continue
+            op = _oriented_op(conjunct)
+            value = literal.scalar()
+            if op not in ("<", "<=", ">", ">=") or isinstance(
+                    value, bool) or not isinstance(value, (int, float)):
+                continue
+            resolved = self._resolve_column(column.name, input_plan)
+            if resolved is None:
+                continue
+            scan, name, stats = resolved
+            key = (id(scan), name)
+            stats_of[key] = stats
+            bound = float(value)
+            groups.setdefault(key, []).append(
+                (position, bound, None) if op in (">", ">=")
+                else (position, None, bound))
+        factors: list[float | None] = [None] * len(conjuncts)
+        for key, bounds in groups.items():
+            if len(bounds) < 2:
+                continue  # a lone bound keeps its own selectivity
+            lows = [lo for _, lo, _ in bounds if lo is not None]
+            highs = [hi for _, _, hi in bounds if hi is not None]
+            low = max(lows) if lows else None
+            high = min(highs) if highs else None
+            if low is not None and high is not None and low > high:
+                selectivity = 0.0
+            else:
+                selectivity = stats_of[key].selectivity_range(low, high)
+            for rank, (position, _, _) in enumerate(bounds):
+                factors[position] = selectivity if rank == 0 else 1.0
+        return factors
+
     def selectivity(self, predicate: Expr, input_plan: LogicalPlan) -> float:
         """Selectivity of a boolean expression against a subtree."""
         if isinstance(predicate, And):
@@ -202,6 +304,12 @@ class CardinalityEstimator:
 
     def _stats_of_column(self, name: str,
                          input_plan: LogicalPlan) -> ColumnStats | None:
+        resolved = self._resolve_column(name, input_plan)
+        return resolved[2] if resolved is not None else None
+
+    def _resolve_column(self, name: str, input_plan: LogicalPlan
+                        ) -> tuple[ScanNode, str, ColumnStats] | None:
+        """(scan, column name, stats) ``name`` binds to under the plan."""
         for scan in input_plan.walk():
             if not isinstance(scan, ScanNode):
                 continue
@@ -212,7 +320,7 @@ class CardinalityEstimator:
                              else column_name)
                 if qualified == name or qualified.endswith("." + name) or \
                         column_name == name:
-                    return column_stats
+                    return scan, column_name, column_stats
         return None
 
     # ------------------------------------------------------------------

@@ -10,6 +10,7 @@ where the measurements land.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.relational.logical import (
     UnionNode,
 )
 from repro.optimizer.cardinality import CardinalityEstimator
+from repro.semantic.join import DEFAULT_BLOCK
 
 
 @dataclass(frozen=True)
@@ -128,6 +130,10 @@ def semantic_join_method_cost(
             workers = resolve_workers(params.workers)
         else:
             workers = params.workers
+        # join_parallel hands whole DEFAULT_BLOCK left-row blocks to the
+        # pool: a join with fewer blocks than workers leaves the rest idle
+        workers = max(1, min(workers,
+                             math.ceil(unique_left / DEFAULT_BLOCK)))
         cpu = (pairs * dim * params.pair_vector_dim
                / (workers * params.parallel_efficiency)
                + params.parallel_setup)

@@ -12,7 +12,10 @@ from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel, CostParams
 from repro.optimizer.dip import DataInducedPredicates
 from repro.optimizer.join_order import JoinOrderOptimizer
-from repro.optimizer.physical_selection import PhysicalSelector
+from repro.optimizer.physical_selection import (
+    CANDIDATE_METHODS,
+    PhysicalSelector,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.optimizer.rules import (
     DEFAULT_PHASES,
@@ -85,6 +88,15 @@ class Optimizer:
         self._nonconvergence = registry.counter(
             "optimizer_rewrite_nonconvergence_total",
             help="rewrite fixpoints that hit max_passes still firing")
+        # one series per access path the selector can choose
+        self._join_methods = {
+            method: registry.counter(
+                "optimizer_semantic_join_method_total",
+                labels={"method": method},
+                help="semantic-join access paths chosen by full "
+                     "optimizations, by method")
+            for method in (self.config.semantic_join_methods
+                           or CANDIDATE_METHODS)}
         self.last_report = OptimizationReport()
 
     def optimize(self, plan: LogicalPlan) -> LogicalPlan:
@@ -136,6 +148,8 @@ class Optimizer:
                 selector = PhysicalSelector(self.cost_model)
             plan = selector.run(plan)
             report.physical_decisions = selector.decisions
+            for _, method in selector.decisions:
+                self._join_methods[method].inc()
 
         report.rules_applied = dict(rule_ctx.applied)
         report.rewrite_passes = rule_ctx.passes

@@ -54,14 +54,15 @@ from repro.relational.logical import (
 
 #: Physical semantic-join methods whose per-pair scores are a pure,
 #: execution-config-independent function of the inputs.  ``parallel``
-#: is excluded — its GEMM chunking follows the query's *leased* worker
-#: share, which varies under load, and BLAS results are only
-#: reproducible for a fixed blocking; ``quantized`` regenerates its
-#: candidate set per threshold; the ANN indexes (lsh/ivf/hnsw) are
-#: approximate, so a cached candidate set is not provably a superset of
-#: a refined query's.
+#: qualifies: it slices the left side into the same ``block``-row GEMMs
+#: as ``blocked`` whatever the worker count, so its pairs, scores and
+#: order equal ``blocked``'s.  ``quantized`` regenerates its candidate
+#: set per threshold; the ANN indexes (lsh/ivf/hnsw) are approximate,
+#: so a cached candidate set is not provably a superset of a refined
+#: query's.
 REUSE_SAFE_METHODS = frozenset({
-    "blocked", "rowkernel", "nested_loop", "prefetched", "index:brute",
+    "blocked", "parallel", "rowkernel", "nested_loop", "prefetched",
+    "index:brute",
 })
 
 #: Prefix of every reuse-internal auxiliary column.  Statements whose

@@ -26,12 +26,16 @@ it does not know is returned as-is (never pruned below).
 estimator's statistics reads as they ran before planning got cheap: a
 semantic sample drawn from a Python list of the whole column's non-null
 values, and a histogram range fraction summed over every bin with NumPy
-scalars.  They are the oracle of ``tests/test_estimator_equivalence.py``.
+scalars.  ``reference_filter_estimate`` is the filter estimate as it ran
+before a filter run became one conjunction: each stacked filter
+multiplies its own predicate's selectivity, range bounds on one column
+as if independent.  They are the oracle of
+``tests/test_estimator_equivalence.py``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -77,6 +81,9 @@ from repro.relational.physical import (
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.storage.types import DataType
+
+if TYPE_CHECKING:
+    from repro.optimizer.cardinality import CardinalityEstimator
 
 
 def reference_evaluate(expr: Expr, batch: Table) -> np.ndarray:
@@ -497,3 +504,13 @@ def reference_histogram_fraction(histogram: np.ndarray,
         overlap = max(0.0, min(hi, right) - max(lo, left))
         covered += counts[i] * (overlap / width)
     return float(np.clip(covered / total, 0.0, 1.0))
+
+
+def reference_filter_estimate(estimator: CardinalityEstimator,
+                              plan: LogicalPlan) -> float:
+    """``CardinalityEstimator.estimate`` of a filter run, one filter at
+    a time: child estimate times the filter's own selectivity."""
+    if isinstance(plan, FilterNode):
+        return (reference_filter_estimate(estimator, plan.child)
+                * estimator.selectivity(plan.predicate, plan.child))
+    return estimator.estimate(plan)
