@@ -14,9 +14,9 @@ Defends the two claims of the row-id plumbing PR:
    clock improves >= 1.5x (on fewer cores only parity is enforced —
    the speedup line is still reported).
 
-It also checks **exact join parity** (atol=1e-6) across the
-rowkernel / blocked / parallel / index:brute methods through the full
-operator path, with duplicated right-side values — the case the old
+It also checks **exact join parity** (atol=1e-6) across the engine's
+semantic-join methods (blocked / parallel / index:brute) through the
+full operator path, with duplicated right-side values — the case the old
 index-id contract silently mispaired.
 
 Usage::
@@ -52,6 +52,7 @@ from repro.embeddings.subword import fnv1a
 from repro.relational.logical import SemanticJoinNode
 from repro.semantic.cache import EmbeddingCache
 from repro.semantic.index_cache import IndexCache, _digest_ids
+from repro.semantic.join import SEMANTIC_JOIN_METHODS
 from repro.utils.parallel import default_parallelism
 
 DEFAULT_N_SUBWORD = 50_000
@@ -59,9 +60,9 @@ QUICK_N_SUBWORD = 2_000
 DEFAULT_N_JOIN = 1_200
 QUICK_N_JOIN = 200
 
-#: Join methods whose results must agree exactly (index:brute is exact;
-#: lsh/ivf/hnsw are approximate by design and excluded from parity).
-PARITY_METHODS = ("rowkernel", "blocked", "parallel", "index:brute")
+#: Join methods whose results must agree exactly: every method the
+#: engine runs.
+PARITY_METHODS = SEMANTIC_JOIN_METHODS
 
 
 def legacy_xor_fingerprint(model_name: str, kind: str,

@@ -84,9 +84,9 @@ GENERIC_RECHECK_INTERVAL = 16
 #: Why an observed exemplar did not (yet) promote its family — the
 #: ``reason`` label of ``plan_cache_promotion_refusals_total``.
 #: ``unmappable_sites`` leaves the family waiting for a better exemplar;
-#: the other three demote it at this catalog version.
-PROMOTION_REFUSAL_REASONS = ("data_induced", "approximate_access_path",
-                             "unmappable_sites", "fingerprint_mismatch")
+#: the other two demote it at this catalog version.
+PROMOTION_REFUSAL_REASONS = ("data_induced", "unmappable_sites",
+                             "fingerprint_mismatch")
 
 #: ``(*CanonicalQuery.key, catalog_version, model_name)`` — the literal
 #: tuple inside ``CanonicalQuery.key`` is heterogeneous, hence ``Any``.
@@ -349,7 +349,7 @@ class PlanCache:
           provably unique site<->parameter mappings for both the
           optimized and the bound plan;
         - the plan is structurally unparameterizable (data-induced
-          predicates, approximate access paths): demote permanently.
+          predicates): demote permanently.
 
         Every exemplar that does not promote for a reason other than
         "not enough evidence yet" counts one

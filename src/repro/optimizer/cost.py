@@ -1,11 +1,11 @@
 """Cost model spanning relational and model-based operators.
 
-Abstract cost units approximate relative wall time.  The decisive ratios —
-interpreted-Python pair cost vs vectorized pair cost vs model-inference
-cost — mirror the orders-of-magnitude gaps the paper's Figure 4 measures,
-so the optimizer's choices (pushdown first, vectorized or index-based
-access for semantic joins, parallel scale-up past a size threshold) land
-where the measurements land.
+Abstract cost units approximate relative wall time.  The decisive ratio —
+vectorized pair cost vs model-inference cost — mirrors the
+orders-of-magnitude gap the paper's Figure 4 measures, so the optimizer's
+choices (pushdown first, then one of the exact semantic-join access paths:
+blocked GEMM, parallel scale-up past a size threshold, or a brute-force
+index) land where the measurements land.
 """
 
 from __future__ import annotations
@@ -49,12 +49,8 @@ class CostParams:
     aggregate_row: float = 2.5
     #: Model inference per distinct embedded string.
     embed_token: float = 200.0
-    #: Per-pair similarity in interpreted Python (per vector dimension).
-    pair_python_dim: float = 1.0
     #: Per-pair similarity through one vectorized kernel (per dimension).
     pair_vector_dim: float = 0.01
-    #: Extra per-pair penalty when embeddings are re-fetched per pair.
-    refetch_pair: float = 400.0
     #: Thread-pool setup cost and parallel efficiency for scale-up.
     parallel_setup: float = 5_000.0
     parallel_efficiency: float = 0.7
@@ -100,25 +96,8 @@ def semantic_join_method_cost(
     pairs = max(unique_left * unique_right, 1.0)
     dim = params.dim
     embed = (unique_left + unique_right) * params.embed_token
-    if method == "nested_loop":
-        # re-embeds per pair and dots in interpreted Python
-        cpu = pairs * (dim * params.pair_python_dim + params.refetch_pair)
-        return Cost(cpu=cpu, model=pairs * 2 * params.embed_token)
-    if method == "prefetched":
-        cpu = pairs * dim * params.pair_python_dim * 0.1  # np.dot per pair
-        return Cost(cpu=cpu, model=embed)
-    if method == "rowkernel":
-        cpu = (pairs * dim * params.pair_vector_dim
-               + unique_left * 50.0)  # per-row kernel dispatch
-        return Cost(cpu=cpu, model=embed)
     if method == "blocked":
         cpu = pairs * dim * params.pair_vector_dim
-        return Cost(cpu=cpu, model=embed)
-    if method == "quantized":
-        # int8 candidate pass (NumPy integer matmul lacks BLAS, ~2.5x the
-        # float GEMM) + exact re-rank; its payoff is the 4x memory
-        # footprint, which the transfer planner sees, not raw speed
-        cpu = pairs * dim * params.pair_vector_dim * 2.5
         return Cost(cpu=cpu, model=embed)
     if method == "parallel":
         if params.workers is None:
@@ -138,36 +117,14 @@ def semantic_join_method_cost(
                / (workers * params.parallel_efficiency)
                + params.parallel_setup)
         return Cost(cpu=cpu, model=embed)
-    if method.startswith("index:"):
-        kind = method.split(":", 1)[1]
-        return _index_cost(params, unique_left, unique_right, kind, embed)
+    if method == "index:brute":
+        # build copies the indexed rows; each left key probes all of them
+        vec = params.pair_vector_dim
+        build = unique_right * dim * vec * 0.1
+        probe = unique_left * unique_right * dim * vec + unique_left * 50.0
+        return Cost(cpu=build + probe, model=embed)
     # unknown method: prohibitively expensive so selection avoids it
     return Cost(cpu=float("inf"))
-
-
-def _index_cost(params: CostParams, n_queries: float, n_indexed: float,
-                kind: str, embed: float) -> Cost:
-    dim = params.dim
-    vec = params.pair_vector_dim
-    log_n = float(np.log2(max(n_indexed, 2.0)))
-    if kind == "brute":
-        build = n_indexed * dim * vec * 0.1
-        probe = n_queries * n_indexed * dim * vec + n_queries * 50.0
-    elif kind == "lsh":
-        build = n_indexed * dim * vec * 96.0  # tables * bits projections
-        candidate_fraction = 0.02
-        probe = n_queries * (dim * vec * 96.0 + 200.0
-                             + candidate_fraction * n_indexed * dim * vec)
-    elif kind == "ivf":
-        build = n_indexed * dim * vec * 25.0 * 16.0  # k-means iterations
-        probe = n_queries * (16.0 * dim * vec
-                             + (3.0 / 16.0) * n_indexed * dim * vec + 100.0)
-    elif kind == "hnsw":
-        build = n_indexed * log_n * dim * vec * 64.0 + n_indexed * 500.0
-        probe = n_queries * (log_n * 32.0 * dim * vec + 300.0)
-    else:
-        return Cost(cpu=float("inf"))
-    return Cost(cpu=build + probe, model=embed)
 
 
 class CostModel:

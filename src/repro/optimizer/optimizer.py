@@ -7,15 +7,13 @@ which is what the rule-ablation benchmark sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel, CostParams
 from repro.optimizer.dip import DataInducedPredicates
 from repro.optimizer.join_order import JoinOrderOptimizer
-from repro.optimizer.physical_selection import (
-    CANDIDATE_METHODS,
-    PhysicalSelector,
-)
+from repro.optimizer.physical_selection import PhysicalSelector
 from repro.obs.metrics import MetricsRegistry
 from repro.optimizer.rules import (
     DEFAULT_PHASES,
@@ -28,7 +26,11 @@ from repro.optimizer.rules import (
 )
 from repro.relational.logical import LogicalPlan
 from repro.relational.physical import ExecutionContext
+from repro.semantic.join import SEMANTIC_JOIN_METHODS
 from repro.storage.catalog import Catalog
+
+if TYPE_CHECKING:
+    from repro.embeddings.registry import ModelRegistry
 
 
 @dataclass
@@ -44,11 +46,19 @@ class OptimizerConfig:
     sample_size: int = 64
     rules: list[RewriteRule] | None = None
     cost_params: CostParams = field(default_factory=CostParams)
-    #: Restrict the physical selector's semantic-join access paths
-    #: (``None`` = the full candidate ladder).  A single-element tuple
-    #: forces one method — what the reuse benchmarks use to prove that
-    #: approximate-index plans fall back to normal execution.
+    #: Restrict the physical selector's semantic-join access paths to a
+    #: non-empty subset of ``SEMANTIC_JOIN_METHODS`` (``None`` = all of
+    #: them).  A single-element tuple forces one method.
     semantic_join_methods: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        methods = self.semantic_join_methods
+        if methods is not None and (
+                not methods
+                or not set(methods) <= set(SEMANTIC_JOIN_METHODS)):
+            raise ValueError(
+                f"semantic_join_methods must be a non-empty subset of "
+                f"{SEMANTIC_JOIN_METHODS}, got {methods!r}")
 
 
 @dataclass
@@ -71,9 +81,10 @@ class OptimizationReport:
 class Optimizer:
     """Holistic optimizer over relational + semantic plans."""
 
-    def __init__(self, catalog: Catalog, models=None,
+    def __init__(self, catalog: Catalog,
+                 models: ModelRegistry | None = None,
                  config: OptimizerConfig | None = None,
-                 execution_context: ExecutionContext | None = None):
+                 execution_context: ExecutionContext | None = None) -> None:
         self.config = config or OptimizerConfig()
         self.estimator = CardinalityEstimator(
             catalog, models, sample_size=self.config.sample_size,
@@ -89,14 +100,15 @@ class Optimizer:
             "optimizer_rewrite_nonconvergence_total",
             help="rewrite fixpoints that hit max_passes still firing")
         # one series per access path the selector can choose
+        self._methods = (self.config.semantic_join_methods
+                         or SEMANTIC_JOIN_METHODS)
         self._join_methods = {
             method: registry.counter(
                 "optimizer_semantic_join_method_total",
                 labels={"method": method},
                 help="semantic-join access paths chosen by full "
                      "optimizations, by method")
-            for method in (self.config.semantic_join_methods
-                           or CANDIDATE_METHODS)}
+            for method in self._methods}
         self.last_report = OptimizationReport()
 
     def optimize(self, plan: LogicalPlan) -> LogicalPlan:
@@ -141,11 +153,8 @@ class Optimizer:
                     plan = reorder.run(plan)
                     report.joins_reordered += reorder.reordered
         if config.enable_physical:
-            if config.semantic_join_methods is not None:
-                selector = PhysicalSelector(
-                    self.cost_model, methods=config.semantic_join_methods)
-            else:
-                selector = PhysicalSelector(self.cost_model)
+            selector = PhysicalSelector(self.cost_model,
+                                        methods=self._methods)
             plan = selector.run(plan)
             report.physical_decisions = selector.decisions
             for _, method in selector.decisions:

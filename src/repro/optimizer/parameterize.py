@@ -25,10 +25,8 @@ and how a node prints are declared on the node classes
 Everything here **refuses** rather than guesses:
 :func:`unparameterizable_reason` rejects plans with DIP-derived
 predicates (their probe lists are literal-*derived*, not literal
-slots) and approximate semantic-join access paths (method choice may
-legitimately vary results, so a generic plan must never pin one), and
-the plan cache additionally requires an exact one-to-one value match
-between sites and canonical parameters before promoting.
+slots), and the plan cache additionally requires an exact one-to-one
+value match between sites and canonical parameters before promoting.
 """
 
 from __future__ import annotations
@@ -37,13 +35,7 @@ import hashlib
 
 from repro.errors import OptimizerError
 from repro.relational.fields import mask
-from repro.relational.logical import (
-    LogicalPlan,
-    SemanticFilterNode,
-    SemanticJoinNode,
-    SemanticSemiFilterNode,
-)
-from repro.reuse.analysis import REUSE_SAFE_METHODS
+from repro.relational.logical import LogicalPlan, SemanticSemiFilterNode
 
 __all__ = [
     "ParameterizeError",
@@ -226,15 +218,11 @@ def unparameterizable_reason(plan: LogicalPlan) -> str | None:
     - ``"data_induced"``: DIP-derived semi-filters embed values computed
       *from* this statement's literals; new literals would silently
       reuse them.
-    - ``"approximate_access_path"``: approximate semantic-join access
-      paths (outside ``REUSE_SAFE_METHODS``) may legitimately change
-      results, so the method choice must stay per-literal.
+
+    Every semantic-join access path is exact, so the method a plan pins
+    never refuses it.
     """
     for node in plan.walk():
         if isinstance(node, SemanticSemiFilterNode):
             return "data_induced"
-        if isinstance(node, (SemanticJoinNode, SemanticFilterNode)):
-            method = node.hints.get("method")
-            if method is not None and method not in REUSE_SAFE_METHODS:
-                return "approximate_access_path"
     return None

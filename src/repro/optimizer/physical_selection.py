@@ -2,7 +2,7 @@
 
 Annotates plan nodes with physical hints the lowering honours — most
 importantly the semantic join's access path (blocked GEMM vs parallel
-scale-up vs an ANN index), the §V "index-based access for similarity
+scale-up vs a brute-force index), the §V "index-based access for similarity
 search should be accounted for in the cost-based optimization" decision.
 """
 
@@ -10,17 +10,7 @@ from __future__ import annotations
 
 from repro.optimizer.cost import CostModel
 from repro.relational.logical import JoinNode, LogicalPlan, SemanticJoinNode
-
-#: Access paths the selector chooses between (ladder kernels excluded:
-#: nested_loop / prefetched exist to measure the unoptimized baseline).
-CANDIDATE_METHODS = (
-    "blocked",
-    "parallel",
-    "index:lsh",
-    "index:ivf",
-    "index:hnsw",
-    "index:brute",
-)
+from repro.semantic.join import SEMANTIC_JOIN_METHODS
 
 
 class PhysicalSelector:
@@ -29,7 +19,7 @@ class PhysicalSelector:
     name = "physical_selection"
 
     def __init__(self, cost_model: CostModel,
-                 methods: tuple[str, ...] = CANDIDATE_METHODS):
+                 methods: tuple[str, ...] = SEMANTIC_JOIN_METHODS):
         self.cost_model = cost_model
         self.methods = methods
         self.decisions: list[tuple[str, str]] = []

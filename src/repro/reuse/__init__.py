@@ -23,12 +23,11 @@ work.  This package closes that gap:
 The correctness contract is strict: a subsumption answer must be
 **bit-identical** to what fresh execution would have produced, and the
 matcher refuses (falls back to normal execution) whenever the proof does
-not hold — approximate vector indexes, data-induced-predicate rewrites,
-diverged plan shapes, score ties at a truncation boundary.
+not hold — data-induced-predicate rewrites, diverged plan shapes, score
+ties at a truncation boundary.
 """
 
 from repro.reuse.analysis import (
-    REUSE_SAFE_METHODS,
     ReuseSpec,
     analyze_and_augment,
     describe_plan,
@@ -38,7 +37,6 @@ from repro.reuse.registry import ReuseEntry, ReuseRegistry
 from repro.reuse.residual import derive_residual
 
 __all__ = [
-    "REUSE_SAFE_METHODS",
     "ReuseSpec",
     "ReuseEntry",
     "ReuseRegistry",

@@ -12,8 +12,8 @@ Three jobs, all over the same statement structure:
    to the final result, where the result cache snapshots them.
 
 2. :func:`describe_plan` fingerprints an **optimized** plan: node shape
-   with literals masked, per-join physical method, and whether
-   data-induced predicates were applied.  Two statements are only
+   with literals masked (each semantic join's access path included), and
+   whether data-induced predicates were applied.  Two statements are only
    comparable when their optimized shapes agree — a diverged join order
    or access path changes row order and score arithmetic, which breaks
    the bit-identity contract.
@@ -52,19 +52,6 @@ from repro.relational.logical import (
     SortNode,
 )
 
-#: Physical semantic-join methods whose per-pair scores are a pure,
-#: execution-config-independent function of the inputs.  ``parallel``
-#: qualifies: it slices the left side into the same ``block``-row GEMMs
-#: as ``blocked`` whatever the worker count, so its pairs, scores and
-#: order equal ``blocked``'s.  ``quantized`` regenerates its candidate
-#: set per threshold; the ANN indexes (lsh/ivf/hnsw) are approximate,
-#: so a cached candidate set is not provably a superset of a refined
-#: query's.
-REUSE_SAFE_METHODS = frozenset({
-    "blocked", "parallel", "rowkernel", "nested_loop", "prefetched",
-    "index:brute",
-})
-
 #: Prefix of every reuse-internal auxiliary column.  Statements whose
 #: own schema uses the prefix are ineligible rather than ambiguous.
 AUX_PREFIX = "__reuse_"
@@ -87,9 +74,6 @@ class SemanticSlot:
     #: Top-k joins only: per-row left-distinct group id and pair rank.
     group_column: str | None = None
     rank_column: str | None = None
-    #: Joins only: identity used to align this slot with the optimized
-    #: plan's method decision.
-    slot_key: SlotKey | None = None
 
 
 @dataclass(frozen=True)
@@ -133,9 +117,6 @@ class PlanShape:
     """Optimized-plan shape summary for cross-statement comparability."""
 
     fingerprint: str
-    #: (left_column, right_column, model) -> physical method, for every
-    #: semantic join.  ``None`` when two joins share a key (ambiguous).
-    methods: tuple[tuple[SlotKey, str], ...] | None
     #: False when DIP inserted a semantic semi-filter: its pruning mask
     #: is computed in a different GEMM shape than the join's scores, so
     #: boundary rows are not provably identical across thresholds.
@@ -308,8 +289,7 @@ def analyze_and_augment(
         slots.append(SemanticSlot(kind="join", threshold=join.threshold,
                                   top_k=join.top_k,
                                   score_column=score_column,
-                                  group_column=group, rank_column=rank,
-                                  slot_key=slot_key))
+                                  group_column=group, rank_column=rank))
     if ambiguous:
         return ReuseSpec(family="", eligible=False,
                          reason="duplicate semantic-join signature"), plan
@@ -355,7 +335,7 @@ def analyze_and_augment(
 # optimized-plan shape
 # ---------------------------------------------------------------------------
 def describe_plan(plan: LogicalPlan) -> PlanShape:
-    """Shape fingerprint + per-join methods of an optimized plan.
+    """Shape fingerprint of an optimized plan.
 
     Filter and Project nodes are excluded from the fingerprint: their
     placement legitimately varies with pushdown, and (for eligible
@@ -365,16 +345,10 @@ def describe_plan(plan: LogicalPlan) -> PlanShape:
     and limit presence must all agree exactly.
     """
     parts: list[str] = []
-    methods: dict[SlotKey, str] = {}
-    ambiguous = False
     dip_free = True
     for node in plan.walk():
         if isinstance(node, SemanticSemiFilterNode):
             dip_free = False
-        elif isinstance(node, SemanticJoinNode):
-            key = (node.left_column, node.right_column, node.model_name)
-            ambiguous = ambiguous or key in methods
-            methods[key] = node.hints.get("method", "blocked")
         if not isinstance(node, (FilterNode, ProjectNode,
                                  SemanticSemiFilterNode)):
             # ``method`` is part of a semantic join's rendering
@@ -382,24 +356,12 @@ def describe_plan(plan: LogicalPlan) -> PlanShape:
                          f"algo={node.hints.get('algorithm')}")
     fingerprint = hashlib.blake2b("\n".join(parts).encode("utf-8"),
                                   digest_size=16).hexdigest()
-    return PlanShape(fingerprint=fingerprint,
-                     methods=None if ambiguous
-                     else tuple(sorted(methods.items())),
-                     dip_free=dip_free)
+    return PlanShape(fingerprint=fingerprint, dip_free=dip_free)
 
 
 # ---------------------------------------------------------------------------
 # containment proof
 # ---------------------------------------------------------------------------
-def _method_for(shape: PlanShape, slot_key: SlotKey | None) -> str | None:
-    if shape.methods is None:
-        return None
-    for key, method in shape.methods:
-        if key == slot_key:
-            return method
-    return None
-
-
 def _faithful_columns(spec: ReuseSpec,
                       columns: tuple[str, ...]) -> set[str]:
     """Snapshot column names that faithfully hold the *source* column
@@ -456,11 +418,6 @@ def plan_containment(cached_spec: ReuseSpec, cached_shape: PlanShape,
         if (cached_slot.top_k is not None and probe_slot.top_k is not None
                 and probe_slot.top_k > cached_slot.top_k):
             return None
-        if cached_slot.kind == "join":
-            method = _method_for(cached_shape, cached_slot.slot_key)
-            if method is None or method not in REUSE_SAFE_METHODS:
-                return None
-            # fingerprint equality already forces probe method == cached
         if (probe_slot.threshold > cached_slot.threshold
                 or cached_slot.top_k != probe_slot.top_k):
             refinements.append((cached_slot, probe_slot.threshold,

@@ -13,7 +13,9 @@ relational operator:
 The join ships the full physical ladder of the paper's Figure 4 — from the
 deliberately naive per-pair Python loop to prefetched, row-kernel, blocked
 (BLAS), parallel, and index-accelerated variants — plus syntactic
-baselines (edit distance, Jaccard) for the Figure 3 comparison.
+baselines (edit distance, Jaccard) for the Figure 3 comparison.  The
+engine plans and runs only the exact access paths in
+``SEMANTIC_JOIN_METHODS``; the other kernels are for the paper benches.
 """
 
 from repro.semantic.cache import EmbeddingCache

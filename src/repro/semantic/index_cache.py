@@ -52,7 +52,9 @@ from repro.vector.index import VectorIndex
 from repro.vector.ivf import IVFFlatIndex
 from repro.vector.lsh import LSHIndex
 
-_FACTORIES = {
+#: Index kind -> constructor taking a seed; shared with
+#: :func:`repro.semantic.join.join_index`.
+INDEX_FACTORIES = {
     "brute": lambda seed: BruteForceIndex(),
     "lsh": lambda seed: LSHIndex(seed=seed),
     "ivf": lambda seed: IVFFlatIndex(seed=seed),
@@ -205,7 +207,7 @@ class IndexCache:
                 index = previous.extended(cache.rows_for(unique_ids[old_n:]))
         extended = index is not None
         if index is None:
-            index = _FACTORIES[kind](self._seed)
+            index = INDEX_FACTORIES[kind](self._seed)
             index.build(cache.rows_for(unique_ids))
         nbytes = int(unique_ids.shape[0]) * cache.model.dim * 4
         with self._lock:
@@ -248,12 +250,12 @@ class IndexCache:
         return index
 
     def _check_kind(self, kind: str) -> None:
-        if kind not in _FACTORIES:
+        if kind not in INDEX_FACTORIES:
             from repro.errors import IndexError_
 
             raise IndexError_(
                 f"unknown index kind {kind!r}; available: "
-                f"{sorted(_FACTORIES)}"
+                f"{sorted(INDEX_FACTORIES)}"
             )
 
     def clear(self) -> None:

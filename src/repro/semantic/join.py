@@ -25,6 +25,10 @@ Matrix-based kernels take pre-normalized embedding matrices (see
 :class:`~repro.semantic.cache.EmbeddingCache`); ``join_nested_loop`` and
 ``join_prefetched`` take raw strings because *how embeddings are fetched*
 is part of what they measure.
+
+The engine plans and runs only the exact access paths in
+:data:`SEMANTIC_JOIN_METHODS`; the other kernels are library code the
+paper benchmarks call directly.
 """
 
 from __future__ import annotations
@@ -35,15 +39,19 @@ import numpy as np
 
 from repro.embeddings.model import EmbeddingModel
 from repro.errors import ExecutionError
+from repro.semantic.index_cache import INDEX_FACTORIES
 from repro.utils.parallel import resolve_workers
-from repro.vector.bruteforce import BruteForceIndex
-from repro.vector.hnsw import HNSWIndex
 from repro.vector.index import VectorIndex
-from repro.vector.ivf import IVFFlatIndex
-from repro.vector.lsh import LSHIndex
 from repro.vector.topk import threshold_pairs
 
 JoinPairs = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: The semantic-join access paths the optimizer chooses between, the
+#: executor runs and ``OptimizerConfig.semantic_join_methods`` accepts.
+#: Every one is exact: ``parallel`` runs ``blocked``'s block GEMMs on a
+#: pool, and ``index:brute`` scores every indexed row, so the choice
+#: changes the cost, never the answer.
+SEMANTIC_JOIN_METHODS = ("blocked", "parallel", "index:brute")
 
 DEFAULT_BLOCK = 1024
 
@@ -214,29 +222,22 @@ def join_parallel(left_matrix: np.ndarray, right_matrix: np.ndarray,
             np.concatenate([p[2] for p in parts if p[0].shape[0]]))
 
 
-_INDEX_FACTORIES = {
-    "brute": lambda seed: BruteForceIndex(),
-    "lsh": lambda seed: LSHIndex(seed=seed),
-    "ivf": lambda seed: IVFFlatIndex(seed=seed),
-    "hnsw": lambda seed: HNSWIndex(seed=seed),
-}
-
-
-def join_index(left_matrix: np.ndarray, right_matrix: np.ndarray,
+def join_index(left_matrix: np.ndarray, right_matrix: np.ndarray | None,
                threshold: float, kind: str = "lsh", seed: int = 0,
                index: VectorIndex | None = None) -> JoinPairs:
     """Index-accelerated join: build an ANN index on the right side, then
     range-probe it once per left row (§V index-based access path).
 
     ``kind`` selects among brute / lsh / ivf / hnsw; a prebuilt ``index``
-    (e.g. amortized across queries) can be passed instead.
+    (e.g. amortized across queries) can be passed instead, with
+    ``right_matrix`` ``None``.
     """
     if index is None:
-        factory = _INDEX_FACTORIES.get(kind)
+        factory = INDEX_FACTORIES.get(kind)
         if factory is None:
             raise ExecutionError(
                 f"unknown index kind {kind!r}; "
-                f"available: {sorted(_INDEX_FACTORIES)}"
+                f"available: {sorted(INDEX_FACTORIES)}"
             )
         index = factory(seed)
         index.build(right_matrix)
@@ -257,7 +258,8 @@ def join_index(left_matrix: np.ndarray, right_matrix: np.ndarray,
 
 def expand_index_matches(left_idx: np.ndarray, index_ids: np.ndarray,
                          scores: np.ndarray, positions: np.ndarray,
-                         n_index: int, return_pair_index: bool = False):
+                         n_index: int, return_pair_index: bool = False
+                         ) -> tuple[np.ndarray, ...]:
     """Scatter index-probe matches back onto caller value positions.
 
     ``positions[v]`` is the index-internal id holding value position
@@ -326,15 +328,3 @@ def join_quantized_reranked(left_matrix: np.ndarray,
     keep = exact >= threshold
     return (li[keep], ri[keep], exact[keep].astype(np.float32))
 
-
-#: Matrix-kernel registry used by the physical operator and the optimizer.
-SEMANTIC_JOIN_METHODS = {
-    "rowkernel": join_rowkernel,
-    "blocked": join_blocked,
-    "parallel": join_parallel,
-    "quantized": join_quantized_reranked,
-    "index:brute": lambda l, r, t: join_index(l, r, t, kind="brute"),
-    "index:lsh": lambda l, r, t: join_index(l, r, t, kind="lsh"),
-    "index:ivf": lambda l, r, t: join_index(l, r, t, kind="ivf"),
-    "index:hnsw": lambda l, r, t: join_index(l, r, t, kind="hnsw"),
-}

@@ -7,7 +7,7 @@ paper's central integration requirement.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -15,12 +15,16 @@ from repro.errors import ExecutionError
 from repro.relational.physical import PhysicalOperator, _combine
 from repro.semantic.cache import EmbeddingCache
 from repro.semantic.groupby import cluster_strings
+from repro.semantic.index_cache import IndexCache
 from repro.semantic.join import (
     SEMANTIC_JOIN_METHODS,
-    join_nested_loop,
+    JoinPairs,
+    expand_index_matches,
+    join_blocked,
+    join_index,
     join_parallel,
-    join_prefetched,
 )
+from repro.semantic.topk import join_topk, join_topk_index
 from repro.semantic.select import semantic_any_mask, semantic_select_mask
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -84,16 +88,21 @@ class SemanticFilterOp(PhysicalOperator):
 class SemanticJoinOp(PhysicalOperator):
     """Semantic join: dedup key values, run a similarity kernel, expand.
 
-    ``method`` picks the physical strategy (see
-    :mod:`repro.semantic.join`); the optimizer sets it via plan hints.
+    ``method`` picks the access path, one of the exact
+    :data:`~repro.semantic.join.SEMANTIC_JOIN_METHODS`; the optimizer
+    sets it via plan hints.
     """
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
                  left_column: str, right_column: str, cache: EmbeddingCache,
                  threshold: float, score_alias: str, schema: Schema,
-                 method: str = "blocked", parallelism: int | None = None,
-                 top_k: int | None = None, index_cache=None,
+                 index_cache: IndexCache, method: str = "blocked",
+                 parallelism: int | None = None, top_k: int | None = None,
                  aux_alias: str | None = None):
+        if method not in SEMANTIC_JOIN_METHODS:
+            raise ExecutionError(
+                f"unknown semantic join method {method!r}; available: "
+                f"{', '.join(SEMANTIC_JOIN_METHODS)}")
         super().__init__(schema, (left, right))
         self.left_column = left_column
         self.right_column = right_column
@@ -120,7 +129,8 @@ class SemanticJoinOp(PhysicalOperator):
         ranks = None
         if self.top_k is not None:
             ul, ur, scores, ranks = self._match_topk(left_unique,
-                                                     right_unique)
+                                                     right_unique,
+                                                     self.top_k)
         else:
             ul, ur, scores = self._match(left_unique, right_unique)
         if ul.shape[0] == 0:
@@ -149,62 +159,45 @@ class SemanticJoinOp(PhysicalOperator):
                 group_ranks[pair_index].astype(np.int64)
         yield Table(self.schema, columns)
 
-    def _match(self, left_unique: list[str], right_unique: list[str]):
-        if self.method == "nested_loop":
-            return join_nested_loop(left_unique, right_unique,
-                                    self.cache.model, self.threshold)
-        if self.method == "prefetched":
-            return join_prefetched(left_unique, right_unique,
-                                   self.cache.model, self.threshold)
+    def _match(self, left_unique: list[str],
+               right_unique: list[str]) -> JoinPairs:
         left_matrix = self.cache.matrix(left_unique)
-        if self.method.startswith("index:") and self.index_cache is not None:
+        if self.method == "index:brute":
             # session-level index reuse: built once per (model, row-id
             # set), fingerprinted on ids — no value re-hashing
-            from repro.semantic.join import expand_index_matches, join_index
-
-            kind = self.method.split(":", 1)[1]
             index, positions = self.index_cache.get_for_values(
-                kind, right_unique, self.cache)
+                "brute", right_unique, self.cache)
             li, qi, scores = join_index(left_matrix, None, self.threshold,
                                         index=index)
-            return expand_index_matches(li, qi, scores, positions,
-                                        index.size)
+            left, right, scores = expand_index_matches(
+                li, qi, scores, positions, index.size)
+            return left, right, scores
         right_matrix = self.cache.matrix(right_unique)
         if self.method == "parallel":
             return join_parallel(left_matrix, right_matrix, self.threshold,
                                  workers=self.parallelism)
-        kernel: Callable | None = SEMANTIC_JOIN_METHODS.get(self.method)
-        if kernel is None:
-            raise ExecutionError(
-                f"unknown semantic join method {self.method!r}; available: "
-                f"nested_loop, prefetched, "
-                f"{', '.join(sorted(SEMANTIC_JOIN_METHODS))}"
-            )
-        return kernel(left_matrix, right_matrix, self.threshold)
+        return join_blocked(left_matrix, right_matrix, self.threshold)
 
-    def _match_topk(self, left_unique: list[str], right_unique: list[str]):
-        from repro.semantic.join import expand_index_matches
-        from repro.semantic.topk import join_topk, join_topk_index
-
+    def _match_topk(self, left_unique: list[str], right_unique: list[str],
+                    k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                     np.ndarray]:
         # both access paths select top-k in *distinct-embedding* space
         # and expand to all value positions sharing an arena row, so the
         # optimizer's method choice cannot change the result: values that
         # collapse to one embedding all join (may exceed k matches)
         cache = self.cache
         left_matrix = cache.matrix(left_unique)
-        if self.method.startswith("index:") and self.index_cache is not None:
-            kind = self.method.split(":", 1)[1]
+        if self.method == "index:brute":
             index, positions = self.index_cache.get_for_values(
-                kind, right_unique, cache)
-            li, qi, scores = join_topk_index(left_matrix, index, self.top_k,
+                "brute", right_unique, cache)
+            li, qi, scores = join_topk_index(left_matrix, index, k,
                                              min_score=self.threshold)
             n_index = index.size
         else:
             unique_ids, positions = np.unique(cache.row_ids(right_unique),
                                               return_inverse=True)
             li, qi, scores = join_topk(left_matrix,
-                                       cache.rows_for(unique_ids),
-                                       self.top_k,
+                                       cache.rows_for(unique_ids), k,
                                        min_score=self.threshold)
             n_index = unique_ids.shape[0]
         # pair rank inside each left row's selection: both kernels emit
@@ -282,7 +275,8 @@ def _ranks_within_runs(run_ids: np.ndarray) -> np.ndarray:
 def _expand_pairs(ul: np.ndarray, ur: np.ndarray, scores: np.ndarray,
                   left_groups: list[np.ndarray],
                   right_groups: list[np.ndarray],
-                  return_pair_index: bool = False):
+                  return_pair_index: bool = False
+                  ) -> tuple[np.ndarray, ...]:
     """Expand matched unique-value pairs to row-level join output.
 
     Counts-based ``np.repeat``/``np.concatenate`` expansion (no per-pair

@@ -18,6 +18,7 @@ from repro.semantic.cache import EmbeddingCache
 from repro.semantic.groupby import cluster_strings
 from repro.semantic.join import (
     DEFAULT_BLOCK,
+    SEMANTIC_JOIN_METHODS,
     join_blocked,
     join_index,
     join_nested_loop,
@@ -216,8 +217,7 @@ class TestSemanticOperators:
         scan_p = ScanNode("products", products_table.schema, qualifier="p")
         scan_k = ScanNode("kb", kb_table.schema, qualifier="k")
         reference = None
-        for method in ["blocked", "rowkernel", "parallel", "index:brute",
-                       "nested_loop", "prefetched"]:
+        for method in SEMANTIC_JOIN_METHODS:
             plan = SemanticJoinNode(scan_p, scan_k, "p.ptype", "k.label",
                                     "wiki-ft-100", 0.9)
             plan.hints["method"] = method

@@ -32,7 +32,6 @@ from repro.engine.sql.parser import parse_sql
 from repro.engine.sql.binder import Binder
 from repro.optimizer.optimizer import OptimizerConfig
 from repro.reuse.analysis import (
-    REUSE_SAFE_METHODS,
     PlanShape,
     analyze_and_augment,
     describe_plan,
@@ -205,16 +204,18 @@ class TestAnalysis:
 # ---------------------------------------------------------------------------
 # unit: containment matcher
 # ---------------------------------------------------------------------------
-def specs_for(session, base, probe):
+def specs_for(session, base, probe, methods=None):
     """Specs + shapes for matcher unit tests.
 
     DIP is disabled so the shapes stay ``dip_free`` — the matcher's DIP
-    refusal has its own dedicated test below.
+    refusal has its own dedicated test below.  ``methods`` pins the
+    semantic-join access paths.
     """
     from repro.optimizer.optimizer import Optimizer
 
-    optimizer = Optimizer(session.catalog, session.models,
-                          config=OptimizerConfig(enable_dip=False),
+    config = OptimizerConfig(enable_dip=False,
+                             semantic_join_methods=methods)
+    optimizer = Optimizer(session.catalog, session.models, config=config,
                           execution_context=session.context)
     spec_a, plan_a = analyze_and_augment(bound_plan(session, base))
     spec_b, plan_b = analyze_and_augment(bound_plan(session, probe))
@@ -260,28 +261,26 @@ class TestMatcher:
                                 spec_b, shape_b) is None
 
     def test_unsafe_method_refused(self, model):
+        """Only the cached statement's own access path reuses: a probe
+        planned with another (exact) method has another fingerprint."""
         session = build_session(model)
         spec_a, shape_a, spec_b, shape_b = specs_for(
             session, JOIN_BASE, JOIN_REFINED)
         assert plan_containment(spec_a, shape_a, 10,
                                 tuple(spec_a.aux_columns),
                                 spec_b, shape_b) is not None
-        unsafe = PlanShape(
-            fingerprint=shape_a.fingerprint,
-            methods=tuple((key, "index:hnsw")
-                          for key, _ in shape_a.methods),
-            dip_free=True)
-        assert plan_containment(spec_a, unsafe, 10,
+        _, _, _, brute = specs_for(session, JOIN_BASE, JOIN_REFINED,
+                                   methods=("index:brute",))
+        assert brute.fingerprint != shape_a.fingerprint
+        assert plan_containment(spec_a, shape_a, 10,
                                 tuple(spec_a.aux_columns),
-                                spec_b, unsafe) is None
-        assert "index:hnsw" not in REUSE_SAFE_METHODS
+                                spec_b, brute) is None
 
     def test_fingerprint_mismatch_refused(self, model):
         session = build_session(model)
         spec_a, shape_a, spec_b, shape_b = specs_for(
             session, FILTER_BASE, FILTER_REFINED)
-        diverged = PlanShape(fingerprint="deadbeef",
-                             methods=shape_a.methods, dip_free=True)
+        diverged = PlanShape(fingerprint="deadbeef", dip_free=True)
         assert plan_containment(spec_a, diverged, 10,
                                 ("ptype", "price", "__reuse_f0"),
                                 spec_b, shape_b) is None
@@ -290,8 +289,7 @@ class TestMatcher:
         session = build_session(model)
         spec_a, shape_a, spec_b, shape_b = specs_for(
             session, FILTER_BASE, FILTER_REFINED)
-        dip = PlanShape(fingerprint=shape_a.fingerprint,
-                        methods=shape_a.methods, dip_free=False)
+        dip = PlanShape(fingerprint=shape_a.fingerprint, dip_free=False)
         assert plan_containment(spec_a, dip, 10,
                                 ("ptype", "price", "__reuse_f0"),
                                 spec_b, shape_b) is None
@@ -419,13 +417,11 @@ class TestSessionReuse:
             model, JOIN_BASE, JOIN_REFINED, expect=False, products=big)
         assert session.state.reuse_registry.stats()["hits"] == 0
 
-    def test_approximate_index_plans_fall_back(self, model):
-        config = OptimizerConfig(semantic_join_methods=("index:lsh",))
-        session = build_session(model, reuse=True, config=config)
-        warm(session, JOIN_BASE)
-        session.sql(JOIN_REFINED)
-        assert not session.last_profile.reuse_hit
-        assert session.state.reuse_registry.stats()["hits"] == 0
+    def test_approximate_index_plans_fall_back(self):
+        # no plan can carry an approximate index, so reuse never has to
+        # fall back from one: the pin itself rejects it
+        with pytest.raises(ValueError, match="index:lsh"):
+            OptimizerConfig(semantic_join_methods=("index:lsh",))
 
     def test_chained_refinement(self, model):
         session = build_session(model, reuse=True)

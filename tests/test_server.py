@@ -314,7 +314,7 @@ class TestRaces:
     def test_index_single_flight_under_concurrent_misses(self, model,
                                                          monkeypatch):
         """8 threads missing on one index key must build exactly once."""
-        real_factory = index_cache_module._FACTORIES["brute"]
+        real_factory = index_cache_module.INDEX_FACTORIES["brute"]
 
         def slow_factory(seed):
             index = real_factory(seed)
@@ -327,7 +327,7 @@ class TestRaces:
             index.build = slow_build
             return index
 
-        monkeypatch.setitem(index_cache_module._FACTORIES, "brute",
+        monkeypatch.setitem(index_cache_module.INDEX_FACTORIES, "brute",
                             slow_factory)
         cache = EmbeddingCache(model)
         index_cache = IndexCache()
