@@ -13,6 +13,7 @@ to attribute model-inference work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -103,8 +104,9 @@ class EmbeddingModel:
     tokens_embedded: int = field(default=0, repr=False)
     _vocab_matrix: np.ndarray | None = field(default=None, repr=False)
     _vocab_words: list[str] | None = field(default=None, repr=False)
+    _vocab_raw: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if self.word_vectors.ndim != 2:
             raise ModelError("word_vectors must be a (V, dim) matrix")
         if len(self.vocab) != self.word_vectors.shape[0]:
@@ -139,7 +141,8 @@ class EmbeddingModel:
         vector = self._raw_vector(normalize_token(text))
         return _unit(vector)
 
-    def embed_batch(self, texts, workers: int | None = None) -> np.ndarray:
+    def embed_batch(self, texts: Iterable[str],
+                    workers: int | None = None) -> np.ndarray:
         """Embed a sequence of strings into a ``(n, dim)`` float32 matrix.
 
         This is the vectorized hot path: tokens are normalized and
@@ -255,9 +258,12 @@ class EmbeddingModel:
 
         Semantically equivalent to ``[self._raw_vector(t) for t in
         tokens]`` but grouped so the whole batch needs O(groups) NumPy
-        calls instead of O(tokens) Python round-trips.  Multi-word
-        phrases recurse one level onto their (single-word) parts, so
-        repeated parts across phrases are embedded once.
+        calls instead of O(tokens) Python round-trips.  Vocabulary
+        entries are one gather from the per-model memo
+        (:meth:`_vocabulary_raw`); only out-of-vocabulary words hash
+        n-grams.  Multi-word phrases recurse one level onto their
+        (single-word) parts, so repeated parts across phrases are
+        embedded once.
         """
         rows = np.zeros((len(tokens), self.dim), dtype=np.float64)
         vocab_pos: list[int] = []
@@ -275,16 +281,8 @@ class EmbeddingModel:
                 oov_pos.append(position)
 
         if vocab_pos:
-            gathered = self.word_vectors[np.asarray(vocab_idx)].astype(
-                np.float64)
-            if self.subword_weight > 0.0:
-                means, has_grams = self._subword_means(
-                    [tokens[p] for p in vocab_pos], workers)
-                weight = self.subword_weight
-                gathered[has_grams] = (
-                    (1.0 - weight) * gathered[has_grams]
-                    + weight * means[has_grams])
-            rows[np.asarray(vocab_pos)] = gathered
+            rows[np.asarray(vocab_pos)] = self._vocabulary_raw(workers)[
+                np.asarray(vocab_idx)]
 
         if oov_pos:
             means, has_grams = self._subword_means(
@@ -334,7 +332,8 @@ class EmbeddingModel:
         already aligns its reduceat chunks to segment boundaries, so
         per-word sums see exactly the same row order).
         """
-        def mean_chunk(start: int, stop: int):
+        def mean_chunk(start: int,
+                       stop: int) -> tuple[np.ndarray, np.ndarray]:
             ids, owners = subword_ids_batch(words[start:stop], self.buckets,
                                             self.min_n, self.max_n)
             return _segment_sums(self.bucket_vectors, ids, owners,
@@ -366,6 +365,28 @@ class EmbeddingModel:
             for word, index in self.vocab.items():
                 self._vocab_words[index] = word
         return self._vocab_words
+
+    def _vocabulary_raw(self, workers: int = 1) -> np.ndarray:
+        """Raw vector of every vocabulary entry, ``(V, dim)`` float64.
+
+        Built once per model with the batch arithmetic every known word
+        used to repeat per batch: the word vector, mixed with its
+        subword mean at ``subword_weight`` where the word has grams.  A
+        word's gram order and segment sum do not depend on the batch it
+        is hashed in, so a row is bit-identical to hashing that word
+        anywhere.  Two racing first calls may both build it; the copies
+        are identical, so the last assignment wins harmlessly.
+        """
+        if self._vocab_raw is None:
+            raw = self.word_vectors.astype(np.float64)
+            if self.subword_weight > 0.0:
+                means, has_grams = self._subword_means(
+                    self._vocabulary_words(), workers)
+                weight = self.subword_weight
+                raw[has_grams] = ((1.0 - weight) * raw[has_grams]
+                                  + weight * means[has_grams])
+            self._vocab_raw = raw
+        return self._vocab_raw
 
     def _vocabulary_matrix(self) -> np.ndarray:
         if self._vocab_matrix is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -26,9 +27,14 @@ class Clustering:
     n_clusters: int
 
 
-def cluster_strings(values, cache: EmbeddingCache,
+def cluster_strings(values: Iterable[str], cache: EmbeddingCache,
                     threshold: float) -> Clustering:
-    """Cluster strings by embedding similarity >= ``threshold``."""
+    """Cluster strings by embedding similarity >= ``threshold``.
+
+    Each new leader's row is copied once into a contiguous buffer, so a
+    value scores against ``leaders[:k]`` without re-gathering every
+    leader row per value.
+    """
     values = list(values)
     if not values:
         return Clustering(np.empty(0, dtype=np.int64), [], 0)
@@ -38,15 +44,18 @@ def cluster_strings(values, cache: EmbeddingCache,
     matrix = cache.matrix(unique)
 
     leader_rows: list[int] = []
+    leaders = np.empty_like(matrix)
     unique_labels = np.full(len(unique), -1, dtype=np.int64)
     for row in range(len(unique)):
-        if leader_rows:
-            sims = matrix[leader_rows] @ matrix[row]
+        k = len(leader_rows)
+        if k:
+            sims = leaders[:k] @ matrix[row]
             best = int(np.argmax(sims))
             if float(sims[best]) >= threshold:
                 unique_labels[row] = best
                 continue
-        unique_labels[row] = len(leader_rows)
+        unique_labels[row] = k
+        leaders[k] = matrix[row]
         leader_rows.append(row)
 
     representatives = [unique[row] for row in leader_rows]

@@ -7,7 +7,7 @@ paper's central integration requirement.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -231,30 +231,39 @@ class SemanticGroupByOp(PhysicalOperator):
         values = [v if v is not None else "" for v in
                   table.column(self.column)]
         clustering = cluster_strings(values, self.cache, self.threshold)
-        representatives = np.asarray(
-            [clustering.representatives[int(label)]
-             for label in clustering.labels],
-            dtype=object)
+        representatives = np.asarray(clustering.representatives,
+                                     dtype=object)[clustering.labels]
         columns = dict(table.columns)
         columns[self.cluster_alias] = clustering.labels
         columns[self.representative_alias] = representatives
         yield Table(self.schema, columns)
 
 
-def _group_rows(values: np.ndarray) -> tuple[list[str], list[np.ndarray]]:
+class RowGroups(NamedTuple):
+    """Row indices grouped by distinct value, in one flat array: group
+    ``g`` is ``rows[offsets[g]:offsets[g] + counts[g]]``, ascending."""
+
+    rows: np.ndarray
+    counts: np.ndarray
+    offsets: np.ndarray
+
+
+def _group_rows(values: np.ndarray) -> tuple[list[str], RowGroups]:
     """Unique non-null values and, aligned with them, the row indices
     holding each — computed with one ``np.unique(return_inverse=True)``
-    pass instead of a Python dict-of-lists loop."""
+    pass and one stable sort instead of a Python dict-of-lists loop."""
     values = np.asarray(values, dtype=object)
     present = np.not_equal(values, None)
     row_indices = np.nonzero(present)[0].astype(np.int64)
     if row_indices.size == 0:
-        return [], []
+        empty = np.empty(0, dtype=np.int64)
+        return [], RowGroups(empty, empty, empty)
     unique, inverse = np.unique(values[present], return_inverse=True)
     counts = np.bincount(inverse, minlength=unique.shape[0])
     order = np.argsort(inverse, kind="stable")
-    groups = np.split(row_indices[order], np.cumsum(counts)[:-1])
-    return [str(value) for value in unique], groups
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    return ([str(value) for value in unique],
+            RowGroups(row_indices[order], counts, offsets))
 
 
 def _ranks_within_runs(run_ids: np.ndarray) -> np.ndarray:
@@ -273,50 +282,43 @@ def _ranks_within_runs(run_ids: np.ndarray) -> np.ndarray:
 
 
 def _expand_pairs(ul: np.ndarray, ur: np.ndarray, scores: np.ndarray,
-                  left_groups: list[np.ndarray],
-                  right_groups: list[np.ndarray],
+                  left_groups: RowGroups, right_groups: RowGroups,
                   return_pair_index: bool = False
                   ) -> tuple[np.ndarray, ...]:
     """Expand matched unique-value pairs to row-level join output.
 
-    Counts-based ``np.repeat``/``np.concatenate`` expansion (no per-pair
-    Python loop): for pair ``p`` every left row repeats ``|right group|``
-    times against the right group cycled ``|left group|`` times —
-    the same (left-major, right-minor) order the join has always emitted.
-    The all-distinct case (every group a single row) is a pure gather.
+    Counts-based ``np.repeat`` expansion gathered through the groups'
+    offsets (no per-pair Python loop): for pair ``p`` every left row
+    repeats ``|right group|`` times against the right group cycled
+    ``|left group|`` times — the same (left-major, right-minor) order
+    the join has always emitted.  The all-distinct case (every group a
+    single row) is a pure gather.
 
     With ``return_pair_index`` a fourth array maps each output row back
     to the input-pair position it expanded from (for per-pair metadata
     like the reuse ranks).
     """
-    left_counts = np.fromiter((g.shape[0] for g in left_groups),
-                              dtype=np.int64, count=len(left_groups))
-    right_counts = np.fromiter((g.shape[0] for g in right_groups),
-                               dtype=np.int64, count=len(right_groups))
-    pair_left = left_counts[ul]
-    pair_right = right_counts[ur]
+    pair_left = left_groups.counts[ul]
+    pair_right = right_groups.counts[ur]
     if (pair_left == 1).all() and (pair_right == 1).all():
-        left_firsts = np.fromiter((g[0] for g in left_groups),
-                                  dtype=np.int64, count=len(left_groups))
-        right_firsts = np.fromiter((g[0] for g in right_groups),
-                                   dtype=np.int64, count=len(right_groups))
-        result = (left_firsts[ul], right_firsts[ur],
+        result = (left_groups.rows[left_groups.offsets[ul]],
+                  right_groups.rows[right_groups.offsets[ur]],
                   scores.astype(np.float64))
         if return_pair_index:
             return (*result, np.arange(ul.shape[0], dtype=np.int64))
         return result
 
     sizes = pair_left * pair_right
-    left_cat = np.concatenate([left_groups[int(i)] for i in ul])
-    left_idx = np.repeat(left_cat, np.repeat(pair_right, pair_left))
-    right_cat = np.concatenate([right_groups[int(j)] for j in ur])
     total = int(sizes.sum())
     block_starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     offset_in_block = (np.arange(total, dtype=np.int64)
                        - np.repeat(block_starts, sizes))
-    right_starts = np.concatenate(([0], np.cumsum(pair_right)[:-1]))
-    right_idx = right_cat[np.repeat(right_starts, sizes)
-                          + offset_in_block % np.repeat(pair_right, sizes)]
+    # output row o of pair p's block is (left o // |R|, right o % |R|)
+    width = np.repeat(pair_right, sizes)
+    left_idx = left_groups.rows[np.repeat(left_groups.offsets[ul], sizes)
+                                + offset_in_block // width]
+    right_idx = right_groups.rows[np.repeat(right_groups.offsets[ur], sizes)
+                                  + offset_in_block % width]
     all_scores = np.repeat(scores.astype(np.float64), sizes)
     if return_pair_index:
         pair_index = np.repeat(np.arange(ul.shape[0], dtype=np.int64),

@@ -31,14 +31,24 @@ before a filter run became one conjunction: each stacked filter
 multiplies its own predicate's selectivity, range bounds on one column
 as if independent.  They are the oracle of
 ``tests/test_estimator_equivalence.py``.
+
+``reference_embed_batch`` is ``EmbeddingModel.embed_batch`` as it ran
+before the per-model vocabulary memo: every known word's vector mixed
+with its subword mean, hashed again in every batch
+(``reference_raw_vectors_batch``).  ``reference_cluster_strings`` is
+the leader clustering as it ran before the contiguous leader buffer:
+``matrix[leader_rows]`` gathered again for every value.  They are the
+oracle of ``tests/test_cold_semantic_path.py``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
+from repro.embeddings.model import EmbeddingModel, _segment_sums, _unit_rows
 from repro.errors import ExecutionError, PlanError
 from repro.relational.expressions import (
     _ARITH_OPS,
@@ -78,12 +88,14 @@ from repro.relational.physical import (
     PhysicalOperator,
     ScanOp,
 )
+from repro.semantic.groupby import Clustering
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.storage.types import DataType
 
 if TYPE_CHECKING:
     from repro.optimizer.cardinality import CardinalityEstimator
+    from repro.semantic.cache import EmbeddingCache
 
 
 def reference_evaluate(expr: Expr, batch: Table) -> np.ndarray:
@@ -514,3 +526,126 @@ def reference_filter_estimate(estimator: CardinalityEstimator,
         return (reference_filter_estimate(estimator, plan.child)
                 * estimator.selectivity(plan.predicate, plan.child))
     return estimator.estimate(plan)
+
+
+# ---------------------------------------------------------------------------
+# cold semantic path (oracle of test_cold_semantic_path.py)
+# ---------------------------------------------------------------------------
+def reference_embed_batch(model: EmbeddingModel, texts,
+                          workers: int = 1) -> np.ndarray:
+    """``embed_batch`` over ``reference_raw_vectors_batch``, without
+    touching the model's ``tokens_embedded`` counter."""
+    from repro.utils.text import normalize_token
+
+    tokens = [normalize_token(text) for text in texts]
+    first_seen: dict[str, int] = {}
+    inverse = np.empty(len(tokens), dtype=np.int64)
+    unique: list[str] = []
+    for position, token in enumerate(tokens):
+        uid = first_seen.get(token)
+        if uid is None:
+            uid = len(unique)
+            first_seen[token] = uid
+            unique.append(token)
+        inverse[position] = uid
+    rows = _unit_rows(reference_raw_vectors_batch(model, unique, workers))
+    if len(unique) == len(tokens):
+        return rows
+    return rows[inverse]
+
+
+def reference_raw_vectors_batch(model: EmbeddingModel, tokens: list[str],
+                                workers: int = 1) -> np.ndarray:
+    """``EmbeddingModel._raw_vectors_batch`` with every known word's
+    subword mean hashed in the batch."""
+    rows = np.zeros((len(tokens), model.dim), dtype=np.float64)
+    vocab_pos: list[int] = []
+    vocab_idx: list[int] = []
+    multi_pos: list[int] = []
+    oov_pos: list[int] = []
+    for position, token in enumerate(tokens):
+        index = model.vocab.get(token)
+        if index is not None:
+            vocab_pos.append(position)
+            vocab_idx.append(index)
+        elif " " in token:
+            multi_pos.append(position)
+        else:
+            oov_pos.append(position)
+
+    if vocab_pos:
+        gathered = model.word_vectors[np.asarray(vocab_idx)].astype(
+            np.float64)
+        if model.subword_weight > 0.0:
+            means, has_grams = model._subword_means(
+                [tokens[p] for p in vocab_pos], workers)
+            weight = model.subword_weight
+            gathered[has_grams] = (
+                (1.0 - weight) * gathered[has_grams]
+                + weight * means[has_grams])
+        rows[np.asarray(vocab_pos)] = gathered
+
+    if oov_pos:
+        means, has_grams = model._subword_means(
+            [tokens[p] for p in oov_pos], workers)
+        usable = has_grams & (np.abs(means).max(axis=1) > 0.0)
+        positions = np.asarray(oov_pos)
+        rows[positions[usable]] = means[usable]
+        for position in positions[~usable]:
+            rows[position] = model._fallback_vector(tokens[position])
+
+    if multi_pos:
+        part_of: dict[str, int] = {}
+        parts: list[str] = []
+        owners: list[int] = []
+        refs: list[int] = []
+        for owner, position in enumerate(multi_pos):
+            for part in tokens[position].split():
+                ref = part_of.get(part)
+                if ref is None:
+                    ref = len(parts)
+                    part_of[part] = ref
+                    parts.append(part)
+                owners.append(owner)
+                refs.append(ref)
+        part_rows = reference_raw_vectors_batch(
+            model, parts, workers).astype(np.float32)
+        sums, counts = _segment_sums(
+            part_rows, np.asarray(refs, dtype=np.int64),
+            np.asarray(owners, dtype=np.int64), len(multi_pos))
+        rows[np.asarray(multi_pos)] = sums / counts[:, None]
+    return rows
+
+
+def reference_cluster_strings(values, cache: EmbeddingCache,
+                              threshold: float) -> Clustering:
+    """``cluster_strings`` gathering ``matrix[leader_rows]`` per value."""
+    values = list(values)
+    if not values:
+        return Clustering(np.empty(0, dtype=np.int64), [], 0)
+
+    frequency = Counter(values)
+    unique = sorted(frequency, key=lambda v: (-frequency[v], v))
+    matrix = cache.matrix(unique)
+
+    leader_rows: list[int] = []
+    unique_labels = np.full(len(unique), -1, dtype=np.int64)
+    for row in range(len(unique)):
+        if leader_rows:
+            sims = matrix[leader_rows] @ matrix[row]
+            best = int(np.argmax(sims))
+            if float(sims[best]) >= threshold:
+                unique_labels[row] = best
+                continue
+        unique_labels[row] = len(leader_rows)
+        leader_rows.append(row)
+
+    representatives = [unique[row] for row in leader_rows]
+    sorted_unique, inverse = np.unique(np.asarray(values, dtype=object),
+                                       return_inverse=True)
+    label_for_sorted = np.empty(sorted_unique.shape[0], dtype=np.int64)
+    positions = np.searchsorted(sorted_unique, np.asarray(unique,
+                                                          dtype=object))
+    label_for_sorted[positions] = unique_labels
+    labels = label_for_sorted[inverse]
+    return Clustering(labels, representatives, len(representatives))

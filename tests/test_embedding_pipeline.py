@@ -199,18 +199,24 @@ class TestMostSimilarSelection:
         assert len(results) == 2
 
 
+def _split_groups(groups) -> list[np.ndarray]:
+    """The offsets form as one array per group."""
+    return [groups.rows[start:start + count] for start, count
+            in zip(groups.offsets.tolist(), groups.counts.tolist())]
+
+
 class TestGroupRowsAndExpansion:
     def test_group_rows_covers_all_non_null(self):
         values = np.asarray(["x", None, "y", "x", None, "x"], dtype=object)
         unique, groups = _group_rows(values)
         assert sorted(unique) == ["x", "y"]
-        mapping = dict(zip(unique, groups))
+        mapping = dict(zip(unique, _split_groups(groups)))
         assert mapping["x"].tolist() == [0, 3, 5]
         assert mapping["y"].tolist() == [2]
 
     def test_group_rows_all_null(self):
         unique, groups = _group_rows(np.asarray([None, None], dtype=object))
-        assert unique == [] and groups == []
+        assert unique == [] and _split_groups(groups) == []
 
     def test_expansion_matches_per_pair_loop(self):
         rng = np.random.default_rng(7)
@@ -224,9 +230,10 @@ class TestGroupRowsAndExpansion:
             ur = rng.integers(0, len(ru), pairs).astype(np.int64)
             scores = rng.random(pairs).astype(np.float32)
             li, ri, s = _expand_pairs(ul, ur, scores, lg, rg)
+            left_groups, right_groups = _split_groups(lg), _split_groups(rg)
             expected_l, expected_r, expected_s = [], [], []
             for p in range(pairs):
-                lr, rr = lg[int(ul[p])], rg[int(ur[p])]
+                lr, rr = left_groups[int(ul[p])], right_groups[int(ur[p])]
                 expected_l.append(np.repeat(lr, rr.shape[0]))
                 expected_r.append(np.tile(rr, lr.shape[0]))
                 expected_s.append(np.full(lr.shape[0] * rr.shape[0],
