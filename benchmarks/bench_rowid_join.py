@@ -1,23 +1,16 @@
-"""Row-id join benchmark: id-keyed index reuse + parallel subword kernels.
+"""Row-id join benchmark: id-keyed index reuse and exact join parity.
 
-Defends the two claims of the row-id plumbing PR:
-
-1. **Index identity is id arithmetic.**  The session vector-index cache
-   fingerprints on the *sorted arena row-id set* backing the indexed
-   embeddings: a repeat query — regardless of duplicate multiplicity or
-   value order — is a hit (no rebuild), and the fingerprint never
-   re-hashes a value string (the legacy scheme XOR-combined a per-value
-   FNV-1a pass on every lookup).
-2. **The batch subword path scales across cores.**  The PR-1 serial
-   subword/segment-sum kernel fans out over owner-aligned chunks on a
-   thread pool; results are bit-identical, and on >= 4 cores the wall
-   clock improves >= 1.5x (on fewer cores only parity is enforced —
-   the speedup line is still reported).
+**Index identity is id arithmetic.**  The session vector-index cache
+fingerprints on the *sorted arena row-id set* backing the indexed
+embeddings: a repeat query — regardless of duplicate multiplicity or
+value order — is a hit (no rebuild), and the fingerprint never re-hashes
+a value string (the legacy scheme XOR-combined a per-value FNV-1a pass
+on every lookup).
 
 It also checks **exact join parity** (atol=1e-6) across the engine's
-semantic-join methods (blocked / parallel / index:brute) through the
-full operator path, with duplicated right-side values — the case the old
-index-id contract silently mispaired.
+semantic-join methods (blocked / index:brute) through the full operator
+path, with duplicated right-side values — the case the old index-id
+contract silently mispaired.
 
 Usage::
 
@@ -27,8 +20,8 @@ Usage::
 ``--quick`` (CI smoke) runs reduced sizes and writes no JSON unless
 ``--output`` is given.  The full run writes ``BENCH_rowid_join.json``
 at the repository root, which is committed so later PRs have a perf
-trajectory to defend.  Exits nonzero when a parity check fails or when
-an enforced speedup target is missed.
+trajectory to defend.  Exits nonzero when the repeat index lookup
+misses or the join methods disagree.
 """
 
 from __future__ import annotations
@@ -45,7 +38,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import numpy as np
 
-from benchmarks.bench_embedding_pipeline import build_workload
 from benchmarks.common import ResultTable, metrics_snapshot, stopwatch
 from repro.embeddings.pretrained import build_pretrained_model
 from repro.embeddings.subword import fnv1a
@@ -55,8 +47,6 @@ from repro.semantic.index_cache import IndexCache, _digest_ids
 from repro.semantic.join import SEMANTIC_JOIN_METHODS
 from repro.utils.parallel import default_parallelism
 
-DEFAULT_N_SUBWORD = 50_000
-QUICK_N_SUBWORD = 2_000
 DEFAULT_N_JOIN = 1_200
 QUICK_N_JOIN = 200
 
@@ -127,53 +117,13 @@ def bench_index_cache(model, n_unique: int) -> dict:
     }
 
 
-def bench_parallel_subword(model, n: int, workers: int) -> dict:
-    """PR-1 serial batch path vs thread-pooled owner-aligned chunks."""
-    strings = build_workload(model, n, seed=31)
-    model.parallelism = 1
-    model.embed_batch(strings[:512])   # warm-up (allocator, numpy paths)
-
-    def timed_embed(worker_count: int) -> tuple[float, np.ndarray]:
-        model.parallelism = worker_count
-        with stopwatch() as clock:
-            rows = model.embed_batch(strings)
-        return clock.seconds, rows
-
-    # parity: always exercise the pooled path (4 owner-aligned chunks,
-    # meaningful on any core count — chunking must not change results)
-    _, serial_rows = timed_embed(1)
-    _, pooled_rows = timed_embed(max(workers, 4))
-    parity = bool(np.allclose(serial_rows, pooled_rows, atol=1e-6))
-
-    # timing: interleaved best-of-2 per path; on a single-core host the
-    # kernel stays serial at workers=1, so the honest speedup is 1.0
-    serial_seconds, _ = timed_embed(1)
-    if workers > 1:
-        parallel_seconds, _ = timed_embed(workers)
-        serial_seconds = min(serial_seconds, timed_embed(1)[0])
-        parallel_seconds = min(parallel_seconds, timed_embed(workers)[0])
-    else:
-        parallel_seconds = serial_seconds
-    model.parallelism = 1
-    speedup = serial_seconds / max(parallel_seconds, 1e-9)
-    return {
-        "n_strings": n,
-        "workers": workers,
-        "serial_seconds": round(serial_seconds, 4),
-        "parallel_seconds": round(parallel_seconds, 4),
-        "speedup": round(speedup, 2),
-        "single_core_serial_fallback": workers <= 1,
-        "parity_atol_1e-6": parity,
-    }
-
-
-def bench_join_parity(model, n_join: int, workers: int) -> dict:
+def bench_join_parity(model, n_join: int) -> dict:
     """One semantic join through every exact method; identical results
     required, with duplicated right-side values in play."""
     from repro.engine.session import Session
     from repro.storage.table import Table
 
-    session = Session(load_default_model=False, parallelism=workers)
+    session = Session(load_default_model=False)
     session.register_model(model, default=True)
     vocab = sorted(model.vocab)
     left_values = [f"{vocab[i % len(vocab)]} j{i}" for i in range(n_join)]
@@ -237,17 +187,12 @@ def bench_join_parity(model, n_join: int, workers: int) -> dict:
     }
 
 
-def run(n_subword: int, n_join: int, quick: bool = False) -> dict:
+def run(n_join: int) -> dict:
     model = build_pretrained_model(seed=7)
-    workers = default_parallelism()
-    cores = default_parallelism(clamp=1_000_000)
     results = {
-        "cpu_count": cores,
-        "workers": workers,
+        "cpu_count": default_parallelism(clamp=1_000_000),
         "index_cache": bench_index_cache(model, max(n_join, 256)),
-        "parallel_subword": bench_parallel_subword(model, n_subword,
-                                                   workers),
-        "join_parity": bench_join_parity(model, n_join, workers),
+        "join_parity": bench_join_parity(model, n_join),
         "platform": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -255,11 +200,6 @@ def run(n_subword: int, n_join: int, quick: bool = False) -> dict:
         },
     }
     results["metrics"] = results["join_parity"].pop("metrics")
-    # the 1.5x target only binds where there are cores to scale onto AND
-    # the batch is full-size: at --quick n the parallel path engages for
-    # a fraction of the work, so CI smoke checks parity only
-    results["parallel_subword"]["speedup_enforced"] = (cores >= 4
-                                                      and not quick)
     return results
 
 
@@ -268,32 +208,23 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: reduced sizes, no JSON "
                              "unless --output is given")
-    parser.add_argument("--n", type=int, default=None,
-                        help=f"subword batch size (default "
-                             f"{DEFAULT_N_SUBWORD}, quick "
-                             f"{QUICK_N_SUBWORD})")
     parser.add_argument("--output", type=Path, default=None,
                         help="JSON output path (default: repo root "
                              "BENCH_rowid_join.json for full runs)")
     arguments = parser.parse_args(argv)
 
-    n_subword = arguments.n or (QUICK_N_SUBWORD if arguments.quick
-                                else DEFAULT_N_SUBWORD)
     n_join = QUICK_N_JOIN if arguments.quick else DEFAULT_N_JOIN
-    if n_subword < 1:
-        parser.error(f"--n must be a positive integer, got {n_subword}")
     started = time.perf_counter()
-    results = run(n_subword, n_join, quick=arguments.quick)
+    results = run(n_join)
     results["total_benchmark_seconds"] = round(
         time.perf_counter() - started, 2)
 
     index = results["index_cache"]
-    subword = results["parallel_subword"]
     parity = results["join_parity"]
 
     table = ResultTable(
-        f"Row-id joins: id-keyed index reuse + parallel subword kernels "
-        f"(cores={results['cpu_count']}, workers={results['workers']})",
+        f"Row-id joins: id-keyed index reuse + exact join parity "
+        f"(cores={results['cpu_count']})",
         ["measure", "value", "note"])
     table.add("index build (1st query)", index["build_seconds"],
               f"{index['n_unique_values']} unique values")
@@ -305,31 +236,20 @@ def main(argv: list[str] | None = None) -> None:
               f"{index['fingerprint_speedup']}x vs legacy re-hash")
     table.add("fingerprint: legacy value re-hash",
               index["fingerprint_legacy_rehash_seconds"], "removed")
-    table.add("subword batch serial", subword["serial_seconds"],
-              f"n={subword['n_strings']}")
-    table.add("subword batch parallel", subword["parallel_seconds"],
-              f"{subword['speedup']}x, workers={subword['workers']}")
     for method, seconds in parity["per_method_seconds"].items():
         table.add(f"join {method}", seconds,
                   f"{parity['n_result_pairs']} pairs")
     table.show()
     print(f"\nindex reuse: hit on 2nd query={index['second_query_hit']}, "
           f"value re-hashes={index['value_rehash_count']}")
-    print(f"subword parity (atol=1e-6): {subword['parity_atol_1e-6']}; "
-          f"join parity across {', '.join(parity['methods'])}: "
+    print(f"join parity across {', '.join(parity['methods'])}: "
           f"{parity['exact_parity_atol_1e-6']}")
 
     failures: list[str] = []
     if not index["second_query_hit"]:
         failures.append("index cache missed on repeat query")
-    if not subword["parity_atol_1e-6"]:
-        failures.append("parallel subword path diverged from serial")
     if not parity["exact_parity_atol_1e-6"]:
         failures.append("join methods disagreed")
-    if subword["speedup_enforced"] and subword["speedup"] < 1.5:
-        failures.append(
-            f"parallel subword speedup {subword['speedup']}x < 1.5x "
-            f"on {results['cpu_count']} cores")
     if failures:
         raise SystemExit("FAIL: " + "; ".join(failures))
 

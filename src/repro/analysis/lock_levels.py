@@ -89,9 +89,6 @@ DECLARATIONS: tuple[LockDecl, ...] = (
     LockDecl(name="ReuseRegistry._lock",
              owner=f"{PKG}.reuse.registry.ReuseRegistry", attr="_lock",
              level=4),
-    LockDecl(name="WorkerBudget._lock",
-             owner=f"{PKG}.utils.parallel.WorkerBudget", attr="_lock",
-             level=4),
     LockDecl(name="lowering._CACHE_CREATE_LOCK",
              owner=f"{PKG}.semantic.lowering", attr="_CACHE_CREATE_LOCK",
              level=4),
@@ -143,8 +140,6 @@ ATTR_TYPES: dict[str, str] = {
     "index_cache": f"{PKG}.semantic.index_cache.IndexCache",
     "scheduler": f"{PKG}.server.scheduler.Scheduler",
     "model_locks": f"{PKG}.utils.locks.StripedRWLock",
-    "budget": f"{PKG}.utils.parallel.WorkerBudget",
-    "worker_budget": f"{PKG}.utils.parallel.WorkerBudget",
     "metrics_registry": f"{PKG}.obs.metrics.MetricsRegistry",
     "tracer": f"{PKG}.obs.trace.Tracer",
     # Migrated stat counters: every private ``_<counter>`` attribute

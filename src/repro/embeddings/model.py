@@ -26,14 +26,8 @@ from repro.embeddings.subword import (
     subword_ids,
     subword_ids_batch,
 )
-from repro.utils.parallel import PARALLEL_MIN_ITEMS, map_chunks
 from repro.utils.rng import make_rng
 from repro.utils.text import normalize_token
-
-#: Batches smaller than this keep the subword kernel serial (pool setup
-#: would cost more than the hashing it spreads).  Aliased from the
-#: shared threshold as a module attribute so tests can lower it.
-PARALLEL_MIN_TOKENS = PARALLEL_MIN_ITEMS
 
 
 def fit_bucket_vectors(
@@ -84,13 +78,6 @@ class EmbeddingModel:
     subword_weight:
         Mixing weight of the subword mean for *in-vocabulary* words
         (out-of-vocabulary words always use subwords alone).
-    parallelism:
-        Default worker count for the batch subword/segment-sum kernels
-        when ``embed_batch`` is called without ``workers`` (1 = serial).
-        Sessions pass their setting per call instead of mutating this.
-        Results are identical at any worker count — chunks are
-        owner-aligned, so per-word segment sums reduce over exactly the
-        same rows.
     """
 
     name: str
@@ -100,7 +87,6 @@ class EmbeddingModel:
     min_n: int = DEFAULT_MIN_N
     max_n: int = DEFAULT_MAX_N
     subword_weight: float = 0.3
-    parallelism: int = field(default=1, repr=False)
     tokens_embedded: int = field(default=0, repr=False)
     _vocab_matrix: np.ndarray | None = field(default=None, repr=False)
     _vocab_words: list[str] | None = field(default=None, repr=False)
@@ -141,8 +127,7 @@ class EmbeddingModel:
         vector = self._raw_vector(normalize_token(text))
         return _unit(vector)
 
-    def embed_batch(self, texts: Iterable[str],
-                    workers: int | None = None) -> np.ndarray:
+    def embed_batch(self, texts: Iterable[str]) -> np.ndarray:
         """Embed a sequence of strings into a ``(n, dim)`` float32 matrix.
 
         This is the vectorized hot path: tokens are normalized and
@@ -153,11 +138,6 @@ class EmbeddingModel:
         normalization pass over the whole batch).  Per-string ``embed``
         calls remain the documented slow path the paper's Figure-4
         baseline rungs measure.
-
-        ``workers`` sets the subword-kernel thread count for this call;
-        ``None`` uses the model's ``parallelism`` default.  Sessions
-        thread their setting through per call (via the session-owned
-        embedding cache) rather than mutating shared model state.
         """
         tokens = [normalize_token(text) for text in texts]
         first_seen: dict[str, int] = {}
@@ -170,9 +150,7 @@ class EmbeddingModel:
                 first_seen[token] = uid
                 unique.append(token)
             inverse[position] = uid
-        if workers is None:
-            workers = self.parallelism
-        rows = _unit_rows(self._raw_vectors_batch(unique, workers))
+        rows = _unit_rows(self._raw_vectors_batch(unique))
         self.tokens_embedded += len(unique)
         if len(unique) == len(tokens):
             return rows
@@ -252,8 +230,7 @@ class EmbeddingModel:
                 return vector
         return self._fallback_vector(token)
 
-    def _raw_vectors_batch(self, tokens: list[str],
-                           workers: int = 1) -> np.ndarray:
+    def _raw_vectors_batch(self, tokens: list[str]) -> np.ndarray:
         """Raw (pre-normalization) vectors for distinct tokens, batched.
 
         Semantically equivalent to ``[self._raw_vector(t) for t in
@@ -281,12 +258,12 @@ class EmbeddingModel:
                 oov_pos.append(position)
 
         if vocab_pos:
-            rows[np.asarray(vocab_pos)] = self._vocabulary_raw(workers)[
+            rows[np.asarray(vocab_pos)] = self._vocabulary_raw()[
                 np.asarray(vocab_idx)]
 
         if oov_pos:
             means, has_grams = self._subword_means(
-                [tokens[p] for p in oov_pos], workers)
+                [tokens[p] for p in oov_pos])
             usable = has_grams & (np.abs(means).max(axis=1) > 0.0)
             positions = np.asarray(oov_pos)
             rows[positions[usable]] = means[usable]
@@ -309,46 +286,25 @@ class EmbeddingModel:
                     refs.append(ref)
             # float32 like the scalar path's np.mean over raw vectors;
             # also halves the gather/segment-sum memory traffic
-            part_rows = self._raw_vectors_batch(parts,
-                                                workers).astype(np.float32)
+            part_rows = self._raw_vectors_batch(parts).astype(np.float32)
             sums, counts = _segment_sums(
                 part_rows, np.asarray(refs, dtype=np.int64),
                 np.asarray(owners, dtype=np.int64), len(multi_pos))
             rows[np.asarray(multi_pos)] = sums / counts[:, None]
         return rows
 
-    def _subword_means(self, words: list[str],
-                       workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def _subword_means(self,
+                       words: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """Mean subword-bucket vector per word, as one segment-sum.
 
         Returns ``(means, has_grams)`` where ``means`` is ``(n, dim)``
         float64 (zero rows where a word produced no n-grams) and
         ``has_grams`` flags words with at least one gram.
-
-        Large batches fan out over ``workers`` threads in owner-aligned
-        chunks: each worker hashes and segment-sums its own word range
-        into disjoint output rows, so no synchronization is needed and
-        the result is bit-identical to the serial path (``_segment_sums``
-        already aligns its reduceat chunks to segment boundaries, so
-        per-word sums see exactly the same row order).
         """
-        def mean_chunk(start: int,
-                       stop: int) -> tuple[np.ndarray, np.ndarray]:
-            ids, owners = subword_ids_batch(words[start:stop], self.buckets,
-                                            self.min_n, self.max_n)
-            return _segment_sums(self.bucket_vectors, ids, owners,
-                                 stop - start)
-
-        parts = map_chunks(len(words), workers, mean_chunk,
-                           min_items=PARALLEL_MIN_TOKENS)
-        if not parts:
-            sums = np.zeros((0, self.dim), dtype=np.float64)
-            counts = np.zeros(0, dtype=np.int64)
-        elif len(parts) == 1:   # serial fast path: no re-copy
-            sums, counts = parts[0]
-        else:
-            sums = np.concatenate([p[0] for p in parts])
-            counts = np.concatenate([p[1] for p in parts])
+        ids, owners = subword_ids_batch(words, self.buckets, self.min_n,
+                                        self.max_n)
+        sums, counts = _segment_sums(self.bucket_vectors, ids, owners,
+                                     len(words))
         has_grams = counts > 0
         sums[has_grams] /= counts[has_grams, None]
         return sums, has_grams
@@ -366,7 +322,7 @@ class EmbeddingModel:
                 self._vocab_words[index] = word
         return self._vocab_words
 
-    def _vocabulary_raw(self, workers: int = 1) -> np.ndarray:
+    def _vocabulary_raw(self) -> np.ndarray:
         """Raw vector of every vocabulary entry, ``(V, dim)`` float64.
 
         Built once per model with the batch arithmetic every known word
@@ -381,7 +337,7 @@ class EmbeddingModel:
             raw = self.word_vectors.astype(np.float64)
             if self.subword_weight > 0.0:
                 means, has_grams = self._subword_means(
-                    self._vocabulary_words(), workers)
+                    self._vocabulary_words())
                 weight = self.subword_weight
                 raw[has_grams] = ((1.0 - weight) * raw[has_grams]
                                   + weight * means[has_grams])

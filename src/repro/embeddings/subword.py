@@ -8,9 +8,10 @@ than Python's randomized ``hash()``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
+
 import numpy as np
 
-from repro.utils.parallel import map_chunks
 from repro.utils.text import ngrams
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -33,7 +34,7 @@ def fnv1a(text: str) -> int:
     return value
 
 
-def fnv1a_batch(texts) -> np.ndarray:
+def fnv1a_batch(texts: Sequence[str]) -> np.ndarray:
     """64-bit FNV-1a of every string in ``texts``, as a ``uint64`` array.
 
     Bit-identical to :func:`fnv1a`, but the per-byte mix runs as NumPy
@@ -95,11 +96,10 @@ def subword_ids(
 
 
 def subword_ids_batch(
-    words,
+    words: Iterable[str],
     buckets: int = DEFAULT_BUCKETS,
     min_n: int = DEFAULT_MIN_N,
     max_n: int = DEFAULT_MAX_N,
-    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bucket ids of the n-grams of every word, flattened across the batch.
 
@@ -115,33 +115,11 @@ def subword_ids_batch(
     windows of one size across the batch at once); segment sums and means
     are order-insensitive, so callers must not rely on gram order.
 
-    ``workers > 1`` splits large batches into owner-aligned chunks
-    hashed on a thread pool (:func:`repro.utils.parallel.map_chunks`;
-    the large-array ``uint64`` ops release the GIL — small batches stay
-    serial under the shared min-items gate).  The per-word result is
-    identical to the serial path, and owners stay nondecreasing because
-    chunks are concatenated in order.
-
     ASCII parts (the overwhelming case) are hashed without materializing
     per-gram strings at all: each decorated part is encoded once into a
     shared byte buffer and every n-gram window is hashed with NumPy
     ``uint64`` gathers over it.
     """
-    if workers > 1 and not isinstance(words, (list, tuple)):
-        words = list(words)   # generators have no len/slice
-    if workers > 1 and len(words) > 1:
-
-        def hash_chunk(start: int, stop: int):
-            ids, owners = subword_ids_batch(words[start:stop], buckets,
-                                            min_n, max_n)
-            return ids, owners + start
-
-        parts = map_chunks(len(words), workers, hash_chunk)
-        if len(parts) == 1:   # gated to one serial chunk: no re-copy
-            return parts[0]
-        return (np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]))
-
     ascii_parts: list[bytes] = []
     ascii_owner: list[int] = []
     slow_grams: list[str] = []

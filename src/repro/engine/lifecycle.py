@@ -50,8 +50,7 @@ def serve_statement(session: Session, text: str,
     a pre-resolved ticket (never queues or occupies a worker), a miss
     is admitted under the optimizer's cost estimate and runs on a
     worker with a fresh per-query context (shared caches, private
-    metrics, parallelism = the leased kernel share); returns the
-    ticket, accounted to ``tenant``.
+    metrics); returns the ticket, accounted to ``tenant``.
     """
     state = session.state
     trace = state.tracer.start("statement")
@@ -92,8 +91,7 @@ def serve_statement(session: Session, text: str,
                     # the scheduler's own measurement, grafted not re-timed
                     trace.span_at("scheduler.queue",
                                   ticket.queue_wait_seconds,
-                                  lane=ticket.lane, tenant=ticket.tenant,
-                                  workers=ticket.kernel_workers)
+                                  lane=ticket.lane, tenant=ticket.tenant)
                 result, profile, _ = run_plan(session, planned.plan,
                                               context, trace)
                 # stores the aux-carrying result, returns it stripped
@@ -108,8 +106,7 @@ def serve_statement(session: Session, text: str,
 
         if scheduler is not None:
             return scheduler.submit(
-                lambda ticket, workers: run(state.make_context(
-                    parallelism=workers,
+                lambda ticket: run(state.make_context(
                     batch_size=session.context.batch_size), ticket),
                 estimated_cost=planned.estimated_cost, tenant=tenant,
                 plan_cache_hit=planned.cache_hit)

@@ -67,13 +67,6 @@ class PlannedStatement(NamedTuple):
 class Session:
     """A query session over registered tables, sources, and models.
 
-    ``parallelism`` is the session-wide worker count for thread-pooled
-    kernels (the parallel semantic join and the batch subword/segment-sum
-    path); ``None`` (the default) derives it from the CPUs visible to the
-    process, clamped.  The optimizer's cost model is given the same
-    number, so its parallel-vs-blocked decisions reflect the machine the
-    query actually runs on.
-
     ``result_cache_bytes`` budgets the cross-statement result cache
     (``None`` = default 64 MiB, ``0`` disables it so every statement
     executes).  ``semantic_reuse`` toggles the subsumption subsystem
@@ -94,7 +87,6 @@ class Session:
     def __init__(self, seed: int = 7, load_default_model: bool = True,
                  optimizer_config: OptimizerConfig | None = None,
                  batch_size: int = DEFAULT_BATCH_SIZE,
-                 parallelism: int | None = None,
                  shared_state: EngineState | None = None,
                  result_cache_bytes: int | None = None,
                  semantic_reuse: bool = True,
@@ -111,7 +103,6 @@ class Session:
             shared_state = EngineState(
                 seed=seed, load_default_model=load_default_model,
                 optimizer_config=optimizer_config, batch_size=batch_size,
-                parallelism=parallelism,
                 result_cache_bytes=result_cache_bytes,
                 semantic_reuse=semantic_reuse,
                 generic_plans=generic_plans)
@@ -121,8 +112,7 @@ class Session:
         self.catalog = shared_state.catalog
         self.models = shared_state.models
         self.federation = shared_state.federation
-        self.context = shared_state.make_context(
-            parallelism=parallelism, batch_size=batch_size)
+        self.context = shared_state.make_context(batch_size=batch_size)
         # no override yet: default_model_name tracks the shared state
         # until this session picks its own (register_model(default=True))
         self._default_model_override: str | None = None
@@ -192,13 +182,7 @@ class Session:
 
     def register_model(self, model: EmbeddingModel,
                        default: bool = False) -> None:
-        """Register an embedding model (optionally as the session default).
-
-        The session's batch embeds run with its ``parallelism`` setting,
-        threaded per call through the session-owned embedding cache —
-        the model object itself is never mutated, so sharing one model
-        across sessions with different settings is safe.
-        """
+        """Register an embedding model (optionally as the session default)."""
         self.models.register(model)
         if default:
             self.default_model_name = model.name

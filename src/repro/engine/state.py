@@ -32,8 +32,6 @@ every :class:`~repro.server.ClientSession` the same instance.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.embeddings.registry import ModelRegistry
 from repro.engine.plan_cache import DEFAULT_PLAN_CACHE_CAPACITY, PlanCache
 from repro.engine.result_cache import (
@@ -51,7 +49,6 @@ from repro.relational.physical import DEFAULT_BATCH_SIZE, ExecutionContext
 from repro.semantic.index_cache import IndexCache
 from repro.storage.catalog import Catalog
 from repro.utils.locks import StripedRWLock
-from repro.utils.parallel import resolve_workers
 
 DEFAULT_MODEL_NAME = "wiki-ft-100"
 
@@ -78,7 +75,6 @@ class EngineState:
     def __init__(self, seed: int = 7, load_default_model: bool = True,
                  optimizer_config: OptimizerConfig | None = None,
                  batch_size: int = DEFAULT_BATCH_SIZE,
-                 parallelism: int | None = None,
                  result_cache_bytes: int | None = None,
                  semantic_reuse: bool = True,
                  generic_plans: bool = True,
@@ -109,7 +105,6 @@ class EngineState:
             help="monotonic catalog/statistics version")
         self.models = ModelRegistry()
         self.federation = Federation(self.catalog)
-        self.workers = resolve_workers(parallelism)
         self.batch_size = _checked_batch_size(batch_size)
         #: model name -> EmbeddingCache; created lazily and race-safely
         #: by :func:`repro.semantic.lowering.cache_for`.
@@ -142,16 +137,7 @@ class EngineState:
                 registry=self.metrics_registry)
         else:
             self.reuse_registry = None
-        config = optimizer_config or OptimizerConfig()
-        if config.cost_params.workers is None:
-            # cost the parallel access path with the real worker count;
-            # an explicitly set CostParams.workers keeps its tuning.
-            # Copied, never mutated in place: a config shared across
-            # sessions must not freeze the first session's worker count
-            # into later ones.
-            config = replace(config, cost_params=replace(
-                config.cost_params, workers=self.workers))
-        self.optimizer_config = config
+        self.optimizer_config = optimizer_config or OptimizerConfig()
         #: Append/upsert front door: delta-maintains or precisely
         #: invalidates the caches above on row mutations
         #: (:mod:`repro.ingest`).
@@ -163,26 +149,20 @@ class EngineState:
 
             self.models.register(build_pretrained_model(seed=seed))
 
-    def make_context(self, parallelism: int | None = None,
-                     batch_size: int | None = None) -> ExecutionContext:
+    def make_context(self, batch_size: int | None = None,
+                     parallelism: object = None) -> ExecutionContext:
         """A fresh execution context wired to the shared caches.
 
         Contexts are cheap per-client (or per-query) objects: they share
         the catalog, model registry, embedding arenas, and index cache,
-        but carry their own ``metrics`` dict and parallelism setting so
-        concurrent executions never write into each other's telemetry.
+        but carry their own ``metrics`` dict so concurrent executions
+        never write into each other's telemetry.
         """
-        workers = self.workers if parallelism is None \
-            else resolve_workers(parallelism)
+        # parallelism: ignored e2e-harness shim; ROADMAP 1(c) deletes it
         return ExecutionContext(
             catalog=self.catalog, models=self.models,
             batch_size=self.batch_size if batch_size is None
             else _checked_batch_size(batch_size),
-            parallelism=workers,
-            # caches outlive the query that happens to create them, so
-            # their embed parallelism is the machine-wide budget — not
-            # whatever share that one query was leased
-            cache_parallelism=self.workers,
             embedding_cache=self.embedding_caches,
             index_cache=self.index_cache,
             metrics_registry=self.metrics_registry)

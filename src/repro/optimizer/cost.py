@@ -4,13 +4,11 @@ Abstract cost units approximate relative wall time.  The decisive ratio —
 vectorized pair cost vs model-inference cost — mirrors the
 orders-of-magnitude gap the paper's Figure 4 measures, so the optimizer's
 choices (pushdown first, then one of the exact semantic-join access paths:
-blocked GEMM, parallel scale-up past a size threshold, or a brute-force
-index) land where the measurements land.
+blocked GEMM or a brute-force index) land where the measurements land.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +30,6 @@ from repro.relational.logical import (
     UnionNode,
 )
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.semantic.join import DEFAULT_BLOCK
 
 
 @dataclass(frozen=True)
@@ -51,24 +48,8 @@ class CostParams:
     embed_token: float = 200.0
     #: Per-pair similarity through one vectorized kernel (per dimension).
     pair_vector_dim: float = 0.01
-    #: Thread-pool setup cost and parallel efficiency for scale-up.
-    parallel_setup: float = 5_000.0
-    parallel_efficiency: float = 0.7
-    #: Worker count the "parallel" access path is costed with.  ``None``
-    #: means "unspecified": sessions fill it with their resolved
-    #: ``parallelism`` (CPU-derived by default) so the optimizer's
-    #: parallel-vs-blocked choice sees the worker count ``join_parallel``
-    #: will actually run with; bare CostParams() uses fall back to the
-    #: standalone modeling default below.  An explicit integer is always
-    #: honored.
-    workers: int | None = None
     #: Embedding dimensionality assumed by the pair costs.
     dim: int = 100
-
-
-#: Worker count assumed when CostParams.workers is left unspecified and
-#: no session filled it in (standalone cost-model studies).
-DEFAULT_MODELED_WORKERS = 4
 
 
 @dataclass
@@ -98,24 +79,6 @@ def semantic_join_method_cost(
     embed = (unique_left + unique_right) * params.embed_token
     if method == "blocked":
         cpu = pairs * dim * params.pair_vector_dim
-        return Cost(cpu=cpu, model=embed)
-    if method == "parallel":
-        if params.workers is None:
-            workers = DEFAULT_MODELED_WORKERS
-        elif params.workers <= 0:
-            # same convention as the kernels: non-positive = CPU-derived
-            from repro.utils.parallel import resolve_workers
-
-            workers = resolve_workers(params.workers)
-        else:
-            workers = params.workers
-        # join_parallel hands whole DEFAULT_BLOCK left-row blocks to the
-        # pool: a join with fewer blocks than workers leaves the rest idle
-        workers = max(1, min(workers,
-                             math.ceil(unique_left / DEFAULT_BLOCK)))
-        cpu = (pairs * dim * params.pair_vector_dim
-               / (workers * params.parallel_efficiency)
-               + params.parallel_setup)
         return Cost(cpu=cpu, model=embed)
     if method == "index:brute":
         # build copies the indexed rows; each left key probes all of them

@@ -1,8 +1,8 @@
 """Cost-based physical selection.
 
 Annotates plan nodes with physical hints the lowering honours — most
-importantly the semantic join's access path (blocked GEMM vs parallel
-scale-up vs a brute-force index), the §V "index-based access for similarity
+importantly the semantic join's access path (blocked GEMM vs a
+brute-force index), the §V "index-based access for similarity
 search should be accounted for in the cost-based optimization" decision.
 """
 

@@ -55,15 +55,6 @@ class ExecutionContext:
     batch_size: int = DEFAULT_BATCH_SIZE
     embedding_cache: Any = None
     index_cache: Any = None  # semantic.index_cache.IndexCache
-    parallelism: int = 1
-    #: Worker count baked into embedding caches *created through this
-    #: context* (``None`` = use ``parallelism``).  Under the serving
-    #: layer ``parallelism`` is a per-query share of the machine, but a
-    #: cache created by one query outlives it and serves every client —
-    #: so the server pins this to the machine-wide budget instead.
-    #: Safe even under concurrency: the cache serializes embeds behind
-    #: its write lock, so at most one machine-wide embed runs per model.
-    cache_parallelism: int | None = None
     #: obs.metrics.MetricsRegistry owned by the engine state (typed
     #: loosely: no cycle).  ``None`` for bare ``execute_plan`` calls;
     #: when set, caches created through this context register their

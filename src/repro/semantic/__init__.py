@@ -12,7 +12,7 @@ relational operator:
 
 The join ships the full physical ladder of the paper's Figure 4 — from the
 deliberately naive per-pair Python loop to prefetched, row-kernel, blocked
-(BLAS), parallel, and index-accelerated variants — plus syntactic
+(BLAS) and index-accelerated variants — plus syntactic
 baselines (edit distance, Jaccard) for the Figure 3 comparison.  The
 engine plans and runs only the exact access paths in
 ``SEMANTIC_JOIN_METHODS``; the other kernels are for the paper benches.
@@ -25,7 +25,6 @@ from repro.semantic.join import (
     join_blocked,
     join_index,
     join_nested_loop,
-    join_parallel,
     join_prefetched,
     join_python_eager,
     join_quantized_reranked,
@@ -50,7 +49,6 @@ __all__ = [
     "join_blocked",
     "join_index",
     "join_nested_loop",
-    "join_parallel",
     "join_prefetched",
     "join_python_eager",
     "join_quantized_reranked",

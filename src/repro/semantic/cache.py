@@ -83,13 +83,8 @@ class EmbeddingCache:
     """
 
     def __init__(self, model: EmbeddingModel,
-                 initial_capacity: int = INITIAL_CAPACITY,
-                 parallelism: int | None = None):
+                 initial_capacity: int = INITIAL_CAPACITY):
         self.model = model
-        #: Worker count passed to every batch embed this cache issues
-        #: (``None`` = the model's own default).  Set by the owning
-        #: session so shared models need no in-place mutation.
-        self.parallelism = parallelism
         self._ids: dict[str, int] = {}
         self._arena = np.empty((max(1, initial_capacity), model.dim),
                                dtype=np.float32)
@@ -333,7 +328,7 @@ class EmbeddingCache:
         no-growth branch writes only rows ``>= start``, which no
         published id or snapshot can reference yet.
         """
-        rows = self.model.embed_batch(tokens, workers=self.parallelism)
+        rows = self.model.embed_batch(tokens)
         needed = start + len(tokens)
         if needed > self._arena.shape[0]:
             capacity = int(self._arena.shape[0])

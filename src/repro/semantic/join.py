@@ -15,8 +15,8 @@ kernel               paper rung it reproduces
                      kernel call per left row)
 ``join_blocked``     + "CPU-specific instructions" (float32 BLAS GEMM over
                      blocks — SIMD fused multiply-add inside the kernel)
-``join_parallel``    + scale-up (blocks dispatched to a thread pool; BLAS
-                     releases the GIL)
+``kernel_parallel``  + scale-up (``join_blocked``'s block GEMMs on a thread
+                     pool; defined in ``bench_fig4_optimization_ladder.py``)
 ``join_index``       index-based access path (LSH / IVF / HNSW / brute),
                      the §V cost-based alternative for selective joins
 ===================  ====================================================
@@ -33,14 +33,13 @@ paper benchmarks call directly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.embeddings.model import EmbeddingModel
 from repro.errors import ExecutionError
 from repro.semantic.index_cache import INDEX_FACTORIES
-from repro.utils.parallel import resolve_workers
 from repro.vector.index import VectorIndex
 from repro.vector.topk import threshold_pairs
 
@@ -48,10 +47,9 @@ JoinPairs = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: The semantic-join access paths the optimizer chooses between, the
 #: executor runs and ``OptimizerConfig.semantic_join_methods`` accepts.
-#: Every one is exact: ``parallel`` runs ``blocked``'s block GEMMs on a
-#: pool, and ``index:brute`` scores every indexed row, so the choice
-#: changes the cost, never the answer.
-SEMANTIC_JOIN_METHODS = ("blocked", "parallel", "index:brute")
+#: Both are exact: ``index:brute`` scores every indexed row, so the
+#: choice changes the cost, never the answer.
+SEMANTIC_JOIN_METHODS = ("blocked", "index:brute")
 
 DEFAULT_BLOCK = 1024
 
@@ -61,8 +59,8 @@ def _empty_pairs() -> JoinPairs:
             np.empty(0, dtype=np.float32))
 
 
-def join_nested_loop(left_values, right_values, model: EmbeddingModel,
-                     threshold: float) -> JoinPairs:
+def join_nested_loop(left_values: Sequence[str], right_values: Sequence[str],
+                     model: EmbeddingModel, threshold: float) -> JoinPairs:
     """Naive per-pair join: re-embeds on every access, pure-Python dot.
 
     This is the paper's left-most Figure-4 bar — the code a data analyst
@@ -88,7 +86,8 @@ def join_nested_loop(left_values, right_values, model: EmbeddingModel,
             np.asarray(scores, dtype=np.float32))
 
 
-def join_python_eager(left_values, right_values, model: EmbeddingModel,
+def join_python_eager(left_values: Sequence[str],
+                      right_values: Sequence[str], model: EmbeddingModel,
                       threshold: float) -> JoinPairs:
     """The analyst's first Python program (Figure 4's baseline rungs).
 
@@ -121,8 +120,8 @@ def join_python_eager(left_values, right_values, model: EmbeddingModel,
             np.asarray(scores, dtype=np.float32))
 
 
-def join_prefetched(left_values, right_values, model: EmbeddingModel,
-                    threshold: float) -> JoinPairs:
+def join_prefetched(left_values: Sequence[str], right_values: Sequence[str],
+                    model: EmbeddingModel, threshold: float) -> JoinPairs:
     """Prefetched join: embeddings fetched once into contiguous matrices.
 
     Still a Python double loop, but each pair is one ``np.dot`` over rows
@@ -188,40 +187,6 @@ def join_blocked(left_matrix: np.ndarray, right_matrix: np.ndarray,
             np.concatenate(scores))
 
 
-def join_parallel(left_matrix: np.ndarray, right_matrix: np.ndarray,
-                  threshold: float, block: int = DEFAULT_BLOCK,
-                  workers: int | None = None) -> JoinPairs:
-    """Scale-up join: blocked GEMM fanned out to a thread pool.
-
-    NumPy's BLAS kernels release the GIL, so threads give genuine
-    parallelism for the multiply; the threshold scan is also per-block.
-    ``workers=None`` (or <= 0) resolves to the CPU-derived session
-    default; operators pass the session ``parallelism`` setting through.
-    """
-    workers = resolve_workers(workers)
-    left_matrix = np.ascontiguousarray(left_matrix, dtype=np.float32)
-    right_t = np.ascontiguousarray(right_matrix.astype(np.float32).T)
-    starts = list(range(0, left_matrix.shape[0], block))
-
-    def work(start: int) -> JoinPairs:
-        stop = min(start + block, left_matrix.shape[0])
-        similarity = left_matrix[start:stop] @ right_t
-        rows, cols, vals = threshold_pairs(similarity, threshold)
-        return (rows.astype(np.int64) + start, cols.astype(np.int64),
-                vals.astype(np.float32))
-
-    if not starts:
-        return _empty_pairs()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(work, starts))
-    left_idx = [p[0] for p in parts if p[0].shape[0]]
-    if not left_idx:
-        return _empty_pairs()
-    return (np.concatenate(left_idx),
-            np.concatenate([p[1] for p in parts if p[0].shape[0]]),
-            np.concatenate([p[2] for p in parts if p[0].shape[0]]))
-
-
 def join_index(left_matrix: np.ndarray, right_matrix: np.ndarray | None,
                threshold: float, kind: str = "lsh", seed: int = 0,
                index: VectorIndex | None = None) -> JoinPairs:
@@ -239,6 +204,8 @@ def join_index(left_matrix: np.ndarray, right_matrix: np.ndarray | None,
                 f"unknown index kind {kind!r}; "
                 f"available: {sorted(INDEX_FACTORIES)}"
             )
+        if right_matrix is None:
+            raise ExecutionError("join_index needs right_matrix or an index")
         index = factory(seed)
         index.build(right_matrix)
     left_idx: list[np.ndarray] = []

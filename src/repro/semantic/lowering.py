@@ -47,11 +47,7 @@ def cache_for(context: ExecutionContext, model_name: str) -> EmbeddingCache:
         with _CACHE_CREATE_LOCK:
             cache = caches.get(model_name)
             if cache is None:
-                workers = context.cache_parallelism
-                if workers is None:
-                    workers = context.parallelism
-                cache = EmbeddingCache(
-                    context.model(model_name), parallelism=workers)
+                cache = EmbeddingCache(context.model(model_name))
                 caches[model_name] = cache
                 created = True
         # register OUTSIDE the creation latch: registration takes the
@@ -88,7 +84,6 @@ def build_semantic_physical(plan: LogicalPlan, context: ExecutionContext,
         return SemanticJoinOp(left, right, plan.left_column,
                               plan.right_column, cache, plan.threshold,
                               plan.score_alias, plan.schema, method=method,
-                              parallelism=context.parallelism,
                               top_k=plan.top_k,
                               index_cache=context.index_cache,
                               aux_alias=plan.aux_alias)

@@ -22,7 +22,6 @@ from repro.semantic.join import (
     expand_index_matches,
     join_blocked,
     join_index,
-    join_parallel,
 )
 from repro.semantic.topk import join_topk, join_topk_index
 from repro.semantic.select import semantic_any_mask, semantic_select_mask
@@ -97,7 +96,7 @@ class SemanticJoinOp(PhysicalOperator):
                  left_column: str, right_column: str, cache: EmbeddingCache,
                  threshold: float, score_alias: str, schema: Schema,
                  index_cache: IndexCache, method: str = "blocked",
-                 parallelism: int | None = None, top_k: int | None = None,
+                 top_k: int | None = None,
                  aux_alias: str | None = None):
         if method not in SEMANTIC_JOIN_METHODS:
             raise ExecutionError(
@@ -110,7 +109,6 @@ class SemanticJoinOp(PhysicalOperator):
         self.threshold = threshold
         self.score_alias = score_alias
         self.method = method
-        self.parallelism = parallelism
         self.top_k = top_k
         self.index_cache = index_cache
         self.aux_alias = aux_alias
@@ -173,9 +171,6 @@ class SemanticJoinOp(PhysicalOperator):
                 li, qi, scores, positions, index.size)
             return left, right, scores
         right_matrix = self.cache.matrix(right_unique)
-        if self.method == "parallel":
-            return join_parallel(left_matrix, right_matrix, self.threshold,
-                                 workers=self.parallelism)
         return join_blocked(left_matrix, right_matrix, self.threshold)
 
     def _match_topk(self, left_unique: list[str], right_unique: list[str],

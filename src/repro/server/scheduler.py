@@ -4,8 +4,8 @@ The serving layer cannot just hand every incoming query a thread — a
 burst of heavy semantic joins would seize every core and interactive
 dashboards would stall behind them.  The scheduler therefore:
 
-1. **Bounds concurrency.**  A fixed worker pool sized by the same
-   ``utils.parallel`` budget the kernels use executes queries; a query
+1. **Bounds concurrency.**  A fixed worker pool (``SchedulerConfig.workers``,
+   by default one thread per visible core) executes queries; a query
    admitted while all workers are busy waits in a queue, and queue
    depth is bounded — past the bound, :class:`AdmissionError` tells the
    client to back off *now* instead of letting latency grow without
@@ -16,11 +16,9 @@ dashboards would stall behind them.  The scheduler therefore:
    prefer the interactive lane so cheap queries overtake expensive
    ones, with a periodic forced pick from the heavy lane so it can
    never starve outright.
-3. **Budgets intra-query parallelism.**  Each running query leases a
-   kernel-worker share from the shared
-   :class:`~repro.utils.parallel.WorkerBudget`, so one query on an idle
-   server fans its kernels across the whole machine while sixteen
-   concurrent queries get one worker each — instead of 16 x 16 threads.
+
+Each query runs its kernels serially on the worker that dispatched it:
+the pool's threads are the only threads the engine starts.
 
 Per-query and per-tenant telemetry (queue wait, run time, lane, plan
 cache hits) aggregates in the scheduler and surfaces through
@@ -29,6 +27,7 @@ cache hits) aggregates in the scheduler and surfaces through
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from collections import deque
@@ -37,7 +36,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import AdmissionError, ServerError
 from repro.obs.metrics import MetricsRegistry
-from repro.utils.parallel import WorkerBudget
+from repro.utils.parallel import default_parallelism
 
 #: Estimated-cost boundary between the interactive and heavy lanes, in
 #: the cost model's abstract units.  Calibration: a full relational
@@ -56,8 +55,8 @@ HEAVY_PICK_EVERY = 4
 class SchedulerConfig:
     """Knobs for the admission scheduler."""
 
-    #: Worker threads executing queries; ``None`` = the machine budget
-    #: (``utils.parallel.resolve_workers``), shared with the kernels.
+    #: Worker threads executing queries; ``None`` = one per visible core
+    #: (``utils.parallel.default_parallelism``).
     workers: int | None = None
     #: Queries allowed to wait per lane before admission refuses.
     max_queue_depth: int = 128
@@ -91,8 +90,6 @@ class QueryTicket:
     queued_at: float
     started_at: float | None = None
     finished_at: float | None = None
-    #: Kernel-worker share leased from the budget while running.
-    kernel_workers: int = 0
     #: Admission weight charged against the tenant's in-flight cap;
     #: released verbatim when the ticket finishes.
     weight: float = 1.0
@@ -147,12 +144,15 @@ class Scheduler:
     QUEUE_WAIT_BUCKETS = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0)
 
     def __init__(self, config: SchedulerConfig | None = None,
-                 budget: WorkerBudget | None = None,
                  registry: MetricsRegistry | None = None):
         self.config = config or SchedulerConfig()
-        #: Shared machine budget; the pool size and every query's kernel
-        #: share both derive from it.
-        self.budget = budget or WorkerBudget(self.config.workers)
+        workers = self.config.workers
+        if workers is None:
+            workers = default_parallelism()
+        elif workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
+        # e2e-harness shim yielding 1; ROADMAP 1(c) deletes it
+        self.budget = contextlib.nullcontext(1)
         self._lanes: dict[str, deque] = {"interactive": deque(),
                                          "heavy": deque()}
         self._mutex = threading.Lock()
@@ -196,7 +196,7 @@ class Scheduler:
             threading.Thread(target=self._worker_loop,
                              name=f"repro-query-worker-{index}",
                              daemon=True)
-            for index in range(self.budget.total)
+            for index in range(workers)
         ]
         for worker in self._workers:
             worker.start()
@@ -216,9 +216,8 @@ class Scheduler:
                weight: float = 1.0) -> QueryTicket:
         """Admit one query; returns its ticket (``.result()`` blocks).
 
-        ``run`` is called on a worker thread as ``run(ticket, workers)``
-        where ``workers`` is the kernel-worker share leased for this
-        query.  ``weight`` is the charge against the tenant's in-flight
+        ``run`` is called on a worker thread as ``run(ticket)``.
+        ``weight`` is the charge against the tenant's in-flight
         cap (1.0 for a plain query; ingest passes
         ``config.ingest_weight``).  Raises :class:`AdmissionError` when
         the target lane is already at ``max_queue_depth``.
@@ -347,9 +346,8 @@ class Scheduler:
             self._finish(ticket, cancelled=True)
             return True
         ticket.started_at = time.perf_counter()
-        ticket.kernel_workers = self.budget.acquire()
         try:
-            result = run(ticket, ticket.kernel_workers)
+            result = run(ticket)
         except BaseException as error:  # noqa: BLE001 — future carries it
             ticket.finished_at = time.perf_counter()
             ticket.future.set_exception(error)
@@ -358,8 +356,6 @@ class Scheduler:
             ticket.finished_at = time.perf_counter()
             ticket.future.set_result(result)
             self._finish(ticket)
-        finally:
-            self.budget.release()
         return True
 
     def _finish(self, ticket: QueryTicket, failed: bool = False,
@@ -415,7 +411,7 @@ class Scheduler:
         with self._mutex:
             queries = self._admitted.value
             return {
-                "workers": self.budget.total,
+                "workers": len(self._workers),
                 "admitted": queries,
                 "rejected": self._rejected.value,
                 "result_cache_noops": self._result_cache_noops.value,

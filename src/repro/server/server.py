@@ -10,9 +10,7 @@ planned once executes plan-cache-hot from every connection.
 Execution is admission-controlled: ``submit`` hands the statement
 lifecycle (:mod:`repro.engine.lifecycle`) the server's
 :class:`~repro.server.scheduler.Scheduler`, so planning and cache probes
-run in the calling thread and execution on the bounded pool, each query
-leasing a kernel-worker share from the machine-wide
-:class:`~repro.utils.parallel.WorkerBudget`.
+run in the calling thread and execution on the bounded pool.
 """
 
 from __future__ import annotations
@@ -26,23 +24,19 @@ from repro.optimizer.optimizer import OptimizerConfig
 from repro.relational.physical import DEFAULT_BATCH_SIZE
 from repro.server.scheduler import QueryTicket, Scheduler, SchedulerConfig
 from repro.storage.table import Table
-from repro.utils.parallel import WorkerBudget
 
 
 class EngineServer:
     """A concurrent, multi-session serving layer over one shared engine.
 
-    ``parallelism`` budgets *both* the scheduler's worker pool and the
-    kernel workers of every running query (one
-    :class:`~repro.utils.parallel.WorkerBudget` backs both), defaulting
-    to the CPUs visible to the process.  Use as a context manager or
-    call :meth:`close` to stop the worker pool.
+    ``scheduler_config.workers`` sizes the query pool, defaulting to the
+    CPUs visible to the process.  Use as a context manager or call
+    :meth:`close` to stop the worker pool.
     """
 
     def __init__(self, seed: int = 7, load_default_model: bool = True,
                  optimizer_config: OptimizerConfig | None = None,
                  batch_size: int = DEFAULT_BATCH_SIZE,
-                 parallelism: int | None = None,
                  result_cache_bytes: int | None = None,
                  semantic_reuse: bool = True,
                  generic_plans: bool = True,
@@ -52,19 +46,11 @@ class EngineServer:
         self.state = EngineState(
             seed=seed, load_default_model=load_default_model,
             optimizer_config=optimizer_config, batch_size=batch_size,
-            parallelism=parallelism,
             result_cache_bytes=result_cache_bytes,
             semantic_reuse=semantic_reuse,
             generic_plans=generic_plans,
             trace_sample=trace_sample, trace_log=trace_log)
-        config = scheduler_config or SchedulerConfig()
-        if config.workers is None:
-            # one budget backs the pool and the kernels; an explicit
-            # scheduler worker count decouples them on purpose
-            budget = WorkerBudget(parallelism)
-        else:
-            budget = WorkerBudget(config.workers)
-        self.scheduler = Scheduler(config, budget=budget,
+        self.scheduler = Scheduler(scheduler_config,
                                    registry=self.state.metrics_registry)
         self._closed = False
         # the admin session plans statements submitted without a client
@@ -122,7 +108,7 @@ class EngineServer:
         self._check_open()
         config = self.scheduler.config
         ticket = self.scheduler.submit(
-            lambda ticket, workers: operation(),
+            lambda ticket: operation(),
             estimated_cost=config.interactive_cost_threshold + 1.0,
             tenant=tenant, weight=config.ingest_weight)
         return ticket.result() if wait else ticket

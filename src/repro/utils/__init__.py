@@ -1,22 +1,14 @@
-"""Shared utilities: deterministic RNG, timing, text, and parallelism."""
+"""Shared utilities: deterministic RNG, timing, text, and core count."""
 
-from repro.utils.parallel import (
-    chunk_bounds,
-    default_parallelism,
-    kernel_workers,
-    resolve_workers,
-)
+from repro.utils.parallel import default_parallelism
 from repro.utils.rng import derive_seed, make_rng
 from repro.utils.timing import Timer, timed
 from repro.utils.text import normalize_token, tokenize
 
 __all__ = [
-    "chunk_bounds",
     "default_parallelism",
     "derive_seed",
-    "kernel_workers",
     "make_rng",
-    "resolve_workers",
     "Timer",
     "timed",
     "normalize_token",

@@ -1,29 +1,16 @@
-"""Shared parallelism configuration for thread-pooled kernels.
+"""The machine's core count, for sizing the serving layer's query pool.
 
-One place decides how many workers a session's kernels use, so the
-batch subword/segment-sum path, ``join_parallel``, and the optimizer's
-cost model all see the *same* number instead of scattered hardcoded
-defaults.  NumPy's BLAS kernels and most large-array ufuncs release the
-GIL, so thread pools give genuine parallelism for the compute-heavy
-stages; the clamp keeps tiny containers and huge hosts both sane.
+Queries run their kernels serially on the worker that dispatched them;
+the scheduler's pool (``SchedulerConfig.workers``) is the only place a
+thread count is set, and this is its default.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, TypeVar
 
-_T = TypeVar("_T")
-
-#: Upper clamp for the derived default (beyond this, pool scheduling and
-#: memory bandwidth dominate for our kernel sizes).
+#: Upper clamp for the derived default.
 MAX_DEFAULT_WORKERS = 16
-
-#: Below this many items a kernel stays serial: thread-pool setup costs
-#: more than the work it would spread.
-PARALLEL_MIN_ITEMS = 1024
 
 
 def default_parallelism(clamp: int = MAX_DEFAULT_WORKERS) -> int:
@@ -37,108 +24,3 @@ def default_parallelism(clamp: int = MAX_DEFAULT_WORKERS) -> int:
     except AttributeError:  # platforms without sched_getaffinity
         count = os.cpu_count() or 1
     return max(1, min(count, clamp))
-
-
-def resolve_workers(requested: int | None) -> int:
-    """Resolve a worker-count setting: ``None``/``0``/negative mean "use
-    the CPU-derived default"; explicit positive counts pass through."""
-    if requested is None or requested <= 0:
-        return default_parallelism()
-    return int(requested)
-
-
-def kernel_workers(requested: int, n_items: int,
-                   min_items: int = PARALLEL_MIN_ITEMS) -> int:
-    """Effective workers for one kernel invocation over ``n_items``.
-
-    Serial (1) when parallelism is off or the batch is too small to
-    amortize pool setup; otherwise at most one worker per item.
-    """
-    if requested <= 1 or n_items < min_items:
-        return 1
-    return min(int(requested), n_items)
-
-
-def map_chunks(n_items: int, workers: int,
-               fn: Callable[[int, int], _T],
-               min_items: int = PARALLEL_MIN_ITEMS) -> list[_T]:
-    """Run ``fn(start, stop)`` over contiguous chunks of ``range(n_items)``,
-    fanned out to a thread pool; results return in chunk order.
-
-    The one shared fan-out for owner-aligned kernels: workers resolve
-    through :func:`kernel_workers` (serial inline — no pool — when
-    parallelism is off or the batch is below ``min_items``), and chunk
-    boundaries come from :func:`chunk_bounds`, so every caller gets the
-    same gating and partitioning behaviour.
-    """
-    effective = kernel_workers(workers, n_items, min_items)
-    bounds = chunk_bounds(n_items, effective)
-    if effective <= 1:
-        return [fn(start, stop) for start, stop in bounds]
-    with ThreadPoolExecutor(max_workers=effective) as pool:
-        return list(pool.map(lambda bound: fn(*bound), bounds))
-
-
-class WorkerBudget:
-    """One machine-wide worker budget shared by the serving layer's
-    scheduler and the intra-query kernels.
-
-    The problem it solves: the scheduler runs up to W queries at once,
-    and each query's kernels (parallel semantic join, batch subword
-    path) would *also* spin up W threads — oversubscribing the machine
-    W-fold exactly when it is busiest.  The budget hands each admitted
-    query a kernel-worker share of ``max(1, total // active)``: a lone
-    query gets the whole machine, sixteen concurrent queries get one
-    worker each, and the sum of kernel workers never exceeds ~2x total
-    (shares are not retroactively shrunk when later queries arrive —
-    a deliberate simplification; shares are short-lived).
-
-    ``acquire()`` never blocks — admission control (queue bounds) lives
-    in the scheduler; the budget only divides the machine among queries
-    the scheduler already admitted.
-    """
-
-    def __init__(self, total: int | None = None) -> None:
-        #: Machine-wide worker count (resolved like session parallelism).
-        self.total = resolve_workers(total)
-        self._active = 0
-        self._lock = threading.Lock()
-
-    @property
-    def active(self) -> int:
-        """Queries currently holding a share."""
-        with self._lock:
-            return self._active
-
-    def acquire(self) -> int:
-        """Register one running query; returns its kernel-worker share."""
-        with self._lock:
-            self._active += 1
-            return max(1, self.total // self._active)
-
-    def release(self) -> None:
-        """Return a share acquired with :meth:`acquire`."""
-        with self._lock:
-            if self._active <= 0:
-                raise RuntimeError("WorkerBudget.release() without acquire()")
-            self._active -= 1
-
-    def __enter__(self) -> int:
-        return self.acquire()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.release()
-
-
-def chunk_bounds(n_items: int, chunks: int) -> list[tuple[int, int]]:
-    """Split ``range(n_items)`` into ``chunks`` contiguous, near-equal
-    ``(start, stop)`` slices (no empty slices)."""
-    chunks = max(1, min(chunks, n_items)) if n_items else 0
-    bounds: list[tuple[int, int]] = []
-    base, extra = divmod(n_items, chunks) if chunks else (0, 0)
-    start = 0
-    for index in range(chunks):
-        stop = start + base + (1 if index < extra else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds

@@ -531,8 +531,7 @@ def reference_filter_estimate(estimator: CardinalityEstimator,
 # ---------------------------------------------------------------------------
 # cold semantic path (oracle of test_cold_semantic_path.py)
 # ---------------------------------------------------------------------------
-def reference_embed_batch(model: EmbeddingModel, texts,
-                          workers: int = 1) -> np.ndarray:
+def reference_embed_batch(model: EmbeddingModel, texts) -> np.ndarray:
     """``embed_batch`` over ``reference_raw_vectors_batch``, without
     touching the model's ``tokens_embedded`` counter."""
     from repro.utils.text import normalize_token
@@ -548,14 +547,14 @@ def reference_embed_batch(model: EmbeddingModel, texts,
             first_seen[token] = uid
             unique.append(token)
         inverse[position] = uid
-    rows = _unit_rows(reference_raw_vectors_batch(model, unique, workers))
+    rows = _unit_rows(reference_raw_vectors_batch(model, unique))
     if len(unique) == len(tokens):
         return rows
     return rows[inverse]
 
 
-def reference_raw_vectors_batch(model: EmbeddingModel, tokens: list[str],
-                                workers: int = 1) -> np.ndarray:
+def reference_raw_vectors_batch(model: EmbeddingModel,
+                                tokens: list[str]) -> np.ndarray:
     """``EmbeddingModel._raw_vectors_batch`` with every known word's
     subword mean hashed in the batch."""
     rows = np.zeros((len(tokens), model.dim), dtype=np.float64)
@@ -578,7 +577,7 @@ def reference_raw_vectors_batch(model: EmbeddingModel, tokens: list[str],
             np.float64)
         if model.subword_weight > 0.0:
             means, has_grams = model._subword_means(
-                [tokens[p] for p in vocab_pos], workers)
+                [tokens[p] for p in vocab_pos])
             weight = model.subword_weight
             gathered[has_grams] = (
                 (1.0 - weight) * gathered[has_grams]
@@ -587,7 +586,7 @@ def reference_raw_vectors_batch(model: EmbeddingModel, tokens: list[str],
 
     if oov_pos:
         means, has_grams = model._subword_means(
-            [tokens[p] for p in oov_pos], workers)
+            [tokens[p] for p in oov_pos])
         usable = has_grams & (np.abs(means).max(axis=1) > 0.0)
         positions = np.asarray(oov_pos)
         rows[positions[usable]] = means[usable]
@@ -608,8 +607,8 @@ def reference_raw_vectors_batch(model: EmbeddingModel, tokens: list[str],
                     parts.append(part)
                 owners.append(owner)
                 refs.append(ref)
-        part_rows = reference_raw_vectors_batch(
-            model, parts, workers).astype(np.float32)
+        part_rows = reference_raw_vectors_batch(model,
+                                                parts).astype(np.float32)
         sums, counts = _segment_sums(
             part_rows, np.asarray(refs, dtype=np.int64),
             np.asarray(owners, dtype=np.int64), len(multi_pos))

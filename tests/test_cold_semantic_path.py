@@ -22,7 +22,6 @@ from reference_operators import (
     reference_embed_batch,
 )
 
-import repro.embeddings.model as model_module
 from repro.embeddings.model import EmbeddingModel
 from repro.semantic.groupby import cluster_strings
 from repro.semantic.operators import RowGroups, _expand_pairs, _group_rows
@@ -81,17 +80,14 @@ class TestVocabularyMemo:
         texts += data.draw(st.lists(st.sampled_from(texts), max_size=10))
         cuts = sorted(data.draw(st.lists(
             st.integers(0, len(texts)), max_size=3)))
-        workers = data.draw(st.integers(1, 3))
         weight = data.draw(st.sampled_from([None, 0.0]))
         subject = _fresh(model, weight)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(model_module, "PARALLEL_MIN_TOKENS", 1)
-            for start, stop in zip([0] + cuts, cuts + [len(texts)]):
-                batch = texts[start:stop]
-                got = subject.embed_batch(batch, workers=workers)
-                expected = reference_embed_batch(subject, batch, workers=1)
-                assert got.dtype == expected.dtype
-                assert np.array_equal(got, expected)
+        for start, stop in zip([0] + cuts, cuts + [len(texts)]):
+            batch = texts[start:stop]
+            got = subject.embed_batch(batch)
+            expected = reference_embed_batch(subject, batch)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
 
     def test_memo_is_built_once_and_not_counted(self, model):
         subject = _fresh(model)
@@ -119,7 +115,7 @@ class TestVocabularyMemo:
 
         def first_call(slot: int) -> None:
             barrier.wait()
-            results[slot] = subject.embed_batch(texts, workers=2)
+            results[slot] = subject.embed_batch(texts)
 
         threads = [threading.Thread(target=first_call, args=(slot,))
                    for slot in range(4)]

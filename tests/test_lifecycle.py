@@ -120,7 +120,8 @@ class _Raises:
 
 @pytest.fixture()
 def server(model, tmp_path):
-    with EngineServer(load_default_model=False, parallelism=2,
+    with EngineServer(load_default_model=False,
+                      scheduler_config=SchedulerConfig(workers=2),
                       trace_log=tmp_path / "traces.ndjson") as server:
         install(server, model)
         yield server

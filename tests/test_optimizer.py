@@ -136,34 +136,6 @@ class TestCardinality:
 
 
 class TestCostModel:
-    def test_parallel_wins_at_scale(self):
-        params = CostParams()
-        blocked = semantic_join_method_cost(params, 50_000, 50_000,
-                                            "blocked")
-        parallel = semantic_join_method_cost(params, 50_000, 50_000,
-                                             "parallel")
-        assert parallel.total < blocked.total
-
-    @pytest.mark.parametrize("workers", [None, 2, 4, 16])
-    @pytest.mark.parametrize("unique_left", [1, 250, 1_000, 1_024])
-    @pytest.mark.parametrize("unique_right", [250, 100_000, 5_000_000])
-    def test_parallel_loses_within_one_block(self, workers, unique_left,
-                                             unique_right):
-        """``join_parallel`` hands out whole 1 024-row left blocks, so
-        one block runs on one thread plus the pool start-up."""
-        params = CostParams(workers=workers)
-        blocked = semantic_join_method_cost(params, unique_left,
-                                            unique_right, "blocked")
-        parallel = semantic_join_method_cost(params, unique_left,
-                                             unique_right, "parallel")
-        assert parallel.total > blocked.total
-
-    def test_parallel_loses_small(self):
-        params = CostParams()
-        blocked = semantic_join_method_cost(params, 10, 10, "blocked")
-        parallel = semantic_join_method_cost(params, 10, 10, "parallel")
-        assert parallel.total > blocked.total
-
     def test_unknown_method_infinite(self):
         params = CostParams()
         assert semantic_join_method_cost(params, 10, 10,
@@ -316,7 +288,8 @@ class TestPhysicalSelection:
         assert plan.hints["algorithm"] == "hash"
 
     @pytest.mark.parametrize("methods", [(), ("bogus",), ("index:lsh",),
-                                         ("blocked", "index:hnsw")])
+                                         ("blocked", "index:hnsw"),
+                                         ("parallel",)])
     def test_method_pin_rejects_non_exact_paths(self, methods):
         # rejected when the config is built: an empty pin would fail
         # every join with IndexError, an unknown name only at execution

@@ -35,7 +35,7 @@ from repro.engine.result_cache import (
 )
 from repro.engine.session import Session
 from repro.semantic.cache import RETIRED_GENERATIONS
-from repro.server import EngineServer
+from repro.server import EngineServer, SchedulerConfig
 from repro.storage.table import Table
 
 
@@ -364,7 +364,8 @@ class TestSessionIntegration:
 # ---------------------------------------------------------------------------
 @pytest.fixture()
 def server(model):
-    with EngineServer(load_default_model=False, parallelism=2) as server:
+    with EngineServer(load_default_model=False,
+                      scheduler_config=SchedulerConfig(workers=2)) as server:
         server.register_model(model, default=True)
         server.register_table("t", Table.from_dict({
             "a": list(range(20)),
@@ -557,7 +558,8 @@ class TestRaces:
     def test_eviction_under_pressure_tiny_budget(self, model):
         """A byte budget sized for ~2 results under an 8-thread storm
         over 6 distinct statements: budget holds, answers stay right."""
-        with EngineServer(load_default_model=False, parallelism=2,
+        with EngineServer(load_default_model=False,
+                          scheduler_config=SchedulerConfig(workers=2),
                           result_cache_bytes=2_000) as server:
             server.register_model(model, default=True)
             server.register_table("t", Table.from_dict({

@@ -1,23 +1,15 @@
-"""Row-id plumbing tests: index-cache identity on arena row-id sets, the
-explicit index-id -> value-position mapping, and the parallel subword
-kernels' parity with the serial path."""
+"""Row-id plumbing tests: index-cache identity on arena row-id sets and
+the explicit index-id -> value-position mapping."""
 
 import numpy as np
 import pytest
 
-from repro.embeddings.subword import subword_ids, subword_ids_batch
 from repro.relational.logical import ScanNode, SemanticJoinNode
 from repro.relational.physical import ExecutionContext, execute_plan
 from repro.semantic.index_cache import IndexCache
-from repro.semantic.join import (
-    expand_index_matches,
-    join_blocked,
-    join_parallel,
-)
+from repro.semantic.join import expand_index_matches
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
-from repro.utils.parallel import chunk_bounds, kernel_workers, \
-    resolve_workers
 
 
 class TestIndexCacheIdentity:
@@ -359,7 +351,7 @@ class TestCacheFailureSafety:
         original = model.embed_batch
         calls = {"n": 0}
 
-        def flaky(texts, workers=None):
+        def flaky(texts):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise MemoryError("transient")
@@ -378,162 +370,9 @@ class TestCacheFailureSafety:
                            atol=1e-6)
 
 
-class TestParallelSubwordKernels:
-    def test_subword_ids_batch_worker_parity(self):
-        # 1280 words: above the shared min-items gate, so workers > 1
-        # genuinely exercises the pooled owner-aligned chunking
-        words = ["sneakers", "golden retriever", "", "a", "café latte",
-                 "xyzzy12", "q1z9", "dog dog dog"] * 160
-        serial_ids, serial_owners = subword_ids_batch(words)
-        for workers in (0, 1, 2, 4):
-            ids, owners = subword_ids_batch(words, workers=workers)
-            assert (np.diff(owners) >= 0).all()
-            assert np.array_equal(np.sort(owners), np.sort(serial_owners))
-            for index in range(16):   # spot-check the first two cycles
-                mine = np.sort(ids[owners == index])
-                assert np.array_equal(mine, np.sort(
-                    serial_ids[serial_owners == index])), (workers, index)
-                assert np.array_equal(
-                    mine, np.sort(subword_ids(words[index])))
-            # full-array multiset parity across the batch
-            assert np.array_equal(
-                np.sort(ids + owners * 1_000_003),
-                np.sort(serial_ids + serial_owners * 1_000_003))
-
-    def test_embed_batch_parallel_parity(self, model, monkeypatch):
-        import repro.embeddings.model as model_module
-
-        vocab = sorted(model.vocab)
-        texts = ([f"{a} {b}" for a, b in zip(vocab[:40], vocab[5:45])]
-                 + [w[1:] + w[:1] for w in vocab[:30]]   # misspellings
-                 + [f"{w} q{i}z" for i, w in enumerate(vocab[:30])])
-        serial = model.embed_batch(texts)
-        monkeypatch.setattr(model_module, "PARALLEL_MIN_TOKENS", 1)
-        monkeypatch.setattr(model, "parallelism", 3)
-        parallel = model.embed_batch(texts)
-        assert np.allclose(serial, parallel, atol=1e-6)
-
-    def test_embed_batch_zero_and_one_worker_edge(self, model,
-                                                  monkeypatch):
-        import repro.embeddings.model as model_module
-
-        texts = ["sneakers", "golden retriever", "sneekers", ""]
-        reference = model.embed_batch(texts)
-        monkeypatch.setattr(model_module, "PARALLEL_MIN_TOKENS", 1)
-        for workers in (0, 1):
-            monkeypatch.setattr(model, "parallelism", workers)
-            assert np.allclose(model.embed_batch(texts), reference,
-                               atol=1e-6)
-
-    def test_kernel_workers_thresholds(self):
-        assert kernel_workers(4, 10, min_items=100) == 1   # too small
-        assert kernel_workers(1, 10_000) == 1              # serial config
-        assert kernel_workers(0, 10_000) == 1
-        assert kernel_workers(4, 10_000) == 4
-        assert kernel_workers(8, 4, min_items=1) == 4      # capped by n
-
-    def test_chunk_bounds_partition(self):
-        assert chunk_bounds(0, 4) == []
-        assert chunk_bounds(5, 2) == [(0, 3), (3, 5)]
-        bounds = chunk_bounds(10, 3)
-        assert bounds[0][0] == 0 and bounds[-1][1] == 10
-        assert all(stop > start for start, stop in bounds)
-        assert all(bounds[i][1] == bounds[i + 1][0]
-                   for i in range(len(bounds) - 1))
-
-
-class TestSessionParallelism:
-    def test_resolve_workers(self):
-        assert resolve_workers(3) == 3
-        assert resolve_workers(None) >= 1
-        assert resolve_workers(0) == resolve_workers(None)
-        assert resolve_workers(-2) >= 1
-
-    def test_session_resolves_and_threads_parallelism(self):
-        from repro.engine.session import Session
-
-        session = Session(parallelism=3)
-        assert session.context.parallelism == 3
-        # cost model sees the real worker count (not the hardcoded 4)
-        assert session.optimizer_config.cost_params.workers == 3
-        # the session-owned cache threads it into every batch embed,
-        # without mutating the (possibly shared) model object
-        assert session.embedding_cache().parallelism == 3
-        model = session.models.get(session.default_model_name)
-        assert model.parallelism == 1
-
-    def test_session_default_is_cpu_derived(self):
-        from repro.engine.session import Session
-        from repro.utils.parallel import default_parallelism
-
-        session = Session(load_default_model=False)
-        assert session.context.parallelism == default_parallelism()
-        assert (session.optimizer_config.cost_params.workers
-                == default_parallelism())
-
-    def test_explicit_config_without_workers_still_synced(self):
-        from repro.engine.session import Session
-        from repro.optimizer.optimizer import OptimizerConfig
-
-        # a config passed to toggle rules must not silently keep the
-        # standalone modeling default worker count
-        config = OptimizerConfig(enable_dip=False)
-        session = Session(load_default_model=False,
-                          optimizer_config=config, parallelism=2)
-        assert session.optimizer_config.cost_params.workers == 2
-
-    def test_shared_config_not_mutated_across_sessions(self):
-        from repro.engine.session import Session
-        from repro.optimizer.optimizer import OptimizerConfig
-
-        shared = OptimizerConfig()
-        first = Session(load_default_model=False,
-                        optimizer_config=shared, parallelism=2)
-        second = Session(load_default_model=False,
-                         optimizer_config=shared, parallelism=5)
-        assert shared.cost_params.workers is None   # caller's object intact
-        assert first.optimizer_config.cost_params.workers == 2
-        assert second.optimizer_config.cost_params.workers == 5
-
+class TestCacheInputs:
     def test_cache_accepts_generators(self, cache):
         cache.prefetch(t for t in ["dog", "cat"])
         assert cache.rows == 2
         matrix = cache.matrix(t for t in ["dog", "cat"])
         assert matrix.shape == (2, cache.model.dim)
-
-    def test_explicitly_tuned_workers_honored(self):
-        from repro.engine.session import Session
-        from repro.optimizer.cost import CostParams
-        from repro.optimizer.optimizer import OptimizerConfig
-
-        config = OptimizerConfig(cost_params=CostParams(workers=7))
-        session = Session(load_default_model=False,
-                          optimizer_config=config, parallelism=2)
-        assert session.optimizer_config.cost_params.workers == 7
-
-    def test_bare_cost_params_use_modeled_default(self):
-        from repro.optimizer.cost import (
-            CostParams,
-            DEFAULT_MODELED_WORKERS,
-            semantic_join_method_cost,
-        )
-
-        # standalone cost studies (workers unspecified) keep the modeled
-        # default instead of degrading to this machine's core count
-        params = CostParams()
-        explicit = CostParams(workers=DEFAULT_MODELED_WORKERS)
-        assert (semantic_join_method_cost(params, 50_000, 50_000,
-                                          "parallel").total
-                == semantic_join_method_cost(explicit, 50_000, 50_000,
-                                             "parallel").total)
-
-    def test_join_parallel_default_workers(self, model):
-        left = model.embed_batch(["sneakers", "parka"])
-        right = model.embed_batch(["shoes", "jacket", "car"])
-        reference = join_blocked(left, right, 0.9)
-        for workers in (None, 0, 1, 2):
-            li, ri, scores = join_parallel(left, right, 0.9, block=1,
-                                           workers=workers)
-            assert np.array_equal(li, reference[0])
-            assert np.array_equal(ri, reference[1])
-            assert np.allclose(scores, reference[2], atol=1e-6)

@@ -38,13 +38,13 @@ def blocked_worker(scheduler: Scheduler):
     """Occupy every worker; returns (release_event, started_event)."""
     release, started = threading.Event(), threading.Event()
 
-    def block(ticket, workers):
+    def block(ticket):
         started.set()
         assert release.wait(timeout=10)
         return "blocked-done"
 
     tickets = [scheduler.submit(block, estimated_cost=1.0)
-               for _ in range(scheduler.budget.total)]
+               for _ in range(scheduler.stats()["workers"])]
     assert started.wait(timeout=10)
     return release, tickets
 
@@ -97,7 +97,7 @@ class TestAntiStarvation:
         order: list[str] = []
 
         def record(tag):
-            def run(ticket, workers):
+            def run(ticket):
                 order.append(tag)
                 return tag
             return run
@@ -118,7 +118,7 @@ class TestAntiStarvation:
         release, _ = blocked_worker(scheduler)
         for i in range(4):
             scheduler.submit(
-                lambda ticket, workers, i=i: order.append(i),
+                lambda ticket, i=i: order.append(i),
                 estimated_cost=1e9)
         release.set()
         assert scheduler.drain(timeout=10)
@@ -142,10 +142,10 @@ class TestAdmission:
         scheduler = make_scheduler()
         release, _ = blocked_worker(scheduler)
         try:
-            scheduler.submit(lambda t, w: None, estimated_cost=1.0)
-            scheduler.submit(lambda t, w: None, estimated_cost=1.0)
+            scheduler.submit(lambda t: None, estimated_cost=1.0)
+            scheduler.submit(lambda t: None, estimated_cost=1.0)
             with pytest.raises(AdmissionError, match="interactive lane"):
-                scheduler.submit(lambda t, w: None, estimated_cost=1.0)
+                scheduler.submit(lambda t: None, estimated_cost=1.0)
             assert scheduler.stats()["rejected"] == 1
         finally:
             release.set()
@@ -156,16 +156,16 @@ class TestAdmission:
         release, _ = blocked_worker(scheduler)
         try:
             for _ in range(2):
-                scheduler.submit(lambda t, w: None, estimated_cost=1.0)
+                scheduler.submit(lambda t: None, estimated_cost=1.0)
             with pytest.raises(AdmissionError):
-                scheduler.submit(lambda t, w: None, estimated_cost=1.0)
+                scheduler.submit(lambda t: None, estimated_cost=1.0)
             # the heavy lane still admits
-            ticket = scheduler.submit(lambda t, w: "heavy-ok",
+            ticket = scheduler.submit(lambda t: "heavy-ok",
                                       estimated_cost=1e9)
             assert ticket.lane == "heavy"
             with pytest.raises(AdmissionError, match="heavy lane"):
                 for _ in range(3):
-                    scheduler.submit(lambda t, w: None, estimated_cost=1e9)
+                    scheduler.submit(lambda t: None, estimated_cost=1e9)
         finally:
             release.set()
             scheduler.close()
@@ -175,11 +175,11 @@ class TestAdmission:
         release, _ = blocked_worker(scheduler)
         try:
             for _ in range(2):
-                scheduler.submit(lambda t, w: None, estimated_cost=1.0)
+                scheduler.submit(lambda t: None, estimated_cost=1.0)
             admitted = scheduler.stats()["admitted"]
             tenants = scheduler.stats()["tenants"]["default"]["queries"]
             with pytest.raises(AdmissionError):
-                scheduler.submit(lambda t, w: None, estimated_cost=1.0)
+                scheduler.submit(lambda t: None, estimated_cost=1.0)
             assert scheduler.stats()["admitted"] == admitted
             assert scheduler.stats()["tenants"]["default"]["queries"] \
                 == tenants
@@ -191,9 +191,9 @@ class TestAdmission:
         scheduler = make_scheduler()
         release, _ = blocked_worker(scheduler)
         for _ in range(2):
-            scheduler.submit(lambda t, w: "ok", estimated_cost=1.0)
+            scheduler.submit(lambda t: "ok", estimated_cost=1.0)
         with pytest.raises(AdmissionError):
-            scheduler.submit(lambda t, w: None, estimated_cost=1.0)
+            scheduler.submit(lambda t: None, estimated_cost=1.0)
         release.set()
         assert scheduler.drain(timeout=10)
         scheduler.close()
@@ -202,7 +202,7 @@ class TestAdmission:
         scheduler = make_scheduler()
         scheduler.close()
         with pytest.raises(ServerError):
-            scheduler.submit(lambda t, w: None, estimated_cost=1.0)
+            scheduler.submit(lambda t: None, estimated_cost=1.0)
 
     def test_complete_cached_after_close_raises(self):
         scheduler = make_scheduler()
@@ -235,15 +235,15 @@ class TestTenantInflightCap:
                                    max_inflight_per_tenant=1)
         release, _ = blocked_worker(scheduler)   # occupies "default"
         try:
-            scheduler.submit(lambda t, w: "a", estimated_cost=1.0,
+            scheduler.submit(lambda t: "a", estimated_cost=1.0,
                              tenant="alice")
             with pytest.raises(AdmissionError,
                                match="tenant 'alice' at max in-flight"):
-                scheduler.submit(lambda t, w: "b", estimated_cost=1.0,
+                scheduler.submit(lambda t: "b", estimated_cost=1.0,
                                  tenant="alice")
             assert scheduler.stats()["rejected"] == 1
             # a different tenant is unaffected by alice's cap
-            ticket = scheduler.submit(lambda t, w: "c",
+            ticket = scheduler.submit(lambda t: "c",
                                       estimated_cost=1.0, tenant="bob")
             assert ticket.tenant == "bob"
         finally:
@@ -256,11 +256,11 @@ class TestTenantInflightCap:
         release, _ = blocked_worker(scheduler)
         try:
             for _ in range(2):     # both queued: inflight = 2
-                scheduler.submit(lambda t, w: None, estimated_cost=1.0,
+                scheduler.submit(lambda t: None, estimated_cost=1.0,
                                  tenant="alice")
             assert scheduler.stats()["tenant_inflight"]["alice"] == 2
             with pytest.raises(AdmissionError):
-                scheduler.submit(lambda t, w: None, estimated_cost=1.0,
+                scheduler.submit(lambda t: None, estimated_cost=1.0,
                                  tenant="alice")
         finally:
             release.set()
@@ -270,14 +270,14 @@ class TestTenantInflightCap:
         scheduler = make_scheduler(max_queue_depth=16,
                                    max_inflight_per_tenant=1)
         release, _ = blocked_worker(scheduler)
-        ticket = scheduler.submit(lambda t, w: "done", estimated_cost=1.0,
+        ticket = scheduler.submit(lambda t: "done", estimated_cost=1.0,
                                   tenant="alice")
         release.set()
         assert ticket.result(timeout=10) == "done"
         assert scheduler.drain(timeout=10)
         # the slot freed: alice admits again, and the gauge is empty
         assert "alice" not in scheduler.stats()["tenant_inflight"]
-        again = scheduler.submit(lambda t, w: "again", estimated_cost=1.0,
+        again = scheduler.submit(lambda t: "again", estimated_cost=1.0,
                                  tenant="alice")
         assert again.result(timeout=10) == "again"
         scheduler.close()
@@ -287,7 +287,7 @@ class TestTenantInflightCap:
                                    max_inflight_per_tenant=1)
         release, _ = blocked_worker(scheduler)
         try:
-            scheduler.submit(lambda t, w: None, estimated_cost=1.0,
+            scheduler.submit(lambda t: None, estimated_cost=1.0,
                              tenant="alice")    # alice at cap
             for kind in ("result", "reuse"):
                 ticket = scheduler.complete_cached(
@@ -310,21 +310,21 @@ class TestTenantInflightCap:
                                    max_inflight_per_tenant=3)
         release, _ = blocked_worker(scheduler)
         try:
-            scheduler.submit(lambda t, w: "ingest", estimated_cost=1.0,
+            scheduler.submit(lambda t: "ingest", estimated_cost=1.0,
                              tenant="alice", weight=2.0)
-            scheduler.submit(lambda t, w: "query", estimated_cost=1.0,
+            scheduler.submit(lambda t: "query", estimated_cost=1.0,
                              tenant="alice")
             assert scheduler.stats()["tenant_inflight"]["alice"] == 3.0
             with pytest.raises(AdmissionError,
                                match="requested weight 2"):
-                scheduler.submit(lambda t, w: None, estimated_cost=1.0,
+                scheduler.submit(lambda t: None, estimated_cost=1.0,
                                  tenant="alice", weight=2.0)
             with pytest.raises(AdmissionError,
                                match="requested weight 1"):
-                scheduler.submit(lambda t, w: None, estimated_cost=1.0,
+                scheduler.submit(lambda t: None, estimated_cost=1.0,
                                  tenant="alice")
             # another tenant's budget is untouched by alice's ingest
-            scheduler.submit(lambda t, w: None, estimated_cost=1.0,
+            scheduler.submit(lambda t: None, estimated_cost=1.0,
                              tenant="bob", weight=2.0)
         finally:
             release.set()
@@ -335,13 +335,13 @@ class TestTenantInflightCap:
         map empties (no float dust pinning idle tenants)."""
         scheduler = make_scheduler(max_queue_depth=16,
                                    max_inflight_per_tenant=2)
-        ticket = scheduler.submit(lambda t, w: "done", estimated_cost=1.0,
+        ticket = scheduler.submit(lambda t: "done", estimated_cost=1.0,
                                   tenant="alice", weight=2.0)
         assert ticket.result(timeout=10) == "done"
         assert scheduler.drain(timeout=10)
         assert "alice" not in scheduler.stats()["tenant_inflight"]
         # the full cap is available again for a fresh weighted submit
-        again = scheduler.submit(lambda t, w: "again", estimated_cost=1.0,
+        again = scheduler.submit(lambda t: "again", estimated_cost=1.0,
                                  tenant="alice", weight=2.0)
         assert again.result(timeout=10) == "again"
         scheduler.close()
@@ -355,10 +355,10 @@ class TestTenantInflightCap:
         release, _ = blocked_worker(scheduler)
         try:
             for _ in range(3):
-                scheduler.submit(lambda t, w: None, estimated_cost=1.0,
+                scheduler.submit(lambda t: None, estimated_cost=1.0,
                                  tenant="alice", weight=0.5)
             with pytest.raises(AdmissionError):
-                scheduler.submit(lambda t, w: None, estimated_cost=1.0,
+                scheduler.submit(lambda t: None, estimated_cost=1.0,
                                  tenant="alice", weight=0.5)
         finally:
             release.set()
@@ -368,7 +368,7 @@ class TestTenantInflightCap:
         scheduler = make_scheduler(max_queue_depth=16,
                                    max_inflight_per_tenant=1)
 
-        def boom(ticket, workers):
+        def boom(ticket):
             raise RuntimeError("query failed")
 
         ticket = scheduler.submit(boom, estimated_cost=1.0,
@@ -377,7 +377,7 @@ class TestTenantInflightCap:
             ticket.result(timeout=10)
         assert scheduler.drain(timeout=10)
         assert "alice" not in scheduler.stats()["tenant_inflight"]
-        ok = scheduler.submit(lambda t, w: "ok", estimated_cost=1.0,
+        ok = scheduler.submit(lambda t: "ok", estimated_cost=1.0,
                               tenant="alice")
         assert ok.result(timeout=10) == "ok"
         scheduler.close()
@@ -387,7 +387,7 @@ class TestTenantInflightCap:
         release, _ = blocked_worker(scheduler)
         try:
             for _ in range(10):
-                scheduler.submit(lambda t, w: None, estimated_cost=1.0,
+                scheduler.submit(lambda t: None, estimated_cost=1.0,
                                  tenant="alice")
         finally:
             release.set()
@@ -444,7 +444,7 @@ class TestTicketTelemetry:
     def test_failure_counted_per_tenant(self):
         scheduler = make_scheduler()
         try:
-            def boom(ticket, workers):
+            def boom(ticket):
                 raise RuntimeError("kaput")
 
             ticket = scheduler.submit(boom, estimated_cost=1.0,
@@ -474,7 +474,7 @@ class TestIdleWorkerReleasesResult:
 
         scheduler = make_scheduler()
         try:
-            ticket = scheduler.submit(lambda ticket, workers: Result(),
+            ticket = scheduler.submit(lambda ticket: Result(),
                                       estimated_cost=1.0)
             result = weakref.ref(ticket.result(timeout=10))
             assert scheduler.drain(timeout=10)

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
 from repro.relational.logical import (
@@ -17,12 +15,10 @@ from repro.relational.physical import execute_plan
 from repro.semantic.cache import EmbeddingCache
 from repro.semantic.groupby import cluster_strings
 from repro.semantic.join import (
-    DEFAULT_BLOCK,
     SEMANTIC_JOIN_METHODS,
     join_blocked,
     join_index,
     join_nested_loop,
-    join_parallel,
     join_prefetched,
     join_rowkernel,
 )
@@ -63,8 +59,6 @@ class TestJoinKernels:
                                             0.9)[:2])
         assert _pair_set(*join_rowkernel(left_matrix, right_matrix,
                                          0.9)[:2]) == reference
-        assert _pair_set(*join_parallel(left_matrix, right_matrix, 0.9,
-                                        block=2, workers=2)[:2]) == reference
         assert _pair_set(*join_index(left_matrix, right_matrix, 0.9,
                                      kind="brute")[:2]) == reference
 
@@ -104,30 +98,6 @@ class TestJoinKernels:
         one = join_blocked(left_matrix, right_matrix, 0.7, block=1)
         full = join_blocked(left_matrix, right_matrix, 0.7, block=1024)
         assert _pair_set(*one[:2]) == _pair_set(*full[:2])
-
-    @settings(max_examples=40, deadline=None)
-    @given(n_left=st.integers(0, 2_600), n_right=st.integers(1, 300),
-           dim=st.integers(8, 128), workers=st.integers(1, 4),
-           block=st.sampled_from([DEFAULT_BLOCK, 64, 7]),
-           threshold=st.sampled_from([-1.0, 0.0, 0.3, 0.95]),
-           seed=st.integers(0, 2**16))
-    def test_parallel_equals_blocked(self, n_left, n_right, dim, workers,
-                                     block, threshold, seed):
-        """``parallel`` runs ``blocked``'s block-row GEMMs on a pool:
-        equal pairs, scores, dtypes and order for any worker count —
-        why it is a reuse-safe access path."""
-        rng = np.random.default_rng(seed)
-        left = rng.standard_normal((n_left, dim)).astype(np.float32)
-        right = rng.standard_normal((n_right, dim)).astype(np.float32)
-        left /= np.maximum(np.linalg.norm(left, axis=1, keepdims=True),
-                           1e-6)
-        right /= np.linalg.norm(right, axis=1, keepdims=True)
-        expected = join_blocked(left, right, threshold, block=block)
-        got = join_parallel(left, right, threshold, block=block,
-                            workers=workers)
-        for got_part, expected_part in zip(got, expected):
-            assert got_part.dtype == expected_part.dtype
-            assert np.array_equal(got_part, expected_part)
 
 
 class TestSelectKernels:

@@ -33,7 +33,6 @@ from repro.semantic.index_cache import IndexCache
 from repro.server import EngineServer, Scheduler, SchedulerConfig
 from repro.engine.state import plan_models
 from repro.storage.table import Table
-from repro.utils.parallel import WorkerBudget
 
 N_THREADS = 8
 
@@ -59,7 +58,8 @@ def run_threads(n, target):
 
 @pytest.fixture()
 def server(model):
-    with EngineServer(load_default_model=False, parallelism=4) as server:
+    with EngineServer(load_default_model=False,
+                      scheduler_config=SchedulerConfig(workers=4)) as server:
         server.register_model(model, default=True)
         server.register_table("t", Table.from_dict({
             "a": list(range(40)),
@@ -161,11 +161,22 @@ class TestScheduler:
             threshold = scheduler.config.interactive_cost_threshold
             assert scheduler.classify(threshold * 2) == "heavy"
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_pool_size_must_be_positive(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            Scheduler(SchedulerConfig(workers=workers))
+
+    def test_pool_size_defaults_to_visible_cores(self):
+        from repro.utils.parallel import default_parallelism
+
+        with Scheduler() as scheduler:
+            assert scheduler.stats()["workers"] == default_parallelism()
+
     def test_admission_error_when_queue_full(self):
         release = threading.Event()
         started = threading.Event()
 
-        def blocker(ticket, workers):
+        def blocker(ticket):
             started.set()
             release.wait(timeout=10)
 
@@ -174,9 +185,9 @@ class TestScheduler:
         try:
             scheduler.submit(blocker, estimated_cost=1.0)
             assert started.wait(timeout=5)
-            scheduler.submit(lambda t, w: None, estimated_cost=1.0)
+            scheduler.submit(lambda t: None, estimated_cost=1.0)
             with pytest.raises(AdmissionError):
-                scheduler.submit(lambda t, w: None, estimated_cost=1.0)
+                scheduler.submit(lambda t: None, estimated_cost=1.0)
             assert scheduler.stats()["rejected"] == 1
         finally:
             release.set()
@@ -187,7 +198,7 @@ class TestScheduler:
         gate = threading.Event()
 
         def job(name):
-            def run(ticket, workers):
+            def run(ticket):
                 gate.wait(timeout=10)
                 done.append(name)
             return run
@@ -211,7 +222,7 @@ class TestScheduler:
             scheduler.close()
 
     def test_failure_propagates_and_is_counted(self):
-        def boom(ticket, workers):
+        def boom(ticket):
             raise ValueError("deliberate")
 
         with Scheduler(SchedulerConfig(workers=1)) as scheduler:
@@ -224,11 +235,10 @@ class TestScheduler:
 
     def test_ticket_telemetry(self):
         with Scheduler(SchedulerConfig(workers=1)) as scheduler:
-            ticket = scheduler.submit(lambda t, w: "ok", estimated_cost=1.0)
+            ticket = scheduler.submit(lambda t: "ok", estimated_cost=1.0)
             assert ticket.result(timeout=10) == "ok"
             assert ticket.queue_wait_seconds >= 0.0
             assert ticket.run_seconds >= 0.0
-            assert ticket.kernel_workers >= 1
 
 
 class TestLockPrimitives:
@@ -263,26 +273,6 @@ class TestLockPrimitives:
         assert cache._arena is not buffer_before
         cache.row_ids(["gamma", "delta"])   # re-interns from row 0
         assert np.array_equal(snapshot, frozen)
-
-
-class TestWorkerBudget:
-    def test_shares_divide_by_active_queries(self):
-        budget = WorkerBudget(8)
-        assert budget.acquire() == 8
-        assert budget.acquire() == 4
-        assert budget.acquire() == 2
-        for _ in range(3):
-            budget.release()
-        assert budget.active == 0
-
-    def test_share_never_below_one(self):
-        budget = WorkerBudget(2)
-        shares = [budget.acquire() for _ in range(5)]
-        assert min(shares) == 1
-
-    def test_release_underflow_raises(self):
-        with pytest.raises(RuntimeError):
-            WorkerBudget(2).release()
 
 
 # ---------------------------------------------------------------------------
