@@ -17,11 +17,9 @@ Defends the subsumption subsystem's claims:
    single-core CI too.
 3. **Proven fallbacks.**  A loosened threshold (not subsumed) and an
    aggregate statement (ineligible shape) must execute normally — zero
-   reuse hits — and stay bit-identical to the disabled server.  An
-   approximate index (``index:lsh``) cannot be pinned through the
-   optimizer at all: the pin must be rejected.  A ``register_table``
-   between base and refinement must invalidate (fresh answer from the
-   new contents).
+   reuse hits — and stay bit-identical to the disabled server.  A
+   ``register_table`` between base and refinement must invalidate
+   (fresh answer from the new contents).
 
 Usage::
 
@@ -31,8 +29,8 @@ Usage::
 ``--quick`` (CI smoke) shrinks sizes/rounds and writes no JSON unless
 ``--output`` is given.  The full run writes ``BENCH_semantic_reuse.json``
 at the repository root.  Exits nonzero on any parity failure, a missing
-reuse hit, a speedup below 5x, a fallback that did not execute, or an
-accepted approximate-index pin.
+reuse hit, a speedup below 5x, a fallback that did not execute, or a
+stale answer after invalidation.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ import numpy as np
 from benchmarks.common import ResultTable, metrics_snapshot, stopwatch
 from repro.embeddings.pretrained import build_pretrained_model
 from repro.embeddings.thesaurus import default_thesaurus
-from repro.optimizer.optimizer import OptimizerConfig
 from repro.server import EngineServer
 from repro.storage.table import Table
 from repro.utils.parallel import default_parallelism
@@ -207,13 +204,6 @@ def run(sizes: dict, speedup_target: float) -> dict:
         scheduler_stats = reuse_server.scheduler.stats()
         registry_snapshot = metrics_snapshot(reuse_server)
 
-    # --- an approximate index cannot be pinned at all -----------------
-    try:
-        OptimizerConfig(semantic_join_methods=("index:lsh",))
-        approximate_rejected = False
-    except ValueError:
-        approximate_rejected = True
-
     return {
         "cpu_count": default_parallelism(),
         "sizes": {k: v for k, v in sizes.items() if k != "rounds"},
@@ -229,7 +219,6 @@ def run(sizes: dict, speedup_target: float) -> dict:
         "refinement_speedup": round(speedup, 2),
         "speedup_target": speedup_target,
         "fallbacks": fallbacks,
-        "approximate_index_rejected": approximate_rejected,
         "invalidation_ok": invalidation_ok,
         "reuse_registry": reuse_stats,
         "reuse_noops": scheduler_stats["reuse_noops"],
@@ -272,8 +261,6 @@ def main(argv: list[str] | None = None) -> None:
     table.add("reuse hits (parity sweep)", results["parity_reuse_hits"])
     table.show()
     print(f"\nfallbacks: {results['fallbacks']}   "
-          f"approximate-index pin rejected: "
-          f"{results['approximate_index_rejected']}   "
           f"invalidation: "
           f"{'OK' if results['invalidation_ok'] else 'STALE'}")
 
@@ -294,8 +281,6 @@ def main(argv: list[str] | None = None) -> None:
     for name, ok in results["fallbacks"].items():
         if not ok:
             failures.append(f"fallback proof failed: {name}")
-    if not results["approximate_index_rejected"]:
-        failures.append("approximate-index pin was accepted")
     if not results["invalidation_ok"]:
         failures.append("register_table served a stale residual")
     if failures:

@@ -6,8 +6,9 @@ Usage:
 Prints, in order: Table I, Figure 4 (two-series ladder), Figure 2
 (motivating query), Figure 3 (consolidation), Figure 5 (hardware
 placement), and the ablations (optimizer stages, index access paths,
-quantization).  See EXPERIMENTS.md for the shape claims each section
-verifies.
+quantization).  The shape claims each section verifies are the
+assertions in its ``benchmarks/bench_*.py`` module; run them all with
+``PYTHONPATH=src python -m pytest -q benchmarks/bench_*.py``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ def main() -> None:
         bench_fig3_consolidation,
         bench_fig4_optimization_ladder,
         bench_fig5_hardware_placement,
-        bench_rowid_join,
         bench_semantic_reuse,
         bench_table1_semantic_matches,
     )
@@ -62,7 +62,6 @@ def main() -> None:
         ("Ablation — index access paths", bench_ablation_index_access),
         ("Ablation — int8 quantization", bench_ablation_quantization),
         ("PR 1 — embedding pipeline", bench_embedding_pipeline),
-        ("PR 2 — row-id joins + kernels", bench_rowid_join),
         ("PR 3 — concurrent serving", bench_concurrent_serving),
         ("PR 4 — cross-statement result cache", bench_result_cache),
         ("PR 5 — semantic subsumption reuse", bench_semantic_reuse),
@@ -75,7 +74,7 @@ def main() -> None:
     # invocation should do
     scale = os.environ.get("REPRO_BENCH_SCALE", "small")
     pr_bench_argv = ["--quick"] if scale == "small" else []
-    takes_argv = {bench_embedding_pipeline, bench_rowid_join,
+    takes_argv = {bench_embedding_pipeline,
                   bench_concurrent_serving, bench_result_cache,
                   bench_semantic_reuse, bench_rewrite_depth,
                   bench_incremental_ingest}
@@ -101,8 +100,8 @@ def main() -> None:
 #: Gate-carrying keys surfaced in the committed-trajectory summary, in
 #: display order; each BENCH_*.json reports whichever subset it has.
 _GATE_KEYS = (
-    "parity", "parity_atol_1e-6", "join_parity", "invalidation_ok",
-    "all_parity_answers_residual", "approximate_index_fell_back",
+    "parity", "parity_atol_1e-6", "invalidation_ok",
+    "all_parity_answers_residual",
     "speedup_enforced", "workload_speedup", "refinement_speedup",
     "speedup", "idspace_gather_speedup", "speedup_target",
     "rewrite_parity", "rewrite_converged", "generic_hit_rate",
@@ -139,8 +138,8 @@ def print_committed_gates() -> None:
                 continue
             value = data[key]
             if isinstance(value, dict):
-                # nested sections (e.g. rowid join_parity) surface only
-                # their boolean parity flags
+                # nested sections surface only their boolean parity
+                # flags
                 for sub, flag in value.items():
                     if "parity" in sub and isinstance(flag, bool):
                         shown.append(f"{key}.{sub}={flag}")

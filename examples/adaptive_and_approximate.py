@@ -56,8 +56,7 @@ def main() -> None:
     print(f"  actual inputs:    {report.actual_inputs[0]:,} x "
           f"{report.actual_inputs[1]:,}")
     print(f"  deviation {report.deviation:.1f}x -> "
-          f"{'re-optimized' if report.reoptimized else 'kept plan'} "
-          f"(method {report.method_before} -> {report.method_after}); "
+          f"{'re-optimized' if report.reoptimized else 'kept plan'}; "
           f"{result.num_rows} result rows")
 
     # --- 2. approximate aggregation ---------------------------------------

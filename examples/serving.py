@@ -110,10 +110,6 @@ def main() -> None:
         for model_name, arena in metrics["embedding_arenas"].items():
             print(f"  arena[{model_name}]: {arena['rows']} rows, "
                   f"hit rate {arena['hit_rate']:.1%}")
-        index = metrics["vector_index_cache"]
-        print(f"  vector indexes: {index['entries']} cached, "
-              f"{index['builds']} built, {index['hits']} hits "
-              f"({index['single_flight_waits']} coalesced)")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Declared cache-key dimensions and invalidation protocol.
 
 The engine's caches key on (canonical digest, literals, catalog
-version, model, arena generations, index generation).  Correctness
+version, model, arena generations, table data versions).  Correctness
 rests on two disciplines the cache-key lint
 (:mod:`repro.analysis.cachekeys`) enforces:
 
@@ -35,11 +35,8 @@ VERSION_PROTOCOLS: tuple[VersionBump, ...] = (
     VersionBump(owner=f"{PKG}.storage.catalog.Catalog",
                 attr="_data_versions",
                 mutators=("append_rows", "replace_rows")),
-    # Index entries retire by generation; clear() must advance it.
-    VersionBump(owner=f"{PKG}.semantic.index_cache.IndexCache",
-                attr="generation", mutators=("clear",)),
     # An arena clear draws a fresh generation AND retires the old one
-    # so index entries over the dead arena can never be row-matched.
+    # so results keyed on the dead arena can never serve again.
     VersionBump(owner=f"{PKG}.semantic.cache.EmbeddingCache",
                 attr="generation", mutators=("clear",),
                 required_calls={
@@ -50,8 +47,6 @@ PROTECTED_STATE: tuple[ProtectedState, ...] = (
     ProtectedState(owner=f"{PKG}.storage.catalog.Catalog",
                    attrs=("_tables", "_stats", "_version",
                           "_data_versions")),
-    ProtectedState(owner=f"{PKG}.semantic.index_cache.IndexCache",
-                   attrs=("_store", "generation")),
     ProtectedState(owner=f"{PKG}.semantic.cache.EmbeddingCache",
                    attrs=("generation",)),
 )

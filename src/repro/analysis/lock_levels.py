@@ -29,12 +29,11 @@ Levels (acquire downward only):
    (``context.catalog.get``) while the query's read stripes are held;
    the catalog acquires nothing upward while locked (``stats`` only
    recurses into its own reentrant lock).
-4. **Leaf locks** — embedding-cache internals, index cache, result
-   cache, reuse registry, worker budget, counters, the
-   semantic cache-creation latch, and the observability instruments
-   (``obs.metrics`` counters/histograms, the metrics registry, the
-   tracer ring).  A leaf lock is never held across a call into the
-   catalog, plan cache, or scheduler (rule LH003).
+4. **Leaf locks** — embedding-cache internals, result cache, reuse
+   registry, the semantic cache-creation latch, and the observability
+   instruments (``obs.metrics`` counters/histograms, the metrics
+   registry, the tracer ring).  A leaf lock is never held across a
+   call into the catalog, plan cache, or scheduler (rule LH003).
 
 Historical note: before the static-analysis suite landed, the docs
 placed the catalog at level 2 and the stripes at level 3 — the checker
@@ -80,9 +79,6 @@ DECLARATIONS: tuple[LockDecl, ...] = (
     LockDecl(name="EmbeddingCache._stats_lock",
              owner=f"{PKG}.semantic.cache.EmbeddingCache",
              attr="_stats_lock", level=4),
-    LockDecl(name="IndexCache._lock",
-             owner=f"{PKG}.semantic.index_cache.IndexCache", attr="_lock",
-             level=4),
     LockDecl(name="ResultCache._lock",
              owner=f"{PKG}.engine.result_cache.ResultCache", attr="_lock",
              level=4),
@@ -91,11 +87,6 @@ DECLARATIONS: tuple[LockDecl, ...] = (
              level=4),
     LockDecl(name="lowering._CACHE_CREATE_LOCK",
              owner=f"{PKG}.semantic.lowering", attr="_CACHE_CREATE_LOCK",
-             level=4),
-    # the index cache's in-flight table: held only around its own
-    # dict, never across the owner's probe or build
-    LockDecl(name="SingleFlight._lock",
-             owner=f"{PKG}.utils.store.SingleFlight", attr="_lock",
              level=4),
     # -- level 4: observability instruments ----------------------------
     # Instruments never call out while locked, so they are safe leaves;
@@ -137,7 +128,6 @@ ATTR_TYPES: dict[str, str] = {
     "plan_cache": f"{PKG}.engine.plan_cache.PlanCache",
     "result_cache": f"{PKG}.engine.result_cache.ResultCache",
     "reuse_registry": f"{PKG}.reuse.registry.ReuseRegistry",
-    "index_cache": f"{PKG}.semantic.index_cache.IndexCache",
     "scheduler": f"{PKG}.server.scheduler.Scheduler",
     "model_locks": f"{PKG}.utils.locks.StripedRWLock",
     "metrics_registry": f"{PKG}.obs.metrics.MetricsRegistry",
@@ -150,8 +140,7 @@ ATTR_TYPES: dict[str, str] = {
         "_invalidations", "_oversize_skips", "_reuse_fetches",
         "_text_memo_hits", "_registrations", "_probes", "_fallbacks",
         "_stale_drops", "_admitted", "_rejected", "_result_cache_noops",
-        "_reuse_noops", "_dispatches", "_compiles",
-        "_single_flight_waits", "statements_total")},
+        "_reuse_noops", "_dispatches", "_compiles", "statements_total")},
     **{attr: f"{PKG}.obs.metrics.Histogram" for attr in (
         "_queue_wait_hist", "_compile_hist", "statement_seconds",
         "operator_seconds")},

@@ -52,9 +52,6 @@ DECLARED_METRICS: tuple[MetricDecl, ...] = (
     # -- optimizer -----------------------------------------------------
     MetricDecl("optimizer_rewrite_nonconvergence_total", "counter",
                "rewrite fixpoints that hit max_passes still firing"),
-    MetricDecl("optimizer_semantic_join_method_total", "counter",
-               "semantic-join access paths chosen by full optimizations, "
-               "by method"),
     # -- result cache --------------------------------------------------
     MetricDecl("result_cache_hits_total", "counter", "result cache hits"),
     MetricDecl("result_cache_misses_total", "counter",
@@ -114,24 +111,6 @@ DECLARED_METRICS: tuple[MetricDecl, ...] = (
                "interned strings (arena rows)"),
     MetricDecl("embedding_arena_bytes", "gauge", "arena bytes in use"),
     MetricDecl("embedding_arena_hit_ratio", "gauge",
-               "hits / (hits + misses)"),
-    # -- vector-index cache --------------------------------------------
-    MetricDecl("index_cache_hits", "gauge", "vector-index cache hits"),
-    MetricDecl("index_cache_misses", "gauge",
-               "vector-index cache misses"),
-    MetricDecl("index_cache_builds", "gauge",
-               "actual index constructions"),
-    MetricDecl("index_cache_incremental_extends", "gauge",
-               "index builds served by extending a predecessor"),
-    MetricDecl("index_cache_single_flight_waits", "gauge",
-               "misses coalesced onto another thread's build"),
-    MetricDecl("index_cache_evictions", "gauge",
-               "indexes dropped to hold the byte budget"),
-    MetricDecl("index_cache_entries", "gauge",
-               "built vector indexes resident"),
-    MetricDecl("index_cache_generation", "gauge",
-               "monotonic clear() token"),
-    MetricDecl("index_cache_hit_ratio", "gauge",
                "hits / (hits + misses)"),
     # -- ingest --------------------------------------------------------
     MetricDecl("ingest_rows_total", "counter",

@@ -6,12 +6,12 @@ mechanisms for practical and adaptive query optimization and execution.
 Late binding to the query requirements ... has become a standard."
 
 The executor materializes the inputs of the plan's first pipeline breaker
-(a semantic join — the operator whose physical choice is most sensitive to
+(a semantic join — the operator whose cost is most sensitive to
 cardinalities), compares *actual* input cardinalities against the
 optimizer's estimates, and when they deviate beyond a factor, re-optimizes
 the remaining plan against the materialized reality: the catalog now holds
-exact statistics for the intermediates, so access-path selection
-(blocked vs index) and join ordering re-run with ground truth.
+exact statistics for the intermediates, so join ordering and pushdown
+re-run with ground truth.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ class AdaptiveReport:
     actual_inputs: tuple[int, int] | None = None
     deviation: float = 1.0
     reoptimized: bool = False
-    method_before: str | None = None
-    method_after: str | None = None
     temp_tables: list[str] = field(default_factory=list)
 
 
@@ -54,7 +52,6 @@ class AdaptiveExecutor:
             return (self.session.execute(optimized, optimize=False), report)
 
         report.checked_node = checkpoint.label()
-        report.method_before = checkpoint.hints.get("method")
 
         from repro.optimizer.cardinality import CardinalityEstimator
 
@@ -87,10 +84,6 @@ class AdaptiveExecutor:
         finally:
             for name in report.temp_tables:
                 self.session.catalog.drop(name)
-        for node in rebuilt.walk():
-            if isinstance(node, SemanticJoinNode):
-                report.method_after = node.hints.get("method")
-                break
         return result, report
 
     # ------------------------------------------------------------------

@@ -25,8 +25,6 @@ function of:
   that involved a since-invalidated model never serve again — the
   signal a model *replacement* needs, which the catalog version cannot
   see;
-- **index-cache generation** — bumped by ``IndexCache.clear()``, same
-  discipline;
 - **table data versions** — one ``(table, data_version)`` pair per
   table the plan scans.  Appends/upserts bump only this dimension
   (``docs/ingest.md``), so a row mutation invalidates — or lets the
@@ -74,10 +72,10 @@ from typing import NamedTuple
 from repro.obs.metrics import MetricsRegistry, hit_ratio
 from repro.semantic.cache import RETIRED_GENERATIONS
 from repro.storage.table import Table
-from repro.utils.store import DEFAULT_BYTE_BUDGET, LRUStore
+from repro.utils.store import LRUStore
 
 #: Default byte budget for cached result snapshots (64 MiB).
-DEFAULT_RESULT_CACHE_BYTES = DEFAULT_BYTE_BUDGET
+DEFAULT_RESULT_CACHE_BYTES = 64 * 1024 * 1024
 
 #: Estimated Python-object overhead per cached string element.
 _OBJECT_OVERHEAD = 56
@@ -99,8 +97,6 @@ class ResultKey(NamedTuple):
     catalog_version: int
     #: Default model name the statement was bound with.
     model_name: str
-    #: ``IndexCache.generation`` at key-build time.
-    index_generation: int
     #: Sorted ``(model, EmbeddingCache.generation)`` per plan model;
     #: ``-1`` marks a model whose arena does not exist yet.
     arena_generations: tuple[tuple[str, int], ...]
@@ -222,7 +218,6 @@ class ResultCache:
             fn=lambda: hit_ratio(self._hits.value, self._misses.value),
             help="exact hits / probes; 0.0 before any probe")
         self._newest_version = -1
-        self._newest_index_generation = -1
         #: per-table data_version watermark (ingest bumps)
         self._newest_table_versions: dict[str, int] = {}
         # size of RETIRED_GENERATIONS at the last sweep: the set only
@@ -381,7 +376,6 @@ class ResultCache:
         very execution that produced this result, so every later lookup
         carries the real generation)."""
         return (key.catalog_version < self._newest_version
-                or key.index_generation < self._newest_index_generation
                 or any(generation == -1 or generation in RETIRED_GENERATIONS
                        for _, generation in key.arena_generations)
                 or any(version < self._newest_table_versions.get(name, -1)
@@ -390,7 +384,7 @@ class ResultCache:
     def _sweep_stale_locked(self, key: ResultKey) -> None:
         """Drop entries that can never hit again.
 
-        Catalog versions and index-cache generations are monotonic, so
+        Catalog versions and table data versions are monotonic, so
         anything below the newest observed value is dead; an arena
         generation in :data:`RETIRED_GENERATIONS` (cleared or collected
         cache) is dead regardless of ordering.
@@ -398,9 +392,6 @@ class ResultCache:
         advanced = False
         if key.catalog_version > self._newest_version:
             self._newest_version = key.catalog_version
-            advanced = True
-        if key.index_generation > self._newest_index_generation:
-            self._newest_index_generation = key.index_generation
             advanced = True
         for name, version in key.table_versions:
             if version > self._newest_table_versions.get(name, -1):

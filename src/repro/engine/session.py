@@ -8,8 +8,8 @@ queries; the session optimizes, executes, and profiles them.
 :class:`~repro.engine.state.EngineState`: a stand-alone session builds a
 private state, while sessions handed a ``shared_state`` — the
 :class:`~repro.server.EngineServer` path — share catalog, models,
-embedding arenas, the vector-index cache, and the plan cache with every
-sibling.  How a statement is served — plan cache, result cache, reuse,
+embedding arenas, and the plan and result caches with every sibling.
+How a statement is served — plan cache, result cache, reuse,
 execution — is :mod:`repro.engine.lifecycle`.
 """
 

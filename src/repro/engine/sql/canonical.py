@@ -14,7 +14,7 @@ full cache key: the template digest groups statements into **families**
 ("same shape, different constants"), but the cached plan itself is
 keyed on the concrete parameter tuple as well — a different constant
 legitimately changes selectivity estimates, and with them the
-optimizer's join order and access-path choices, so per-literal
+optimizer's join order and pushdown choices, so per-literal
 ("custom") plans are the default, mirroring mainstream engines.  A
 family only graduates to a shared **generic plan** after the plan
 cache has *observed* that several distinct literal tuples all optimize

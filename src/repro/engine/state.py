@@ -2,7 +2,7 @@
 
 Before the serving layer, every :class:`~repro.engine.session.Session`
 owned a full copy of the expensive, slow-to-warm engine state — model
-registry, embedding arenas, vector-index cache — so two sessions over
+registry, embedding arenas — so two sessions over
 the same data paid the warm-up twice and shared no cache hits.
 :class:`EngineState` is that state extracted into one object:
 
@@ -12,12 +12,10 @@ the same data paid the warm-up twice and shared no cache hits.
 - **embedding_caches** — one arena-backed
   :class:`~repro.semantic.cache.EmbeddingCache` per model, shared by
   every client so a string embedded by any query is a hit for all;
-- **index_cache** — the row-id-keyed vector-index cache (single-flight
-  builds);
 - **plan_cache** — optimized plans keyed on canonical SQL + catalog
   version;
 - **result_cache** — byte-budgeted result snapshots keyed on canonical
-  SQL + catalog version + model/arena/index generations, so a repeated
+  SQL + catalog version + model/arena generations, so a repeated
   statement skips execution entirely (see
   :mod:`repro.engine.result_cache`);
 - **model_locks** — striped read-write locks addressed by model name,
@@ -46,7 +44,6 @@ from repro.optimizer.optimizer import OptimizerConfig
 from repro.polystore.federation import Federation
 from repro.relational.logical import LogicalPlan
 from repro.relational.physical import DEFAULT_BATCH_SIZE, ExecutionContext
-from repro.semantic.index_cache import IndexCache
 from repro.storage.catalog import Catalog
 from repro.utils.locks import StripedRWLock
 
@@ -109,10 +106,6 @@ class EngineState:
         #: model name -> EmbeddingCache; created lazily and race-safely
         #: by :func:`repro.semantic.lowering.cache_for`.
         self.embedding_caches: dict = {}
-        # seed 0 matches what lazy creation in semantic.lowering always
-        # used, so index randomization is unchanged by the extraction
-        self.index_cache = IndexCache()
-        self.index_cache.register_metrics(self.metrics_registry)
         self.model_locks = StripedRWLock()
         self.default_model_name = DEFAULT_MODEL_NAME
         # generic_plans=False pins every statement to per-literal
@@ -154,9 +147,9 @@ class EngineState:
         """A fresh execution context wired to the shared caches.
 
         Contexts are cheap per-client (or per-query) objects: they share
-        the catalog, model registry, embedding arenas, and index cache,
-        but carry their own ``metrics`` dict so concurrent executions
-        never write into each other's telemetry.
+        the catalog, model registry and embedding arenas, but carry
+        their own ``metrics`` dict so concurrent executions never write
+        into each other's telemetry.
         """
         # parallelism: ignored e2e-harness shim; ROADMAP 1(c) deletes it
         return ExecutionContext(
@@ -164,7 +157,6 @@ class EngineState:
             batch_size=self.batch_size if batch_size is None
             else _checked_batch_size(batch_size),
             embedding_cache=self.embedding_caches,
-            index_cache=self.index_cache,
             metrics_registry=self.metrics_registry)
 
     def result_key(self, planned) -> ResultKey | None:
@@ -192,7 +184,6 @@ class EngineState:
             parameters=planned.canonical.parameters,
             catalog_version=planned.catalog_version,
             model_name=planned.model_name,
-            index_generation=self.index_cache.generation,
             arena_generations=arena_generations,
             table_versions=tuple(
                 (name, self.catalog.data_version(name))
@@ -272,7 +263,7 @@ class EngineState:
 
         Candidates live in the same containment family and must have
         been captured under exactly the probe's catalog version, model,
-        and index/arena generations — the same freshness contract as an
+        and arena generations — the same freshness contract as an
         exact hit, enforced by comparing the non-identity fields of the
         two keys.  A successful residual answer is stored under the
         probe's own exact key (and registered), so an identical repeat
@@ -295,21 +286,17 @@ class EngineState:
             cached_key = entry.key
             if (cached_key.catalog_version != key.catalog_version
                     or cached_key.model_name != key.model_name
-                    or cached_key.index_generation != key.index_generation
                     or cached_key.arena_generations
                     != key.arena_generations
                     or cached_key.table_versions != key.table_versions):
-                # catalog versions, index generations, arena generation
-                # tokens, and per-table data versions are all
-                # monotonic: an entry below the probe's capture can
-                # never serve again and is dropped; an entry *above* it
-                # means this probe raced an invalidation — keep the
-                # entry for fresh probes.  (model_name is a session
-                # default, not a version: another session may still
-                # match it, so only skip.)
+                # catalog versions, arena generation tokens, and
+                # per-table data versions are all monotonic: an entry
+                # below the probe's capture can never serve again and is
+                # dropped; an entry *above* it means this probe raced an
+                # invalidation — keep the entry for fresh probes.
+                # (model_name is a session default, not a version:
+                # another session may still match it, so only skip.)
                 dead = (cached_key.catalog_version < key.catalog_version
-                        or cached_key.index_generation
-                        < key.index_generation
                         or any(cached_gen < probe_gen for
                                (_, cached_gen), (_, probe_gen)
                                in zip(cached_key.arena_generations,

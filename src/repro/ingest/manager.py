@@ -19,10 +19,8 @@ dimension — the per-table ``data_version`` — and spends it carefully:
   and otherwise die at the table-version watermark
   (:meth:`ResultCache.advance_table_version`).  Never served stale:
   every key carries ``(table, data_version)`` pairs;
-- **embedding arenas and vector indexes** need no action here: arenas
-  are append-only interning stores, and the index cache grows an
-  existing index when a new id set extends the old one as a sorted
-  prefix (see :meth:`IndexCache.get_for_ids`).
+- **embedding arenas** need no action here: they are append-only
+  interning stores.
 
 Locking: ``IngestManager._lock`` is level 0 — the outermost lock in the
 engine hierarchy (``repro.analysis.lock_levels``).  Holding it, the
@@ -238,8 +236,6 @@ class IngestManager:
             # in this very mutation); nothing to re-execute the delta
             # through
             return "plan-evicted"
-        if key.index_generation != state.index_cache.generation:
-            return "index-generation-moved"
         for name, generation in key.arena_generations:
             cache = state.embedding_caches.get(name)
             if cache is None or cache.generation != generation:
@@ -277,10 +273,10 @@ class IngestManager:
 
         The plan executes against a private shim catalog holding the
         delta under the table's name, while sharing every model-side
-        cache with the engine (arenas intern the delta's strings once,
-        the index cache may extend, compiled kernels hit).  Model read
-        stripes are held for the duration — the same discipline as a
-        real execution, so an arena clear cannot race the gather.
+        cache with the engine (arenas intern the delta's strings once).
+        Model read stripes are held for the duration — the same
+        discipline as a real execution, so an arena clear cannot race
+        the gather.
         """
         state = self._state
         shim = Catalog()

@@ -3,8 +3,8 @@
 Abstract cost units approximate relative wall time.  The decisive ratio —
 vectorized pair cost vs model-inference cost — mirrors the
 orders-of-magnitude gap the paper's Figure 4 measures, so the optimizer's
-choices (pushdown first, then one of the exact semantic-join access paths:
-blocked GEMM or a brute-force index) land where the measurements land.
+choices (pushdown first, semantic joins over the fewest distinct keys)
+land where the measurements land.
 """
 
 from __future__ import annotations
@@ -65,29 +65,6 @@ class Cost:
 
     def __add__(self, other: "Cost") -> "Cost":
         return Cost(self.cpu + other.cpu, self.model + other.model)
-
-
-def semantic_join_method_cost(
-    params: CostParams,
-    unique_left: float,
-    unique_right: float,
-    method: str,
-) -> Cost:
-    """Cost of matching ``unique_left`` x ``unique_right`` key sets."""
-    pairs = max(unique_left * unique_right, 1.0)
-    dim = params.dim
-    embed = (unique_left + unique_right) * params.embed_token
-    if method == "blocked":
-        cpu = pairs * dim * params.pair_vector_dim
-        return Cost(cpu=cpu, model=embed)
-    if method == "index:brute":
-        # build copies the indexed rows; each left key probes all of them
-        vec = params.pair_vector_dim
-        build = unique_right * dim * vec * 0.1
-        probe = unique_left * unique_right * dim * vec + unique_left * 50.0
-        return Cost(cpu=build + probe, model=embed)
-    # unknown method: prohibitively expensive so selection avoids it
-    return Cost(cpu=float("inf"))
 
 
 class CostModel:
@@ -187,18 +164,19 @@ class CostModel:
             f"no cost model for plan node {type(plan).__name__}; "
             f"add an arm here and to analysis/dispatch_registry.py")
 
-    def semantic_join_cost(self, plan: SemanticJoinNode,
-                           method: str | None = None) -> Cost:
-        """Cost of one semantic join under a given (or hinted) method."""
-        method = method or plan.hints.get("method", "blocked")
+    def semantic_join_cost(self, plan: SemanticJoinNode) -> Cost:
+        """Cost of one semantic join: embed both distinct key sets, score
+        every distinct pair through the blocked GEMM, expand matches."""
+        params = self.params
         left_rows = self.estimator.estimate(plan.left)
         right_rows = self.estimator.estimate(plan.right)
         unique_left = min(left_rows, self.estimator.column_ndv(
             plan.left_column, plan.left, default=left_rows))
         unique_right = min(right_rows, self.estimator.column_ndv(
             plan.right_column, plan.right, default=right_rows))
-        matching = semantic_join_method_cost(self.params, unique_left,
-                                             unique_right, method)
+        pairs = max(unique_left * unique_right, 1.0)
         # expansion of unique matches back to row pairs
         output = self.estimator.estimate(plan)
-        return matching + Cost(cpu=output * 0.5)
+        return Cost(cpu=pairs * params.dim * params.pair_vector_dim
+                    + output * 0.5,
+                    model=(unique_left + unique_right) * params.embed_token)

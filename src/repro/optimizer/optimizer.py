@@ -26,7 +26,6 @@ from repro.optimizer.rules import (
 )
 from repro.relational.logical import LogicalPlan
 from repro.relational.physical import ExecutionContext
-from repro.semantic.join import SEMANTIC_JOIN_METHODS
 from repro.storage.catalog import Catalog
 
 if TYPE_CHECKING:
@@ -46,19 +45,6 @@ class OptimizerConfig:
     sample_size: int = 64
     rules: list[RewriteRule] | None = None
     cost_params: CostParams = field(default_factory=CostParams)
-    #: Restrict the physical selector's semantic-join access paths to a
-    #: non-empty subset of ``SEMANTIC_JOIN_METHODS`` (``None`` = all of
-    #: them).  A single-element tuple forces one method.
-    semantic_join_methods: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        methods = self.semantic_join_methods
-        if methods is not None and (
-                not methods
-                or not set(methods) <= set(SEMANTIC_JOIN_METHODS)):
-            raise ValueError(
-                f"semantic_join_methods must be a non-empty subset of "
-                f"{SEMANTIC_JOIN_METHODS}, got {methods!r}")
 
 
 @dataclass
@@ -68,7 +54,6 @@ class OptimizationReport:
     rules_applied: dict[str, int] = field(default_factory=dict)
     joins_reordered: int = 0
     dip_applied: int = 0
-    physical_decisions: list[tuple[str, str]] = field(default_factory=list)
     estimated_cost: float = 0.0
     #: Bottom-up rewrite passes executed across every fixpoint.
     rewrite_passes: int = 0
@@ -99,16 +84,6 @@ class Optimizer:
         self._nonconvergence = registry.counter(
             "optimizer_rewrite_nonconvergence_total",
             help="rewrite fixpoints that hit max_passes still firing")
-        # one series per access path the selector can choose
-        self._methods = (self.config.semantic_join_methods
-                         or SEMANTIC_JOIN_METHODS)
-        self._join_methods = {
-            method: registry.counter(
-                "optimizer_semantic_join_method_total",
-                labels={"method": method},
-                help="semantic-join access paths chosen by full "
-                     "optimizations, by method")
-            for method in self._methods}
         self.last_report = OptimizationReport()
 
     def optimize(self, plan: LogicalPlan) -> LogicalPlan:
@@ -153,12 +128,7 @@ class Optimizer:
                     plan = reorder.run(plan)
                     report.joins_reordered += reorder.reordered
         if config.enable_physical:
-            selector = PhysicalSelector(self.cost_model,
-                                        methods=self._methods)
-            plan = selector.run(plan)
-            report.physical_decisions = selector.decisions
-            for _, method in selector.decisions:
-                self._join_methods[method].inc()
+            plan = PhysicalSelector().run(plan)
 
         report.rules_applied = dict(rule_ctx.applied)
         report.rewrite_passes = rule_ctx.passes

@@ -218,9 +218,6 @@ def unparameterizable_reason(plan: LogicalPlan) -> str | None:
     - ``"data_induced"``: DIP-derived semi-filters embed values computed
       *from* this statement's literals; new literals would silently
       reuse them.
-
-    Every semantic-join access path is exact, so the method a plan pins
-    never refuses it.
     """
     for node in plan.walk():
         if isinstance(node, SemanticSemiFilterNode):

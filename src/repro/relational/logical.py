@@ -7,7 +7,7 @@ common intermediate representation amenable to optimization rules".
 Nodes are immutable; rewrites construct new nodes via ``with_children`` or
 the constructors.  Every node computes its output schema, and carries an
 open ``hints`` mapping the optimizer uses to record physical decisions
-(join algorithm, semantic-join access path, device placement).
+(join algorithm, data-induced predicates, device placement).
 
 Each node class declares its fields once (:mod:`repro.relational.fields`:
 ``fields`` / ``expr_fields`` / ``literal_fields`` / ``column_fields``,
@@ -552,11 +552,9 @@ class SemanticJoinNode(LogicalPlan):
         return Schema(fields)
 
     def render(self, lit: LiteralFormat = repr) -> str:
-        method = self.hints.get("method", "auto")
         mode = f" top_k={lit(self.top_k)}" if self.top_k is not None else ""
         return (f"SemanticJoin[{self.left_column} ~ {self.right_column} "
-                f"model={self.model_name} >= {lit(self.threshold)}{mode} "
-                f"method={method}]")
+                f"model={self.model_name} >= {lit(self.threshold)}{mode}]")
 
 
 class SemanticGroupByNode(LogicalPlan):

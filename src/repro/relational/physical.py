@@ -1,7 +1,6 @@
 """Physical operators: vectorized volcano over column batches.
 
-``build_physical`` lowers a logical plan to a physical operator tree,
-honouring the optimizer's ``hints`` (join algorithm, semantic access path).
+``build_physical`` lowers a logical plan to a physical operator tree.
 Every operator records simple metrics (output rows, wall time) that the
 profiler and the benchmarks read back.
 
@@ -54,7 +53,6 @@ class ExecutionContext:
     models: Any = None  # ModelRegistry (typed loosely: no cycle)
     batch_size: int = DEFAULT_BATCH_SIZE
     embedding_cache: Any = None
-    index_cache: Any = None  # semantic.index_cache.IndexCache
     #: obs.metrics.MetricsRegistry owned by the engine state (typed
     #: loosely: no cycle).  ``None`` for bare ``execute_plan`` calls;
     #: when set, caches created through this context register their
@@ -71,8 +69,8 @@ class ExecutionContext:
         return self.models.get(name)
 
     def record_semantic_metrics(self) -> None:
-        """Publish embedding-arena and vector-index statistics into
-        ``metrics`` (read back by the profiler and benchmarks)."""
+        """Publish embedding-arena statistics into ``metrics`` (read
+        back by the profiler and benchmarks)."""
         caches = self.embedding_cache
         if caches:
             # the cache dict may be shared across concurrent queries
@@ -80,10 +78,6 @@ class ExecutionContext:
             self.metrics["embedding_arena"] = {
                 name: cache.stats()
                 for name, cache in dict(caches).items()}
-        if self.index_cache is not None:
-            stats = self.index_cache.stats()
-            self.metrics["vector_index_cache"] = {
-                name: stats[name] for name in ("entries", "hits", "misses")}
 
 
 class PhysicalOperator:

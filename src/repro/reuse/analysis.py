@@ -12,11 +12,10 @@ Three jobs, all over the same statement structure:
    to the final result, where the result cache snapshots them.
 
 2. :func:`describe_plan` fingerprints an **optimized** plan: node shape
-   with literals masked (each semantic join's access path included), and
-   whether data-induced predicates were applied.  Two statements are only
-   comparable when their optimized shapes agree — a diverged join order
-   or access path changes row order and score arithmetic, which breaks
-   the bit-identity contract.
+   with literals masked, and whether data-induced predicates were
+   applied.  Two statements are only comparable when their optimized
+   shapes agree — a diverged join order or join algorithm changes row
+   order, which breaks the bit-identity contract.
 
 3. :func:`plan_containment` proves (or refuses) that a cached entry
    subsumes a probe statement and, on success, returns the residual
@@ -341,8 +340,8 @@ def describe_plan(plan: LogicalPlan) -> PlanShape:
     placement legitimately varies with pushdown, and (for eligible
     shapes) commutes with the row sets the residual executor reasons
     about.  Every other node contributes its literal-blanked rendering,
-    so join order, join algorithms, semantic access paths, sort keys,
-    and limit presence must all agree exactly.
+    so join order, join algorithms, sort keys, and limit presence must
+    all agree exactly.
     """
     parts: list[str] = []
     dip_free = True
@@ -351,7 +350,6 @@ def describe_plan(plan: LogicalPlan) -> PlanShape:
             dip_free = False
         if not isinstance(node, (FilterNode, ProjectNode,
                                  SemanticSemiFilterNode)):
-            # ``method`` is part of a semantic join's rendering
             parts.append(f"{node.render(_blank)} "
                          f"algo={node.hints.get('algorithm')}")
     fingerprint = hashlib.blake2b("\n".join(parts).encode("utf-8"),

@@ -14,12 +14,11 @@ The join ships the full physical ladder of the paper's Figure 4 — from the
 deliberately naive per-pair Python loop to prefetched, row-kernel, blocked
 (BLAS) and index-accelerated variants — plus syntactic
 baselines (edit distance, Jaccard) for the Figure 3 comparison.  The
-engine plans and runs only the exact access paths in
-``SEMANTIC_JOIN_METHODS``; the other kernels are for the paper benches.
+engine runs one kernel, ``join_blocked`` (``join_topk`` for ``TOP k``);
+the other kernels are for the paper benches.
 """
 
 from repro.semantic.cache import EmbeddingCache
-from repro.semantic.index_cache import IndexCache
 from repro.semantic.join import (
     expand_index_matches,
     join_blocked,
@@ -29,11 +28,10 @@ from repro.semantic.join import (
     join_python_eager,
     join_quantized_reranked,
     join_rowkernel,
-    SEMANTIC_JOIN_METHODS,
 )
 from repro.semantic.select import semantic_any_mask, semantic_select_mask
 from repro.semantic.groupby import cluster_strings
-from repro.semantic.topk import join_topk, join_topk_index
+from repro.semantic.topk import join_topk
 from repro.semantic.baselines import (
     edit_similarity_join,
     jaccard_similarity,
@@ -44,7 +42,6 @@ from repro.semantic.baselines import (
 
 __all__ = [
     "EmbeddingCache",
-    "IndexCache",
     "expand_index_matches",
     "join_blocked",
     "join_index",
@@ -53,12 +50,10 @@ __all__ = [
     "join_python_eager",
     "join_quantized_reranked",
     "join_rowkernel",
-    "SEMANTIC_JOIN_METHODS",
     "semantic_any_mask",
     "semantic_select_mask",
     "cluster_strings",
     "join_topk",
-    "join_topk_index",
     "edit_similarity_join",
     "jaccard_similarity",
     "jaccard_similarity_join",

@@ -12,8 +12,8 @@ stable integer **row id** — its row in the arena — so:
 
 - ``matrix(texts)`` is one id-resolution pass plus one fancy-index gather
   (``arena[ids]``), never a Python-level row-by-row rebuild;
-- operators and vector indexes can hold ``row_ids`` and work entirely in
-  id-space (ints and gathers) instead of re-hashing strings;
+- operators can hold ``row_ids`` and work entirely in id-space (ints
+  and gathers) instead of re-hashing strings;
 - the whole store is SIMD/BLAS-friendly: any subset of cached embeddings
   materializes as one contiguous-destination gather.
 
@@ -66,8 +66,8 @@ _GENERATIONS = itertools.count()
 
 #: Generation tokens whose id-space is gone for good — ``clear()`` was
 #: called, or the owning cache was garbage-collected.  Consumers keying
-#: on ids (the vector index cache) may evict entries under these tokens,
-#: and only these: a token absent from this set may belong to a live
+#: on generations (the result cache) may evict entries under these
+#: tokens, and only these: a token absent from this set may belong to a live
 #: sibling arena of the same model.  The set holds bare ints and grows
 #: only with clear()/instance counts, so it stays negligible.
 RETIRED_GENERATIONS: set[int] = set()
@@ -97,13 +97,13 @@ class EmbeddingCache:
         #: path still mutate them; ``+=`` on attributes is not atomic).
         self._stats_lock = threading.Lock()
         #: Globally unique id-space token, refreshed by clear().
-        #: Consumers that key on row ids (the vector index cache) include
-        #: it in their fingerprints, so ids from a cleared arena — or
-        #: from a *different cache instance* of the same model, whose row
-        #: ids number an unrelated string set — never alias.
+        #: Consumers that key on it (the result cache) never confuse a
+        #: cleared arena — or a *different cache instance* of the same
+        #: model, whose row ids number an unrelated string set — with
+        #: this one.
         self.generation = next(_GENERATIONS)
         # retire the token when this cache is dropped without clear(),
-        # so index-cache entries built over it don't leak for the
+        # so results keyed on it don't squat in the cache for the
         # process lifetime
         self._retire = weakref.finalize(self, RETIRED_GENERATIONS.add,
                                         self.generation)

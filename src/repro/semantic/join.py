@@ -17,8 +17,9 @@ kernel               paper rung it reproduces
                      blocks — SIMD fused multiply-add inside the kernel)
 ``kernel_parallel``  + scale-up (``join_blocked``'s block GEMMs on a thread
                      pool; defined in ``bench_fig4_optimization_ladder.py``)
-``join_index``       index-based access path (LSH / IVF / HNSW / brute),
-                     the §V cost-based alternative for selective joins
+``join_index``       index-based access path: range-probes a built
+                     :class:`~repro.vector.index.VectorIndex` (LSH / IVF /
+                     HNSW / brute), the §V index ablation
 ===================  ====================================================
 
 Matrix-based kernels take pre-normalized embedding matrices (see
@@ -26,9 +27,9 @@ Matrix-based kernels take pre-normalized embedding matrices (see
 ``join_prefetched`` take raw strings because *how embeddings are fetched*
 is part of what they measure.
 
-The engine plans and runs only the exact access paths in
-:data:`SEMANTIC_JOIN_METHODS`; the other kernels are library code the
-paper benchmarks call directly.
+The engine runs one kernel, ``join_blocked`` (top-k joins:
+:func:`repro.semantic.topk.join_topk`); the other kernels are library
+code the paper benchmarks call directly.
 """
 
 from __future__ import annotations
@@ -38,18 +39,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.embeddings.model import EmbeddingModel
-from repro.errors import ExecutionError
-from repro.semantic.index_cache import INDEX_FACTORIES
 from repro.vector.index import VectorIndex
 from repro.vector.topk import threshold_pairs
 
 JoinPairs = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-#: The semantic-join access paths the optimizer chooses between, the
-#: executor runs and ``OptimizerConfig.semantic_join_methods`` accepts.
-#: Both are exact: ``index:brute`` scores every indexed row, so the
-#: choice changes the cost, never the answer.
-SEMANTIC_JOIN_METHODS = ("blocked", "index:brute")
 
 DEFAULT_BLOCK = 1024
 
@@ -187,27 +180,14 @@ def join_blocked(left_matrix: np.ndarray, right_matrix: np.ndarray,
             np.concatenate(scores))
 
 
-def join_index(left_matrix: np.ndarray, right_matrix: np.ndarray | None,
-               threshold: float, kind: str = "lsh", seed: int = 0,
-               index: VectorIndex | None = None) -> JoinPairs:
-    """Index-accelerated join: build an ANN index on the right side, then
-    range-probe it once per left row (§V index-based access path).
+def join_index(left_matrix: np.ndarray, index: VectorIndex,
+               threshold: float) -> JoinPairs:
+    """Index-accelerated join: range-probe a built index over the right
+    side once per left row (§V index-based access path).
 
-    ``kind`` selects among brute / lsh / ivf / hnsw; a prebuilt ``index``
-    (e.g. amortized across queries) can be passed instead, with
-    ``right_matrix`` ``None``.
+    The caller builds ``index`` (any :mod:`repro.vector` index), so one
+    build can be timed apart from, or amortized across, its probes.
     """
-    if index is None:
-        factory = INDEX_FACTORIES.get(kind)
-        if factory is None:
-            raise ExecutionError(
-                f"unknown index kind {kind!r}; "
-                f"available: {sorted(INDEX_FACTORIES)}"
-            )
-        if right_matrix is None:
-            raise ExecutionError("join_index needs right_matrix or an index")
-        index = factory(seed)
-        index.build(right_matrix)
     left_idx: list[np.ndarray] = []
     right_idx: list[np.ndarray] = []
     scores: list[np.ndarray] = []
@@ -227,16 +207,17 @@ def expand_index_matches(left_idx: np.ndarray, index_ids: np.ndarray,
                          scores: np.ndarray, positions: np.ndarray,
                          n_index: int, return_pair_index: bool = False
                          ) -> tuple[np.ndarray, ...]:
-    """Scatter index-probe matches back onto caller value positions.
+    """Scatter matches against distinct embeddings back onto caller value
+    positions.
 
-    ``positions[v]`` is the index-internal id holding value position
-    ``v``'s embedding (the mapping :meth:`IndexCache.get_for_values`
-    returns).  An index is built over *distinct arena rows*, so duplicated
-    — or normalization-collapsed — values share one index id; treating
-    probe ids as value positions (the pre-row-id contract) silently
-    mispairs rows whenever that sharing occurs.  Here every match against
-    index id ``q`` expands to all value positions mapped to ``q``; the
-    1:1 case reduces to a pure gather.
+    ``positions[v]`` is the id of the distinct arena row holding value
+    position ``v``'s embedding — the inverse of ``np.unique`` over the
+    values' arena row ids, as the top-k semantic join computes it.
+    Duplicated — or normalization-collapsed — values share one id, so
+    treating matched ids as value positions would silently mispair rows
+    whenever that sharing occurs.  Here every match against id ``q``
+    (``n_index`` distinct ids) expands to all value positions mapped to
+    ``q``; the 1:1 case reduces to a pure gather.
 
     With ``return_pair_index`` a fourth array maps each output pair back
     to the input-match position it expanded from (per-pair metadata —

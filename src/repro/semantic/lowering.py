@@ -24,14 +24,11 @@ from repro.semantic.operators import (
     SemanticSemiFilterOp,
 )
 
-#: Default physical strategy when the optimizer left no hint.
-DEFAULT_JOIN_METHOD = "blocked"
-
 #: Guards first-use creation of per-model caches.  The cache dict may be
 #: shared by every client session of an :class:`~repro.server.EngineServer`,
 #: and two clients missing on the same model concurrently must end up
 #: with ONE arena — a lost update here would split the id-space and
-#: defeat index reuse across clients.  Creation is rare (once per model
+#: defeat embedding reuse across clients.  Creation is rare (once per model
 #: per server), so a process-wide mutex costs nothing.
 _CACHE_CREATE_LOCK = threading.Lock()
 
@@ -72,21 +69,10 @@ def build_semantic_physical(plan: LogicalPlan, context: ExecutionContext,
         left = recurse(plan.left, context)
         right = recurse(plan.right, context)
         cache = cache_for(context, plan.model_name)
-        method = plan.hints.get("method", DEFAULT_JOIN_METHOD)
-        if context.index_cache is None:
-            from repro.semantic.index_cache import IndexCache
-
-            # double-checked for the same reason as cache_for: contexts
-            # sharing one index cache must not lose it to a racing create
-            with _CACHE_CREATE_LOCK:
-                if context.index_cache is None:
-                    context.index_cache = IndexCache()
         return SemanticJoinOp(left, right, plan.left_column,
                               plan.right_column, cache, plan.threshold,
-                              plan.score_alias, plan.schema, method=method,
-                              top_k=plan.top_k,
-                              index_cache=context.index_cache,
-                              aux_alias=plan.aux_alias)
+                              plan.score_alias, plan.schema,
+                              top_k=plan.top_k, aux_alias=plan.aux_alias)
     if isinstance(plan, SemanticGroupByNode):
         child = recurse(plan.child, context)
         cache = cache_for(context, plan.model_name)

@@ -11,19 +11,11 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from repro.errors import ExecutionError
 from repro.relational.physical import PhysicalOperator, _combine
 from repro.semantic.cache import EmbeddingCache
 from repro.semantic.groupby import cluster_strings
-from repro.semantic.index_cache import IndexCache
-from repro.semantic.join import (
-    SEMANTIC_JOIN_METHODS,
-    JoinPairs,
-    expand_index_matches,
-    join_blocked,
-    join_index,
-)
-from repro.semantic.topk import join_topk, join_topk_index
+from repro.semantic.join import expand_index_matches, join_blocked
+from repro.semantic.topk import join_topk
 from repro.semantic.select import semantic_any_mask, semantic_select_mask
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -87,30 +79,22 @@ class SemanticFilterOp(PhysicalOperator):
 class SemanticJoinOp(PhysicalOperator):
     """Semantic join: dedup key values, run a similarity kernel, expand.
 
-    ``method`` picks the access path, one of the exact
-    :data:`~repro.semantic.join.SEMANTIC_JOIN_METHODS`; the optimizer
-    sets it via plan hints.
+    One kernel per join kind: blocked GEMM for a threshold join, one
+    GEMM with a per-row top-k selection for a ``TOP k`` join.
     """
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
                  left_column: str, right_column: str, cache: EmbeddingCache,
                  threshold: float, score_alias: str, schema: Schema,
-                 index_cache: IndexCache, method: str = "blocked",
                  top_k: int | None = None,
                  aux_alias: str | None = None):
-        if method not in SEMANTIC_JOIN_METHODS:
-            raise ExecutionError(
-                f"unknown semantic join method {method!r}; available: "
-                f"{', '.join(SEMANTIC_JOIN_METHODS)}")
         super().__init__(schema, (left, right))
         self.left_column = left_column
         self.right_column = right_column
         self.cache = cache
         self.threshold = threshold
         self.score_alias = score_alias
-        self.method = method
         self.top_k = top_k
-        self.index_cache = index_cache
         self.aux_alias = aux_alias
 
     def _batches(self) -> Iterator[Table]:
@@ -130,7 +114,9 @@ class SemanticJoinOp(PhysicalOperator):
                                                      right_unique,
                                                      self.top_k)
         else:
-            ul, ur, scores = self._match(left_unique, right_unique)
+            ul, ur, scores = join_blocked(self.cache.matrix(left_unique),
+                                          self.cache.matrix(right_unique),
+                                          self.threshold)
         if ul.shape[0] == 0:
             return
 
@@ -157,50 +143,25 @@ class SemanticJoinOp(PhysicalOperator):
                 group_ranks[pair_index].astype(np.int64)
         yield Table(self.schema, columns)
 
-    def _match(self, left_unique: list[str],
-               right_unique: list[str]) -> JoinPairs:
-        left_matrix = self.cache.matrix(left_unique)
-        if self.method == "index:brute":
-            # session-level index reuse: built once per (model, row-id
-            # set), fingerprinted on ids — no value re-hashing
-            index, positions = self.index_cache.get_for_values(
-                "brute", right_unique, self.cache)
-            li, qi, scores = join_index(left_matrix, None, self.threshold,
-                                        index=index)
-            left, right, scores = expand_index_matches(
-                li, qi, scores, positions, index.size)
-            return left, right, scores
-        right_matrix = self.cache.matrix(right_unique)
-        return join_blocked(left_matrix, right_matrix, self.threshold)
-
     def _match_topk(self, left_unique: list[str], right_unique: list[str],
                     k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                      np.ndarray]:
-        # both access paths select top-k in *distinct-embedding* space
-        # and expand to all value positions sharing an arena row, so the
-        # optimizer's method choice cannot change the result: values that
+        # top-k is selected in *distinct-embedding* space and expanded
+        # to every value position sharing an arena row: values that
         # collapse to one embedding all join (may exceed k matches)
         cache = self.cache
         left_matrix = cache.matrix(left_unique)
-        if self.method == "index:brute":
-            index, positions = self.index_cache.get_for_values(
-                "brute", right_unique, cache)
-            li, qi, scores = join_topk_index(left_matrix, index, k,
-                                             min_score=self.threshold)
-            n_index = index.size
-        else:
-            unique_ids, positions = np.unique(cache.row_ids(right_unique),
-                                              return_inverse=True)
-            li, qi, scores = join_topk(left_matrix,
-                                       cache.rows_for(unique_ids), k,
-                                       min_score=self.threshold)
-            n_index = unique_ids.shape[0]
-        # pair rank inside each left row's selection: both kernels emit
+        unique_ids, positions = np.unique(cache.row_ids(right_unique),
+                                          return_inverse=True)
+        li, qi, scores = join_topk(left_matrix, cache.rows_for(unique_ids),
+                                   k, min_score=self.threshold)
+        # pair rank inside each left row's selection: the kernel emits
         # left-major with per-row scores descending and the min_score
         # mask cutting a per-row *suffix*, so ranks are dense from 0
         ranks = _ranks_within_runs(li)
         expanded_li, value_idx, expanded_scores, pair_index = \
-            expand_index_matches(li, qi, scores, positions, n_index,
+            expand_index_matches(li, qi, scores, positions,
+                                 unique_ids.shape[0],
                                  return_pair_index=True)
         return (expanded_li, value_idx, expanded_scores,
                 ranks[pair_index] if ranks.shape[0] else ranks)

@@ -2,15 +2,14 @@
 
 The threshold join (Figure 4) answers "all pairs above tau"; many
 context-rich pipelines instead want "the best k matches per row" (the §V
-"top-k searches" the paper says must join the optimization process).
-Backed by either a full GEMM or any :class:`~repro.vector.index.VectorIndex`.
+"top-k searches" the paper says must join the optimization process),
+exact, by one GEMM.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.vector.index import VectorIndex
 from repro.vector.topk import top_k_indices
 
 JoinPairs = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -44,23 +43,3 @@ def join_topk(left_matrix: np.ndarray, right_matrix: np.ndarray, k: int,
     scores = top_scores.ravel()[keep].astype(np.float32)
     return left_idx, right_idx, scores
 
-
-def join_topk_index(left_matrix: np.ndarray, index: VectorIndex, k: int,
-                    min_score: float = -1.0) -> JoinPairs:
-    """Top-k join probing a prebuilt index (ANN or brute)."""
-    left_idx: list[np.ndarray] = []
-    right_idx: list[np.ndarray] = []
-    scores: list[np.ndarray] = []
-    for row in range(left_matrix.shape[0]):
-        result = index.search(left_matrix[row], k)
-        keep = result.scores >= min_score
-        ids, row_scores = result.ids[keep], result.scores[keep]
-        if ids.shape[0]:
-            left_idx.append(np.full(ids.shape[0], row, dtype=np.int64))
-            right_idx.append(ids.astype(np.int64))
-            scores.append(row_scores.astype(np.float32))
-    if not left_idx:
-        return (np.empty(0, np.int64), np.empty(0, np.int64),
-                np.empty(0, np.float32))
-    return (np.concatenate(left_idx), np.concatenate(right_idx),
-            np.concatenate(scores))

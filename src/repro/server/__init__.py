@@ -4,7 +4,7 @@ Turns the single-user engine into a query-serving system:
 
 - :class:`~repro.server.server.EngineServer` owns one shared
   :class:`~repro.engine.state.EngineState` (tables, models, embedding
-  arenas, vector-index, plan and result caches) and hands out
+  arenas, plan and result caches) and hands out
   lightweight :class:`~repro.server.server.ClientSession` facades that
   share it;
 - :class:`~repro.server.scheduler.Scheduler` admission-controls a

@@ -1,10 +1,9 @@
 """EngineServer: shared engine state + plan cache + scheduler in one box.
 
 The server owns exactly one :class:`~repro.engine.state.EngineState` —
-catalog, models, per-model embedding arenas, vector-index cache, plan
-cache — and hands out :class:`ClientSession` facades that *share* it:
-a string embedded by any client is an arena hit for all of them, an
-index built for one query is reused by the next, and a statement
+catalog, models, per-model embedding arenas, plan and result caches —
+and hands out :class:`ClientSession` facades that *share* it: a string
+embedded by any client is an arena hit for all of them, and a statement
 planned once executes plan-cache-hot from every connection.
 
 Execution is admission-controlled: ``submit`` hands the statement
@@ -114,8 +113,8 @@ class EngineServer:
         return ticket.result() if wait else ticket
 
     def invalidate_model(self, model_name: str) -> None:
-        """Clear a model's embedding arena (and, transitively, its
-        vector-index entries via generation retirement).
+        """Clear a model's embedding arena (and, transitively, the
+        cached results over it via generation retirement).
 
         Takes the model's write stripe, so it blocks until no running
         query holds the model's read stripe — an arena is never cleared
@@ -182,7 +181,6 @@ class EngineServer:
             "ingest": self.state.ingest.stats(),
             "scheduler": self.scheduler.stats(),
             "embedding_arenas": self.state.arena_stats(),
-            "vector_index_cache": self.state.index_cache.stats(),
             "catalog_version": self.state.catalog.version,
         }
 

@@ -1,7 +1,7 @@
 """Read-write locks for the engine's shared, read-mostly state.
 
 The serving layer (``repro.server``) hands one set of embedding arenas,
-vector-index caches, and catalog entries to every client session, so the
+result caches, and catalog entries to every client session, so the
 structures that PR 1-2 made fast for a single thread now need a
 concurrency discipline.  The access pattern is heavily read-skewed —
 thousands of cache gathers per arena growth, thousands of plan-cache
@@ -28,8 +28,7 @@ downward, never upward):
 1. scheduler / plan-cache mutexes
 2. per-model striped locks (held around build + execute)
 3. catalog lock (taken *under* the stripes during physical lowering)
-4. leaf mutexes (embedding/index/result caches, counters,
-   single-flight registries)
+4. leaf mutexes (embedding/result caches, reuse registry, counters)
 """
 
 from __future__ import annotations

@@ -1,35 +1,25 @@
-"""The two shapes every engine cache shares: a budgeted LRU map and a
-single-flight fill.
+"""The shape every engine cache shares: a budgeted LRU map.
 
-The plan, result, index and reuse caches differ in what they
-key on and when an entry dies — that stays with each owner.  What they
-have in common lives here, once:
+The plan, result and reuse caches differ in what they key on and when
+an entry dies — that stays with each owner.  What they have in common
+lives here, once: :class:`LRUStore`, an ordered map under a budget.
 
-- :class:`LRUStore` — an ordered map under a budget.  Each entry has a
-  size: ``1`` for a count budget, its estimated bytes for a byte
-  budget.  ``get`` marks an entry most recently used; ``put`` evicts
-  least-recently-used entries until the sizes fit and reports what it
-  evicted.  It takes **no lock of its own**: an owner mutates it only
-  under the owner's existing lock (the contract
-  :class:`~repro.reuse.registry.FamilyDigestTracker` follows), so adopting
-  it adds no lock and no ordering edge.
-- :class:`SingleFlight` — concurrent misses on one key coalesce onto one
-  build.  Its lock guards only the in-flight table and is never held
-  while the owner's probe or build runs, so it is a leaf below
-  everything the owner touches.
+Each entry has a size: ``1`` for a count budget, its estimated bytes
+for a byte budget.  ``get`` marks an entry most recently used; ``put``
+evicts least-recently-used entries until the sizes fit and reports what
+it evicted.  It takes **no lock of its own**: an owner mutates it only
+under the owner's existing lock (the contract
+:class:`~repro.reuse.registry.FamilyDigestTracker` follows), so adopting
+it adds no lock and no ordering edge.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Callable, Generic, Hashable, TypeVar
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
-
-#: Default byte budget of the result cache and the index cache (64 MiB).
-DEFAULT_BYTE_BUDGET = 64 * 1024 * 1024
 
 
 class LRUStore(Generic[K, V]):
@@ -111,49 +101,3 @@ class LRUStore(Generic[K, V]):
     def __len__(self) -> int:
         return len(self._entries)
 
-
-class SingleFlight(Generic[K, V]):
-    """At most one build per key at a time; racers wait, then re-probe."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._building: dict[K, threading.Event] = {}
-
-    def fill(self, key: K, probe: Callable[[], V | None],
-             build: Callable[[], V],
-             on_wait: Callable[[], None] = lambda: None) -> tuple[V, bool]:
-        """``probe()``'s value, or on a miss ``build()``'s; returns
-        ``(value, built)``.
-
-        A thread that finds a build of ``key`` in flight runs
-        ``on_wait`` once, waits for that build, and probes again.  If
-        the build raised, the first waiter through claims the key and
-        builds — a failure never wedges the key.  After claiming, the
-        builder probes once more, so a build that finished between its
-        probe and its claim is never repeated.  ``probe`` and ``build``
-        take the owner's lock themselves; this lock is never held while
-        they (or ``on_wait``) run.
-        """
-        waited = False
-        while True:
-            value = probe()
-            if value is not None:
-                return value, False
-            with self._lock:
-                pending = self._building.get(key)
-                if pending is None:
-                    event = self._building[key] = threading.Event()
-                    break
-            if not waited:
-                waited = True
-                on_wait()
-            pending.wait()
-        try:
-            value = probe()
-            if value is not None:
-                return value, False
-            return build(), True
-        finally:
-            with self._lock:
-                del self._building[key]
-            event.set()

@@ -86,10 +86,3 @@ class TestAdaptiveExecution:
         result, report = adaptive.execute(plan)
         assert report.checked_node is None
         assert result.num_rows > 0
-
-    def test_report_records_methods(self, session):
-        plan = _query_plan(session, "sneakers")
-        adaptive = AdaptiveExecutor(session, deviation_factor=3.0)
-        _, report = adaptive.execute(plan)
-        assert report.method_before is not None
-        assert report.method_after is not None

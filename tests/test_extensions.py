@@ -1,5 +1,5 @@
 """Tests for the extension features: quantization, top-k semantic join,
-index caching, transfer planning, generative source."""
+transfer planning, generative source."""
 
 import numpy as np
 import pytest
@@ -14,10 +14,8 @@ from repro.hardware.transfer import (
 from repro.polystore.generative import GenerativeModelSource
 from repro.relational.logical import ScanNode, SemanticJoinNode
 from repro.relational.physical import execute_plan
-from repro.semantic.index_cache import IndexCache
 from repro.semantic.join import join_blocked
-from repro.semantic.topk import join_topk, join_topk_index
-from repro.vector.bruteforce import BruteForceIndex
+from repro.semantic.topk import join_topk
 from repro.vector.quantization import (
     join_quantized,
     quantize_rows,
@@ -78,16 +76,6 @@ class TestTopKJoin:
         li, ri, _ = join_topk(left, right, k=3, min_score=0.9)
         assert ri.tolist() == [0]  # only canine clears the floor
 
-    def test_index_variant_agrees(self, model):
-        left = model.embed_batch(["dog", "sneakers"])
-        right_words = ["canine", "puppy", "shoes", "boots", "sedan"]
-        right = model.embed_batch(right_words)
-        exact = join_topk(left, right, k=2)
-        index = BruteForceIndex().build(right)
-        approx = join_topk_index(left, index, k=2)
-        assert set(zip(exact[0].tolist(), exact[1].tolist())) == \
-            set(zip(approx[0].tolist(), approx[1].tolist()))
-
     def test_topk_semantic_join_node(self, context, products_table,
                                      kb_table):
         scan_p = ScanNode("products", products_table.schema, qualifier="p")
@@ -126,56 +114,6 @@ class TestTopKJoin:
         scan_k = ScanNode("kb", kb_table.schema, qualifier="k")
         with pytest.raises(PlanError):
             SemanticJoinNode(scan_p, scan_k, "a", "b", "m", 0.5, top_k=0)
-
-
-class TestIndexCache:
-    def test_reuse_across_queries(self, cache):
-        index_cache = IndexCache()
-        values = ["shoes", "jacket", "car", "fruit"]
-        first = index_cache.get("brute", values, cache)
-        second = index_cache.get("brute", list(values), cache)
-        assert first is second
-        assert index_cache.stats()["hits"] == 1
-        assert index_cache.stats()["misses"] == 1
-
-    def test_order_insensitive_fingerprint(self, cache):
-        index_cache = IndexCache()
-        first = index_cache.get("brute", ["a", "b", "c"], cache)
-        second = index_cache.get("brute", ["c", "a", "b"], cache)
-        assert first is second
-
-    def test_distinct_kinds_distinct_indexes(self, cache):
-        index_cache = IndexCache()
-        index_cache.get("brute", ["a", "b"], cache)
-        index_cache.get("lsh", ["a", "b"], cache)
-        assert len(index_cache) == 2
-
-    def test_unknown_kind(self, cache):
-        with pytest.raises(IndexError_):
-            IndexCache().get("btree", ["a"], cache)
-
-    def test_session_join_uses_cache(self, products_table, kb_table):
-        from repro.engine.session import Session
-
-        session = Session(seed=7)
-        session.register_table("products", products_table)
-        session.register_table("kb", kb_table)
-        query = ("SELECT p.pid FROM products AS p SEMANTIC JOIN kb AS k "
-                 "ON p.ptype ~ k.label THRESHOLD 0.9")
-
-        def hinted_plan():
-            plan = session.sql_plan(query)
-            for node in plan.walk():
-                if isinstance(node, SemanticJoinNode):
-                    node.hints["method"] = "index:brute"
-            return plan
-
-        session.execute(hinted_plan(), optimize=False)
-        first_misses = session.context.index_cache.stats()["misses"]
-        assert first_misses >= 1
-        session.execute(hinted_plan(), optimize=False)
-        assert session.context.index_cache.stats()["misses"] == first_misses
-        assert session.context.index_cache.stats()["hits"] >= 1
 
 
 class TestTransferPlanner:

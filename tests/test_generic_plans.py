@@ -224,19 +224,6 @@ class TestPromotionRefusals:
         assert counts["data_induced"] == 1     # the family is demoted
         assert session.state.plan_cache.stats()["promotions"] == 0
 
-    def test_approximate_access_paths_are_refused(self, model):
-        # the pin rejects an approximate path, and every path it accepts
-        # is exact, so a pinned join family promotes like any other
-        with pytest.raises(ValueError, match="index:lsh"):
-            OptimizerConfig(semantic_join_methods=("index:lsh",))
-        config = OptimizerConfig(semantic_join_methods=("index:brute",),
-                                 enable_dip=False)
-        session = build_session(model, config=config)
-        for threshold in (0.30, 0.35, 0.40):
-            session.sql(JOIN_FAMILY.format(threshold, 5.5))
-        assert not any(refusals(session).values())
-        assert session.state.plan_cache.stats()["promotions"] == 1
-
     def test_literal_steered_plans_are_fingerprint_mismatches(self, model):
         # the price literal decides whether DIP prunes the probe side
         # of the equi-join: two exemplars, two plan shapes

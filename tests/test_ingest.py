@@ -15,8 +15,8 @@ invalidation dimension (per-table ``data_version`` moves, the catalog
 version does not), plan-cache survival across appends (hit-rate 1.0),
 never-stale serving after refusals, the upsert update-vs-insert split,
 the classifier's refusal slugs, incremental vector-index extension
-(exact for brute force, deterministic for HNSW, hit through the
-IndexCache prefix fast path), the streaming log source's determinism
+(exact for brute force, deterministic for HNSW), the streaming log
+source's determinism
 contract, and the server front door (scheduler admission + metrics).
 """
 
@@ -31,8 +31,6 @@ from repro.engine.session import Session
 from repro.errors import CatalogError
 from repro.ingest import DeltaRefused, classify_plan
 from repro.obs.export import parse_prometheus
-from repro.semantic.cache import EmbeddingCache
-from repro.semantic.index_cache import IndexCache
 from repro.server import EngineServer
 from repro.storage.schema import Field, Schema
 from repro.storage.table import Table
@@ -298,19 +296,6 @@ class TestIncrementalIndexes:
         for query in rng.normal(size=(4, 12)).astype(np.float32):
             first, second = one.search(query, 5), two.search(query, 5)
             assert np.array_equal(first.ids, second.ids)
-
-    def test_index_cache_extends_on_sorted_prefix_growth(self, model):
-        cache = EmbeddingCache(model)
-        index_cache = IndexCache(seed=3)
-        first = cache.row_ids(["shoes", "jacket", "car", "fruit"])
-        index_cache.get_for_ids("brute", first, cache)
-        grown = np.concatenate(
-            [first, cache.row_ids(["dog", "kitten", "sedan"])])
-        extended, unique_ids = index_cache.get_for_ids(
-            "brute", grown, cache)
-        assert index_cache.stats()["incremental_extends"] == 1
-        rebuilt = BruteForceIndex().build(cache.rows_for(unique_ids))
-        assert np.array_equal(extended.vectors, rebuilt.vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ import pytest
 
 from repro.hardware.placement import is_model_operator
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.cost import Cost, CostModel, CostParams, \
-    semantic_join_method_cost
+from repro.optimizer.cost import Cost, CostModel
 from repro.optimizer.dip import DataInducedPredicates
 from repro.optimizer.join_order import JoinOrderOptimizer
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
@@ -23,7 +22,6 @@ from repro.relational.logical import (
     SemanticSemiFilterNode,
 )
 from repro.relational.physical import ExecutionContext, execute_plan
-from repro.semantic.join import SEMANTIC_JOIN_METHODS
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 from repro.utils.rng import make_rng
@@ -136,11 +134,6 @@ class TestCardinality:
 
 
 class TestCostModel:
-    def test_unknown_method_infinite(self):
-        params = CostParams()
-        assert semantic_join_method_cost(params, 10, 10,
-                                         "bogus").total == float("inf")
-
     def test_plan_cost_monotone_in_children(self, big_catalog, registry):
         estimator = CardinalityEstimator(big_catalog, registry)
         cost_model = CostModel(estimator)
@@ -267,47 +260,12 @@ class TestDip:
 
 
 class TestPhysicalSelection:
-    def test_selects_method_hint(self, big_catalog, registry):
-        estimator = CardinalityEstimator(big_catalog, registry)
-        cost_model = CostModel(estimator)
-        products = _scan(big_catalog, "products", "p")
-        kb = _scan(big_catalog, "kb", "k")
-        plan = SemanticJoinNode(products, kb, "p.ptype", "k.label",
-                                "wiki-ft-100", 0.9)
-        selected = PhysicalSelector(cost_model).run(plan)
-        assert "method" in selected.hints
-        assert selected.hints["method"] in SEMANTIC_JOIN_METHODS
-
-    def test_join_algorithm_hint(self, big_catalog, registry):
-        estimator = CardinalityEstimator(big_catalog, registry)
-        cost_model = CostModel(estimator)
+    def test_join_algorithm_hint(self, big_catalog):
         plan = JoinNode(_scan(big_catalog, "transactions", "t"),
                         _scan(big_catalog, "products", "p"),
                         JoinType.INNER, ["t.pid"], ["p.pid"])
-        PhysicalSelector(cost_model).run(plan)
+        PhysicalSelector().run(plan)
         assert plan.hints["algorithm"] == "hash"
-
-    @pytest.mark.parametrize("methods", [(), ("bogus",), ("index:lsh",),
-                                         ("blocked", "index:hnsw"),
-                                         ("parallel",)])
-    def test_method_pin_rejects_non_exact_paths(self, methods):
-        # rejected when the config is built: an empty pin would fail
-        # every join with IndexError, an unknown name only at execution
-        # (after the plan was cached)
-        with pytest.raises(ValueError, match="semantic_join_methods"):
-            OptimizerConfig(semantic_join_methods=methods)
-
-    @pytest.mark.parametrize("method", SEMANTIC_JOIN_METHODS)
-    def test_method_pin_is_honoured(self, big_catalog, registry, method):
-        config = OptimizerConfig(semantic_join_methods=(method,))
-        plan = SemanticJoinNode(_scan(big_catalog, "products", "p"),
-                                _scan(big_catalog, "kb", "k"), "p.ptype",
-                                "k.label", "wiki-ft-100", 0.9)
-        optimized = Optimizer(big_catalog, registry,
-                              config=config).optimize(plan)
-        joins = [node for node in optimized.walk()
-                 if isinstance(node, SemanticJoinNode)]
-        assert [node.hints["method"] for node in joins] == [method]
 
 
 class TestFullPipeline:

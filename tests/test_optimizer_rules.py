@@ -554,7 +554,7 @@ Filter[(col(price) > lit(20))]
          col("k.category") == "clothes"),
      _once(PushFilterThroughSemanticJoin()),
      """\
-SemanticJoin[p.ptype ~ k.label model=wiki-ft-100 >= 0.8 method=auto]
+SemanticJoin[p.ptype ~ k.label model=wiki-ft-100 >= 0.8]
   Scan(products AS p)
   Filter[(col(k.category) = lit('clothes'))]
     Scan(kb AS k)"""),
@@ -565,7 +565,7 @@ SemanticJoin[p.ptype ~ k.label model=wiki-ft-100 >= 0.8 method=auto]
      _once(PushFilterThroughSemanticJoin()),
      """\
 Filter[(col(brand) = lit('acme'))]
-  SemanticJoin[p.ptype ~ q.ptype model=wiki-ft-100 >= 0.9 method=auto]
+  SemanticJoin[p.ptype ~ q.ptype model=wiki-ft-100 >= 0.9]
     Scan(products AS p)
     Scan(products AS q)"""),
     ("push_filter_below_semantic_filter",

@@ -7,7 +7,7 @@ The invariants this cache must not get wrong:
   regression tests mutate a hit in place and re-fetch).
 - **Versioned invalidation is exactly as precise as the plan cache's**:
   any ``register_table``/``drop``/statistics refresh means a later
-  lookup never serves a pre-change result; an arena/index-cache clear
+  lookup never serves a pre-change result; an arena clear
   (``invalidate_model``) retires results of plans that embedded with
   that model.
 - **Byte budget holds under pressure**: LRU eviction keeps
@@ -40,10 +40,9 @@ from repro.storage.table import Table
 
 
 def key_for(digest="d", parameters=(), version=0, model="m",
-            index_generation=0, arena_generations=()) -> ResultKey:
+            arena_generations=()) -> ResultKey:
     return ResultKey(digest=digest, parameters=parameters,
                      catalog_version=version, model_name=model,
-                     index_generation=index_generation,
                      arena_generations=arena_generations)
 
 
@@ -198,12 +197,6 @@ class TestResultCacheUnit:
                              small_table())
         assert len(cache) == 0
 
-    def test_newer_index_generation_sweeps_stale_entries(self):
-        cache = ResultCache()
-        cache.put(key_for(index_generation=0), small_table())
-        cache.put(key_for(digest="e", index_generation=1), small_table())
-        assert cache.stats()["stale_evictions"] == 1
-
     def test_retired_arena_generation_sweeps_entries(self, model):
         from repro.semantic.cache import EmbeddingCache
 
@@ -314,13 +307,6 @@ class TestSessionIntegration:
         session.sql(statement)
         assert session.last_profile.result_cache_hit is True
         session.embedding_cache().clear()
-        session.sql(statement)
-        assert session.last_profile.result_cache_hit is False
-
-    def test_index_cache_clear_retires_results(self, session):
-        statement = "SELECT a FROM t WHERE a > 1"
-        warm(session, statement)
-        session.state.index_cache.clear()
         session.sql(statement)
         assert session.last_profile.result_cache_hit is False
 

@@ -1,221 +1,21 @@
-"""Row-id plumbing tests: index-cache identity on arena row-id sets and
-the explicit index-id -> value-position mapping."""
+"""Row-id plumbing tests: the explicit distinct-embedding id -> value
+position mapping, and the semantic join over duplicated and
+normalization-collapsed key values."""
 
 import numpy as np
 import pytest
 
 from repro.relational.logical import ScanNode, SemanticJoinNode
 from repro.relational.physical import ExecutionContext, execute_plan
-from repro.semantic.index_cache import IndexCache
 from repro.semantic.join import expand_index_matches
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
-
-
-class TestIndexCacheIdentity:
-    """Fingerprints key on sorted arena row-id sets: multiplicity- and
-    order-insensitive, collision-resistant, no value re-hashing."""
-
-    def test_duplicate_multiplicity_hits(self, cache):
-        index_cache = IndexCache()
-        first = index_cache.get("brute", ["shoes", "shoes", "jacket"],
-                                cache)
-        second = index_cache.get(
-            "brute", ["jacket", "shoes", "jacket", "jacket"], cache)
-        assert first is second
-        assert index_cache.stats()["hits"] == 1
-        assert index_cache.stats()["misses"] == 1
-        assert len(index_cache) == 1
-
-    def test_no_xor_pair_cancellation_collision(self, cache):
-        # the old XOR fingerprint cancelled values appearing an even
-        # number of times: ["alpha", "alpha"] and ["beta", "beta"] both
-        # XOR-digested to 0 with equal unique counts, colliding
-        index_cache = IndexCache()
-        first = index_cache.get("brute", ["alpha", "alpha"], cache)
-        second = index_cache.get("brute", ["beta", "beta"], cache)
-        assert first is not second
-        assert index_cache.stats()["misses"] == 2
-        assert index_cache.stats()["hits"] == 0
-
-    def test_no_collision_on_cancelled_quads(self, cache):
-        # {x, y} each twice vs {p, q} each twice: both XOR to 0 with two
-        # unique values — the crafted 4-element collision of the old
-        # scheme
-        index_cache = IndexCache()
-        first = index_cache.get("brute", ["x", "y", "x", "y"], cache)
-        second = index_cache.get("brute", ["p", "q", "p", "q"], cache)
-        assert first is not second
-        assert index_cache.stats()["misses"] == 2
-
-    def test_order_insensitive(self, cache):
-        index_cache = IndexCache()
-        first = index_cache.get("brute", ["a", "b", "c"], cache)
-        second = index_cache.get("brute", ["c", "a", "b"], cache)
-        assert first is second
-
-    def test_normalization_collapse_shares_entry(self, cache):
-        # distinct raw strings with equal normalized tokens occupy one
-        # arena row, so they fingerprint identically
-        index_cache = IndexCache()
-        first = index_cache.get("brute", ["Dog", "cat"], cache)
-        second = index_cache.get("brute", ["dog", "  CAT  "], cache)
-        assert first is second
-        assert index_cache.stats()["hits"] == 1
-
-    def test_arena_clear_invalidates_entries(self, cache):
-        index_cache = IndexCache()
-        first = index_cache.get("brute", ["dog"], cache)
-        cache.clear()
-        # "bird" now interns to row id 0, the id "dog" used to hold; the
-        # generation in the fingerprint keeps the stale index unreachable
-        second = index_cache.get("brute", ["bird"], cache)
-        assert first is not second
-        assert index_cache.stats()["misses"] == 2
-
-    def test_distinct_cache_instances_never_alias(self, model):
-        from repro.semantic.cache import EmbeddingCache
-
-        # two fresh arenas for one model both number their strings from
-        # row id 0; the globally unique generation token keeps their
-        # (identical-looking) id sets from colliding in the key
-        index_cache = IndexCache()
-        cache_a = EmbeddingCache(model)
-        cache_b = EmbeddingCache(model)
-        first, _ = index_cache.get_for_values(
-            "brute", ["apple", "banana"], cache_a)
-        second, _ = index_cache.get_for_values(
-            "brute", ["car", "train"], cache_b)
-        assert first is not second
-        assert index_cache.stats()["misses"] == 2
-        assert index_cache.stats()["hits"] == 0
-
-    def test_arena_clear_evicts_stale_entries(self, cache):
-        index_cache = IndexCache()
-        index_cache.get("brute", ["dog"], cache)
-        index_cache.get("lsh", ["dog", "cat"], cache)
-        cache.clear()
-        # stale-generation entries can never hit again; the next build
-        # for this model drops them instead of leaking index copies
-        index_cache.get("brute", ["bird"], cache)
-        assert len(index_cache) == 1
-
-    def test_live_sibling_caches_do_not_thrash(self, model):
-        from repro.semantic.cache import EmbeddingCache
-
-        # two live arenas of one model sharing an IndexCache: eviction
-        # only targets retired generations, so the siblings' entries
-        # coexist and both keep hitting
-        index_cache = IndexCache()
-        cache_a = EmbeddingCache(model)
-        cache_b = EmbeddingCache(model)
-        first_a, _ = index_cache.get_for_values("brute", ["apple"], cache_a)
-        first_b, _ = index_cache.get_for_values("brute", ["pear"], cache_b)
-        again_a, _ = index_cache.get_for_values("brute", ["apple"], cache_a)
-        again_b, _ = index_cache.get_for_values("brute", ["pear"], cache_b)
-        assert first_a is again_a and first_b is again_b
-        assert index_cache.stats()["hits"] == 2
-        assert index_cache.stats()["misses"] == 2
-        assert len(index_cache) == 2
-
-    def test_index_rows_follow_sorted_id_order(self, cache):
-        index_cache = IndexCache()
-        # interned out of order: "b" gets a lower row id than "a"
-        cache.row_ids(["b", "a"])
-        index, unique_ids = index_cache.get_for_ids(
-            "brute", cache.row_ids(["a", "b"]), cache)
-        assert unique_ids.tolist() == sorted(unique_ids.tolist())
-        assert np.allclose(index.vectors, cache.rows_for(unique_ids),
-                           atol=1e-6)
-
-    def test_unknown_kind(self, cache):
-        with pytest.raises(Exception):
-            IndexCache().get("btree", ["a"], cache)
-
-
-class TestIndexCacheBudget:
-    """Built indexes are held under a byte budget (each entry sized as
-    its indexed matrix), least recently used first."""
-
-    def test_fill_past_budget_evicts_oldest_first(self, cache):
-        entry_bytes = 2 * cache.model.dim * 4        # two rows, float32
-        budget = 3 * entry_bytes
-        index_cache = IndexCache(max_bytes=budget)
-        groups = [[f"word{i}a", f"word{i}b"] for i in range(5)]
-        for group in groups:
-            index_cache.get("brute", group, cache)
-            assert index_cache.stats()["bytes"] <= budget
-        stats = index_cache.stats()
-        assert stats["entries"] == 3 and stats["evictions"] == 2
-        for group in groups[2:]:                     # the newest three hit
-            index_cache.get("brute", group, cache)
-        assert index_cache.stats()["misses"] == 5
-        index_cache.get("brute", groups[0], cache)   # the oldest went first
-        assert index_cache.stats()["misses"] == 6
-
-    def test_hits_refresh_recency(self, cache):
-        entry_bytes = 2 * cache.model.dim * 4
-        index_cache = IndexCache(max_bytes=2 * entry_bytes)
-        first, second, third = (["red", "blue"], ["cat", "dog"],
-                                ["car", "bus"])
-        index_cache.get("brute", first, cache)
-        index_cache.get("brute", second, cache)
-        index_cache.get("brute", first, cache)       # first is now recent
-        index_cache.get("brute", third, cache)       # evicts second
-        misses = index_cache.stats()["misses"]
-        index_cache.get("brute", first, cache)
-        assert index_cache.stats()["misses"] == misses
-        index_cache.get("brute", second, cache)
-        assert index_cache.stats()["misses"] == misses + 1
-
-    def test_evicted_predecessor_rebuilds_with_identical_results(
-            self, cache, model):
-        """Evicting an ingest predecessor turns the extension back into a
-        full build over the same rows — nothing else changes."""
-        from repro.semantic.cache import EmbeddingCache
-
-        first = cache.row_ids(["shoes", "jacket", "car", "fruit"])
-        grown = np.concatenate([first, cache.row_ids(["dog", "kitten"])])
-        sibling = EmbeddingCache(model)           # another index stream
-        other = sibling.row_ids(["sedan", "truck", "bus", "tram"])
-        row_bytes = cache.model.dim * 4
-        outcomes = []
-        for index_cache in (IndexCache(), IndexCache(max_bytes=6 * row_bytes)):
-            index_cache.get_for_ids("brute", first, cache)
-            index_cache.get_for_ids("brute", other, sibling)
-            index, unique_ids = index_cache.get_for_ids("brute", grown, cache)
-            outcomes.append((index, unique_ids, index_cache.stats()))
-        (kept, kept_ids, kept_stats), (rebuilt, rebuilt_ids, rebuilt_stats) \
-            = outcomes
-        assert kept_stats["incremental_extends"] == 1
-        assert rebuilt_stats["incremental_extends"] == 0
-        assert rebuilt_stats["evictions"] >= 1
-        assert rebuilt_stats["builds"] == kept_stats["builds"] == 3
-        assert np.array_equal(kept_ids, rebuilt_ids)
-        assert np.array_equal(kept.vectors, rebuilt.vectors)
-        for query in cache.rows_for(grown):
-            left, right = kept.search(query, 3), rebuilt.search(query, 3)
-            assert np.array_equal(left.ids, right.ids)
-            assert np.array_equal(left.scores, right.scores)
 
 
 class TestIndexIdMapping:
     """Probe ids map back to caller value positions explicitly — the
     duplicate-input contract the old first-appearance scheme silently
     violated."""
-
-    def test_get_for_values_positions(self, cache):
-        index_cache = IndexCache()
-        values = ["shoes", "jacket", "shoes", "Jacket"]
-        index, positions = index_cache.get_for_values("brute", values,
-                                                      cache)
-        assert positions.shape == (4,)
-        assert positions[0] == positions[2]      # duplicate value
-        assert positions[1] == positions[3]      # normalization collapse
-        assert index.size == 2
-        for value, q in zip(values, positions):
-            expected = cache.rows_for(cache.row_ids([value]))[0]
-            assert np.allclose(index.vectors[int(q)], expected, atol=1e-6)
 
     def test_expand_matches_one_to_one_gather(self):
         positions = np.asarray([2, 0, 1], dtype=np.int64)  # a permutation
@@ -267,43 +67,19 @@ class TestIndexIdMapping:
             expected = [(left, v, round(s, 6)) for left, v, s in expected]
             assert sorted(got) == sorted(expected)
 
-    def test_operator_index_join_duplicates_match_blocked(self, registry):
-        # right side carries duplicated and normalization-collapsed
-        # values; the index path must produce exactly the blocked
-        # kernel's row-level pairs
+    @staticmethod
+    def run_join(registry, right_labels, threshold, top_k=None):
+        """``(pid, kid)`` -> score of a semantic join of one-row
+        ``sneakers`` (plus ``parka``/``sedan`` for threshold joins)
+        against ``kb`` rows ``10, 11, ...`` labelled ``right_labels``."""
         catalog = Catalog()
-        left = Table.from_dict({
-            "pid": [1, 2, 3],
-            "ptype": ["sneakers", "parka", "sedan"],
-        })
+        ptypes = (["sneakers"] if top_k is not None
+                  else ["sneakers", "parka", "sedan"])
+        left = Table.from_dict({"pid": list(range(1, len(ptypes) + 1)),
+                                "ptype": ptypes})
         right = Table.from_dict({
-            "kid": [10, 11, 12, 13, 14],
-            "label": ["shoes", "jacket", "shoes", "Jacket", "car"],
-        })
-        catalog.register("products", left)
-        catalog.register("kb", right)
-        context = ExecutionContext(catalog=catalog, models=registry)
-
-        def run(method):
-            plan = SemanticJoinNode(
-                ScanNode("products", left.schema, qualifier="p"),
-                ScanNode("kb", right.schema, qualifier="k"),
-                "p.ptype", "k.label", "wiki-ft-100", 0.9)
-            plan.hints["method"] = method
-            rows = execute_plan(plan, context).to_rows()
-            return sorted((r["p.pid"], r["k.kid"],
-                           round(r["similarity"], 5)) for r in rows)
-
-        reference = run("blocked")
-        assert len(reference) >= 4   # sneakers~shoes x2, parka~jacket x2
-        assert run("index:brute") == reference
-
-    def test_operator_topk_index_duplicates(self, registry):
-        catalog = Catalog()
-        left = Table.from_dict({"pid": [1], "ptype": ["sneakers"]})
-        right = Table.from_dict({
-            "kid": [10, 11, 12],
-            "label": ["shoes", "shoes", "sedan"],
+            "kid": list(range(10, 10 + len(right_labels))),
+            "label": right_labels,
         })
         catalog.register("products", left)
         catalog.register("kb", right)
@@ -311,36 +87,36 @@ class TestIndexIdMapping:
         plan = SemanticJoinNode(
             ScanNode("products", left.schema, qualifier="p"),
             ScanNode("kb", right.schema, qualifier="k"),
-            "p.ptype", "k.label", "wiki-ft-100", 0.9, top_k=1)
-        plan.hints["method"] = "index:brute"
-        rows = execute_plan(plan, context).to_rows()
+            "p.ptype", "k.label", "wiki-ft-100", threshold, top_k=top_k)
+        return {(r["p.pid"], r["k.kid"]): r["similarity"]
+                for r in execute_plan(plan, context).to_rows()}
+
+    def test_operator_join_expands_duplicate_right_values(self, registry):
+        # duplicated and normalization-collapsed right values each join:
+        # sneakers~shoes x2, parka~jacket x2 (one "Jacket"), sedan~car
+        pairs = self.run_join(
+            registry, ["shoes", "jacket", "shoes", "Jacket", "car"], 0.9)
+        assert sorted(pairs) == [(1, 10), (1, 12), (2, 11), (2, 13),
+                                 (3, 14)]
+        assert pairs[(1, 10)] == pairs[(1, 12)]
+        assert pairs[(2, 11)] == pairs[(2, 13)]
+
+    def test_operator_topk_index_duplicates(self, registry):
+        pairs = self.run_join(registry, ["shoes", "shoes", "sedan"], 0.9,
+                              top_k=1)
         # top-1 in distinct-embedding space expands to both duplicate rows
-        assert sorted(r["k.kid"] for r in rows) == [10, 11]
+        assert sorted(pairs) == [(1, 10), (1, 11)]
+        assert pairs[(1, 10)] == pairs[(1, 11)]
 
-    def test_topk_method_consistent_under_collapse(self, registry):
-        # "Shoes" and "shoes" are raw-distinct but embedding-identical;
-        # top-k must not depend on which access path the optimizer picks
-        catalog = Catalog()
-        left = Table.from_dict({"pid": [1], "ptype": ["sneakers"]})
-        right = Table.from_dict({
-            "kid": [10, 11, 12],
-            "label": ["shoes", "Shoes", "boots"],
-        })
-        catalog.register("products", left)
-        catalog.register("kb", right)
-        context = ExecutionContext(catalog=catalog, models=registry)
-
-        def run(method):
-            plan = SemanticJoinNode(
-                ScanNode("products", left.schema, qualifier="p"),
-                ScanNode("kb", right.schema, qualifier="k"),
-                "p.ptype", "k.label", "wiki-ft-100", 0.0, top_k=2)
-            plan.hints["method"] = method
-            rows = execute_plan(plan, context).to_rows()
-            return sorted((r["p.pid"], r["k.kid"],
-                           round(r["similarity"], 5)) for r in rows)
-
-        assert run("blocked") == run("index:brute")
+    def test_topk_selects_distinct_embeddings_under_collapse(self,
+                                                             registry):
+        # "Shoes" and "shoes" are raw-distinct but embedding-identical:
+        # top-2 picks two distinct embeddings (boots, shoes) and the
+        # collapsed shoes rows both join, three rows in all
+        pairs = self.run_join(registry, ["shoes", "Shoes", "boots"], 0.0,
+                              top_k=2)
+        assert sorted(pairs) == [(1, 10), (1, 11), (1, 12)]
+        assert pairs[(1, 10)] == pairs[(1, 11)] < pairs[(1, 12)]
 
 
 class TestCacheFailureSafety:

@@ -223,7 +223,7 @@ class TestAdmission:
 
 
 # ---------------------------------------------------------------------------
-# Per-tenant in-flight cap (ROADMAP (d), minimal form)
+# Per-tenant in-flight cap (minimal form)
 # ---------------------------------------------------------------------------
 class TestTenantInflightCap:
     """``max_inflight_per_tenant`` refuses one tenant's excess without

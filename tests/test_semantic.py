@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.errors import ExecutionError
 from repro.relational.logical import (
     ScanNode,
     SemanticFilterNode,
@@ -15,7 +14,6 @@ from repro.relational.physical import execute_plan
 from repro.semantic.cache import EmbeddingCache
 from repro.semantic.groupby import cluster_strings
 from repro.semantic.join import (
-    SEMANTIC_JOIN_METHODS,
     join_blocked,
     join_index,
     join_nested_loop,
@@ -23,6 +21,14 @@ from repro.semantic.join import (
     join_rowkernel,
 )
 from repro.semantic.select import semantic_any_mask, semantic_select_mask
+from repro.vector import BruteForceIndex, HNSWIndex, IVFFlatIndex, LSHIndex
+
+#: The approximate indexes the paper's §V ablation sweeps.
+APPROXIMATE_INDEXES = {
+    "lsh": lambda: LSHIndex(seed=0),
+    "ivf": lambda: IVFFlatIndex(seed=0),
+    "hnsw": lambda: HNSWIndex(seed=0),
+}
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +65,9 @@ class TestJoinKernels:
                                             0.9)[:2])
         assert _pair_set(*join_rowkernel(left_matrix, right_matrix,
                                          0.9)[:2]) == reference
-        assert _pair_set(*join_index(left_matrix, right_matrix, 0.9,
-                                     kind="brute")[:2]) == reference
+        brute = BruteForceIndex().build(right_matrix)
+        assert _pair_set(*join_index(left_matrix, brute,
+                                     0.9)[:2]) == reference
 
     def test_string_kernels_agree_with_blocked(self, model, words, matrices):
         left, right = words
@@ -72,20 +79,15 @@ class TestJoinKernels:
         assert _pair_set(*nested[:2]) == reference
         assert _pair_set(*prefetched[:2]) == reference
 
-    @pytest.mark.parametrize("kind", ["lsh", "ivf", "hnsw"])
+    @pytest.mark.parametrize("kind", list(APPROXIMATE_INDEXES))
     def test_approximate_index_recall(self, matrices, kind):
         left_matrix, right_matrix = matrices
         reference = _pair_set(*join_blocked(left_matrix, right_matrix,
                                             0.9)[:2])
-        approx = _pair_set(*join_index(left_matrix, right_matrix, 0.9,
-                                       kind=kind)[:2])
+        index = APPROXIMATE_INDEXES[kind]().build(right_matrix)
+        approx = _pair_set(*join_index(left_matrix, index, 0.9)[:2])
         assert approx <= reference or len(reference) == 0
         assert len(approx) >= len(reference) * 0.5
-
-    def test_unknown_index_kind(self, matrices):
-        left_matrix, right_matrix = matrices
-        with pytest.raises(ExecutionError):
-            join_index(left_matrix, right_matrix, 0.9, kind="btree")
 
     def test_empty_result(self, model):
         left = model.embed_batch(["sedan"])
@@ -182,31 +184,6 @@ class TestSemanticOperators:
         result = execute_plan(plan, context)
         boots_rows = [r for r in result.to_rows() if r["d.name"] == "boots"]
         assert len(boots_rows) == 2  # both duplicate rows joined to shoes
-
-    def test_join_op_method_hint(self, context, products_table, kb_table):
-        scan_p = ScanNode("products", products_table.schema, qualifier="p")
-        scan_k = ScanNode("kb", kb_table.schema, qualifier="k")
-        reference = None
-        for method in SEMANTIC_JOIN_METHODS:
-            plan = SemanticJoinNode(scan_p, scan_k, "p.ptype", "k.label",
-                                    "wiki-ft-100", 0.9)
-            plan.hints["method"] = method
-            rows = sorted(
-                (r["p.pid"], r["k.label"])
-                for r in execute_plan(plan, context).to_rows())
-            if reference is None:
-                reference = rows
-            else:
-                assert rows == reference, method
-
-    def test_join_op_unknown_method(self, context, products_table, kb_table):
-        scan_p = ScanNode("products", products_table.schema, qualifier="p")
-        scan_k = ScanNode("kb", kb_table.schema, qualifier="k")
-        plan = SemanticJoinNode(scan_p, scan_k, "p.ptype", "k.label",
-                                "wiki-ft-100", 0.9)
-        plan.hints["method"] = "quantum"
-        with pytest.raises(ExecutionError):
-            execute_plan(plan, context)
 
     def test_groupby_op(self, context, products_table):
         scan = ScanNode("products", products_table.schema, qualifier="p")

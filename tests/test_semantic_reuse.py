@@ -204,17 +204,15 @@ class TestAnalysis:
 # ---------------------------------------------------------------------------
 # unit: containment matcher
 # ---------------------------------------------------------------------------
-def specs_for(session, base, probe, methods=None):
+def specs_for(session, base, probe):
     """Specs + shapes for matcher unit tests.
 
     DIP is disabled so the shapes stay ``dip_free`` — the matcher's DIP
-    refusal has its own dedicated test below.  ``methods`` pins the
-    semantic-join access paths.
+    refusal has its own dedicated test below.
     """
     from repro.optimizer.optimizer import Optimizer
 
-    config = OptimizerConfig(enable_dip=False,
-                             semantic_join_methods=methods)
+    config = OptimizerConfig(enable_dip=False)
     optimizer = Optimizer(session.catalog, session.models, config=config,
                           execution_context=session.context)
     spec_a, plan_a = analyze_and_augment(bound_plan(session, base))
@@ -259,22 +257,6 @@ class TestMatcher:
                    *spec_a.aux_columns)
         assert plan_containment(spec_a, shape_a, 10, columns,
                                 spec_b, shape_b) is None
-
-    def test_unsafe_method_refused(self, model):
-        """Only the cached statement's own access path reuses: a probe
-        planned with another (exact) method has another fingerprint."""
-        session = build_session(model)
-        spec_a, shape_a, spec_b, shape_b = specs_for(
-            session, JOIN_BASE, JOIN_REFINED)
-        assert plan_containment(spec_a, shape_a, 10,
-                                tuple(spec_a.aux_columns),
-                                spec_b, shape_b) is not None
-        _, _, _, brute = specs_for(session, JOIN_BASE, JOIN_REFINED,
-                                   methods=("index:brute",))
-        assert brute.fingerprint != shape_a.fingerprint
-        assert plan_containment(spec_a, shape_a, 10,
-                                tuple(spec_a.aux_columns),
-                                spec_b, brute) is None
 
     def test_fingerprint_mismatch_refused(self, model):
         session = build_session(model)
@@ -416,12 +398,6 @@ class TestSessionReuse:
         session = self.refined_matches_fresh(
             model, JOIN_BASE, JOIN_REFINED, expect=False, products=big)
         assert session.state.reuse_registry.stats()["hits"] == 0
-
-    def test_approximate_index_plans_fall_back(self):
-        # no plan can carry an approximate index, so reuse never has to
-        # fall back from one: the pin itself rejects it
-        with pytest.raises(ValueError, match="index:lsh"):
-            OptimizerConfig(semantic_join_methods=("index:lsh",))
 
     def test_chained_refinement(self, model):
         session = build_session(model, reuse=True)

@@ -1,12 +1,11 @@
 """Serving-layer tests: shared state, scheduler, and real thread races.
 
 The race tests (marked ``concurrency``) drive genuinely concurrent
-threads through the shared arenas, index cache, plan cache, and
-scheduler, asserting the invariants the serving PR promises:
+threads through the shared arenas, plan cache, and scheduler,
+asserting the invariants the serving PR promises:
 
 - concurrent misses on one model create ONE arena and embed each
   distinct string once (no lost updates, no duplicate embeds);
-- concurrent misses on one index key build ONE index (single-flight);
 - arena growth is publish-safe: readers gathering during growth see
   exact, fully-written vectors, never torn rows;
 - a duplicate-statement storm is answered from one plan-cache entry
@@ -27,9 +26,7 @@ import numpy as np
 import pytest
 
 from repro.errors import AdmissionError, ServerError
-from repro.semantic import index_cache as index_cache_module
 from repro.semantic.cache import EmbeddingCache
-from repro.semantic.index_cache import IndexCache
 from repro.server import EngineServer, Scheduler, SchedulerConfig
 from repro.engine.state import plan_models
 from repro.storage.table import Table
@@ -83,7 +80,6 @@ class TestSharedState:
         one, two = server.session("a"), server.session("b")
         assert one.catalog is two.catalog
         assert one.context.embedding_cache is two.context.embedding_cache
-        assert one.context.index_cache is two.context.index_cache
 
     def test_client_session_is_cheap(self, server):
         # no model load: the registry is shared, not rebuilt
@@ -112,7 +108,7 @@ class TestSharedState:
         server.sql("SELECT a FROM t WHERE a < 3 ORDER BY a")
         metrics = server.metrics()
         assert {"plan_cache", "scheduler", "embedding_arenas",
-                "vector_index_cache", "catalog_version"} <= metrics.keys()
+                "catalog_version"} <= metrics.keys()
         assert metrics["scheduler"]["admitted"] >= 1
 
     def test_profile_carries_serving_fields(self, server):
@@ -301,47 +297,6 @@ class TestRaces:
         assert cache.misses == len(texts)
         assert cache.hits == (N_THREADS - 1) * len(texts)
 
-    def test_index_single_flight_under_concurrent_misses(self, model,
-                                                         monkeypatch):
-        """8 threads missing on one index key must build exactly once."""
-        real_factory = index_cache_module.INDEX_FACTORIES["brute"]
-
-        def slow_factory(seed):
-            index = real_factory(seed)
-            real_build = index.build
-
-            def slow_build(matrix):
-                time.sleep(0.2)      # hold the build window open
-                return real_build(matrix)
-
-            index.build = slow_build
-            return index
-
-        monkeypatch.setitem(index_cache_module.INDEX_FACTORIES, "brute",
-                            slow_factory)
-        cache = EmbeddingCache(model)
-        index_cache = IndexCache()
-        values = [f"value{i}" for i in range(32)]
-        cache.prefetch(values)       # isolate the index race from embeds
-        barrier = threading.Barrier(N_THREADS)
-        results = []
-
-        def work(index):
-            barrier.wait(timeout=10)
-            built, positions = index_cache.get_for_values(
-                "brute", values, cache)
-            results.append((built, positions))
-
-        run_threads(N_THREADS, work)
-        assert index_cache.stats()["builds"] == 1       # single flight
-        assert index_cache.stats()["single_flight_waits"] >= 1
-        assert len(index_cache) == 1
-        first = results[0][0]
-        assert all(built is first for built, _ in results)
-        reference = results[0][1]
-        assert all(np.array_equal(positions, reference)
-                   for _, positions in results)
-
     def test_arena_growth_publish_safe_under_readers(self, model):
         """Readers gathering while the arena doubles must always see
         exact fully-written vectors — never a torn or stale row."""
@@ -459,9 +414,6 @@ class TestRaces:
         server.drain(timeout=10)
         caches = server.state.embedding_caches
         assert len(caches) == 1
-        index_stats = server.state.index_cache.stats()
-        # single-flight: every build corresponds to a distinct key
-        assert index_stats["builds"] == index_stats["entries"]
         metrics = server.metrics()
         # repeated statements may be served as result-cache no-ops that
         # never occupy a worker; every query is one or the other

@@ -218,7 +218,7 @@ def test_annotation_rule_reads_the_mypy_strict_scope(engine_cfg):
     strict = engine_cfg.annotations.strict
     assert "repro.utils.*" in strict
     assert "repro.engine.plan_cache" in strict
-    assert "repro.semantic.index_cache" not in strict
+    assert "repro.semantic.cache" not in strict
 
 
 def test_engine_metric_vocabulary_matches_runtime():

@@ -1,9 +1,10 @@
-"""Access paths change the cost, never the answer.
+"""Caches change the cost, never the answer.
 
-Every semantic-join access path the engine plans is exact, so a served
-result — whatever method, plan cache, result cache or reuse residual
-produced it — must be bit-identical (values, dtypes, row order) to a
-cache-less session pinned to ``blocked``.  Two workload shapes:
+A semantic join runs one exact kernel (blocked GEMM), so a served
+result — whatever plan cache, result cache or reuse residual produced
+it — must be bit-identical (values, dtypes, row order) to a cache-less
+session's, the settings of the end-to-end oracle.  Two workload
+shapes:
 
 - wiki: each side of a Fig. 4 join is a narrow ``views >= a AND
   views < b`` slice of a large table, estimated as one conjunction (a
@@ -19,8 +20,6 @@ import numpy as np
 import pytest
 
 from repro.engine.session import Session
-from repro.optimizer.optimizer import OptimizerConfig
-from repro.semantic.join import SEMANTIC_JOIN_METHODS
 from repro.server import EngineServer
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
@@ -79,12 +78,10 @@ def counter(session: Session, name: str, **labels: str) -> int:
     return int(metric.value)
 
 
-#: Cache-less oracle settings: every statement fully optimized, pinned
-#: to ``blocked``, and executed from scratch.
+#: Cache-less oracle settings: every statement fully optimized and
+#: executed from scratch.
 ORACLE = dict(result_cache_bytes=0, semantic_reuse=False,
-              generic_plans=False,
-              optimizer_config=OptimizerConfig(
-                  semantic_join_methods=("blocked",)))
+              generic_plans=False)
 
 
 def assert_identical(served: Table, expected: Table, text: str) -> None:
@@ -95,20 +92,13 @@ def assert_identical(served: Table, expected: Table, text: str) -> None:
         assert np.array_equal(got, want), (name, text)
 
 
-def test_served_equals_blocked_pinned(model, wiki_tables):
+def test_served_equals_cache_less(model, wiki_tables):
     served_session = wiki_session(model, wiki_tables)
     oracle = wiki_session(model, wiki_tables, **ORACLE)
     for text in statements():
         served, expected = served_session.sql(text), oracle.sql(text)
         assert served.num_rows > 0
         assert_identical(served, expected, text)
-
-    # every full optimization's choice is counted under its method
-    chosen = {method: counter(served_session,
-                              "optimizer_semantic_join_method_total",
-                              method=method)
-              for method in SEMANTIC_JOIN_METHODS}
-    assert chosen["blocked"] > 0
 
     # both join families promote to a generic plan
     stats = served_session.state.plan_cache.stats()
@@ -181,7 +171,7 @@ def retail_tables() -> dict[str, Table]:
     return {name: catalog.get(name) for name in catalog.names()}
 
 
-def test_retail_served_equals_blocked_pinned(model, retail_tables):
+def test_retail_served_equals_cache_less(model, retail_tables):
     oracle = Session(load_default_model=False, **ORACLE)
     oracle.register_model(model, default=True)
     with EngineServer(load_default_model=False) as server:
