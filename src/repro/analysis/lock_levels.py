@@ -29,11 +29,12 @@ Levels (acquire downward only):
    (``context.catalog.get``) while the query's read stripes are held;
    the catalog acquires nothing upward while locked (``stats`` only
    recurses into its own reentrant lock).
-4. **Leaf locks** — embedding-cache internals, result cache, reuse
-   registry, the semantic cache-creation latch, and the observability
-   instruments (``obs.metrics`` counters/histograms, the metrics
-   registry, the tracer ring).  A leaf lock is never held across a
-   call into the catalog, plan cache, or scheduler (rule LH003).
+4. **Leaf locks** — embedding-cache internals, result cache (its
+   reuse family index included), the semantic cache-creation latch,
+   and the observability instruments (``obs.metrics``
+   counters/histograms, the metrics registry, the tracer ring).  A
+   leaf lock is never held across a call into the catalog, plan
+   cache, or scheduler (rule LH003).
 
 Historical note: before the static-analysis suite landed, the docs
 placed the catalog at level 2 and the stripes at level 3 — the checker
@@ -82,9 +83,6 @@ DECLARATIONS: tuple[LockDecl, ...] = (
     LockDecl(name="ResultCache._lock",
              owner=f"{PKG}.engine.result_cache.ResultCache", attr="_lock",
              level=4),
-    LockDecl(name="ReuseRegistry._lock",
-             owner=f"{PKG}.reuse.registry.ReuseRegistry", attr="_lock",
-             level=4),
     LockDecl(name="lowering._CACHE_CREATE_LOCK",
              owner=f"{PKG}.semantic.lowering", attr="_CACHE_CREATE_LOCK",
              level=4),
@@ -114,7 +112,6 @@ ALLOWED_SAME_LEVEL: frozenset[tuple[str, str]] = frozenset({
     # critical sections; an instrument lock is always innermost and
     # acquires nothing, so these edges cannot invert.
     ("ResultCache._lock", "Counter._lock"),
-    ("ReuseRegistry._lock", "Counter._lock"),
 })
 
 #: Attribute name -> class it holds, engine-wide.  This is how the
@@ -139,7 +136,7 @@ ATTR_TYPES: dict[str, str] = {
         "_hits", "_misses", "_puts", "_evictions", "_stale_evictions",
         "_invalidations", "_oversize_skips", "_reuse_fetches",
         "_text_memo_hits", "_registrations", "_probes", "_fallbacks",
-        "_stale_drops", "_admitted", "_rejected", "_result_cache_noops",
+        "_admitted", "_rejected", "_result_cache_noops",
         "_reuse_noops", "_dispatches", "_compiles", "statements_total")},
     **{attr: f"{PKG}.obs.metrics.Histogram" for attr in (
         "_queue_wait_hist", "_compile_hist", "statement_seconds",

@@ -73,7 +73,7 @@ DECLARED_METRICS: tuple[MetricDecl, ...] = (
     MetricDecl("result_cache_bytes", "gauge", "snapshot bytes resident"),
     MetricDecl("result_cache_hit_ratio", "gauge",
                "hits / (hits + misses)"),
-    # -- semantic-reuse registry ---------------------------------------
+    # -- semantic reuse (entries live in the result cache) ------------
     MetricDecl("reuse_registered_total", "counter",
                "cached statements registered as reuse candidates"),
     MetricDecl("reuse_probes_total", "counter", "subsumption probes"),
@@ -82,11 +82,11 @@ DECLARED_METRICS: tuple[MetricDecl, ...] = (
     MetricDecl("reuse_misses_total", "counter",
                "probes with no containing candidate"),
     MetricDecl("reuse_fallbacks_total", "counter",
-               "candidate matches whose snapshot was already gone"),
-    MetricDecl("reuse_stale_drops_total", "counter",
-               "candidates dropped on generation mismatch"),
-    MetricDecl("reuse_entries", "gauge", "registered candidates"),
-    MetricDecl("reuse_families", "gauge", "distinct statement families"),
+               "containment held but a guard forced normal execution"),
+    MetricDecl("reuse_entries", "gauge",
+               "reuse-eligible result-cache entries resident"),
+    MetricDecl("reuse_families", "gauge",
+               "distinct containment families among them"),
     MetricDecl("reuse_hit_ratio", "gauge", "hits / probes"),
     # -- scheduler -----------------------------------------------------
     MetricDecl("scheduler_dispatches_total", "counter",

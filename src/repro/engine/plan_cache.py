@@ -241,20 +241,6 @@ class PlanCache:
             self._hits.inc()
             return entry
 
-    def peek(self, digest: str, parameters: tuple[Any, ...],
-             catalog_version: int, model_name: str) -> CachedPlan | None:
-        """The cached plan for an exact key, without counting a probe.
-
-        The ingest subsystem's read: a result-cache key carries exactly
-        these four identity fields, so the delta maintainer can recover
-        the optimized plan behind a cached snapshot.  Maintenance is not
-        a statement serve — it must not move hit/miss telemetry or the
-        LRU order.
-        """
-        key: _PlanKey = (digest, parameters, catalog_version, model_name)
-        with self._lock:
-            return self._plans.peek(key)
-
     def drop_if(self, predicate: Callable[[CachedPlan], bool]) -> int:
         """Drop cached plans that ``predicate(CachedPlan)`` selects.
 

@@ -39,8 +39,8 @@ class QueryProfile:
     #: Whether the result was derived from a *containing* cached
     #: statement by the semantic-reuse subsystem (threshold/top-k
     #: refinement, extra predicate, or projection subset answered
-    #: residually — no embedding/join execution).  ``None`` when the
-    #: reuse registry was not consulted.
+    #: residually — no embedding/join execution).  ``None`` when no
+    #: subsumption probe ran.
     reuse_hit: bool | None = None
     #: Seconds the query sat in an admission queue before a worker
     #: picked it up (0.0 when executed inline).

@@ -50,6 +50,18 @@ would let a handful of giant results squat.  The store is a
 byte-budgeted :class:`~repro.utils.store.LRUStore`.  An entry larger
 than the whole budget is not cached at all (``oversize_skips``).
 
+**One record for both derivation paths.**  A :class:`CachedResult`
+carries the optimized plan that produced its snapshot — the ingest
+maintainer re-executes it over an append's delta — and, for a
+subsumption-eligible statement, the reuse spec and plan shape the
+containment matcher compares.  Eligible entries are also listed in a
+**family index** (containment family -> keys, most recently stored
+last) kept under the same lock and updated wherever an entry enters or
+leaves the store — put, LRU eviction, stale sweep,
+:meth:`ResultCache.advance_table_version`, :meth:`ResultCache.invalidate`
+— so a subsumption probe examines exactly the resident variants of its
+own statement shape, never a dead or evicted one.
+
 Generation capture discipline: the key is built **before** execution
 (at lookup time) and the same key is used for the post-execution
 ``put``.  An invalidation that lands mid-execution therefore leaves the
@@ -67,12 +79,16 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.obs.metrics import MetricsRegistry, hit_ratio
 from repro.semantic.cache import RETIRED_GENERATIONS
 from repro.storage.table import Table
 from repro.utils.store import LRUStore
+
+if TYPE_CHECKING:
+    from repro.relational.logical import LogicalPlan
+    from repro.reuse.analysis import PlanShape, ReuseSpec
 
 #: Default byte budget for cached result snapshots (64 MiB).
 DEFAULT_RESULT_CACHE_BYTES = 64 * 1024 * 1024
@@ -161,33 +177,49 @@ def strip_columns(table: Table, names: tuple[str, ...]) -> Table:
                   for field_ in fields})
 
 
-@dataclass
+@dataclass(frozen=True)
 class CachedResult:
-    """One cached result snapshot plus its reuse aux column names.
+    """One cached result snapshot and the record both derivation paths
+    read.
 
-    ``aux_names`` lists reuse-internal columns embedded in ``table``
-    (per-row semantic scores / top-k ranks): :meth:`ResultCache.get`
-    strips them from every exact hit, while the subsumption path reads
-    the full snapshot through :meth:`ResultCache.get_full`.
+    ``plan`` is the optimized plan that produced ``table`` (on a
+    generic serve, the bound template): the ingest maintainer
+    re-executes it over an append's delta.  ``reuse`` and ``shape`` are
+    set for a subsumption-eligible statement; ``table`` then embeds the
+    spec's aux columns (per-row semantic scores / top-k ranks), which
+    :meth:`ResultCache.get` strips from every exact hit, while the
+    subsumption path reads the full snapshot.
     """
 
     table: Table          # private snapshot; never handed out directly
-    aux_names: tuple[str, ...] = ()
+    plan: LogicalPlan | None = None
+    reuse: ReuseSpec | None = None
+    shape: PlanShape | None = None
+
+    @property
+    def aux_names(self) -> tuple[str, ...]:
+        return self.reuse.aux_columns if self.reuse is not None else ()
 
 
 class ResultCache:
     """Byte-budgeted LRU of result snapshots keyed by :class:`ResultKey`.
 
-    Thread-safe: one leaf mutex guards the store and counters; snapshot
-    copies happen outside the lock (a :class:`CachedResult`'s table is
-    immutable once stored, so a concurrent eviction only drops the dict
-    reference, never the data a hit is copying).
+    Thread-safe: one leaf mutex guards the store, the family index and
+    the counters; snapshot copies happen outside the lock (a
+    :class:`CachedResult` is immutable once stored, so a concurrent
+    eviction only drops the dict reference, never the data a hit is
+    copying).
     """
 
     def __init__(self, max_bytes: int = DEFAULT_RESULT_CACHE_BYTES,
                  registry: MetricsRegistry | None = None) -> None:
         self._lock = threading.Lock()
         self._store: LRUStore[ResultKey, CachedResult] = LRUStore(max_bytes)
+        #: containment family -> its reuse-eligible resident entries,
+        #: most recently stored last; holds exactly the store's
+        #: eligible entries (see _index_locked / _unindex_locked)
+        self._families: dict[str, dict[ResultKey, CachedResult]] = {}
+        self._reuse_entries = 0
         registry = registry if registry is not None else MetricsRegistry()
         self._hits = registry.counter(
             "result_cache_hits_total", help="exact result-snapshot hits")
@@ -245,9 +277,9 @@ class ResultCache:
             self._hits.inc()
         return snapshot_table(strip_columns(entry.table, entry.aux_names))
 
-    def get_full(self, key: ResultKey) -> tuple[Table, tuple[str, ...]] | None:
-        """The raw stored snapshot (aux columns included) plus its aux
-        names — the subsumption path's read.
+    def get_full(self, key: ResultKey) -> Table | None:
+        """The raw stored snapshot, aux columns included — the
+        subsumption path's read of the candidate it proved containing.
 
         Counted separately from exact hits/misses (``reuse_fetches``)
         so hit-rate telemetry keeps meaning "exact repeats".  The
@@ -260,12 +292,25 @@ class ResultCache:
             if entry is None:
                 return None
             self._reuse_fetches.inc()
-            return entry.table, entry.aux_names
+            return entry.table
+
+    def reuse_candidates(self, family: str) -> list[
+            tuple[ResultKey, CachedResult]]:
+        """The family's resident reuse-eligible entries, most recently
+        stored first (internal records; callers must not mutate their
+        tables)."""
+        with self._lock:
+            bucket = self._families.get(family)
+            return list(reversed(bucket.items())) if bucket else []
 
     # -- population -----------------------------------------------------
     def put(self, key: ResultKey, table: Table,
-            aux_names: tuple[str, ...] = (), owned: bool = False) -> bool:
-        """Store a snapshot of ``table`` under ``key``.
+            plan: LogicalPlan | None = None,
+            reuse: ReuseSpec | None = None, shape: PlanShape | None = None,
+            owned: bool = False) -> bool:
+        """Store a snapshot of ``table`` under ``key``, recording the
+        ``plan`` that produced it and, for a subsumption-eligible
+        statement, its ``reuse`` spec and plan ``shape``.
 
         Returns ``False`` (and caches nothing) when the key is already
         dead on arrival — below the observed version/generation
@@ -291,13 +336,19 @@ class ResultCache:
         if nbytes > self.max_bytes:
             self._oversize_skips.inc()
             return False
-        snapshot = table if owned else snapshot_table(table)
+        entry = CachedResult(table if owned else snapshot_table(table),
+                             plan, reuse, shape)
         with self._lock:
             # re-check: the watermark may have advanced while copying
             if self._dead_on_arrival_locked(key):
                 return False
-            evicted = self._store.put(
-                key, CachedResult(snapshot, tuple(aux_names)), nbytes)
+            replaced = self._store.pop(key)
+            if replaced is not None:
+                self._unindex_locked(key, replaced)
+            evicted = self._store.put(key, entry, nbytes)
+            self._index_locked(key, entry)
+            for old_key, old_entry in evicted:
+                self._unindex_locked(old_key, old_entry)
             self._puts.inc()
             self._evictions.inc(len(evicted))
             return True
@@ -321,17 +372,16 @@ class ResultCache:
             return self._drop_dead_locked()
 
     def entries_for_table(self, name: str) -> list[
-            tuple[ResultKey, Table, tuple[str, ...]]]:
+            tuple[ResultKey, CachedResult]]:
         """Live entries whose key reads table ``name`` — the delta
         maintainer's scan.
 
-        Returns the *internal* snapshots (immutable once stored, like
-        :meth:`get_full`); callers build fresh patched tables from them
-        and must never mutate them.
+        Returns the *internal* records (immutable once stored, like
+        :meth:`get_full`'s snapshot); callers build fresh patched
+        tables from them and must never mutate them.
         """
         with self._lock:
-            return [(key, entry.table, entry.aux_names)
-                    for key, entry in self._store.items()
+            return [(key, entry) for key, entry in self._store.items()
                     if any(table == name
                            for table, _ in key.table_versions)]
 
@@ -339,6 +389,8 @@ class ResultCache:
         """Drop every cached result; returns the number dropped."""
         with self._lock:
             dropped = self._store.clear()
+            self._families.clear()
+            self._reuse_entries = 0
             self._invalidations.inc(dropped)
             return dropped
 
@@ -361,6 +413,16 @@ class ResultCache:
         }
 
     @property
+    def reuse_entries(self) -> int:
+        """Reuse-eligible entries resident (the family index's size)."""
+        return self._reuse_entries
+
+    @property
+    def reuse_families(self) -> int:
+        """Distinct containment families among the resident entries."""
+        return len(self._families)
+
+    @property
     def bytes_used(self) -> int:
         return self._store.used
 
@@ -368,6 +430,19 @@ class ResultCache:
         return len(self._store)
 
     # -- internals ------------------------------------------------------
+    def _index_locked(self, key: ResultKey, entry: CachedResult) -> None:
+        if entry.reuse is not None:
+            self._families.setdefault(entry.reuse.family, {})[key] = entry
+            self._reuse_entries += 1
+
+    def _unindex_locked(self, key: ResultKey, entry: CachedResult) -> None:
+        if entry.reuse is not None:
+            bucket = self._families[entry.reuse.family]
+            del bucket[key]
+            self._reuse_entries -= 1
+            if not bucket:
+                del self._families[entry.reuse.family]
+
     def _dead_on_arrival_locked(self, key: ResultKey) -> bool:
         """True when ``key`` can never match a future lookup: it sits
         below the version/generation watermark (an invalidation landed
@@ -404,7 +479,10 @@ class ResultCache:
             self._drop_dead_locked()
 
     def _drop_dead_locked(self) -> int:
-        dropped = self._store.drop_if(
-            lambda key, _: self._dead_on_arrival_locked(key))
-        self._stale_evictions.inc(dropped)
-        return dropped
+        dead = [(key, entry) for key, entry in self._store.items()
+                if self._dead_on_arrival_locked(key)]
+        for key, entry in dead:
+            self._store.pop(key)
+            self._unindex_locked(key, entry)
+        self._stale_evictions.inc(len(dead))
+        return len(dead)

@@ -60,7 +60,7 @@ class PlannedStatement(NamedTuple):
     #: statement went through subsumption analysis; its plan then
     #: carries the reuse aux columns, which ``EngineState.store_result``
     #: strips before results reach callers.  ``None`` on paths that
-    #: never consult the reuse registry.
+    #: never probe for subsumption.
     reuse: object | None = None
 
 

@@ -127,7 +127,7 @@ class EngineState:
             from repro.reuse.registry import ReuseRegistry
 
             self.reuse_registry = ReuseRegistry(
-                registry=self.metrics_registry)
+                self.result_cache, registry=self.metrics_registry)
         else:
             self.reuse_registry = None
         self.optimizer_config = optimizer_config or OptimizerConfig()
@@ -210,26 +210,29 @@ class EngineState:
         safe: a register/clear that landed mid-run leaves this key
         below the watermark, and the cache refuses it dead-on-arrival.
 
-        When ``planned`` carries an eligible reuse spec, ``table`` is
-        the augmented execution's output: its reuse aux columns are
-        snapshotted into the cache entry (and the entry indexed in the
-        subsumption registry) but stripped from the returned table.
+        The entry records ``planned.plan`` (what the ingest maintainer
+        re-executes over an append's delta).  When ``planned`` carries
+        an eligible reuse spec, ``table`` is the augmented execution's
+        output: the entry also records the spec and plan shape (which
+        puts it in the cache's family index), and its reuse aux columns
+        are snapshotted into the entry but stripped from the returned
+        table.
         """
-        spec = getattr(planned, "reuse", None) if planned is not None \
-            else None
+        plan = getattr(planned, "plan", None)
+        spec = getattr(planned, "reuse", None)
         if spec is None or not spec.eligible:
             if key is not None and self.result_cache is not None:
-                self.result_cache.put(key, table)
+                self.result_cache.put(key, table, plan)
             return table
         from repro.reuse.analysis import describe_plan
 
-        return self._store_reuse_eligible(key, table, spec,
-                                          describe_plan(planned.plan))
+        return self._store_reuse_eligible(key, table, plan, spec,
+                                          describe_plan(plan))
 
-    def _store_reuse_eligible(self, key, table, spec, shape,
+    def _store_reuse_eligible(self, key, table, plan, spec, shape,
                               owned: bool = False):
-        """Snapshot an aux-carrying result + index it; returns the
-        aux-stripped visible table.
+        """Snapshot an aux-carrying result with its reuse record;
+        returns the aux-stripped visible table.
 
         ``owned=True`` (the residual path, whose derived arrays share
         storage with nothing) hands the table to the cache without a
@@ -238,10 +241,7 @@ class EngineState:
         """
         if key is None or self.result_cache is None:
             return strip_columns(table, spec.aux_columns)
-        rows = table.num_rows
-        columns = tuple(table.schema.names)
-        stored = self.result_cache.put(key, table,
-                                       aux_names=spec.aux_columns,
+        stored = self.result_cache.put(key, table, plan, spec, shape,
                                        owned=owned)
         visible = strip_columns(table, spec.aux_columns)
         if owned and stored:
@@ -249,11 +249,7 @@ class EngineState:
 
             visible = snapshot_table(visible)
         if stored and self.reuse_registry is not None:
-            from repro.reuse.registry import ReuseEntry
-
-            self.reuse_registry.register(ReuseEntry(
-                key=key, spec=spec, shape=shape, rows=rows,
-                columns=columns))
+            self.reuse_registry.record_registration()
         return visible
 
     def fetch_reuse(self, planned, key: ResultKey | None):
@@ -261,13 +257,16 @@ class EngineState:
         ``None`` (probe ineligible, no candidate subsumes, or a tie
         guard forced a fallback).
 
-        Candidates live in the same containment family and must have
-        been captured under exactly the probe's catalog version, model,
-        and arena generations — the same freshness contract as an
-        exact hit, enforced by comparing the non-identity fields of the
-        two keys.  A successful residual answer is stored under the
-        probe's own exact key (and registered), so an identical repeat
-        is an exact hit and further refinements can chain off it.
+        Candidates are the result cache's resident entries of the same
+        containment family, and must have been captured under exactly
+        the probe's catalog version, model, arena generations and table
+        data versions — the same freshness contract as an exact hit,
+        enforced by comparing the non-identity fields of the two keys.
+        A candidate that differs is only skipped: the cache's own
+        watermark sweep removes keys that can never match again.  A
+        successful residual answer is stored under the probe's own
+        exact key (with its reuse record), so an identical repeat is an
+        exact hit and further refinements can chain off it.
         """
         registry = self.reuse_registry
         if registry is None or key is None or self.result_cache is None:
@@ -278,63 +277,39 @@ class EngineState:
         from repro.reuse.analysis import describe_plan, plan_containment
         from repro.reuse.residual import derive_residual
 
-        candidates = registry.candidates(spec.family)
         probe_shape = None
-        for entry in candidates:
-            if entry.key == key:
-                continue        # the exact entry already missed
-            cached_key = entry.key
-            if (cached_key.catalog_version != key.catalog_version
+        for cached_key, entry in registry.candidates(spec.family):
+            if (cached_key == key      # the exact entry already missed
+                    or cached_key.catalog_version != key.catalog_version
                     or cached_key.model_name != key.model_name
                     or cached_key.arena_generations
                     != key.arena_generations
                     or cached_key.table_versions != key.table_versions):
-                # catalog versions, arena generation tokens, and
-                # per-table data versions are all monotonic: an entry
-                # below the probe's capture can never serve again and is
-                # dropped; an entry *above* it means this probe raced an
-                # invalidation — keep the entry for fresh probes.
-                # (model_name is a session default, not a version:
-                # another session may still match it, so only skip.)
-                dead = (cached_key.catalog_version < key.catalog_version
-                        or any(cached_gen < probe_gen for
-                               (_, cached_gen), (_, probe_gen)
-                               in zip(cached_key.arena_generations,
-                                      key.arena_generations)
-                               if cached_gen != -1)
-                        or any(cached_ver < probe_ver for
-                               (_, cached_ver), (_, probe_ver)
-                               in zip(cached_key.table_versions,
-                                      key.table_versions)))
-                if dead:
-                    registry.discard(cached_key, stale=True)
                 continue
             if probe_shape is None:
                 probe_shape = describe_plan(planned.plan)
             try:
-                action = plan_containment(entry.spec, entry.shape,
-                                          entry.rows, entry.columns,
-                                          spec, probe_shape)
+                action = plan_containment(
+                    entry.reuse, entry.shape, entry.table.num_rows,
+                    tuple(entry.table.schema.names), spec, probe_shape)
                 if action is None:
                     continue
-                fetched = self.result_cache.get_full(cached_key)
-                if fetched is None:
-                    registry.discard(cached_key)     # snapshot evicted
-                    continue
-                derived = derive_residual(fetched[0], entry.spec, spec,
+                snapshot = self.result_cache.get_full(cached_key)
+                if snapshot is None:
+                    continue        # evicted since the candidate list
+                derived = derive_residual(snapshot, entry.reuse, spec,
                                           action)
             except Exception:     # noqa: BLE001 — degrade, never fail
                 # a defective candidate must cost a fresh execution,
-                # not the query: drop it and move on
-                registry.discard(cached_key)
+                # not the query
                 registry.record_fallback()
                 continue
             if derived is None:
                 registry.record_fallback()       # tie guard fired
                 continue
             registry.record_hit()
-            return self._store_reuse_eligible(key, derived, spec,
-                                              probe_shape, owned=True)
+            return self._store_reuse_eligible(key, derived, planned.plan,
+                                              spec, probe_shape, owned=True)
         registry.record_miss()
         return None
 

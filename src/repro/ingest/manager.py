@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.engine.result_cache import ResultKey
+from repro.engine.result_cache import CachedResult, ResultKey
 from repro.errors import CatalogError
 from repro.ingest.delta import DeltaRefused, apply_delta, classify_plan
 from repro.relational.physical import execute_plan
@@ -87,9 +87,6 @@ class IngestManager:
         # repro.analysis.lock_levels
         self._lock = Lock()
         self._staleness_gauges: dict[str, "Gauge"] = {}
-        self._rows_total = 0
-        self._maintained_total = 0
-        self._refused_total = 0
         self._refusal_reasons: dict[str, int] = {}
         registry = state.metrics_registry
         self._rows_counter = registry.counter(
@@ -165,12 +162,13 @@ class IngestManager:
         return report
 
     def stats(self) -> dict[str, Any]:
-        """Lifetime ingest counters (one consistent snapshot)."""
+        """Lifetime ingest counters (one consistent snapshot), read
+        from the registered instruments."""
         with self._lock:
             return {
-                "rows_total": self._rows_total,
-                "delta_maintained_total": self._maintained_total,
-                "delta_refused_total": self._refused_total,
+                "rows_total": self._rows_counter.value,
+                "delta_maintained_total": self._maintained_counter.value,
+                "delta_refused_total": self._refused_counter.value,
                 "refusal_reasons": dict(self._refusal_reasons),
             }
 
@@ -183,7 +181,7 @@ class IngestManager:
         # 1. snapshot the entries to maintain BEFORE the version bump:
         #    advance_table_version sweeps them, and the patch path needs
         #    their pre-append contents.
-        entries: list[tuple[ResultKey, Table, tuple[str, ...]]] = []
+        entries: list[tuple[ResultKey, CachedResult]] = []
         if state.result_cache is not None:
             entries = state.result_cache.entries_for_table(table)
         # 2. grow the table; only its data_version moves.
@@ -204,9 +202,9 @@ class IngestManager:
         # 5. patch what can be proven, count what cannot.
         maintained = 0
         refusals: dict[str, int] = {}
-        for key, snapshot, aux_names in entries:
-            reason = self._maintain_entry(table, key, snapshot, aux_names,
-                                          delta, new_version)
+        for key, entry in entries:
+            reason = self._maintain_entry(table, key, entry, delta,
+                                          new_version)
             if reason is None:
                 maintained += 1
             else:
@@ -222,49 +220,36 @@ class IngestManager:
             plans_dropped=plans_dropped,
             staleness_seconds=time.perf_counter() - started)
 
-    def _maintain_entry(self, table: str, key: ResultKey, snapshot: Table,
-                        aux_names: tuple[str, ...], delta: Table,
+    def _maintain_entry(self, table: str, key: ResultKey,
+                        entry: CachedResult, delta: Table,
                         new_version: int) -> str | None:
         """Patch one cached result from the delta; a reason string on
         refusal, ``None`` on success."""
         state = self._state
-        cached_plan = state.plan_cache.peek(
-            key.digest, key.parameters, key.catalog_version,
-            key.model_name)
-        if cached_plan is None:
-            # the optimized plan was evicted (or dropped as DIP-tainted
-            # in this very mutation); nothing to re-execute the delta
-            # through
-            return "plan-evicted"
+        plan = entry.plan
+        if plan is None:
+            # stored without the plan that produced it (a direct cache
+            # put): nothing to re-execute the delta through
+            return "no-plan"
         for name, generation in key.arena_generations:
             cache = state.embedding_caches.get(name)
             if cache is None or cache.generation != generation:
                 return "arena-generation-moved"
-        plan = cached_plan.plan
         try:
             spec = classify_plan(plan, table)
             delta_out = self._execute_over_delta(plan, table, delta)
-            patched = apply_delta(spec, snapshot, delta_out)
+            patched = apply_delta(spec, entry.table, delta_out)
         except DeltaRefused as refusal:
             return refusal.reason
         new_key = key._replace(table_versions=tuple(
             (name, new_version if name == table else version)
             for name, version in key.table_versions))
         assert state.result_cache is not None
-        stored = state.result_cache.put(new_key, patched,
-                                        aux_names=aux_names)
-        if not stored:
+        if not state.result_cache.put(new_key, patched, plan, entry.reuse,
+                                      entry.shape):
             return "store-rejected"
-        reuse = cached_plan.reuse
-        if reuse is not None and reuse.eligible \
-                and state.reuse_registry is not None:
-            from repro.reuse.analysis import describe_plan
-            from repro.reuse.registry import ReuseEntry
-
-            state.reuse_registry.register(ReuseEntry(
-                key=new_key, spec=reuse, shape=describe_plan(plan),
-                rows=patched.num_rows,
-                columns=tuple(patched.schema.names)))
+        if entry.reuse is not None and state.reuse_registry is not None:
+            state.reuse_registry.record_registration()
         return None
 
     def _execute_over_delta(self, plan: Any, table: str,
@@ -358,9 +343,6 @@ class IngestManager:
     def _record(self, table: str, rows: int, maintained: int,
                 refused: int, refusals: dict[str, int],
                 started: float) -> None:
-        self._rows_total += rows
-        self._maintained_total += maintained
-        self._refused_total += refused
         for reason, count in refusals.items():
             self._refusal_reasons[reason] = \
                 self._refusal_reasons.get(reason, 0) + count

@@ -99,6 +99,27 @@ def _schema(registry: MetricsRegistry) -> dict[str, str]:
     return {inst.name: inst.kind for inst in registry.collect()}
 
 
+def schema_drift(schema: dict[str, str]) -> str:
+    """How ``schema`` differs from the golden one; ``""`` when they
+    agree."""
+    golden = json.loads((GOLDEN_DIR / SCHEMA_GOLDEN).read_text())
+    if schema == golden:
+        return ""
+    added = sorted(set(schema) - set(golden))
+    removed = sorted(set(golden) - set(schema))
+    retyped = sorted(name for name in set(schema) & set(golden)
+                     if schema[name] != golden[name])
+    return f"added={added} removed={removed} retyped={retyped}"
+
+
+def live_schema() -> dict[str, str]:
+    """The ``{name: kind}`` map of a fresh server's registry after one
+    traced semantic join — the schema the golden pins."""
+    with _build_server() as server:
+        server.sql(JOIN)
+        return _schema(server.state.metrics_registry)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.smoke", description=__doc__.split("\n")[0])
@@ -137,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
                   "parsed samples differ from export_json()")
         except ValueError as error:
             check(False, "prometheus page validates", str(error))
-        live_schema = _schema(server.state.metrics_registry)
+        schema = _schema(server.state.metrics_registry)
 
     demo = demo_registry()
     demo_text = prometheus_text(demo)
@@ -149,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         (GOLDEN_DIR / SNAPSHOT_GOLDEN).write_text(
             json.dumps(demo_snapshot, indent=2, sort_keys=True) + "\n")
         (GOLDEN_DIR / SCHEMA_GOLDEN).write_text(
-            json.dumps(live_schema, indent=2, sort_keys=True) + "\n")
+            json.dumps(schema, indent=2, sort_keys=True) + "\n")
         print(f"wrote goldens under {GOLDEN_DIR}")
         return 0
 
@@ -160,16 +181,8 @@ def main(argv: list[str] | None = None) -> int:
         (GOLDEN_DIR / SNAPSHOT_GOLDEN).read_text()),
           "json snapshot golden matches", "snapshot differs")
 
-    golden_schema = json.loads((GOLDEN_DIR / SCHEMA_GOLDEN).read_text())
-    if live_schema != golden_schema:
-        added = sorted(set(live_schema) - set(golden_schema))
-        removed = sorted(set(golden_schema) - set(live_schema))
-        retyped = sorted(name for name in set(live_schema) & set(golden_schema)
-                         if live_schema[name] != golden_schema[name])
-        check(False, "metric schema matches golden",
-              f"added={added} removed={removed} retyped={retyped}")
-    else:
-        check(True, "metric schema matches golden")
+    drift = schema_drift(schema)
+    check(not drift, "metric schema matches golden", drift)
 
     if failures:
         print(f"\n{len(failures)} observability smoke failure(s)")

@@ -16,9 +16,9 @@ work.  This package closes that gap:
   from the cached super-result by refiltering / truncating / projecting,
   with tie guards that force a fallback whenever bit-identity cannot be
   proven from the snapshot alone;
-- :mod:`repro.reuse.registry` — indexes result-cache entries by
-  containment family so a probe is O(candidates-in-family), honoring the
-  same versioned invalidation as the exact caches.
+- :mod:`repro.reuse.registry` — the subsumption counters; the entries a
+  probe examines are the result cache's own, indexed there by
+  containment family so a probe is O(resident candidates-in-family).
 
 The correctness contract is strict: a subsumption answer must be
 **bit-identical** to what fresh execution would have produced, and the
@@ -33,12 +33,11 @@ from repro.reuse.analysis import (
     describe_plan,
     plan_containment,
 )
-from repro.reuse.registry import ReuseEntry, ReuseRegistry
+from repro.reuse.registry import ReuseRegistry
 from repro.reuse.residual import derive_residual
 
 __all__ = [
     "ReuseSpec",
-    "ReuseEntry",
     "ReuseRegistry",
     "analyze_and_augment",
     "describe_plan",

@@ -251,7 +251,7 @@ def analyze_and_augment(
 
     Ineligible statements return ``(spec(eligible=False), plan)`` with
     the plan untouched — they execute exactly as before and are simply
-    invisible to the reuse registry.
+    invisible to subsumption probes.
     """
     walk = _Walk()
     _analyze(plan, walk, True)

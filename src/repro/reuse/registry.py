@@ -1,57 +1,27 @@
-"""Family-indexed registry of subsumption-eligible cached results.
+"""Subsumption-reuse counters, and the generic-plan family digests.
 
-The exact result cache keys on the full :class:`ResultKey` — probing it
-for "any cached statement that *contains* this one" would be a full
-scan.  The registry adds the missing index: entries bucket by
-**containment family** (see :mod:`repro.reuse.analysis`), so a probe
-only examines the handful of cached variants of its own statement
-shape.
-
-The registry stores no result data — just the spec/shape metadata the
-matcher compares plus the :class:`ResultKey` under which the snapshot
-lives in the result cache.  Invalidation therefore needs no events:
-
-- a candidate whose key disagrees with the probe's freshly captured
-  catalog version / model / index generation / arena generations can
-  never be served and is dropped on sight (versions are monotonic);
-- a candidate whose snapshot was evicted from the byte-budgeted result
-  cache comes back empty on fetch and is dropped by the caller via
-  :meth:`discard`.
-
-Entries are LRU-bounded by count (a count-budgeted
-:class:`~repro.utils.store.LRUStore` across all families); metadata is
-tiny, so the bound exists to keep probes O(candidates-in-family) under
-adversarial workloads rather than to save memory.
+The entries a subsumption probe examines live in the result cache:
+each :class:`~repro.engine.result_cache.CachedResult` of an eligible
+statement carries its reuse spec and plan shape, and the cache keeps
+the **containment-family** index (see :mod:`repro.reuse.analysis`)
+beside its store, under its own lock, so a probe only examines the
+resident variants of its own statement shape.  An entry leaves the
+index exactly when it leaves the store — eviction, version sweep,
+explicit invalidation — so there is no second store to fall out of
+step with the first.  :class:`ReuseRegistry` keeps what is left: the
+probe/hit/miss/fallback counters and the ``stats()`` surface.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.obs.metrics import MetricsRegistry, hit_ratio
-from repro.reuse.analysis import PlanShape, ReuseSpec
-from repro.utils.store import LRUStore
 
-#: Default bound on registered entries across all families.
-DEFAULT_REGISTRY_CAPACITY = 1024
-
-#: An ``engine.result_cache.ResultKey`` (kept structural here to avoid
-#: importing the engine package from the reuse layer).
-_EntryKey = tuple[object, ...]
-
-
-@dataclass(frozen=True)
-class ReuseEntry:
-    """One subsumption-eligible cached result's matching metadata."""
-
-    key: _EntryKey               # engine.result_cache.ResultKey
-    spec: ReuseSpec
-    shape: PlanShape
-    #: Stored snapshot's row count (LIMIT-bite checks) and full column
-    #: names (extra-predicate / projection resolvability checks).
-    rows: int
-    columns: tuple[str, ...]
+if TYPE_CHECKING:
+    from repro.engine.result_cache import (
+        CachedResult, ResultCache, ResultKey)
 
 
 #: A plan-family identity for digest tracking:
@@ -136,16 +106,12 @@ class FamilyDigestTracker:
 
 
 class ReuseRegistry:
-    """Thread-safe family index over subsumption-eligible entries."""
+    """Counters of the subsumption path over the result cache's family
+    index."""
 
-    def __init__(self, capacity: int = DEFAULT_REGISTRY_CAPACITY,
+    def __init__(self, cache: ResultCache,
                  registry: MetricsRegistry | None = None) -> None:
-        self._lock = threading.Lock()
-        #: family digest -> (ResultKey -> ReuseEntry), oldest
-        #: registration first
-        self._families: dict[str, dict[_EntryKey, ReuseEntry]] = {}
-        #: key -> family, LRU across all families for the capacity bound
-        self._order: LRUStore[_EntryKey, str] = LRUStore(capacity)
+        self._cache = cache
         metrics = registry if registry is not None else MetricsRegistry()
         self._registrations = metrics.counter(
             "reuse_registered_total",
@@ -159,12 +125,9 @@ class ReuseRegistry:
         self._fallbacks = metrics.counter(
             "reuse_fallbacks_total",
             help="containment held but a guard forced normal execution")
-        self._stale_drops = metrics.counter(
-            "reuse_stale_drops_total",
-            help="version-dead or evicted entries dropped on sight")
-        metrics.gauge("reuse_entries", fn=lambda: len(self._order),
+        metrics.gauge("reuse_entries", fn=lambda: cache.reuse_entries,
                       help="indexed entries resident")
-        metrics.gauge("reuse_families", fn=lambda: len(self._families),
+        metrics.gauge("reuse_families", fn=lambda: cache.reuse_families,
                       help="distinct containment families indexed")
         self._hit_ratio = metrics.gauge(
             "reuse_hit_ratio",
@@ -172,27 +135,14 @@ class ReuseRegistry:
                 self._hits.value, self._probes.value - self._hits.value),
             help="hits / probes; 0.0 before any probe")
 
-    # -- population -----------------------------------------------------
-    def register(self, entry: ReuseEntry) -> None:
-        """Index ``entry`` (replacing any previous entry for its key)."""
-        family = entry.spec.family
-        with self._lock:
-            bucket = self._families.setdefault(family, {})
-            bucket.pop(entry.key, None)
-            bucket[entry.key] = entry
-            self._registrations.inc()
-            for evicted in self._order.put(entry.key, family):
-                self._drop_locked(*evicted)
+    def candidates(self, family: str) -> list[
+            tuple[ResultKey, CachedResult]]:
+        """The family's resident entries, most recently stored first."""
+        self._probes.inc()
+        return self._cache.reuse_candidates(family)
 
-    # -- probing --------------------------------------------------------
-    def candidates(self, family: str) -> list[ReuseEntry]:
-        """Snapshot of the family's entries, most recently used first."""
-        with self._lock:
-            self._probes.inc()
-            bucket = self._families.get(family)
-            if not bucket:
-                return []
-            return list(reversed(bucket.values()))
+    def record_registration(self) -> None:
+        self._registrations.inc()
 
     def record_hit(self) -> None:
         self._hits.inc()
@@ -203,42 +153,18 @@ class ReuseRegistry:
     def record_fallback(self) -> None:
         self._fallbacks.inc()
 
-    # -- maintenance ----------------------------------------------------
-    def discard(self, key: _EntryKey, stale: bool = False) -> None:
-        """Drop one entry (evicted snapshot or version-dead key)."""
-        with self._lock:
-            family = self._order.pop(key)
-            if family is None:
-                return
-            self._drop_locked(key, family)
-            if stale:
-                self._stale_drops.inc()
-
-    def _drop_locked(self, key: _EntryKey, family: str) -> None:
-        bucket = self._families.get(family)
-        if bucket is not None:
-            bucket.pop(key, None)
-            if not bucket:
-                del self._families[family]
-
-    def clear(self) -> int:
-        with self._lock:
-            self._families.clear()
-            return self._order.clear()
-
     def stats(self) -> dict[str, float]:
         """Counters for ``server.metrics()["reuse"]``, read from the
-        registered instruments."""
+        registered instruments and the result cache's family index."""
         return {
             "registered": self._registrations.value,
             "probes": self._probes.value,
             "hits": self._hits.value,
             "misses": self._misses.value,
             "hit_rate": self._hit_ratio.value,
-            # containment held but a tie guard (or an evicted snapshot)
-            # forced normal execution
+            # containment held but a tie guard (or a failed residual
+            # derivation) forced normal execution
             "fallbacks": self._fallbacks.value,
-            "stale_drops": self._stale_drops.value,
-            "entries": len(self._order),
-            "families": len(self._families),
+            "entries": self._cache.reuse_entries,
+            "families": self._cache.reuse_families,
         }

@@ -132,13 +132,10 @@ class EngineServer:
         changes; this is the explicit admin override for mutations the
         engine cannot see — e.g. a table's arrays modified in place
         (tables are immutable by convention, not enforcement).  The
-        subsumption registry is cleared with it: its entries only point
-        at the snapshots dropped here.
+        reuse family index goes with the entries it lists.
         """
         if self.state.result_cache is None:
             return 0
-        if self.state.reuse_registry is not None:
-            self.state.reuse_registry.clear()
         return self.state.result_cache.invalidate()
 
     # ------------------------------------------------------------------

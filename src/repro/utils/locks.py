@@ -28,7 +28,7 @@ downward, never upward):
 1. scheduler / plan-cache mutexes
 2. per-model striped locks (held around build + execute)
 3. catalog lock (taken *under* the stripes during physical lowering)
-4. leaf mutexes (embedding/result caches, reuse registry, counters)
+4. leaf mutexes (embedding/result caches, counters)
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The shape every engine cache shares: a budgeted LRU map.
 
-The plan, result and reuse caches differ in what they key on and when
-an entry dies — that stays with each owner.  What they have in common
+The plan and result caches differ in what they key on and when an
+entry dies — that stays with each owner.  What they have in common
 lives here, once: :class:`LRUStore`, an ordered map under a budget.
 
 Each entry has a size: ``1`` for a count budget, its estimated bytes

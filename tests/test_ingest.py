@@ -187,6 +187,25 @@ class TestDeltaMaintenance:
             + make_rows(3, start=600)).sql(query)
         assert_tables_identical(session.sql(query), expected)
 
+    def test_generic_serves_are_delta_maintained(self):
+        # a generic serve stores no exact plan-cache entry; its result
+        # must still be patched from the plan recorded with it
+        queries = [f"SELECT id, val FROM t WHERE val >= {value}"
+                   for value in range(5)]
+        base, delta = make_rows(20), make_rows(7, start=800)
+        session = fresh_session(base)
+        for query in queries[:3]:
+            warm(session, query)                 # promotes the family
+        for query in queries[3:]:
+            session.sql(query)
+        assert session.state.plan_cache.stats()["generic_hits"] == 2
+        report = session.append("t", delta)
+        assert report.maintained == report.entries_seen == 5
+        assert "plan-evicted" not in report.refusals
+        rebuilt = fresh_session(base + delta)
+        for query in queries:
+            assert_tables_identical(session.sql(query), rebuilt.sql(query))
+
     def test_ingest_stats_accumulate(self):
         session = fresh_session(make_rows(8))
         warm(session, "SELECT id FROM t LIMIT 3")

@@ -22,7 +22,7 @@ import pytest
 from repro.obs.export import json_snapshot, parse_prometheus, prometheus_text
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, \
     hit_ratio
-from repro.obs.smoke import demo_registry
+from repro.obs.smoke import demo_registry, live_schema, schema_drift
 from repro.obs.trace import NULL_SPAN, NULL_TRACE, Span, Tracer
 from repro.server import EngineServer, SchedulerConfig
 
@@ -177,6 +177,11 @@ class TestExporters:
         golden = json.loads(
             (GOLDEN / "observability_snapshot.json").read_text())
         assert snapshot == golden
+
+    def test_live_metric_schema_matches_golden(self):
+        # the smoke's schema-drift check, in tier-1: a metric added,
+        # removed or re-typed must come with a regenerated golden
+        assert schema_drift(live_schema()) == ""
 
     def test_parse_prometheus_round_trips(self):
         registry = demo_registry()

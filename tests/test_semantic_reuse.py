@@ -481,6 +481,63 @@ class TestSessionReuse:
 # ---------------------------------------------------------------------------
 # end-to-end: server
 # ---------------------------------------------------------------------------
+class TestFamilyIndexFollowsTheCache:
+    """The reuse ``entries``/``families`` are read from the result
+    cache's own family index, so they equal the eligible entries the
+    cache holds after every kind of removal."""
+
+    STATEMENTS = [
+        f"SELECT ptype, price FROM products WHERE ptype ~ '{probe}' "
+        f"THRESHOLD {threshold} ORDER BY ptype, price"
+        for probe in ("shoes", "fruit", "car", "dog")
+        for threshold in (0.3, 0.6)
+    ] + ["SELECT brand, COUNT(*) AS n FROM products "
+         "WHERE ptype ~ 'shoes' THRESHOLD 0.5 GROUP BY brand"]
+
+    def test_reuse_counts_equal_the_eligible_entries_held(self, model):
+        session = Session(load_default_model=False,
+                          result_cache_bytes=1200)
+        session.register_model(model, default=True)
+        session.register_table("products", products_table())
+        state = session.state
+        family_of: dict[tuple, str] = {}
+
+        def serve(text):
+            session.sql(text)
+            planned = session.plan_for(text)
+            if planned.reuse is not None and planned.reuse.eligible:
+                family_of[planned.canonical.digest,
+                          planned.canonical.parameters] = \
+                    planned.reuse.family
+
+        def check():
+            held = [family_of[key.digest, key.parameters] for key, *_
+                    in state.result_cache.entries_for_table("products")
+                    if (key.digest, key.parameters) in family_of]
+            stats = state.reuse_registry.stats()
+            assert (stats["entries"], stats["families"]) \
+                == (len(held), len(set(held)))
+            return held
+
+        for _ in range(2):                     # puts + LRU evictions
+            for text in self.STATEMENTS:
+                serve(text)
+                check()
+        assert state.result_cache.stats()["evictions"] > 0
+        session.register_table("kb", kb_table())   # catalog version
+        sweeps = state.result_cache.stats()["stale_evictions"]
+        serve(self.STATEMENTS[0])
+        assert state.result_cache.stats()["stale_evictions"] > sweeps
+        assert check()
+        session.append("products", [{"pid": 99, "ptype": "boots",
+                                     "price": 5.0, "brand": "acme"}])
+        check()                                # advance_table_version
+        serve(self.STATEMENTS[2])
+        assert check()
+        state.result_cache.invalidate()
+        assert check() == []
+
+
 class TestServerReuse:
     def test_submit_accounts_reuse_noop(self, model):
         with EngineServer(load_default_model=False) as server:

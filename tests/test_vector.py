@@ -1,4 +1,10 @@
-"""Tests for vector metrics, top-k helpers, and k-means."""
+"""Tests for vector metrics, top-k helpers, k-means, and the package's
+lazy exports."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,3 +165,32 @@ class TestKMeans:
         points = rng.standard_normal((30, 2)).astype(np.float32)
         kmeans = KMeans(n_clusters=3, seed=1).fit(points)
         assert np.isfinite(kmeans.inertia)
+
+
+class TestLazyExports:
+    APPROXIMATE = ("lsh", "ivf", "hnsw", "kmeans", "quantization")
+
+    def test_engine_import_loads_no_approximate_index(self):
+        # the engine plans only exact access: importing it must not
+        # load the approximate indexes the paper benches build directly
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = ("import sys, repro.server; print(' '.join(sorted("
+                 "m for m in sys.modules if m.startswith('repro.vector.'))))")
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env=env, check=True).stdout.split()
+        assert "repro.vector.bruteforce" in loaded
+        assert not [name for name in self.APPROXIMATE
+                    if f"repro.vector.{name}" in loaded]
+
+    def test_package_names_resolve_on_first_use(self):
+        import repro.vector as vector
+        from repro.vector.hnsw import HNSWIndex
+        from repro.vector.quantization import join_quantized
+
+        assert vector.HNSWIndex is HNSWIndex
+        assert vector.join_quantized is join_quantized
+        assert set(vector.__all__) >= {"LSHIndex", "IVFFlatIndex", "KMeans"}
+        with pytest.raises(AttributeError):
+            vector.NoSuchIndex
