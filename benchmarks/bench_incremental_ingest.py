@@ -4,10 +4,11 @@ Defends the ingest subsystem's three load-bearing claims:
 
 1. **Parity.**  After every append, each query in a sweep covering all
    four delta-merge forms (concat chains, limit, top-k under mixed
-   sort directions, mergeable aggregates) *and* the refused fallbacks
-   (AVG, float SUM, order above an aggregate) answers bit-identically
-   to a fresh engine over the grown table.  Maintained or refused,
-   stale rows are never served.  Always enforced.
+   sort directions, mergeable aggregates, integer AVG through its
+   partial) *and* the refused fallbacks (float SUM, float AVG, order
+   above an aggregate) answers bit-identically to a fresh engine over
+   the grown table.  Maintained or refused, stale rows are never
+   served.  Always enforced.
 2. **Cache survival.**  Appends bump only the table's ``data_version``:
    across the whole streaming run the plan cache takes zero additional
    misses (hit rate 1.0) and the catalog version never moves.  Always
@@ -84,7 +85,9 @@ PARITY_QUERIES = (
     ("aggregate",   True,  "SELECT grp, COUNT(*) AS c, SUM(val) AS s, "
                            "MIN(val) AS lo, MAX(val) AS hi "
                            "FROM events GROUP BY grp"),
-    ("avg",         False, "SELECT grp, AVG(val) AS a "
+    ("avg",         True,  "SELECT grp, AVG(val) AS a "
+                           "FROM events GROUP BY grp"),
+    ("float-avg",   False, "SELECT grp, AVG(score) AS a "
                            "FROM events GROUP BY grp"),
     ("float-sum",   False, "SELECT SUM(score) AS s FROM events"),
     ("sorted-agg",  False, "SELECT grp, COUNT(*) AS c FROM events "

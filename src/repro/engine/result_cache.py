@@ -188,13 +188,17 @@ class CachedResult:
     set for a subsumption-eligible statement; ``table`` then embeds the
     spec's aux columns (per-row semantic scores / top-k ranks), which
     :meth:`ResultCache.get` strips from every exact hit, while the
-    subsumption path reads the full snapshot.
+    subsumption path reads the full snapshot.  ``partial`` is the
+    per-group state an AVG aggregate is delta-maintained from (see
+    :func:`repro.ingest.delta.merge_partial`); only the ingest
+    maintainer sets or reads it.
     """
 
     table: Table          # private snapshot; never handed out directly
     plan: LogicalPlan | None = None
     reuse: ReuseSpec | None = None
     shape: PlanShape | None = None
+    partial: Table | None = None
 
     @property
     def aux_names(self) -> tuple[str, ...]:
@@ -307,10 +311,12 @@ class ResultCache:
     def put(self, key: ResultKey, table: Table,
             plan: LogicalPlan | None = None,
             reuse: ReuseSpec | None = None, shape: PlanShape | None = None,
-            owned: bool = False) -> bool:
+            owned: bool = False, partial: Table | None = None) -> bool:
         """Store a snapshot of ``table`` under ``key``, recording the
         ``plan`` that produced it and, for a subsumption-eligible
-        statement, its ``reuse`` spec and plan ``shape``.
+        statement, its ``reuse`` spec and plan ``shape``.  A ``partial``
+        (delta-maintenance state) is stored beside it, and its bytes
+        count toward the entry's size.
 
         Returns ``False`` (and caches nothing) when the key is already
         dead on arrival — below the observed version/generation
@@ -326,18 +332,23 @@ class ResultCache:
         ``owned=True`` transfers ownership of ``table``'s freshly
         allocated arrays to the cache instead of snapshotting them —
         the residual executor's path, whose output shares storage with
-        nothing.  The caller must hand out no other reference.
+        nothing.  The caller must hand out no other reference.  The same
+        holds for ``partial``.
         """
         with self._lock:
             self._sweep_stale_locked(key)
             if self._dead_on_arrival_locked(key):
                 return False
         nbytes = estimate_table_bytes(table)
+        if partial is not None:
+            nbytes += estimate_table_bytes(partial)
         if nbytes > self.max_bytes:
             self._oversize_skips.inc()
             return False
-        entry = CachedResult(table if owned else snapshot_table(table),
-                             plan, reuse, shape)
+        if not owned:
+            table = snapshot_table(table)
+            partial = None if partial is None else snapshot_table(partial)
+        entry = CachedResult(table, plan, reuse, shape, partial)
         with self._lock:
             # re-check: the watermark may have advanced while copying
             if self._dead_on_arrival_locked(key):

@@ -40,12 +40,26 @@ Proof obligations (``docs/ingest.md`` carries the full argument):
   NaN-propagation semantics preserved).  Group order is rebuilt as the
   hash aggregate would produce it: cached groups in cached order (first
   occurrence over the old rows), then delta-only groups in the delta's
-  first-occurrence order.  Float SUM is refused — NumPy's pairwise
-  summation is not associative, so a merged sum could differ in the
-  last ulp from a rebuild.  AVG and COUNT(DISTINCT) are refused (not
-  decomposable from the cached output alone); Sort/Limit *above* an
+  first-occurrence order.  Float SUM is refused (``float-sum``) —
+  NumPy's pairwise summation is not associative, so a merged sum could
+  differ in the last ulp from a rebuild.  COUNT(DISTINCT) is refused
+  (the value sets are not in the cached output); Sort/Limit *above* an
   aggregate is refused (the pre-sort group order is unrecoverable from
   a sorted snapshot).
+- **Integer AVG** — not decomposable from the visible output, so the
+  classifier builds a **partial** aggregate over the same chain and
+  group keys in which each ``AVG(x)`` becomes hidden ``SUM(x)``,
+  ``COUNT(*)``, ``MIN(x)`` and ``MAX(x)`` columns.  The partial is kept
+  beside the cached result, merged with the delta's partial by the
+  aggregate merge above, and the visible row is derived from it.  The
+  rebuild computes ``float(np.mean(values.astype(np.float64)))``; for
+  int64 values with ``Σ|x| ≤ 2**53`` every cast is exact and every
+  pairwise partial sum is an exactly representable integer, so that
+  mean equals ``float(S) / n`` for the exact integer sum ``S``.  The
+  partial's extremes bound ``Σ|x|`` by ``max(|min|, |max|) · n`` per
+  group; a bound above ``2**53`` refuses as ``avg-inexact``.  AVG over
+  a float (or any non-integer) column refuses as ``float-sum``, for
+  the same reason float SUM does.
 
 Everything else — joins, unions, semantic group-by (clustering is a
 global function of the column), semantic semi-filters (data-induced
@@ -56,11 +70,11 @@ in a sort key — is refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from repro.relational.expressions import AggFunc, ColumnRef
+from repro.relational.expressions import AggExpr, AggFunc, ColumnRef, Literal
 from repro.relational.keys import effective_directions, stable_order
 from repro.relational.logical import (
     AggregateNode,
@@ -73,7 +87,7 @@ from repro.relational.logical import (
     SortNode,
 )
 from repro.storage.table import Table
-from repro.storage.types import DataType
+from repro.storage.types import DataType, coerce_array
 
 
 class DeltaRefused(Exception):
@@ -89,13 +103,31 @@ class DeltaRefused(Exception):
         self.reason = reason
 
 
+class AvgColumns(NamedTuple):
+    """The hidden partial columns one ``AVG(x) AS alias`` folds from."""
+
+    alias: str
+    total: str          # SUM(x)
+    count: str          # COUNT(*)
+    low: str            # MIN(x)
+    high: str           # MAX(x)
+
+
+#: An integer mean is exact while ``Σ|x|`` stays an exactly
+#: representable float64 integer.
+EXACT_SUM_BOUND = 2 ** 53
+
+
 @dataclass(frozen=True)
 class DeltaSpec:
     """A proven-mergeable plan: which merge applies and its inputs.
 
     ``kind`` is one of ``"concat"``, ``"limit"``, ``"topk"``,
     ``"aggregate"``.  ``sort_keys`` are in the plan's *output* column
-    space (renames above the sort already resolved).
+    space (renames above the sort already resolved).  An aggregate with
+    an AVG also carries its ``partial`` aggregate and, per AVG, the
+    hidden columns it folds from (``avgs``); the merge then runs on
+    partials (:func:`merge_partial`), not on the visible output.
     """
 
     kind: str
@@ -103,6 +135,8 @@ class DeltaSpec:
     limit: int | None = None
     sort_keys: tuple[tuple[str, bool], ...] = ()
     aggregate: AggregateNode | None = None
+    partial: AggregateNode | None = None
+    avgs: tuple[AvgColumns, ...] = ()
 
 
 #: Chain operators that are row-local and order-preserving under
@@ -151,8 +185,13 @@ def classify_plan(plan: LogicalPlan, table: str) -> DeltaSpec:
         if limit is not None or sort is not None or projects_above_sort:
             raise DeltaRefused("order-above-aggregate")
         _check_chain(node.child, table)
-        _check_aggregate(node)
-        return DeltaSpec(kind="aggregate", table=table, aggregate=node)
+        if not any(agg.func is AggFunc.AVG for agg in node.aggregates):
+            _check_aggregate(node)
+            return DeltaSpec(kind="aggregate", table=table, aggregate=node)
+        partial, avgs = _partial_aggregate(node)
+        _check_aggregate(partial)
+        return DeltaSpec(kind="aggregate", table=table, aggregate=node,
+                         partial=partial, avgs=avgs)
 
     _check_chain(node, table)
     if sort is not None:
@@ -182,15 +221,57 @@ def _check_aggregate(node: AggregateNode) -> None:
     fields = node.schema.fields
     offset = len(node.group_keys)
     for index, agg in enumerate(node.aggregates):
-        if agg.func in (AggFunc.AVG, AggFunc.COUNT_DISTINCT):
-            # not decomposable from the cached output alone (AVG needs
-            # the count; DISTINCT needs the value sets)
+        if agg.func is AggFunc.COUNT_DISTINCT:
+            # needs the value sets, which no cached output holds
             raise DeltaRefused(f"non-mergeable-aggregate:{agg.func.value}")
         if agg.func is AggFunc.SUM \
                 and fields[offset + index].dtype is not DataType.INT64:
             # float pairwise summation is not associative: a merged sum
             # may differ from a rebuild in the last ulp
             raise DeltaRefused("float-sum")
+
+
+def _partial_aggregate(node: AggregateNode
+                       ) -> tuple[AggregateNode, tuple[AvgColumns, ...]]:
+    """The aggregate whose output an AVG-bearing ``node`` merges through.
+
+    Each ``AVG(x)`` becomes hidden ``SUM(x)``, ``COUNT(*)``, ``MIN(x)``
+    and ``MAX(x)`` columns under names no input or output column uses;
+    every other aggregate stays as it is.  A global aggregate groups by
+    one constant instead, so an empty input yields no partial row (the
+    hash aggregate's one empty-input row cannot hold ``MIN`` of no
+    integers).
+    """
+    child = node.child
+    taken = set(child.schema.names) | set(node.schema.names)
+
+    def hidden(name: str) -> str:
+        while name in taken:
+            name = "_" + name
+        taken.add(name)
+        return name
+
+    keys = list(node.group_keys)
+    if not keys:
+        keys = [hidden("#group")]
+        child = ProjectNode(
+            child, [(ColumnRef(name), name) for name in child.schema.names]
+            + [(Literal(0), keys[0])])
+    aggregates: list[AggExpr] = []
+    avgs: list[AvgColumns] = []
+    for agg in node.aggregates:
+        if agg.func is not AggFunc.AVG:
+            aggregates.append(agg)
+            continue
+        columns = AvgColumns(agg.alias, *(
+            hidden(f"#{part}:{agg.alias}")
+            for part in ("sum", "count", "min", "max")))
+        aggregates += [AggExpr(AggFunc.SUM, agg.operand, columns.total),
+                       AggExpr(AggFunc.COUNT, None, columns.count),
+                       AggExpr(AggFunc.MIN, agg.operand, columns.low),
+                       AggExpr(AggFunc.MAX, agg.operand, columns.high)]
+        avgs.append(columns)
+    return AggregateNode(child, keys, aggregates), tuple(avgs)
 
 
 def _resolve_sort_keys(sort: SortNode,
@@ -239,6 +320,54 @@ def apply_delta(spec: DeltaSpec, cached: Table, delta_out: Table) -> Table:
         assert spec.aggregate is not None
         return _merge_aggregate(spec.aggregate, cached, delta_out)
     raise DeltaRefused(f"unknown-delta-kind:{spec.kind}")
+
+
+def merge_partial(spec: DeltaSpec, partial: Table,
+                  delta_partial: Table) -> tuple[Table, Table]:
+    """Merge a kept partial with the delta's; returns ``(visible,
+    merged partial)``.
+
+    ``partial`` is ``spec.partial``'s output over the old rows and
+    ``delta_partial`` its output over only the appended ones.  Raises
+    :class:`DeltaRefused` (``avg-inexact``) when a group's mean may not
+    be exact.
+    """
+    assert spec.aggregate is not None and spec.partial is not None
+    merged = _merge_aggregate(spec.partial, partial, delta_partial)
+    return _visible_aggregate(spec, merged), merged
+
+
+def _visible_aggregate(spec: DeltaSpec, merged: Table) -> Table:
+    """The aggregate's own output derived from its merged partial."""
+    node = spec.aggregate
+    assert node is not None
+    cells: dict[str, Any]
+    if not node.group_keys and merged.num_rows == 0:
+        # no input row at all: the hash aggregate's one empty-input row
+        cells = {agg.alias: [0 if agg.func in (AggFunc.COUNT, AggFunc.SUM)
+                             else None] for agg in node.aggregates}
+    else:
+        means = {columns.alias: _exact_means(merged, columns)
+                 for columns in spec.avgs}
+        cells = {name: means[name] if name in means
+                 else merged.column(name) for name in node.schema.names}
+    return Table(node.schema,
+                 {fld.name: coerce_array(cells[fld.name], fld.dtype)
+                  for fld in node.schema.fields})
+
+
+def _exact_means(merged: Table, columns: AvgColumns) -> list[float]:
+    """``float(S) / n`` per group — the rebuild's ``np.mean`` exactly,
+    while ``max(|min|, |max|) · n`` (which bounds ``Σ|x|``) stays
+    within :data:`EXACT_SUM_BOUND`."""
+    means: list[float] = []
+    for total, count, low, high in zip(*(
+            merged.column(name).tolist() for name in
+            (columns.total, columns.count, columns.low, columns.high))):
+        if max(abs(low), abs(high)) * count > EXACT_SUM_BOUND:
+            raise DeltaRefused("avg-inexact")
+        means.append(float(total) / count)
+    return means
 
 
 def _merge_concat(cached: Table, delta_out: Table) -> Table:

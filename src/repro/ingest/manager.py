@@ -43,7 +43,12 @@ import numpy as np
 
 from repro.engine.result_cache import CachedResult, ResultKey
 from repro.errors import CatalogError
-from repro.ingest.delta import DeltaRefused, apply_delta, classify_plan
+from repro.ingest.delta import (
+    DeltaRefused,
+    apply_delta,
+    classify_plan,
+    merge_partial,
+)
 from repro.relational.physical import execute_plan
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
@@ -184,7 +189,10 @@ class IngestManager:
         entries: list[tuple[ResultKey, CachedResult]] = []
         if state.result_cache is not None:
             entries = state.result_cache.entries_for_table(table)
-        # 2. grow the table; only its data_version moves.
+        # 2. grow the table; only its data_version moves.  The old rows
+        #    stay at hand for an entry whose partial state is not kept
+        #    yet.
+        base = state.catalog.get(table)
         new_version = state.catalog.append_rows(table, delta)
         # 3. data-induced-predicate plans derived their probe sets from
         #    the old rows — unsound for the delta; drop them.  Every
@@ -203,7 +211,7 @@ class IngestManager:
         maintained = 0
         refusals: dict[str, int] = {}
         for key, entry in entries:
-            reason = self._maintain_entry(table, key, entry, delta,
+            reason = self._maintain_entry(table, key, entry, base, delta,
                                           new_version)
             if reason is None:
                 maintained += 1
@@ -221,10 +229,16 @@ class IngestManager:
             staleness_seconds=time.perf_counter() - started)
 
     def _maintain_entry(self, table: str, key: ResultKey,
-                        entry: CachedResult, delta: Table,
+                        entry: CachedResult, base: Table, delta: Table,
                         new_version: int) -> str | None:
         """Patch one cached result from the delta; a reason string on
-        refusal, ``None`` on success."""
+        refusal, ``None`` on success.
+
+        An aggregate with an AVG is patched from its partial state: the
+        entry's kept partial (computed once over ``base``, the old
+        rows, when the entry has none yet) merged with the partial over
+        the delta, and stored back beside the patched result.
+        """
         state = self._state
         plan = entry.plan
         if plan is None:
@@ -235,10 +249,20 @@ class IngestManager:
             cache = state.embedding_caches.get(name)
             if cache is None or cache.generation != generation:
                 return "arena-generation-moved"
+        partial: Table | None = None
         try:
             spec = classify_plan(plan, table)
-            delta_out = self._execute_over_delta(plan, table, delta)
-            patched = apply_delta(spec, entry.table, delta_out)
+            if spec.partial is None:
+                delta_out = self._execute_over_delta(plan, table, delta)
+                patched = apply_delta(spec, entry.table, delta_out)
+            else:
+                partial = entry.partial
+                if partial is None:
+                    partial = self._execute_over_delta(spec.partial, table,
+                                                       base)
+                patched, partial = merge_partial(
+                    spec, partial,
+                    self._execute_over_delta(spec.partial, table, delta))
         except DeltaRefused as refusal:
             return refusal.reason
         new_key = key._replace(table_versions=tuple(
@@ -246,7 +270,7 @@ class IngestManager:
             for name, version in key.table_versions))
         assert state.result_cache is not None
         if not state.result_cache.put(new_key, patched, plan, entry.reuse,
-                                      entry.shape):
+                                      entry.shape, partial=partial):
             return "store-rejected"
         if entry.reuse is not None and state.reuse_registry is not None:
             state.reuse_registry.record_registration()
@@ -254,10 +278,12 @@ class IngestManager:
 
     def _execute_over_delta(self, plan: Any, table: str,
                             delta: Table) -> Table:
-        """Run the original optimized plan over only the new rows.
+        """Run a plan over only ``delta``'s rows: the original optimized
+        plan (or an AVG's partial aggregate) over the new rows, or a
+        partial once over the old ones.
 
-        The plan executes against a private shim catalog holding the
-        delta under the table's name, while sharing every model-side
+        The plan executes against a private shim catalog holding
+        ``delta`` under the table's name, while sharing every model-side
         cache with the engine (arenas intern the delta's strings once).
         Model read stripes are held for the duration — the same
         discipline as a real execution, so an arena clear cannot race

@@ -45,11 +45,6 @@ class LRUStore(Generic[K, V]):
         self._entries.move_to_end(key)
         return slot[0]
 
-    def peek(self, key: K) -> V | None:
-        """The value under ``key`` without touching the LRU order."""
-        slot = self._entries.get(key)
-        return None if slot is None else slot[0]
-
     def put(self, key: K, value: V, size: int = 1) -> list[tuple[K, V]]:
         """Store ``value`` as most recently used (replacing ``key``'s old
         value), then evict least-recently-used entries until the budget

@@ -7,13 +7,17 @@ from the delta (``classify_plan`` proved the plan append-monotone) or
 refused and re-executed from scratch.  A hypothesis harness checks the
 property across generated tables, deltas, and a query list that covers
 every merge form (concat, limit, top-k with mixed directions,
-mergeable aggregates) *and* the refused fallbacks (AVG, order above an
-aggregate).
+mergeable aggregates, integer AVG through its partial) *and* the
+refused fallbacks (float SUM/AVG, order above an aggregate).  A second
+harness drives integer AVG with magnitudes around ``2**53 / n``, where
+the maintained path and the ``avg-inexact`` refusal meet.
 
 Deterministic units pin the rest of the contract: the split
 invalidation dimension (per-table ``data_version`` moves, the catalog
 version does not), plan-cache survival across appends (hit-rate 1.0),
-never-stale serving after refusals, the upsert update-vs-insert split,
+never-stale serving after refusals, AVG partials computed over the old
+rows once and over each delta after that, the upsert update-vs-insert
+split,
 the classifier's refusal slugs, incremental vector-index extension
 (exact for brute force, deterministic for HNSW), the streaming log
 source's determinism
@@ -24,12 +28,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.session import Session
 from repro.errors import CatalogError
+from repro.engine.result_cache import estimate_table_bytes
 from repro.ingest import DeltaRefused, classify_plan
+from repro.ingest.delta import EXACT_SUM_BOUND
+from repro.ingest.manager import IngestManager
 from repro.obs.export import parse_prometheus
 from repro.server import EngineServer
 from repro.storage.schema import Field, Schema
@@ -161,13 +168,13 @@ class TestDeltaMaintenance:
         assert after["hits"] > before["hits"]
 
     def test_refused_entry_is_invalidated_never_stale(self):
-        query = "SELECT AVG(val) AS a FROM t"
+        query = "SELECT AVG(score) AS a FROM t"
         base, delta = make_rows(12), make_rows(4, start=400)
         session = fresh_session(base)
         warm(session, query)
         report = session.append("t", delta)
         assert report.maintained == 0
-        assert report.refusals == {"non-mergeable-aggregate:avg": 1}
+        assert report.refusals == {"float-sum": 1}
         hits_before = session.state.result_cache.stats()["hits"]
         fresh = session.sql(query)               # recomputed, not served
         assert session.state.result_cache.stats()["hits"] == hits_before
@@ -209,13 +216,116 @@ class TestDeltaMaintenance:
     def test_ingest_stats_accumulate(self):
         session = fresh_session(make_rows(8))
         warm(session, "SELECT id FROM t LIMIT 3")
-        warm(session, "SELECT AVG(val) AS a FROM t")
+        warm(session, "SELECT AVG(score) AS a FROM t")
         session.append("t", make_rows(2, start=700))
         stats = session.state.ingest.stats()
         assert stats["rows_total"] == 2
         assert stats["delta_maintained_total"] == 1
         assert stats["delta_refused_total"] == 1
-        assert stats["refusal_reasons"] == {"non-mergeable-aggregate:avg": 1}
+        assert stats["refusal_reasons"] == {"float-sum": 1}
+
+
+# ---------------------------------------------------------------------------
+# Integer AVG: maintained from per-group partials kept on the entry
+# ---------------------------------------------------------------------------
+def other_group_rows(n, start):
+    """Rows of a group (``"z"``) no earlier row belongs to."""
+    return [dict(row, grp="z") for row in make_rows(n, start=start)]
+
+
+class TestAvgMaintenance:
+    QUERIES = [
+        "SELECT grp, AVG(val) AS a FROM t GROUP BY grp",
+        "SELECT AVG(val) AS a FROM t",
+        "SELECT grp, COUNT(*) AS c, AVG(val) AS a, MIN(id) AS lo, "
+        "AVG(id) AS b FROM t WHERE val > 1 GROUP BY grp",
+        "SELECT SUM(val) AS s, AVG(id) AS a, COUNT(*) AS c FROM t "
+        "WHERE val > 1",
+    ]
+    DELTAS = [make_rows(5, start=100), other_group_rows(3, start=200),
+              make_rows(4, start=300)]
+
+    @pytest.mark.parametrize("base_rows", [0, 9])
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_three_appends_match_rebuild(self, query, base_rows):
+        rows = make_rows(base_rows)
+        session = fresh_session(rows)
+        warm(session, query)
+        for delta in self.DELTAS:
+            report = session.append("t", delta)
+            rows = rows + delta
+            assert report.maintained == 1, report.refusals
+            hits = session.state.result_cache.stats()["hits"]
+            answer = session.sql(query)          # served, not re-run
+            assert session.state.result_cache.stats()["hits"] == hits + 1
+            assert_tables_identical(answer, fresh_session(rows).sql(query))
+
+    def test_partial_over_the_base_once_then_only_deltas(self, monkeypatch):
+        executed = []
+        original = IngestManager._execute_over_delta
+
+        def spy(self, plan, table, delta):
+            executed.append(delta.num_rows)
+            return original(self, plan, table, delta)
+
+        monkeypatch.setattr(IngestManager, "_execute_over_delta", spy)
+        query = "SELECT grp, AVG(val) AS a FROM t GROUP BY grp"
+        session = fresh_session(make_rows(11))
+        warm(session, query)
+        session.append("t", make_rows(5, start=100))
+        assert executed == [11, 5]
+        session.sql(query)
+        session.append("t", make_rows(3, start=200))
+        session.append("t", make_rows(2, start=300))
+        assert executed == [11, 5, 3, 2]
+
+    def test_partial_bytes_count_toward_the_entry(self):
+        query = "SELECT grp, AVG(val) AS a FROM t GROUP BY grp"
+        session = fresh_session(make_rows(10))
+        warm(session, query)
+        session.append("t", make_rows(4, start=100))
+        cache = session.state.result_cache
+        [(_, entry)] = cache.entries_for_table("t")
+        assert entry.partial is not None
+        assert cache.bytes_used == (estimate_table_bytes(entry.table)
+                                    + estimate_table_bytes(entry.partial))
+
+    def test_a_delta_the_filter_empties_leaves_the_mean(self):
+        query = "SELECT AVG(val) AS a FROM t WHERE val > 3"
+        rows = make_rows(10)
+        session = fresh_session(rows)
+        warm(session, query)
+        delta = [dict(row, val=0) for row in make_rows(3, start=100)]
+        report = session.append("t", delta)
+        assert report.maintained == 1, report.refusals
+        assert_tables_identical(session.sql(query),
+                                fresh_session(rows + delta).sql(query))
+
+    def test_no_input_row_anywhere_is_the_empty_mean(self):
+        query = "SELECT AVG(val) AS a, COUNT(*) AS c FROM t WHERE val > 3"
+        session = fresh_session([])
+        warm(session, query)
+        delta = [dict(row, val=0) for row in make_rows(3)]
+        report = session.append("t", delta)
+        assert report.maintained == 1, report.refusals
+        answer = session.sql(query)
+        expected = fresh_session(delta).sql(query)
+        assert answer.column("a").dtype == expected.column("a").dtype
+        assert np.isnan(answer.column("a")).all()
+        assert np.isnan(expected.column("a")).all()
+        assert_tables_identical(answer.select(["c"]), expected.select(["c"]))
+
+    def test_a_bound_past_two_to_the_53_refuses(self):
+        query = "SELECT grp, AVG(val) AS a FROM t GROUP BY grp"
+        rows = [dict(row, val=EXACT_SUM_BOUND // 3 + 1)
+                for row in make_rows(4)]
+        session = fresh_session(rows)
+        warm(session, query)
+        delta = make_rows(2, start=100)
+        report = session.append("t", delta)
+        assert report.refusals == {"avg-inexact": 1}
+        assert_tables_identical(session.sql(query),
+                                fresh_session(rows + delta).sql(query))
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +369,8 @@ class TestClassifierRefusals:
     @pytest.mark.parametrize("query,reason", [
         ("SELECT id, tag FROM t JOIN u ON id = rid",
          "non-monotone-operator:JoinNode"),
-        ("SELECT AVG(val) AS a FROM t",
-         "non-mergeable-aggregate:avg"),
+        ("SELECT AVG(score) AS a FROM t",
+         "float-sum"),
         ("SELECT SUM(score) AS s FROM t",
          "float-sum"),
         ("SELECT id, val FROM t ORDER BY val DESC, grp ASC LIMIT 5",
@@ -406,7 +516,8 @@ ROW = st.fixed_dictionaries({
 
 #: Covers every merge form the classifier proves (concat, filter
 #: chain, limit, top-k under each direction pattern, full sort,
-#: mergeable aggregates) and the refused fallbacks (AVG, float SUM,
+#: mergeable aggregates, integer AVG) and the refused fallbacks (float
+#: AVG, float SUM,
 #: order above an aggregate) — parity must hold on BOTH paths.
 PARITY_QUERIES = [
     "SELECT id, grp, val FROM t",
@@ -419,6 +530,8 @@ PARITY_QUERIES = [
     "SELECT grp, COUNT(*) AS c, SUM(val) AS s, MIN(val) AS lo, "
     "MAX(val) AS hi FROM t GROUP BY grp",
     "SELECT AVG(val) AS a FROM t",
+    "SELECT grp, AVG(val) AS a FROM t GROUP BY grp",
+    "SELECT AVG(score) AS a FROM t",
     "SELECT SUM(score) AS s FROM t",
     "SELECT grp, COUNT(*) AS c FROM t GROUP BY grp "
     "ORDER BY c DESC, grp ASC",
@@ -438,3 +551,61 @@ def test_append_then_query_matches_rebuild(base, delta, query):
     patched = live.sql(query)
     expected = fresh_session(base + delta).sql(query)
     assert_tables_identical(patched, expected)
+
+
+#: ``val`` near ``2**53 / k`` for a few ``k`` (either sign), or small:
+#: a group's ``max(|min|, |max|) · n`` lands on either side of the
+#: exactness bound, and past it float64 casts and sums round.
+AVG_ROW = st.fixed_dictionaries({
+    "id": st.integers(0, 50),
+    "grp": st.sampled_from(["a", "b"]),
+    "val": st.one_of(
+        st.integers(-5, 5),
+        st.builds(lambda k, offset, sign: sign * (EXACT_SUM_BOUND // k
+                                                  + offset),
+                  st.integers(1, 8), st.integers(-3, 3),
+                  st.sampled_from([-1, 1]))),
+    "score": st.just(0.0),
+})
+
+
+def avg_bound_exceeded(rows, grouped):
+    groups = {}
+    for row in rows:
+        groups.setdefault(row["grp"] if grouped else None,
+                          []).append(row["val"])
+    return any(max(abs(value) for value in values) * len(values)
+               > EXACT_SUM_BOUND for values in groups.values())
+
+
+_HUGE = EXACT_SUM_BOUND // 3 + 1
+
+
+@given(base=st.lists(AVG_ROW, min_size=1, max_size=6),
+       delta=st.lists(AVG_ROW, min_size=1, max_size=6),
+       grouped=st.booleans())
+@example(base=[{"id": 1, "grp": "a", "val": 3, "score": 0.0}],
+         delta=[{"id": 2, "grp": "b", "val": -4, "score": 0.0}],
+         grouped=True)
+@example(base=[{"id": 1, "grp": "a", "val": _HUGE, "score": 0.0}] * 3,
+         delta=[{"id": 2, "grp": "a", "val": _HUGE, "score": 0.0}],
+         grouped=False)
+# a row-order float sum drops both 1s (2**53 + 1 rounds back to 2**53),
+# so a merge that did not refuse would answer (2**53 + 2) / 3
+@example(base=[{"id": 1, "grp": "a", "val": EXACT_SUM_BOUND, "score": 0.0}],
+         delta=[{"id": 2, "grp": "a", "val": 1, "score": 0.0}] * 2,
+         grouped=False)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_integer_avg_append_matches_rebuild(base, delta, grouped):
+    query = ("SELECT grp, AVG(val) AS a FROM t GROUP BY grp" if grouped
+             else "SELECT AVG(val) AS a FROM t")
+    live = fresh_session(base)
+    warm(live, query)
+    report = live.append("t", delta)
+    if avg_bound_exceeded(base + delta, grouped):
+        assert report.refusals == {"avg-inexact": 1}
+    else:
+        assert report.maintained == 1, report.refusals
+    assert_tables_identical(live.sql(query),
+                            fresh_session(base + delta).sql(query))

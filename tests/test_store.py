@@ -3,8 +3,8 @@
 Every engine cache keeps its entries in an :class:`LRUStore`; these
 tests pin its shape once, independent of any owner:
 
-- LRU order: ``get`` touches, ``peek`` does not, ``put`` replaces and
-  evicts least recently used first;
+- LRU order: ``get`` touches, ``put`` replaces and evicts least
+  recently used first;
 - count budgets (size 1 per entry) and byte budgets (size = bytes), an
   entry larger than the whole budget, and ``drop_if``.
 """
@@ -27,11 +27,10 @@ class TestLRUOrder:
             store.put(key, key.upper())
         assert keys(store) == ["a", "b", "c"]
 
-    def test_get_touches_peek_does_not(self):
+    def test_get_touches(self):
         store = LRUStore(3)
         for key in "abc":
             store.put(key, key.upper())
-        assert store.peek("a") == "A"
         assert keys(store) == ["a", "b", "c"]
         assert store.get("a") == "A"
         assert keys(store) == ["b", "c", "a"]
@@ -39,7 +38,6 @@ class TestLRUOrder:
     def test_miss_returns_none(self):
         store = LRUStore(1)
         assert store.get("absent") is None
-        assert store.peek("absent") is None
         assert store.pop("absent") is None
 
     def test_put_replaces_and_moves_to_end(self):
@@ -48,7 +46,7 @@ class TestLRUOrder:
         store.put("b", 2)
         assert store.put("a", 3) == []
         assert keys(store) == ["b", "a"]
-        assert store.peek("a") == 3
+        assert store.get("a") == 3
         assert len(store) == 2 and store.used == 2
 
     def test_budget_must_be_positive(self):
