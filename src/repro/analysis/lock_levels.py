@@ -30,7 +30,9 @@ Levels (acquire downward only):
    the catalog acquires nothing upward while locked (``stats`` only
    recurses into its own reentrant lock).
 4. **Leaf locks** — embedding-cache internals, result cache (its
-   reuse family index included), the semantic cache-creation latch,
+   reuse family index included), a table growth buffer's tail claim
+   (``Table.append``, taken under the catalog lock on an append), the
+   semantic cache-creation latch,
    and the observability instruments (``obs.metrics``
    counters/histograms, the metrics registry, the tracer ring).  A
    leaf lock is never held across a call into the catalog, plan
@@ -82,6 +84,9 @@ DECLARATIONS: tuple[LockDecl, ...] = (
              attr="_stats_lock", level=4),
     LockDecl(name="ResultCache._lock",
              owner=f"{PKG}.engine.result_cache.ResultCache", attr="_lock",
+             level=4),
+    LockDecl(name="GrowthBuffer._lock",
+             owner=f"{PKG}.storage.table.GrowthBuffer", attr="_lock",
              level=4),
     LockDecl(name="lowering._CACHE_CREATE_LOCK",
              owner=f"{PKG}.semantic.lowering", attr="_CACHE_CREATE_LOCK",

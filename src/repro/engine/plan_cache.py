@@ -49,7 +49,7 @@ returns a plan built before the change.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
 from repro.engine.sql.canonical import CanonicalQuery
@@ -65,7 +65,7 @@ from repro.optimizer.parameterize import (
     unparameterizable_reason,
 )
 from repro.relational.logical import LogicalPlan
-from repro.reuse.analysis import ReuseSpec, analyze_and_augment
+from repro.reuse.analysis import ReuseSpec, analyze_and_augment, is_dip_free
 from repro.reuse.registry import FamilyDigestTracker, FamilyKey
 from repro.utils.store import LRUStore
 
@@ -95,7 +95,8 @@ _PlanKey = tuple[Any, ...]
 
 @dataclass
 class CachedPlan:
-    """One optimized plan plus the metadata admission control needs."""
+    """One optimized plan plus the metadata admission control and
+    ingest need."""
 
     plan: LogicalPlan
     #: Optimizer's total cost estimate — the scheduler's admission
@@ -104,6 +105,12 @@ class CachedPlan:
     #: Subsumption spec (repro.reuse.analysis.ReuseSpec) when the plan
     #: was augmented for semantic reuse; None otherwise.
     reuse: object | None = None
+    #: No data-induced predicate in the plan — recorded once, when the
+    #: plan is cached, and read by every append's plan drop.
+    dip_free: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.dip_free = is_dip_free(self.plan)
 
 
 @dataclass

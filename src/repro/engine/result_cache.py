@@ -39,10 +39,11 @@ a put observes a newer version or a retired arena generation.
 
 **Snapshot semantics.**  The cache never shares array storage with
 callers in either direction: ``put`` stores a deep column-copy of the
-result, and ``get`` returns a fresh deep copy per hit.  A caller that
-mutates a returned table (or the original result it handed in) can
-therefore never poison later hits — the regression tests mutate a hit
-in place and re-fetch.
+result (unless the caller hands over arrays nobody else holds,
+``owned=True``), and ``get`` returns a fresh deep copy per hit.  A
+caller that mutates a returned table (or the original result it handed
+in) can therefore never poison later hits — the regression tests
+mutate a hit in place and re-fetch.
 
 **Budgeting** is by *estimated result bytes*, not entry count: results
 range from one aggregate row to a large join, so an LRU over counts
@@ -93,14 +94,6 @@ if TYPE_CHECKING:
 #: Default byte budget for cached result snapshots (64 MiB).
 DEFAULT_RESULT_CACHE_BYTES = 64 * 1024 * 1024
 
-#: Estimated Python-object overhead per cached string element.
-_OBJECT_OVERHEAD = 56
-
-#: Object columns longer than this are size-estimated from a strided
-#: sample instead of a full pass — measuring every string of a large
-#: result cost more than the residual/store work around it.
-_ESTIMATE_SAMPLE = 512
-
 
 class ResultKey(NamedTuple):
     """Everything a statement's result is a pure function of."""
@@ -123,43 +116,6 @@ class ResultKey(NamedTuple):
     #: while everything else keeps serving.  Defaults to ``()`` for
     #: callers outside the ingest-aware key builder.
     table_versions: tuple[tuple[str, int], ...] = ()
-
-
-def estimate_table_bytes(table: Table) -> int:
-    """Estimated resident bytes of a table's column arrays.
-
-    Numeric columns are exact (``nbytes``); object columns add a
-    per-element overhead plus the string payload, which is close enough
-    for budget enforcement — the budget bounds memory growth, it is not
-    an allocator.  Large object columns extrapolate the payload from a
-    deterministic strided sample: a full per-string pass over a big
-    result cost more than the snapshot copy it was budgeting.
-    """
-    total = 0
-    for arr in table.columns.values():
-        if arr.dtype == object:
-            n = int(arr.shape[0])
-            total += n * _OBJECT_OVERHEAD
-            if n <= _ESTIMATE_SAMPLE:
-                total += sum(len(str(value)) for value in arr)
-            else:
-                sample = arr[::max(1, n // _ESTIMATE_SAMPLE)]
-                sampled = sum(len(str(value)) for value in sample)
-                total += int(sampled * (n / sample.shape[0]))
-        else:
-            total += int(arr.nbytes)
-    return total
-
-
-def snapshot_table(table: Table) -> Table:
-    """A deep column-copy sharing no array storage with ``table``.
-
-    Element objects (strings) are shared — they are immutable — but
-    every ndarray buffer is fresh, so in-place mutation of either side
-    cannot reach the other.
-    """
-    return Table(table.schema,
-                 {name: arr.copy() for name, arr in table.columns.items()})
 
 
 def strip_columns(table: Table, names: tuple[str, ...]) -> Table:
@@ -279,7 +235,7 @@ class ResultCache:
                 self._misses.inc()
                 return None
             self._hits.inc()
-        return snapshot_table(strip_columns(entry.table, entry.aux_names))
+        return strip_columns(entry.table, entry.aux_names).copy()
 
     def get_full(self, key: ResultKey) -> Table | None:
         """The raw stored snapshot, aux columns included — the
@@ -329,25 +285,29 @@ class ResultCache:
         sweeps entries that can never match again, then evicts LRU
         entries until the budget holds.
 
-        ``owned=True`` transfers ownership of ``table``'s freshly
-        allocated arrays to the cache instead of snapshotting them —
-        the residual executor's path, whose output shares storage with
-        nothing.  The caller must hand out no other reference.  The same
-        holds for ``partial``.
+        ``owned=True`` transfers ownership of ``table``'s arrays to the
+        cache instead of snapshotting them — the residual executor's
+        path, whose output shares storage with nothing, and the ingest
+        maintainer's, whose patched table shares storage only with the
+        entry the append's watermark just retired.  The caller must
+        hand out no other reference.  The same holds for ``partial``.
+        The entry's size is the tables' memoized
+        :meth:`~repro.storage.table.Table.estimated_bytes`, which a
+        table grown by ``Table.append`` carries forward.
         """
         with self._lock:
             self._sweep_stale_locked(key)
             if self._dead_on_arrival_locked(key):
                 return False
-        nbytes = estimate_table_bytes(table)
+        nbytes = table.estimated_bytes()
         if partial is not None:
-            nbytes += estimate_table_bytes(partial)
+            nbytes += partial.estimated_bytes()
         if nbytes > self.max_bytes:
             self._oversize_skips.inc()
             return False
         if not owned:
-            table = snapshot_table(table)
-            partial = None if partial is None else snapshot_table(partial)
+            table = table.copy()
+            partial = None if partial is None else partial.copy()
         entry = CachedResult(table, plan, reuse, shape, partial)
         with self._lock:
             # re-check: the watermark may have advanced while copying

@@ -245,9 +245,7 @@ class EngineState:
                                        owned=owned)
         visible = strip_columns(table, spec.aux_columns)
         if owned and stored:
-            from repro.engine.result_cache import snapshot_table
-
-            visible = snapshot_table(visible)
+            visible = visible.copy()
         if stored and self.reuse_registry is not None:
             self.reuse_registry.record_registration()
         return visible

@@ -46,6 +46,11 @@ Proof obligations (``docs/ingest.md`` carries the full argument):
   (the value sets are not in the cached output); Sort/Limit *above* an
   aggregate is refused (the pre-sort group order is unrecoverable from
   a sorted snapshot).
+- **Global MIN/MAX** — a global aggregate (no GROUP BY) with a MIN or
+  MAX merges through the constant-group partial described next, with
+  no hidden columns: over a delta its filter empties, the plan itself
+  would return the empty-input row, whose ``None`` an integer column
+  cannot hold and a float column would hold as NaN.
 - **Integer AVG** — not decomposable from the visible output, so the
   classifier builds a **partial** aggregate over the same chain and
   group keys in which each ``AVG(x)`` becomes hidden ``SUM(x)``,
@@ -125,9 +130,10 @@ class DeltaSpec:
     ``kind`` is one of ``"concat"``, ``"limit"``, ``"topk"``,
     ``"aggregate"``.  ``sort_keys`` are in the plan's *output* column
     space (renames above the sort already resolved).  An aggregate with
-    an AVG also carries its ``partial`` aggregate and, per AVG, the
-    hidden columns it folds from (``avgs``); the merge then runs on
-    partials (:func:`merge_partial`), not on the visible output.
+    an AVG, or a global one with a MIN/MAX, also carries its
+    ``partial`` aggregate and, per AVG, the hidden columns it folds
+    from (``avgs``); the merge then runs on partials
+    (:func:`merge_partial`), not on the visible output.
     """
 
     kind: str
@@ -185,7 +191,7 @@ def classify_plan(plan: LogicalPlan, table: str) -> DeltaSpec:
         if limit is not None or sort is not None or projects_above_sort:
             raise DeltaRefused("order-above-aggregate")
         _check_chain(node.child, table)
-        if not any(agg.func is AggFunc.AVG for agg in node.aggregates):
+        if not _needs_partial(node):
             _check_aggregate(node)
             return DeltaSpec(kind="aggregate", table=table, aggregate=node)
         partial, avgs = _partial_aggregate(node)
@@ -231,9 +237,25 @@ def _check_aggregate(node: AggregateNode) -> None:
             raise DeltaRefused("float-sum")
 
 
+def _needs_partial(node: AggregateNode) -> bool:
+    """An AVG, or a global MIN/MAX, merges through a partial.
+
+    A global aggregate over input the filter empties yields the hash
+    aggregate's one empty-input row, whose MIN/MAX ``None`` an integer
+    column cannot hold and a float column holds as NaN — which the
+    merge would then propagate.  The partial groups by a constant
+    instead, so an empty delta contributes no row at all.
+    """
+    return any(agg.func is AggFunc.AVG
+               or (not node.group_keys
+                   and agg.func in (AggFunc.MIN, AggFunc.MAX))
+               for agg in node.aggregates)
+
+
 def _partial_aggregate(node: AggregateNode
                        ) -> tuple[AggregateNode, tuple[AvgColumns, ...]]:
-    """The aggregate whose output an AVG-bearing ``node`` merges through.
+    """The aggregate whose output ``node`` merges through (see
+    :func:`_needs_partial`).
 
     Each ``AVG(x)`` becomes hidden ``SUM(x)``, ``COUNT(*)``, ``MIN(x)``
     and ``MAX(x)`` columns under names no input or output column uses;
@@ -371,9 +393,9 @@ def _exact_means(merged: Table, columns: AvgColumns) -> list[float]:
 
 
 def _merge_concat(cached: Table, delta_out: Table) -> Table:
-    if delta_out.num_rows == 0:
-        return cached
-    return Table.concat([cached, delta_out])
+    # O(delta): the delta's rows go into the spare capacity of the
+    # cached table's growth buffer (the retired entry keeps its view)
+    return cached.append(delta_out)
 
 
 def _merge_limit(cached: Table, delta_out: Table, limit: int) -> Table:

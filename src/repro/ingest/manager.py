@@ -38,6 +38,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from threading import Lock
 from typing import TYPE_CHECKING, Any
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -45,10 +46,12 @@ from repro.engine.result_cache import CachedResult, ResultKey
 from repro.errors import CatalogError
 from repro.ingest.delta import (
     DeltaRefused,
+    DeltaSpec,
     apply_delta,
     classify_plan,
     merge_partial,
 )
+from repro.relational.logical import LogicalPlan
 from repro.relational.physical import execute_plan
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
@@ -93,6 +96,10 @@ class IngestManager:
         self._lock = Lock()
         self._staleness_gauges: dict[str, "Gauge"] = {}
         self._refusal_reasons: dict[str, int] = {}
+        #: plan -> table -> its DeltaSpec or refusal reason (weak: dies
+        #: with the plan, i.e. with the last entry carrying it)
+        self._specs: WeakKeyDictionary[
+            LogicalPlan, dict[str, DeltaSpec | str]] = WeakKeyDictionary()
         registry = state.metrics_registry
         self._rows_counter = registry.counter(
             "ingest_rows_total",
@@ -199,8 +206,7 @@ class IngestManager:
         #    other plan survives (keyed on the unchanged catalog
         #    version).
         plans_dropped = state.plan_cache.drop_if(
-            lambda entry: table in entry.plan.tables
-            and not _dip_free(entry.plan))
+            lambda entry: table in entry.plan.tables and not entry.dip_free)
         # 4. advance the watermark: every cached result over the table
         #    is now dead (including the ones about to be re-stored
         #    patched under the new version) — stale serving is
@@ -251,7 +257,7 @@ class IngestManager:
                 return "arena-generation-moved"
         partial: Table | None = None
         try:
-            spec = classify_plan(plan, table)
+            spec = self._classify(plan, table)
             if spec.partial is None:
                 delta_out = self._execute_over_delta(plan, table, delta)
                 patched = apply_delta(spec, entry.table, delta_out)
@@ -269,12 +275,39 @@ class IngestManager:
             (name, new_version if name == table else version)
             for name, version in key.table_versions))
         assert state.result_cache is not None
+        # owned: every merge returns fresh arrays, or the retired
+        # entry's own table (nothing to merge), or prefix views of a
+        # growth buffer whose shorter views only the retired entry
+        # holds — so the defensive copy would only cost O(entry).
         if not state.result_cache.put(new_key, patched, plan, entry.reuse,
-                                      entry.shape, partial=partial):
+                                      entry.shape, owned=True,
+                                      partial=partial):
             return "store-rejected"
         if entry.reuse is not None and state.reuse_registry is not None:
             state.reuse_registry.record_registration()
         return None
+
+    def _classify(self, plan: LogicalPlan, table: str) -> DeltaSpec:
+        """:func:`classify_plan`, derived once per cached plan and table.
+
+        The memo is keyed on the plan object, which a maintained entry
+        carries into its re-stored successor, so a plan is classified
+        on the first append that reaches it and never again; a refusal
+        is remembered by its reason and raised afresh.
+        """
+        outcomes = self._specs.get(plan)
+        if outcomes is None:
+            outcomes = self._specs[plan] = {}
+        outcome = outcomes.get(table)
+        if outcome is None:
+            try:
+                outcome = classify_plan(plan, table)
+            except DeltaRefused as refusal:
+                outcome = refusal.reason
+            outcomes[table] = outcome
+        if isinstance(outcome, str):
+            raise DeltaRefused(outcome)
+        return outcome
 
     def _execute_over_delta(self, plan: Any, table: str,
                             delta: Table) -> Table:
@@ -327,8 +360,7 @@ class IngestManager:
         # cached output — no merge can recover that, so: targeted
         # invalidation (this table only), plus the same DIP plan drop.
         plans_dropped = state.plan_cache.drop_if(
-            lambda entry: table in entry.plan.tables
-            and not _dip_free(entry.plan))
+            lambda entry: table in entry.plan.tables and not entry.dip_free)
         entries_seen = 0
         if state.result_cache is not None:
             entries_seen = len(state.result_cache.entries_for_table(table))
@@ -387,9 +419,3 @@ class IngestManager:
                      "cache over the table was patched or invalidated")
             self._staleness_gauges[table] = gauge
         gauge.set(time.perf_counter() - started)
-
-
-def _dip_free(plan: Any) -> bool:
-    from repro.reuse.analysis import describe_plan
-
-    return describe_plan(plan).dip_free

@@ -357,6 +357,14 @@ def describe_plan(plan: LogicalPlan) -> PlanShape:
     return PlanShape(fingerprint=fingerprint, dip_free=dip_free)
 
 
+def is_dip_free(plan: LogicalPlan) -> bool:
+    """No data-induced predicate (a semantic semi-filter whose probe
+    set was derived from table contents) anywhere in ``plan`` — the
+    ``dip_free`` of :func:`describe_plan` without its fingerprint."""
+    return not any(isinstance(node, SemanticSemiFilterNode)
+                   for node in plan.walk())
+
+
 # ---------------------------------------------------------------------------
 # containment proof
 # ---------------------------------------------------------------------------

@@ -22,7 +22,11 @@ upserts change *rows*, never the schema, so they bump a per-table
 ``data_version`` instead of :attr:`version`.  Plan- and kernel-cache
 entries key on schema identity only and survive; the result cache keys
 on ``(table, data_version)`` pairs and invalidates (or delta-patches)
-exactly the entries that read the mutated table.  Statistics that were
+exactly the entries that read the mutated table.  The rows themselves
+grow in O(delta): :meth:`Catalog.append_rows` writes the delta into the
+spare capacity of the table's growth buffer (:meth:`Table.append`), so
+the table handed out before the append stays a valid, shorter view
+and nothing copies the old rows.  Statistics that were
 already computed are refreshed **in place** — merged forward from the
 delta in O(delta) on append (:func:`merge_table_stats`), recomputed on
 replace — *without* a version bump: a plan optimized against slightly older
@@ -91,7 +95,10 @@ class Catalog:
         """Append ``delta``'s rows to ``name``; returns the new
         data_version.
 
-        A pure row append: the schema must match exactly, the catalog
+        A pure row append in O(delta): the schema must match exactly,
+        the rows are written into the table's growth buffer
+        (:meth:`Table.append`; the table handed out before stays a valid
+        shorter view, and the old rows are not copied), the catalog
         version does **not** move (plans stay valid), statistics are
         folded forward in place when present — an O(delta) merge, not a
         rescan (see the module docstring for why that must not bump the
@@ -101,7 +108,7 @@ class Catalog:
         with self._lock:
             base = self.get(name)
             _check_same_schema(name, base, delta)
-            grown = Table.concat([base, delta])
+            grown = base.append(delta)
             self._tables[name] = grown
             if name in self._stats:
                 self._stats[name] = merge_table_stats(self._stats[name],

@@ -142,7 +142,13 @@ def compute_column_stats(name: str, dtype: DataType,
             stats.min_value = float(numeric.min())
             stats.max_value = float(numeric.max())
             if stats.max_value > stats.min_value:
-                hist, edges = np.histogram(numeric, bins=HISTOGRAM_BINS)
+                try:
+                    hist, edges = np.histogram(numeric, bins=HISTOGRAM_BINS)
+                except ValueError:
+                    # a range too narrow for the float64 spacing at
+                    # this magnitude (e.g. 2**53 - 1 .. 2**53) has no
+                    # finite-width bins: no histogram, as for one value
+                    return stats
                 stats.histogram = hist
                 stats.bin_edges = edges
     return stats

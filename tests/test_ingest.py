@@ -7,7 +7,8 @@ from the delta (``classify_plan`` proved the plan append-monotone) or
 refused and re-executed from scratch.  A hypothesis harness checks the
 property across generated tables, deltas, and a query list that covers
 every merge form (concat, limit, top-k with mixed directions,
-mergeable aggregates, integer AVG through its partial) *and* the
+mergeable aggregates, global MIN/MAX and integer AVG through their
+partials) *and* the
 refused fallbacks (float SUM/AVG, order above an aggregate).  A second
 harness drives integer AVG with magnitudes around ``2**53 / n``, where
 the maintained path and the ``avg-inexact`` refusal meet.
@@ -16,8 +17,9 @@ Deterministic units pin the rest of the contract: the split
 invalidation dimension (per-table ``data_version`` moves, the catalog
 version does not), plan-cache survival across appends (hit-rate 1.0),
 never-stale serving after refusals, AVG partials computed over the old
-rows once and over each delta after that, the upsert update-vs-insert
-split,
+rows once and over each delta after that, global MIN/MAX over a delta
+the filter empties, concat-form entries re-stored without a copy and
+sized as old plus delta, the upsert update-vs-insert split,
 the classifier's refusal slugs, incremental vector-index extension
 (exact for brute force, deterministic for HNSW), the streaming log
 source's determinism
@@ -33,7 +35,6 @@ from hypothesis import strategies as st
 
 from repro.engine.session import Session
 from repro.errors import CatalogError
-from repro.engine.result_cache import estimate_table_bytes
 from repro.ingest import DeltaRefused, classify_plan
 from repro.ingest.delta import EXACT_SUM_BOUND
 from repro.ingest.manager import IngestManager
@@ -287,8 +288,8 @@ class TestAvgMaintenance:
         cache = session.state.result_cache
         [(_, entry)] = cache.entries_for_table("t")
         assert entry.partial is not None
-        assert cache.bytes_used == (estimate_table_bytes(entry.table)
-                                    + estimate_table_bytes(entry.partial))
+        assert cache.bytes_used == (entry.table.estimated_bytes()
+                                    + entry.partial.estimated_bytes())
 
     def test_a_delta_the_filter_empties_leaves_the_mean(self):
         query = "SELECT AVG(val) AS a FROM t WHERE val > 3"
@@ -326,6 +327,119 @@ class TestAvgMaintenance:
         assert report.refusals == {"avg-inexact": 1}
         assert_tables_identical(session.sql(query),
                                 fresh_session(rows + delta).sql(query))
+
+
+# ---------------------------------------------------------------------------
+# Global MIN/MAX: maintained through the constant-group partial
+# ---------------------------------------------------------------------------
+def counted_rows(n):
+    """``make_rows(n)`` with ``val = 0 .. n-1`` and ``score = val``."""
+    return [dict(row, val=index, score=float(index))
+            for index, row in enumerate(make_rows(n))]
+
+
+class TestGlobalMinMax:
+    @pytest.mark.parametrize("query", [
+        "SELECT COUNT(*) AS c, MIN(val) AS lo FROM t WHERE val > 5",
+        "SELECT COUNT(*) AS c, MIN(score) AS lo, MAX(score) AS hi "
+        "FROM t WHERE score > 5",
+    ])
+    def test_a_delta_the_filter_empties_keeps_the_extremes(self, query):
+        # the plan over this delta alone yields the empty-input row:
+        # None, which an INT64 column cannot hold and a FLOAT64 one
+        # holds as NaN — neither may reach the merged answer
+        rows = counted_rows(10)
+        session = fresh_session(rows)
+        warm(session, query)
+        delta = [dict(row, val=0, score=0.0)
+                 for row in make_rows(3, start=100)]
+        report = session.append("t", delta)
+        assert report.maintained == 1, report.refusals
+        assert session.catalog.get("t").num_rows == 13
+        assert session.catalog.data_version("t") == 1
+        hits = session.state.result_cache.stats()["hits"]
+        answer = session.sql(query)
+        assert session.state.result_cache.stats()["hits"] == hits + 1
+        assert_tables_identical(answer,
+                                fresh_session(rows + delta).sql(query))
+
+    def test_later_entries_of_the_append_are_maintained(self):
+        queries = ["SELECT COUNT(*) AS c, MAX(val) AS hi FROM t "
+                   "WHERE val > 5",
+                   "SELECT id, val FROM t WHERE val < 3"]
+        rows = counted_rows(10)
+        session = fresh_session(rows)
+        for query in queries:
+            warm(session, query)
+        delta = [dict(row, val=0) for row in make_rows(3, start=100)]
+        report = session.append("t", delta)
+        assert report.maintained == report.entries_seen == 2
+        rebuilt = fresh_session(rows + delta)
+        for query in queries:
+            assert_tables_identical(session.sql(query), rebuilt.sql(query))
+
+
+# ---------------------------------------------------------------------------
+# Concat form: grown in the entry's growth buffer, stored without a copy
+# ---------------------------------------------------------------------------
+class TestConcatMaintenance:
+    QUERY = "SELECT id, grp, val FROM t WHERE val > 1"
+
+    def test_restored_without_a_snapshot_copy(self, monkeypatch):
+        session = fresh_session(make_rows(20))
+        warm(session, self.QUERY)
+        copies = []
+        original = Table.copy
+
+        def spy(table):
+            copies.append(table.num_rows)
+            return original(table)
+
+        monkeypatch.setattr(Table, "copy", spy)
+        report = session.append("t", make_rows(6, start=100))
+        assert report.maintained == 1, report.refusals
+        assert copies == []
+
+    def test_entry_bytes_are_the_previous_plus_the_deltas(self):
+        # strings long on every third row: the strided sample of a
+        # large object column then over-estimates, so a re-measured
+        # grown entry would differ from the carried-forward sum
+        def rows_of(n, start):
+            return [dict(row, grp="x" * (40 if (start + i) % 3 == 0
+                                         else 1))
+                    for i, row in enumerate(make_rows(n, start=start))]
+
+        session = fresh_session(rows_of(3000, 0))
+        warm(session, self.QUERY)
+        cache = session.state.result_cache
+        for start in (3000, 3400, 3800):
+            delta = rows_of(400, start)
+            before = cache.bytes_used
+            session.append("t", delta)
+            delta_out = fresh_session(delta).sql(self.QUERY)
+            assert cache.bytes_used == before + delta_out.estimated_bytes()
+        [(_, entry)] = cache.entries_for_table("t")
+        remeasured = Table(entry.table.schema, dict(entry.table.columns))
+        assert remeasured.estimated_bytes() != cache.bytes_used
+
+    def test_three_appends_match_rebuild(self):
+        rows = make_rows(20)
+        session = fresh_session(rows)
+        warm(session, self.QUERY)
+        handed_out = session.catalog.get("t")
+        for start in (100, 200, 300):
+            delta = make_rows(5 + start // 100, start=start)
+            rows = rows + delta
+            report = session.append("t", delta)
+            assert report.maintained == 1, report.refusals
+            hits = session.state.result_cache.stats()["hits"]
+            answer = session.sql(self.QUERY)
+            assert session.state.result_cache.stats()["hits"] == hits + 1
+            assert_tables_identical(answer,
+                                    fresh_session(rows).sql(self.QUERY))
+        # the table read before the appends still sees only its rows
+        assert_tables_identical(handed_out,
+                                Table.from_rows(make_rows(20), SCHEMA))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +630,8 @@ ROW = st.fixed_dictionaries({
 
 #: Covers every merge form the classifier proves (concat, filter
 #: chain, limit, top-k under each direction pattern, full sort,
-#: mergeable aggregates, integer AVG) and the refused fallbacks (float
+#: mergeable aggregates, global MIN/MAX and integer AVG through their
+#: partials) and the refused fallbacks (float
 #: AVG, float SUM,
 #: order above an aggregate) — parity must hold on BOTH paths.
 PARITY_QUERIES = [
@@ -529,6 +644,7 @@ PARITY_QUERIES = [
     "SELECT id, grp, val FROM t ORDER BY grp ASC, val DESC",
     "SELECT grp, COUNT(*) AS c, SUM(val) AS s, MIN(val) AS lo, "
     "MAX(val) AS hi FROM t GROUP BY grp",
+    "SELECT COUNT(*) AS c, MIN(val) AS lo, MAX(score) AS hi FROM t",
     "SELECT AVG(val) AS a FROM t",
     "SELECT grp, AVG(val) AS a FROM t GROUP BY grp",
     "SELECT AVG(score) AS a FROM t",

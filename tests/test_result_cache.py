@@ -30,8 +30,6 @@ import pytest
 from repro.engine.result_cache import (
     ResultCache,
     ResultKey,
-    estimate_table_bytes,
-    snapshot_table,
 )
 from repro.engine.session import Session
 from repro.semantic.cache import RETIRED_GENERATIONS
@@ -119,7 +117,7 @@ class TestResultCacheUnit:
         assert rows(two) == rows(small_table())
 
     def test_lru_eviction_keeps_bytes_under_budget(self):
-        entry_bytes = estimate_table_bytes(small_table())
+        entry_bytes = small_table().estimated_bytes()
         cache = ResultCache(max_bytes=entry_bytes * 2)
         keys = [key_for(digest=f"d{i}") for i in range(4)]
         for key in keys:
@@ -132,7 +130,7 @@ class TestResultCacheUnit:
         assert cache.get(keys[-1]) is not None
 
     def test_lru_order_follows_hits(self):
-        entry_bytes = estimate_table_bytes(small_table())
+        entry_bytes = small_table().estimated_bytes()
         cache = ResultCache(max_bytes=entry_bytes * 2)
         a, b, c = (key_for(digest=d) for d in "abc")
         cache.put(a, small_table())
@@ -144,7 +142,7 @@ class TestResultCacheUnit:
 
     def test_oversize_result_is_skipped(self):
         table = small_table(range(100))
-        cache = ResultCache(max_bytes=estimate_table_bytes(table) - 1)
+        cache = ResultCache(max_bytes=table.estimated_bytes() - 1)
         assert not cache.put(key_for(), table)
         assert len(cache) == 0
         assert cache.stats()["oversize_skips"] == 1
@@ -223,14 +221,14 @@ class TestResultCacheUnit:
     def test_estimate_counts_object_payload(self):
         numeric = Table.from_dict({"a": [1, 2, 3]})
         strings = Table.from_dict({"a": ["long string value here"] * 3})
-        assert estimate_table_bytes(numeric) == \
+        assert numeric.estimated_bytes() == \
             int(numeric.columns["a"].nbytes)
-        assert estimate_table_bytes(strings) > 3 * len(
+        assert strings.estimated_bytes() > 3 * len(
             "long string value here")
 
     def test_snapshot_shares_no_array_storage(self):
         table = small_table()
-        copy = snapshot_table(table)
+        copy = table.copy()
         for name in table.columns:
             assert not np.shares_memory(table.columns[name],
                                         copy.columns[name])

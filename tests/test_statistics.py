@@ -62,6 +62,16 @@ class TestColumnStats:
         assert stats.selectivity_range(None, 10.0) == 1.0
         assert stats.selectivity_range(6.0, None) == 0.0
 
+    def test_range_narrower_than_float_spacing_has_no_histogram(self):
+        # 2**53 - 1 and 2**53 are distinct integers one float64 ulp
+        # apart: no 32 finite-width bins fit between them
+        values = np.asarray([2 ** 53, 2 ** 53 - 1], dtype=np.int64)
+        stats = compute_column_stats("x", DataType.INT64, values)
+        assert stats.distinct == 2
+        assert stats.max_value > stats.min_value
+        assert stats.histogram is None
+        assert 0.0 <= stats.selectivity_range(float(2 ** 53), None) <= 1.0
+
     def test_empty_column(self):
         stats = compute_column_stats("x", DataType.INT64,
                                      np.empty(0, dtype=np.int64))

@@ -1,9 +1,13 @@
-"""Tests for storage: types, schema, table, catalog."""
+"""Tests for storage: types, schema, table, growth buffers, catalog."""
 
 import datetime
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CatalogError, SchemaError
 from repro.storage.catalog import Catalog
@@ -215,6 +219,151 @@ class TestTable:
     def test_renamed(self, products_table):
         renamed = products_table.renamed({"pid": "id"})
         assert "id" in renamed.schema
+
+
+GROW_SCHEMA = Schema([Field("n", DataType.INT64),
+                      Field("f", DataType.FLOAT64),
+                      Field("s", DataType.STRING)])
+
+
+def grow_rows(start, count):
+    return Table.from_dict({
+        "n": list(range(start, start + count)),
+        "f": [float(i) / 4 for i in range(start, start + count)],
+        "s": [None if i % 5 == 0 else f"s{i}"
+              for i in range(start, start + count)]}, GROW_SCHEMA)
+
+
+def assert_bit_identical(actual, expected):
+    """Same names, dtypes and values — floats compared by bit pattern
+    (NaN payloads included), objects by identity-free equality."""
+    assert actual.schema.names == expected.schema.names
+    for name in expected.schema.names:
+        left, right = actual.columns[name], expected.columns[name]
+        assert left.dtype == right.dtype, name
+        assert left.shape == right.shape, name
+        if left.dtype.kind == "f":
+            assert np.array_equal(left.view(np.int64),
+                                  right.view(np.int64)), name
+        else:
+            assert left.tolist() == right.tolist(), name
+
+
+class TestGrowthBuffer:
+    def test_table_handed_out_before_appends_is_unchanged(self):
+        pieces = [grow_rows(0, 3), grow_rows(3, 4)]
+        first = pieces[0].append(pieces[1])
+        expected = Table.concat(pieces)
+        tip, copies = first, 0
+        for start in range(7, 107, 5):
+            pieces.append(grow_rows(start, 5))
+            grown = tip.append(pieces[-1])
+            copies += not np.shares_memory(grown.columns["n"],
+                                           tip.columns["n"])
+            tip = grown
+        # capacity doubles: 7 -> 107 rows copies the old rows 3 times
+        assert copies == 3
+        assert first.num_rows == 7
+        assert_bit_identical(first, expected)
+        assert_bit_identical(tip, Table.concat(pieces))
+
+    def test_appending_to_a_non_tip_copies_and_leaves_the_tip(self):
+        base = grow_rows(0, 4).append(grow_rows(4, 2))
+        tip = base.append(grow_rows(6, 3))
+        branch = base.append(grow_rows(100, 2))
+        assert_bit_identical(tip, Table.concat(
+            [grow_rows(0, 4), grow_rows(4, 2), grow_rows(6, 3)]))
+        assert_bit_identical(branch, Table.concat(
+            [grow_rows(0, 4), grow_rows(4, 2), grow_rows(100, 2)]))
+        assert not np.shares_memory(branch.columns["n"], tip.columns["n"])
+        # the tip keeps growing in place after the branch copied out
+        grown = tip.append(grow_rows(9, 1))
+        assert np.shares_memory(grown.columns["n"], tip.columns["n"])
+        assert_bit_identical(tip, Table.concat(
+            [grow_rows(0, 4), grow_rows(4, 2), grow_rows(6, 3)]))
+
+    @pytest.mark.concurrency
+    def test_holders_of_one_tip_appending_from_threads(self):
+        # four catalogs registered one tip table (more threads than
+        # cores); at most one may write into its buffer, the rest copy
+        holders = 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(30):
+                shared = grow_rows(0, 10).append(grow_rows(10, 1))
+                catalogs = [Catalog() for _ in range(holders)]
+                for catalog in catalogs:
+                    catalog.register("t", shared)
+                deltas = [grow_rows(1000 * (i + 1), 3 + i)
+                          for i in range(holders)]
+                barrier = threading.Barrier(holders)
+
+                def append(index):
+                    barrier.wait(timeout=10)
+                    catalogs[index].append_rows("t", deltas[index])
+
+                threads = [threading.Thread(target=append, args=(i,))
+                           for i in range(holders)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                for catalog, delta in zip(catalogs, deltas):
+                    assert_bit_identical(catalog.get("t"),
+                                         Table.concat([shared, delta]))
+                assert shared.num_rows == 11, round_
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_dtype_mismatch_falls_back_to_concat(self):
+        ints = Table.from_dict({"a": [1, 2]})
+        floats = Table.from_dict({"a": [0.5]})
+        grown = ints.append(floats)
+        assert_bit_identical(grown, Table.concat([ints, floats]))
+        assert grown.columns["a"].dtype == np.float64
+
+    def test_mismatched_schema_raises_like_concat(self, products_table,
+                                                  kb_table):
+        with pytest.raises(SchemaError):
+            products_table.append(kb_table)
+
+    def test_size_estimate_carries_forward(self):
+        base = grow_rows(0, 4)
+        measured = base.estimated_bytes()
+        delta = grow_rows(4, 3)
+        grown = base.append(delta)
+        assert grown.estimated_bytes() == measured + delta.estimated_bytes()
+        # a table nobody measured is measured on demand, not carried
+        assert grow_rows(0, 4).append(delta).estimated_bytes() == \
+            Table.concat([grow_rows(0, 4), delta]).estimated_bytes()
+
+
+#: one batch: numeric, object, empty or one-row, NaN and None included
+BATCH = st.integers(0, 6).flatmap(lambda n: st.fixed_dictionaries({
+    "n": st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n,
+                  max_size=n),
+    "f": st.lists(st.floats(allow_nan=True), min_size=n, max_size=n),
+    "s": st.lists(st.one_of(st.none(), st.text(max_size=4)), min_size=n,
+                  max_size=n),
+}))
+
+
+@given(batches=st.lists(BATCH, min_size=1, max_size=12),
+       branch=st.integers(0, 11))
+@settings(max_examples=60, deadline=None)
+def test_appends_match_one_concat(batches, branch):
+    tables = [Table.from_dict(batch, GROW_SCHEMA) for batch in batches]
+    grown = [tables[0]]
+    for table in tables[1:]:
+        grown.append(grown[-1].append(table))
+    # an append to an earlier (non-tip) table branches off a copy
+    forked = grown[branch % len(grown)].append(tables[-1])
+    for count, table in enumerate(grown, start=1):
+        assert_bit_identical(table, Table.concat(tables[:count]))
+    assert_bit_identical(forked, Table.concat(
+        tables[:branch % len(grown) + 1] + [tables[-1]]))
 
 
 class TestCatalog:
