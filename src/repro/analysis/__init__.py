@@ -9,7 +9,9 @@ declarations the analyzers enforce live beside them:
 - :mod:`repro.analysis.lock_levels` — the lock hierarchy (canonical;
   ``docs/serving.md`` points here).
 - :mod:`repro.analysis.dispatch_registry` — every type-dispatch
-  surface and its declared default.
+  surface and its declared default.  A plan node's estimate, cost and
+  lowering are not dispatched: they are methods declared on the node,
+  and a tier-1 test checks every subclass overrides them.
 - :mod:`repro.analysis.cache_dimensions` — version-bump protocol and
   pre-captured-key cache paths.
 - :mod:`repro.analysis.metric_names` — the metric-name vocabulary the

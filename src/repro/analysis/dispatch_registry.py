@@ -4,17 +4,22 @@ on node type.
 Structure — children, literal slots, printing, fingerprints, the
 tables/models/columns a plan reads — is not dispatched at all: nodes
 declare their fields (:mod:`repro.relational.fields`) and the walkers
-are generic (column pruning among them).  What remains here are the
-dispatchers whose arms do different *work* per node (cost,
-cardinality, physical build, reuse eligibility, NNF, dtype inference,
-SQL binding).  The dispatch-exhaustiveness verifier
-(:mod:`repro.analysis.dispatch`) enumerates the node families by walking
-base-class subtrees and checks each dispatcher declared here handles
-every member or rejects it explicitly.  To add a
-plan/expression node type: subclass the family base and declare its
-fields, run ``python -m repro.analysis`` and add an arm (or an explicit
-rejection) to every dispatcher it reports — the verifier finds them
-all, so nothing silently falls through to a default.
+are generic (column pruning among them).  Nor are a plan node's
+estimate, cost and lowering: each node declares ``estimate_rows`` /
+``node_cost`` / ``lower`` beside itself, and the base class raises
+naming the class for the latter two
+(``tests/test_plan_protocol.py::test_every_plan_node_declares_cost_and_lowering``
+checks every ``LogicalPlan`` subclass overrides them).  What remains
+here are the dispatchers whose arms still do different *work* per node
+(reuse eligibility, NNF, dtype inference, SQL binding).  The
+dispatch-exhaustiveness verifier (:mod:`repro.analysis.dispatch`)
+enumerates the node families by walking base-class subtrees and checks
+each dispatcher declared here handles every member or rejects it
+explicitly.  To add a plan/expression node type: subclass the family
+base, declare its fields (and, for a plan node, its three behaviour
+methods), run ``python -m repro.analysis`` and add an arm (or an
+explicit rejection) to every dispatcher it reports — the verifier finds
+them all, so nothing silently falls through to a default.
 
 Default kinds:
 
@@ -42,24 +47,6 @@ FAMILIES: tuple[Family, ...] = (
 
 SPECS: tuple[DispatcherSpec, ...] = (
     # -- logical plan dispatchers --------------------------------------
-    DispatcherSpec(
-        function=f"{PKG}.relational.physical.build_physical",
-        family="plan", default="reject"),
-    DispatcherSpec(
-        function=f"{PKG}.semantic.lowering.build_semantic_physical",
-        family="plan", default="reject",
-        must_handle=("SemanticFilterNode", "SemanticSemiFilterNode",
-                     "SemanticJoinNode", "SemanticGroupByNode")),
-    DispatcherSpec(
-        function=f"{PKG}.optimizer.cost.CostModel.node_cost",
-        family="plan", default="reject"),
-    DispatcherSpec(
-        function=f"{PKG}.optimizer.cardinality.CardinalityEstimator"
-                 ".estimate",
-        family="plan", default="declared",
-        justification="an unknown node estimates as its first child's "
-                      "rows (conservative passthrough); every concrete "
-                      "node still needs an explicit arm"),
     DispatcherSpec(
         function=f"{PKG}.reuse.analysis._analyze",
         family="plan", default="refuse",

@@ -25,7 +25,10 @@ The extractor understands the engine's idioms: ``with self._lock``,
 ``with lock.read()/.write()``, ``ExitStack.enter_context(stripe.read())``
 (held to the end of the ``with`` block), iteration over
 ``StripedRWLock.stripes_for``, and attribute-based receiver typing via
-the declared ``ATTR_TYPES`` table.  Calls it cannot resolve are ignored
+the declared ``ATTR_TYPES`` table or a parameter's class annotation.  A
+method called on a typed receiver may run any override in a subclass
+of that type (``plan.lower(...)`` on a ``LogicalPlan``), so every
+override counts as a callee.  Calls it cannot resolve are ignored
 (the declarations' drift rules keep the extractor honest).
 """
 
@@ -149,6 +152,13 @@ class _FunctionWalker:
 
     def _local_types(self) -> dict[str, object]:
         types: dict[str, object] = {}
+        package = self.checker.package
+        params = self.node.args
+        for arg in (*params.posonlyargs, *params.args, *params.kwonlyargs):
+            if arg.annotation is not None:
+                resolved = package.resolve(self.module, arg.annotation)
+                if resolved in package.classes:
+                    types[arg.arg] = resolved
         for stmt in self._own_statements(self.node):
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
                     and isinstance(stmt.targets[0], ast.Name):
@@ -381,6 +391,22 @@ class _FunctionWalker:
             if callee is not None or hint is not None:
                 self.facts.calls.append(_CallSite(
                     callee, hint, node.lineno, tuple(self.held)))
+            for override in self._overrides(func):
+                self.facts.calls.append(_CallSite(
+                    override, None, node.lineno, tuple(self.held)))
+
+    def _overrides(self, func: ast.expr) -> list[str]:
+        """Overrides of a method called on a typed receiver, in the
+        subclasses of the receiver's type: the call may run any."""
+        if not isinstance(func, ast.Attribute):
+            return []
+        recv_type = self._typeof(func.value)
+        if not isinstance(recv_type, str):
+            return []
+        functions = self.checker.package.functions
+        return [f"{sub}.{func.attr}"
+                for sub in self.checker.subclasses(recv_type)
+                if f"{sub}.{func.attr}" in functions]
 
     def _resolve_call(self, func: ast.expr) -> tuple[str | None, str | None]:
         package = self.checker.package
@@ -424,6 +450,7 @@ class LockChecker:
         self.model = model
         self.decl_at: dict[tuple[str, str], LockDecl] = {}
         self.decl_by_name: dict[str, LockDecl] = {}
+        self._subclasses: dict[str, list[str]] = {}
         for decl in model.declarations:
             self.decl_by_name[decl.name] = decl
             for attr in (decl.attr, *decl.aliases):
@@ -492,6 +519,13 @@ class LockChecker:
         findings.extend(self._check_constructions(report))
         findings.extend(self._check_stale(report))
         return findings, report
+
+    def subclasses(self, fq: str) -> list[str]:
+        """Transitive subclasses of class ``fq`` (memoized)."""
+        if fq not in self._subclasses:
+            self._subclasses[fq] = list(
+                self.package.subclasses(fq).values())
+        return self._subclasses[fq]
 
     def _enclosing_class(self, fq: str) -> str | None:
         scope = fq.rsplit(".", 1)[0]

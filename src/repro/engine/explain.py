@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel
-from repro.relational.logical import FilterNode, LogicalPlan
-from repro.relational.physical import filter_run
+from repro.relational.logical import FilterNode, LogicalPlan, filter_run
 
 
 def explain_plan(plan: LogicalPlan,

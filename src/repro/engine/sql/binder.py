@@ -1,8 +1,10 @@
 """Binder: SQL AST -> logical plan against a catalog.
 
 Name resolution is deliberately forgiving (unambiguous suffixes resolve,
-matching the schema's ``index_of``), and every resolution failure raises
-:class:`~repro.errors.BindError` at bind time rather than run time.
+matching the schema's ``index_of``; a table scanned without an alias
+qualifies its own columns by its name), and every resolution failure
+raises :class:`~repro.errors.BindError` at bind time rather than run
+time.  Every column name goes through :meth:`Binder._column`.
 """
 
 from __future__ import annotations
@@ -72,11 +74,9 @@ class Binder:
             plan = self._where(plan, statement.where)
         plan, projected = self._grouping(plan, statement)
         if statement.order_by:
-            keys = [(item.column.dotted, item.ascending)
-                    for item in statement.order_by]
-            for key, _ in keys:
-                self._check_column(plan, key)
-            plan = SortNode(plan, keys)
+            plan = SortNode(plan, [
+                (self._column(plan, item.column.dotted), item.ascending)
+                for item in statement.order_by])
         if statement.limit is not None:
             plan = LimitNode(plan, statement.limit)
         if not projected and statement.items:
@@ -124,10 +124,11 @@ class Binder:
     def _orient(self, left: LogicalPlan, right: LogicalPlan, a: str, b: str,
                 what: str) -> tuple[str, str]:
         """Figure out which key belongs to which input."""
-        if self._resolves(left, a) and self._resolves(right, b):
-            return a, b
-        if self._resolves(left, b) and self._resolves(right, a):
-            return b, a
+        for first, second in ((a, b), (b, a)):
+            left_key = self._spelling(left, first)
+            right_key = self._spelling(right, second)
+            if left_key is not None and right_key is not None:
+                return left_key, right_key
         raise BindError(
             f"cannot resolve {what}: {a!r} / {b!r} against the join inputs"
         )
@@ -137,8 +138,7 @@ class Binder:
         if relational is not None:
             plan = FilterNode(plan, self._expr(relational, plan))
         for predicate in semantic:
-            column = predicate.column.dotted
-            self._check_column(plan, column)
+            column = self._column(plan, predicate.column.dotted)
             plan = SemanticFilterNode(
                 plan, column, predicate.probe,
                 predicate.model or self.default_model, predicate.threshold,
@@ -149,8 +149,7 @@ class Binder:
                   statement: ast.SelectStatement) -> tuple[LogicalPlan, bool]:
         if statement.semantic_group_by is not None:
             sgb = statement.semantic_group_by
-            column = sgb.column.dotted
-            self._check_column(plan, column)
+            column = self._column(plan, sgb.column.dotted)
             plan = SemanticGroupByNode(plan, column,
                                        sgb.model or self.default_model,
                                        sgb.threshold)
@@ -159,9 +158,7 @@ class Binder:
                                        statement.items), True
             return plan, False
         if statement.group_by or _has_aggregates(statement.items):
-            keys = [c.dotted for c in statement.group_by]
-            for key in keys:
-                self._check_column(plan, key)
+            keys = [self._column(plan, c.dotted) for c in statement.group_by]
             return self._aggregate(plan, keys, statement.items), True
         return plan, False
 
@@ -176,8 +173,9 @@ class Binder:
                 aggregates.append(self._agg_expr(expr, plan, item.alias,
                                                  index))
             elif isinstance(expr, ast.ColumnName):
-                resolved = self._check_column(plan, expr.dotted)
-                if resolved not in keys and expr.dotted not in keys:
+                spelling = self._column(plan, expr.dotted)
+                resolved = plan.schema.names[plan.schema.index_of(spelling)]
+                if resolved not in keys and spelling not in keys:
                     raise BindError(
                         f"column {expr.dotted!r} must appear in GROUP BY "
                         "or inside an aggregate"
@@ -220,8 +218,7 @@ class Binder:
     # ------------------------------------------------------------------
     def _expr(self, node: ast.SqlExpr, plan: LogicalPlan) -> Expr:
         if isinstance(node, ast.ColumnName):
-            self._check_column(plan, node.dotted)
-            return ColumnRef(node.dotted)
+            return ColumnRef(self._column(plan, node.dotted))
         if isinstance(node, ast.NumberLit):
             value = int(node.value) if node.is_integer else node.value
             return Literal(value)
@@ -262,20 +259,38 @@ class Binder:
             )
         raise BindError(f"cannot bind expression {node!r}")
 
-    def _check_column(self, plan: LogicalPlan, name: str) -> str:
-        try:
-            index = plan.schema.index_of(name)
-        except Exception as exc:
-            raise BindError(str(exc)) from exc
-        return plan.schema.names[index]
-
-    @staticmethod
-    def _resolves(plan: LogicalPlan, name: str) -> bool:
+    def _column(self, plan: LogicalPlan, name: str) -> str:
+        """How column ``name`` binds against ``plan``: as itself when
+        the schema resolves it, else ``t.c`` of a table ``t`` scanned
+        without an alias as ``t``'s own column ``c``."""
         try:
             plan.schema.index_of(name)
-            return True
-        except Exception:
-            return False
+            return name
+        except Exception as exc:
+            own = _own_column(plan, name)
+            if own is None:
+                raise BindError(str(exc)) from exc
+            return own
+
+    def _spelling(self, plan: LogicalPlan, name: str) -> str | None:
+        """:meth:`_column`, or ``None`` where it does not resolve."""
+        try:
+            return self._column(plan, name)
+        except BindError:
+            return None
+
+
+def _own_column(plan: LogicalPlan, name: str) -> str | None:
+    """``c`` for ``name`` = ``t.c`` when ``plan`` scans table ``t``
+    unaliased and ``c`` is ``t``'s own column (an unaliased scan's
+    columns keep their bare names, which a schema holds once)."""
+    table, _, column = name.rpartition(".")
+    for node in plan.walk():
+        if isinstance(node, ScanNode) and node.table_name == table \
+                and node.qualifier is None and column in node.base_schema \
+                and column in plan.schema:
+            return column
+    return None
 
 
 def _has_aggregates(items: list[ast.SelectItem]) -> bool:

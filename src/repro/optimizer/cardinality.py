@@ -25,20 +25,10 @@ from repro.relational.expressions import (
     Or,
 )
 from repro.relational.logical import (
-    AggregateNode,
-    FilterNode,
-    JoinNode,
-    JoinType,
-    LimitNode,
     LogicalPlan,
-    ProjectNode,
     ScanNode,
     SemanticFilterNode,
-    SemanticGroupByNode,
     SemanticJoinNode,
-    SemanticSemiFilterNode,
-    SortNode,
-    UnionNode,
 )
 from repro.storage.catalog import Catalog
 from repro.storage.statistics import Array, ColumnStats
@@ -127,65 +117,32 @@ class CardinalityEstimator:
     # ------------------------------------------------------------------
     def estimate(self, plan: LogicalPlan) -> float:
         """Estimated number of output rows of ``plan``."""
-        if isinstance(plan, ScanNode):
-            return float(self.catalog.stats(plan.table_name).row_count)
-        if isinstance(plan, FilterNode):
-            return self._estimate_filter_run(plan)
-        if isinstance(plan, (ProjectNode, SortNode, SemanticGroupByNode)):
-            return self.estimate(plan.children[0])
-        if isinstance(plan, LimitNode):
-            return min(self.estimate(plan.child), float(plan.count))
-        if isinstance(plan, UnionNode):
-            return sum(self.estimate(child) for child in plan.children)
-        if isinstance(plan, AggregateNode):
-            return self._estimate_aggregate(plan)
-        if isinstance(plan, JoinNode):
-            return self._estimate_join(plan)
-        if isinstance(plan, SemanticFilterNode):
-            child = self.estimate(plan.child)
-            return child * self.semantic_filter_selectivity(plan)
-        if isinstance(plan, SemanticJoinNode):
-            left = self.estimate(plan.left)
-            right = self.estimate(plan.right)
-            return max(left * right * self.semantic_join_selectivity(plan),
-                       0.0)
-        if isinstance(plan, SemanticSemiFilterNode):
-            # prune-only upper bound: the DIP probe filter passes at
-            # most its input, and the pass already gated on the build
-            # side being tiny — estimate as the child (exactly what the
-            # generic passthrough below yielded) until sampled probe
-            # selectivities prove worth modeling.
-            return self.estimate(plan.child)
-        return float(self.estimate(plan.children[0])) if plan.children else 1.0
+        return plan.estimate_rows(self)
 
     # ------------------------------------------------------------------
     # Relational selectivities
     # ------------------------------------------------------------------
-    def _estimate_filter_run(self, plan: FilterNode) -> float:
-        """Rows out of ``plan`` and the filters stacked beneath it.
+    def conjunction_rows(self, predicates: list[Expr],
+                         input_plan: LogicalPlan) -> float:
+        """Rows of ``input_plan`` passing every predicate of a filter
+        run (``predicates`` bottom filter first, as they apply).
 
-        The run down to the first non-filter child is one conjunction
-        (the executor evaluates it as one ``FilterOp``).  Numeric range
-        bounds on one resolved column fold into a single ``[max lo,
-        min hi]`` interval priced by one ``selectivity_range`` call —
-        PostgreSQL's ``clauselist_selectivity`` range pairing — instead
-        of multiplying as if independent.  Every other conjunct
-        multiplies in exactly as a filter-at-a-time estimate did, in
-        the same order, so a run with nothing to pair is unchanged.
+        The run is one conjunction.  Numeric range bounds on one
+        resolved column fold into a single ``[max lo, min hi]`` interval
+        priced by one ``selectivity_range`` call — PostgreSQL's
+        ``clauselist_selectivity`` range pairing — instead of
+        multiplying as if independent.  Every other conjunct multiplies
+        in exactly as a filter-at-a-time estimate did, in the same
+        order, so a run with nothing to pair is unchanged.
         """
-        predicates: list[Expr] = []
-        node: LogicalPlan = plan
-        while isinstance(node, FilterNode):
-            predicates.append(node.predicate)
-            node = node.child
-        rows = self.estimate(node)
+        rows = self.estimate(input_plan)
         if len(predicates) == 1 and not isinstance(predicates[0], And):
-            return rows * self.selectivity(predicates[0], node)  # no pair
-        predicates.reverse()  # bottom filter first, as they apply
+            return rows * self.selectivity(predicates[0], input_plan)
         factors = iter(self._paired_range_factors(
-            [c for p in predicates for c in _conjuncts(p)], node))
+            [c for p in predicates for c in _conjuncts(p)], input_plan))
         for predicate in predicates:
-            rows *= self._conjunction_selectivity(predicate, node, factors)
+            rows *= self._conjunction_selectivity(predicate, input_plan,
+                                                  factors)
         return rows
 
     def _conjunction_selectivity(self, predicate: Expr,
@@ -324,42 +281,6 @@ class CardinalityEstimator:
         return None
 
     # ------------------------------------------------------------------
-    # Joins / aggregates
-    # ------------------------------------------------------------------
-    def _estimate_join(self, plan: JoinNode) -> float:
-        left = self.estimate(plan.left)
-        right = self.estimate(plan.right)
-        if plan.join_type == JoinType.CROSS or not plan.left_keys:
-            base = left * right
-            if plan.extra_predicate is not None:
-                base *= DEFAULT_SELECTIVITY
-            return base
-        denominator = 1.0
-        for left_key, right_key in zip(plan.left_keys, plan.right_keys):
-            left_stats = self._stats_of_column(left_key, plan.left)
-            right_stats = self._stats_of_column(right_key, plan.right)
-            ndv_left = left_stats.distinct if left_stats else 0
-            ndv_right = right_stats.distinct if right_stats else 0
-            denominator *= max(ndv_left, ndv_right, 1)
-        size = left * right / denominator
-        if plan.join_type in (JoinType.SEMI, JoinType.ANTI):
-            matched = min(left, size)
-            return matched if plan.join_type == JoinType.SEMI else left - matched
-        if plan.join_type == JoinType.LEFT:
-            return max(size, left)
-        return size
-
-    def _estimate_aggregate(self, plan: AggregateNode) -> float:
-        child = self.estimate(plan.child)
-        if not plan.group_keys:
-            return 1.0
-        groups = 1.0
-        for key in plan.group_keys:
-            stats = self._stats_of_column(key, plan.child)
-            groups *= stats.distinct if stats and stats.distinct else 10.0
-        return min(child, groups)
-
-    # ------------------------------------------------------------------
     # Semantic selectivities (sampling-based)
     # ------------------------------------------------------------------
     def semantic_filter_selectivity(self, plan: SemanticFilterNode) -> float:
@@ -404,6 +325,12 @@ class CardinalityEstimator:
         if stats is not None and stats.distinct > 0:
             return float(stats.distinct)
         return default
+
+    def distinct_rows(self, column: str, plan: LogicalPlan,
+                      rows: float) -> float:
+        """Distinct values of ``column`` among ``rows`` rows of ``plan``:
+        its NDV capped at ``rows`` (``rows`` when unknown)."""
+        return min(rows, self.column_ndv(column, plan, default=rows))
 
     def _sample_column(self, column: str, plan: LogicalPlan) -> list[str]:
         """Sample raw values of ``column`` from the scan beneath ``plan``.

@@ -16,12 +16,22 @@ literal collection and rebinding, printing, masked fingerprints, the
 columns a node reads (``reads()``, which drives column pruning) and the
 tables and models a plan reads are all derived from that in
 :class:`LogicalPlan` — a new node type needs no arm in any of them.
+
+Behaviour is declared beside the node too: ``estimate_rows`` (output
+cardinality, over the estimator's statistics services), ``node_cost``
+(the node's own cost under a :class:`~repro.optimizer.cost.CostModel`)
+and ``lower`` (its physical operator).  ``CardinalityEstimator.estimate``,
+``CostModel.node_cost`` and ``build_physical`` only delegate here.
+Operators are imported inside ``lower``: relational code never
+imports the optimizer or semantic code at import time.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, ClassVar, Iterator, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterator, TypeVar
+
+import numpy as np
 
 from repro.errors import ExpressionError, PlanError
 from repro.relational.expressions import (
@@ -38,9 +48,16 @@ from repro.relational.expressions import (
     Not,
     Or,
 )
+from repro.relational.cost_units import Cost
 from repro.relational.fields import Fielded, LiteralFormat
+from repro.relational.udf import expression_udf_cost
 from repro.storage.schema import Field, Schema
 from repro.storage.types import DataType
+
+if TYPE_CHECKING:
+    from repro.optimizer.cardinality import CardinalityEstimator
+    from repro.optimizer.cost import CostModel
+    from repro.relational.physical import ExecutionContext, PhysicalOperator
 
 
 def infer_dtype(expr: Expr, schema: Schema) -> DataType:
@@ -174,6 +191,27 @@ class LogicalPlan(Fielded):
             lines.append(child.pretty(indent + 1))
         return "\n".join(lines)
 
+    # -- behaviour: estimate, cost, lowering -------------------------------
+    def estimate_rows(self, est: CardinalityEstimator) -> float:
+        """Estimated output rows.  The default passes the first child's
+        estimate through (1.0 for a leaf)."""
+        return float(est.estimate(self.children[0])) if self.children else 1.0
+
+    def node_cost(self, model: CostModel) -> Cost:
+        """Cost of this node alone, given its inputs' estimated rows."""
+        raise PlanError(f"no cost model for plan node {type(self).__name__}")
+
+    def lower(self, context: ExecutionContext, limit: int | None = None,
+              stream: bool = False) -> PhysicalOperator:
+        """This node's physical operator, its children lowered beneath.
+
+        ``limit`` says only that many leading rows are read (the parent
+        is a limit; a sort there emits only those); ``stream`` says a
+        limit sits above through filters and projections only, so a scan
+        there streams batches the limit can stop early on.
+        """
+        raise PlanError(f"no physical lowering for {type(self).__name__}")
+
 
 class ScanNode(LogicalPlan):
     """Scan a catalog table, optionally qualifying its column names."""
@@ -197,6 +235,20 @@ class ScanNode(LogicalPlan):
         alias = f" AS {self.qualifier}" if self.qualifier else ""
         return f"Scan({self.table_name}{alias})"
 
+    def estimate_rows(self, est: CardinalityEstimator) -> float:
+        return float(est.catalog.stats(self.table_name).row_count)
+
+    def node_cost(self, model: CostModel) -> Cost:
+        return Cost(cpu=model.estimator.estimate(self) * model.params.scan_row)
+
+    def lower(self, context: ExecutionContext, limit: int | None = None,
+              stream: bool = False) -> PhysicalOperator:
+        from repro.relational.physical import ScanOp
+
+        table = context.catalog.get(self.table_name)
+        return ScanOp(table, context.batch_size if stream else None,
+                      self.qualifier)
+
 
 class FilterNode(LogicalPlan):
     """Row filter by a boolean expression."""
@@ -216,6 +268,36 @@ class FilterNode(LogicalPlan):
 
     def render(self, lit: LiteralFormat = repr) -> str:
         return f"Filter[{self.predicate.render(lit)}]"
+
+    def estimate_rows(self, est: CardinalityEstimator) -> float:
+        """The run of filters down to the first non-filter child is one
+        conjunction, as the executor evaluates it as one ``FilterOp``."""
+        run = filter_run(self)
+        return est.conjunction_rows([node.predicate for node in reversed(run)],
+                                    run[-1].child)
+
+    def node_cost(self, model: CostModel) -> Cost:
+        rows = model.estimator.estimate(self.child)
+        per_row = model.params.predicate_row + expression_udf_cost(
+            self.predicate)
+        return Cost(cpu=rows * per_row)
+
+    def lower(self, context: ExecutionContext, limit: int | None = None,
+              stream: bool = False) -> PhysicalOperator:
+        from repro.relational.physical import FilterOp
+
+        run = filter_run(self)
+        return FilterOp(run[-1].child.lower(context, stream=stream),
+                        [node.predicate for node in reversed(run)])
+
+
+def filter_run(plan: FilterNode) -> list[FilterNode]:
+    """The consecutive filters from ``plan`` down, outermost first: what
+    one ``FilterOp`` runs and one conjunction estimates."""
+    run = [plan]
+    while isinstance(run[-1].child, FilterNode):
+        run.append(run[-1].child)
+    return run
 
 
 class ProjectNode(LogicalPlan):
@@ -241,6 +323,20 @@ class ProjectNode(LogicalPlan):
     def render(self, lit: LiteralFormat = repr) -> str:
         inner = ", ".join(f"{e.render(lit)} AS {a}" for e, a in self.exprs)
         return f"Project[{inner}]"
+
+    def node_cost(self, model: CostModel) -> Cost:
+        rows = model.estimator.estimate(self.child)
+        per_row = (model.params.project_row * max(len(self.exprs), 1)
+                   + sum(expression_udf_cost(e) for e, _ in self.exprs))
+        return Cost(cpu=rows * per_row)
+
+    def lower(self, context: ExecutionContext, limit: int | None = None,
+              stream: bool = False) -> PhysicalOperator:
+        from repro.relational.physical import ProjectOp
+
+        # row for row: the limit holds
+        return ProjectOp(self.child.lower(context, limit, stream),
+                         self.exprs, self.schema)
 
 
 class JoinNode(LogicalPlan):
@@ -268,6 +364,10 @@ class JoinNode(LogicalPlan):
     def _validate(self) -> None:
         if len(self.left_keys) != len(self.right_keys):
             raise PlanError("join key lists must have equal length")
+        if not self.left_keys and self.join_type not in (JoinType.INNER,
+                                                         JoinType.CROSS):
+            raise PlanError(f"a {self.join_type.value} join needs "
+                            f"equi-join keys")
 
     @property
     def left(self) -> LogicalPlan:
@@ -288,6 +388,51 @@ class JoinNode(LogicalPlan):
         extra = (f" AND {self.extra_predicate.render(lit)}"
                  if self.extra_predicate else "")
         return f"Join[{self.join_type.value}: {keys}{extra}]"
+
+    def estimate_rows(self, est: CardinalityEstimator) -> float:
+        """NDV-based equi-join size (System R)."""
+        left = est.estimate(self.left)
+        right = est.estimate(self.right)
+        if self.join_type == JoinType.CROSS or not self.left_keys:
+            from repro.optimizer.cardinality import DEFAULT_SELECTIVITY
+
+            base = left * right
+            if self.extra_predicate is not None:
+                base *= DEFAULT_SELECTIVITY
+            return base
+        denominator = 1.0
+        for left_key, right_key in zip(self.left_keys, self.right_keys):
+            denominator *= max(est.column_ndv(left_key, self.left, 0.0),
+                               est.column_ndv(right_key, self.right, 0.0), 1)
+        size = left * right / denominator
+        if self.join_type in (JoinType.SEMI, JoinType.ANTI):
+            matched = min(left, size)
+            return matched if self.join_type == JoinType.SEMI \
+                else left - matched
+        if self.join_type == JoinType.LEFT:
+            return max(size, left)
+        return size
+
+    def node_cost(self, model: CostModel) -> Cost:
+        left = model.estimator.estimate(self.left)
+        right = model.estimator.estimate(self.right)
+        if self.left_keys:
+            return Cost(cpu=right * model.params.hash_build_row
+                        + left * model.params.hash_probe_row)
+        return Cost(cpu=left * right * model.params.nested_loop_pair)
+
+    def lower(self, context: ExecutionContext, limit: int | None = None,
+              stream: bool = False) -> PhysicalOperator:
+        from repro.relational.physical import HashJoinOp, NestedLoopJoinOp
+
+        left = self.left.lower(context)
+        right = self.right.lower(context)
+        if self.left_keys:
+            return HashJoinOp(left, right, self.left_keys, self.right_keys,
+                              self.join_type, self.extra_predicate,
+                              self.schema)
+        return NestedLoopJoinOp(left, right, self.extra_predicate,
+                                self.schema, context.batch_size)
 
 
 class AggregateNode(LogicalPlan):
@@ -324,6 +469,28 @@ class AggregateNode(LogicalPlan):
         aggs = ", ".join(agg.render(lit) for agg in self.aggregates)
         return f"Aggregate[keys={self.group_keys}; {aggs}]"
 
+    def estimate_rows(self, est: CardinalityEstimator) -> float:
+        """At most the child's rows; the product of the keys' NDVs (10
+        per key without statistics)."""
+        child = est.estimate(self.child)
+        if not self.group_keys:
+            return 1.0
+        groups = 1.0
+        for key in self.group_keys:
+            groups *= est.column_ndv(key, self.child, 10.0)
+        return min(child, groups)
+
+    def node_cost(self, model: CostModel) -> Cost:
+        rows = model.estimator.estimate(self.child)
+        return Cost(cpu=rows * model.params.aggregate_row)
+
+    def lower(self, context: ExecutionContext, limit: int | None = None,
+              stream: bool = False) -> PhysicalOperator:
+        from repro.relational.physical import AggregateOp
+
+        return AggregateOp(self.child.lower(context), self.group_keys,
+                           self.aggregates, self.schema)
+
 
 class SortNode(LogicalPlan):
     """Stable multi-key sort; keys are (column, ascending)."""
@@ -345,6 +512,17 @@ class SortNode(LogicalPlan):
     def render(self, lit: LiteralFormat = repr) -> str:
         keys = ", ".join(f"{k}{'' if asc else ' DESC'}" for k, asc in self.keys)
         return f"Sort[{keys}]"
+
+    def node_cost(self, model: CostModel) -> Cost:
+        rows = max(model.estimator.estimate(self.child), 1.0)
+        return Cost(cpu=rows * float(np.log2(rows + 1))
+                    * model.params.sort_row_log)
+
+    def lower(self, context: ExecutionContext, limit: int | None = None,
+              stream: bool = False) -> PhysicalOperator:
+        from repro.relational.physical import SortOp
+
+        return SortOp(self.child.lower(context), self.keys, limit)
 
 
 class LimitNode(LogicalPlan):
@@ -368,6 +546,19 @@ class LimitNode(LogicalPlan):
     def render(self, lit: LiteralFormat = repr) -> str:
         return f"Limit[{lit(self.count)}]"
 
+    def estimate_rows(self, est: CardinalityEstimator) -> float:
+        return min(est.estimate(self.child), float(self.count))
+
+    def node_cost(self, model: CostModel) -> Cost:
+        return Cost(cpu=float(self.count))
+
+    def lower(self, context: ExecutionContext, limit: int | None = None,
+              stream: bool = False) -> PhysicalOperator:
+        from repro.relational.physical import LimitOp
+
+        return LimitOp(self.child.lower(context, self.count, stream=True),
+                       self.count)
+
 
 class UnionNode(LogicalPlan):
     """UNION ALL of same-schema inputs."""
@@ -388,6 +579,18 @@ class UnionNode(LogicalPlan):
 
     def render(self, lit: LiteralFormat = repr) -> str:
         return f"UnionAll[{len(self.children)}]"
+
+    def estimate_rows(self, est: CardinalityEstimator) -> float:
+        return sum(est.estimate(child) for child in self.children)
+
+    def node_cost(self, model: CostModel) -> Cost:
+        return Cost(cpu=model.estimator.estimate(self))
+
+    def lower(self, context: ExecutionContext, limit: int | None = None,
+              stream: bool = False) -> PhysicalOperator:
+        from repro.relational.physical import UnionOp
+
+        return UnionOp(tuple(child.lower(context) for child in self.children))
 
 
 def _check_threshold(threshold: float) -> None:
@@ -450,6 +653,27 @@ class SemanticFilterNode(LogicalPlan):
         return (f"SemanticFilter[{self.column} {op} {lit(self.probe)} "
                 f"model={self.model_name} >= {lit(self.threshold)}]")
 
+    def estimate_rows(self, est: CardinalityEstimator) -> float:
+        return est.estimate(self.child) * est.semantic_filter_selectivity(self)
+
+    def node_cost(self, model: CostModel) -> Cost:
+        """Every row is tested; each distinct value embeds once."""
+        rows = model.estimator.estimate(self.child)
+        unique = model.estimator.distinct_rows(self.column, self.child, rows)
+        return Cost(cpu=rows * model.params.predicate_row,
+                    model=unique * model.params.embed_token)
+
+    def lower(self, context: ExecutionContext, limit: int | None = None,
+              stream: bool = False) -> PhysicalOperator:
+        from repro.semantic.lowering import cache_for
+        from repro.semantic.operators import SemanticFilterOp
+
+        child = self.child.lower(context)
+        return SemanticFilterOp(child, self.column, self.probe,
+                                cache_for(context, self.model_name),
+                                self.threshold, self.score_alias,
+                                self.schema, mode=self.mode)
+
 
 class SemanticSemiFilterNode(LogicalPlan):
     """Disjunctive semantic filter: keep rows whose ``column`` matches ANY
@@ -460,6 +684,11 @@ class SemanticSemiFilterNode(LogicalPlan):
     derived predicate pushed into the probe side.  Its probes and
     threshold are literal-*derived*, not literal slots, so it declares
     none.
+
+    It estimates as its child (the inherited default): the probe filter
+    is prune-only, passes at most its input, and the pass already gated
+    on the build side being tiny — sampled probe selectivities are not
+    modelled until they prove worth it.
     """
 
     fields = ("column", "probes", "model_name", "threshold")
@@ -491,6 +720,27 @@ class SemanticSemiFilterNode(LogicalPlan):
         suffix = ", ..." if len(self.probes) > 3 else ""
         return (f"SemanticSemiFilter[{self.column} ~ any({shown}{suffix}) "
                 f"model={self.model_name} >= {self.threshold}]")
+
+    def node_cost(self, model: CostModel) -> Cost:
+        """The column's distinct values embed once, then score against
+        each probe vector; the mask applies per input row."""
+        params = model.params
+        rows = model.estimator.estimate(self.child)
+        unique = model.estimator.distinct_rows(self.column, self.child, rows)
+        pairs = unique * max(len(self.probes), 1)
+        return Cost(cpu=rows * params.predicate_row
+                    + pairs * params.dim * params.pair_vector_dim,
+                    model=unique * params.embed_token)
+
+    def lower(self, context: ExecutionContext, limit: int | None = None,
+              stream: bool = False) -> PhysicalOperator:
+        from repro.semantic.lowering import cache_for
+        from repro.semantic.operators import SemanticSemiFilterOp
+
+        child = self.child.lower(context)
+        return SemanticSemiFilterOp(child, self.column, self.probes,
+                                    cache_for(context, self.model_name),
+                                    self.threshold, self.schema)
 
 
 class SemanticJoinNode(LogicalPlan):
@@ -556,6 +806,41 @@ class SemanticJoinNode(LogicalPlan):
         return (f"SemanticJoin[{self.left_column} ~ {self.right_column} "
                 f"model={self.model_name} >= {lit(self.threshold)}{mode}]")
 
+    def estimate_rows(self, est: CardinalityEstimator) -> float:
+        left = est.estimate(self.left)
+        right = est.estimate(self.right)
+        return max(left * right * est.semantic_join_selectivity(self), 0.0)
+
+    def node_cost(self, model: CostModel) -> Cost:
+        """Embed both distinct key sets, score every distinct pair
+        through the blocked GEMM, expand matches."""
+        params, est = model.params, model.estimator
+        left_rows = est.estimate(self.left)
+        right_rows = est.estimate(self.right)
+        unique_left = est.distinct_rows(self.left_column, self.left,
+                                        left_rows)
+        unique_right = est.distinct_rows(self.right_column, self.right,
+                                         right_rows)
+        pairs = max(unique_left * unique_right, 1.0)
+        # expansion of unique matches back to row pairs
+        output = est.estimate(self)
+        return Cost(cpu=pairs * params.dim * params.pair_vector_dim
+                    + output * 0.5,
+                    model=(unique_left + unique_right) * params.embed_token)
+
+    def lower(self, context: ExecutionContext, limit: int | None = None,
+              stream: bool = False) -> PhysicalOperator:
+        from repro.semantic.lowering import cache_for
+        from repro.semantic.operators import SemanticJoinOp
+
+        left = self.left.lower(context)
+        right = self.right.lower(context)
+        return SemanticJoinOp(left, right, self.left_column,
+                              self.right_column,
+                              cache_for(context, self.model_name),
+                              self.threshold, self.score_alias, self.schema,
+                              top_k=self.top_k, aux_alias=self.aux_alias)
+
 
 class SemanticGroupByNode(LogicalPlan):
     """Semantic GroupBy: on-the-fly clustering of ``column`` by context
@@ -594,3 +879,24 @@ class SemanticGroupByNode(LogicalPlan):
     def render(self, lit: LiteralFormat = repr) -> str:
         return (f"SemanticGroupBy[{self.column} model={self.model_name} "
                 f">= {lit(self.threshold)}]")
+
+    def node_cost(self, model: CostModel) -> Cost:
+        """Each distinct value embeds once and scores against the
+        leaders found so far (far fewer than the distinct values)."""
+        params = model.params
+        rows = model.estimator.estimate(self.child)
+        unique = model.estimator.distinct_rows(self.column, self.child, rows)
+        pairs = unique * np.sqrt(max(unique, 1.0))
+        return Cost(cpu=pairs * params.dim * params.pair_vector_dim,
+                    model=unique * params.embed_token)
+
+    def lower(self, context: ExecutionContext, limit: int | None = None,
+              stream: bool = False) -> PhysicalOperator:
+        from repro.semantic.lowering import cache_for
+        from repro.semantic.operators import SemanticGroupByOp
+
+        child = self.child.lower(context)
+        return SemanticGroupByOp(child, self.column,
+                                 cache_for(context, self.model_name),
+                                 self.threshold, self.cluster_alias,
+                                 self.representative_alias, self.schema)

@@ -1,6 +1,7 @@
 """Physical operators: vectorized volcano over column batches.
 
-``build_physical`` lowers a logical plan to a physical operator tree.
+``build_physical`` lowers a logical plan to a physical operator tree
+(each node declares its own lowering: ``LogicalPlan.lower``).
 Every operator records simple metrics (output rows, wall time) that the
 profiler and the benchmarks read back.
 
@@ -21,22 +22,7 @@ import numpy as np
 from repro.errors import ExecutionError, PlanError
 from repro.relational.expressions import AggExpr, AggFunc, Array, Expr
 from repro.relational.keys import KeyIndex
-from repro.relational.logical import (
-    AggregateNode,
-    FilterNode,
-    JoinNode,
-    JoinType,
-    LimitNode,
-    LogicalPlan,
-    ProjectNode,
-    ScanNode,
-    SemanticFilterNode,
-    SemanticGroupByNode,
-    SemanticJoinNode,
-    SemanticSemiFilterNode,
-    SortNode,
-    UnionNode,
-)
+from repro.relational.logical import JoinType, LogicalPlan
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Schema
 from repro.storage.table import Table
@@ -283,19 +269,15 @@ class HashJoinOp(PhysicalOperator):
 
 class NestedLoopJoinOp(PhysicalOperator):
     """Cross/theta join: materializes the right side, streams the left
-    in slices of ``batch_size`` rows (pairs grow with the right side)."""
+    in slices of ``batch_size`` rows (pairs grow with the right side).
+    A keyless join is inner or cross (``JoinNode`` rejects the rest)."""
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator,
-                 predicate: Expr | None, join_type: JoinType, schema: Schema,
+                 predicate: Expr | None, schema: Schema,
                  batch_size: int = DEFAULT_BATCH_SIZE) -> None:
         super().__init__(schema, (left, right))
         self.predicate = predicate
-        self.join_type = join_type
         self.batch_size = batch_size
-        if join_type not in (JoinType.INNER, JoinType.CROSS):
-            raise PlanError(
-                f"NestedLoopJoinOp supports inner/cross, got {join_type}"
-            )
 
     def _batches(self) -> Iterator[Table]:
         right = self.children[1].execute()
@@ -420,61 +402,10 @@ def _null_fill(dtype: DataType, n: int) -> Array:
 def build_physical(plan: LogicalPlan, context: ExecutionContext,
                    limit: int | None = None,
                    stream: bool = False) -> PhysicalOperator:
-    """Lower a logical plan to a physical operator tree.
-
-    ``limit`` says only that many leading rows of ``plan`` are read (its
-    parent is a limit); a sort there emits only those.  ``stream`` says
-    a limit sits above ``plan`` through filters and projections only, so
-    a scan there streams batches the limit can stop early on.
-    """
-    if isinstance(plan, ScanNode):
-        table = context.catalog.get(plan.table_name)
-        return ScanOp(table, context.batch_size if stream else None,
-                      plan.qualifier)
-    if isinstance(plan, FilterNode):
-        run = filter_run(plan)
-        return FilterOp(build_physical(run[-1].child, context, stream=stream),
-                        [node.predicate for node in reversed(run)])
-    if isinstance(plan, ProjectNode):     # row for row: the limit holds
-        return ProjectOp(build_physical(plan.child, context, limit, stream),
-                         plan.exprs, plan.schema)
-    if isinstance(plan, LimitNode):
-        return LimitOp(build_physical(plan.child, context, plan.count,
-                                      stream=True), plan.count)
-    if isinstance(plan, SortNode):
-        return SortOp(build_physical(plan.child, context), plan.keys, limit)
-    if isinstance(plan, UnionNode):
-        children = tuple(build_physical(c, context) for c in plan.children)
-        return UnionOp(children)
-    if isinstance(plan, JoinNode):
-        left = build_physical(plan.left, context)
-        right = build_physical(plan.right, context)
-        if plan.left_keys:
-            return HashJoinOp(left, right, plan.left_keys, plan.right_keys,
-                              plan.join_type, plan.extra_predicate,
-                              plan.schema)
-        return NestedLoopJoinOp(left, right, plan.extra_predicate,
-                                plan.join_type if plan.extra_predicate is None
-                                else JoinType.INNER, plan.schema,
-                                context.batch_size)
-    if isinstance(plan, AggregateNode):
-        return AggregateOp(build_physical(plan.child, context),
-                           plan.group_keys, plan.aggregates, plan.schema)
-    if isinstance(plan, (SemanticFilterNode, SemanticJoinNode,
-                         SemanticGroupByNode, SemanticSemiFilterNode)):
-        from repro.semantic.lowering import build_semantic_physical
-
-        return build_semantic_physical(plan, context, build_physical)
-    raise PlanError(f"no physical lowering for {type(plan).__name__}")
-
-
-def filter_run(plan: FilterNode) -> list[FilterNode]:
-    """The consecutive filters from ``plan`` down, outermost first: what
-    one :class:`FilterOp` runs."""
-    run = [plan]
-    while isinstance(run[-1].child, FilterNode):
-        run.append(run[-1].child)
-    return run
+    """Lower a logical plan to a physical operator tree (each node's
+    ``LogicalPlan.lower``, which says what ``limit`` and ``stream``
+    mean)."""
+    return plan.lower(context, limit, stream)
 
 
 def execute_plan(plan: LogicalPlan, context: ExecutionContext) -> Table:

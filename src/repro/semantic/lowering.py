@@ -1,28 +1,16 @@
-"""Lowering of semantic logical nodes to physical operators.
+"""Per-model embedding caches for semantic operators.
 
-Kept in its own module so :mod:`repro.relational.physical` can import it
-lazily (relational never depends on semantic at import time).
+The semantic plan nodes lower themselves (``LogicalPlan.lower``) and
+import this module lazily, so :mod:`repro.relational` never depends on
+semantic code at import time.
 """
 
 from __future__ import annotations
 
 import threading
 
-from repro.relational.logical import (
-    LogicalPlan,
-    SemanticFilterNode,
-    SemanticGroupByNode,
-    SemanticJoinNode,
-    SemanticSemiFilterNode,
-)
-from repro.relational.physical import ExecutionContext, PhysicalOperator
+from repro.relational.physical import ExecutionContext
 from repro.semantic.cache import EmbeddingCache
-from repro.semantic.operators import (
-    SemanticFilterOp,
-    SemanticGroupByOp,
-    SemanticJoinOp,
-    SemanticSemiFilterOp,
-)
 
 #: Guards first-use creation of per-model caches.  The cache dict may be
 #: shared by every client session of an :class:`~repro.server.EngineServer`,
@@ -54,34 +42,3 @@ def cache_for(context: ExecutionContext, model_name: str) -> EmbeddingCache:
         if created and context.metrics_registry is not None:
             cache.register_metrics(context.metrics_registry)
     return cache
-
-
-def build_semantic_physical(plan: LogicalPlan, context: ExecutionContext,
-                            recurse) -> PhysicalOperator:
-    """Lower one semantic node (children lowered via ``recurse``)."""
-    if isinstance(plan, SemanticFilterNode):
-        child = recurse(plan.child, context)
-        cache = cache_for(context, plan.model_name)
-        return SemanticFilterOp(child, plan.column, plan.probe, cache,
-                                plan.threshold, plan.score_alias,
-                                plan.schema, mode=plan.mode)
-    if isinstance(plan, SemanticJoinNode):
-        left = recurse(plan.left, context)
-        right = recurse(plan.right, context)
-        cache = cache_for(context, plan.model_name)
-        return SemanticJoinOp(left, right, plan.left_column,
-                              plan.right_column, cache, plan.threshold,
-                              plan.score_alias, plan.schema,
-                              top_k=plan.top_k, aux_alias=plan.aux_alias)
-    if isinstance(plan, SemanticGroupByNode):
-        child = recurse(plan.child, context)
-        cache = cache_for(context, plan.model_name)
-        return SemanticGroupByOp(child, plan.column, cache, plan.threshold,
-                                 plan.cluster_alias,
-                                 plan.representative_alias, plan.schema)
-    if isinstance(plan, SemanticSemiFilterNode):
-        child = recurse(plan.child, context)
-        cache = cache_for(context, plan.model_name)
-        return SemanticSemiFilterOp(child, plan.column, plan.probes, cache,
-                                    plan.threshold, plan.schema)
-    raise TypeError(f"not a semantic node: {type(plan).__name__}")

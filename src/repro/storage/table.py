@@ -216,13 +216,12 @@ class Table:
     # ------------------------------------------------------------------
     @property
     def num_rows(self) -> int:
-        if not self.schema.names:
-            return 0
-        return int(self.columns[self.schema.names[0]].shape[0])
+        fields = self.schema.fields
+        return int(self.columns[fields[0].name].shape[0]) if fields else 0
 
     def column(self, name: str) -> np.ndarray:
         index = self.schema.index_of(name)
-        return self.columns[self.schema.names[index]]
+        return self.columns[self.schema.fields[index].name]
 
     def non_null_positions(self, name: str) -> np.ndarray:
         """Row positions of column ``name`` whose value is not ``None``.

@@ -36,12 +36,12 @@ from repro.relational.logical import (
     LogicalPlan,
     ProjectNode,
     ScanNode,
+    filter_run,
 )
 from repro.relational.physical import (
     ExecutionContext,
     FilterOp,
     build_physical,
-    filter_run,
 )
 from repro.storage.catalog import Catalog
 from repro.storage.schema import Field, Schema

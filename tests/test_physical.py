@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import PlanError
 from repro.relational.expressions import AggExpr, AggFunc, col
 from repro.relational.logical import (
     AggregateNode,
@@ -196,6 +197,40 @@ class TestNestedLoopJoin:
                         extra_predicate=col("p.ptype") == col("k.label"))
         result = execute_plan(plan, context)
         assert result.num_rows == 0  # no exact label matches (the point!)
+
+    @pytest.mark.parametrize("join_type", [
+        JoinType.LEFT, JoinType.SEMI, JoinType.ANTI])
+    def test_keyless_join_must_be_inner_or_cross(self, catalog, join_type):
+        # nested loops only pair rows: a keyless LEFT used to run as
+        # INNER (dropping the unmatched row 3) and SEMI / ANTI crashed
+        # on the right side's columns, so such a node is not a plan
+        left = Table.from_dict({"id": [1, 2, 3], "a": [1, 2, 9]})
+        right = Table.from_dict({"x": [5, 6]})
+        catalog.register("l", left)
+        catalog.register("r", right)
+        scan_l = ScanNode("l", left.schema)
+        scan_r = ScanNode("r", right.schema)
+        with pytest.raises(PlanError, match=f"{join_type.value} join"):
+            JoinNode(scan_l, scan_r, join_type,
+                     extra_predicate=col("a") < col("x"))
+        with pytest.raises(PlanError):
+            JoinNode(scan_l, scan_r, join_type)
+        keyed = JoinNode(scan_l, scan_r, join_type, ["a"], ["x"])
+        with pytest.raises(PlanError):          # clones re-validate
+            keyed.with_children(keyed.children, left_keys=[],
+                                right_keys=[])
+
+    def test_keyless_inner_theta_join_pairs_matches(self, context, catalog):
+        left = Table.from_dict({"id": [1, 2, 3], "a": [1, 2, 9]})
+        right = Table.from_dict({"x": [5, 6]})
+        catalog.register("l", left)
+        catalog.register("r", right)
+        plan = JoinNode(ScanNode("l", left.schema),
+                        ScanNode("r", right.schema), JoinType.INNER,
+                        extra_predicate=col("a") < col("x"))
+        result = execute_plan(plan, context)
+        assert result.column("id").tolist() == [1, 1, 2, 2]
+        assert result.column("x").tolist() == [5, 6, 5, 6]
 
 
 class TestAggregate:

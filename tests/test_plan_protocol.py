@@ -3,10 +3,13 @@
 Three angles:
 
 - **add a node** — a toy plan node and a toy expression defined *here*,
-  with field declarations only, clone, print, fingerprint (masked),
-  collect/rebind literals, report tables/models, EXPLAIN and have the
-  columns below them pruned with no edit under ``src/``, while delta
-  maintenance and reuse refuse the toy node;
+  with field declarations and the node's three behaviour methods
+  (``estimate_rows`` / ``node_cost`` / ``lower``) only, clone, print,
+  fingerprint (masked), collect/rebind literals, report tables/models,
+  EXPLAIN (ANALYZE: it runs) and have the columns below them pruned
+  with no edit under ``src/``, while delta maintenance and reuse refuse
+  the toy node; every plan node under ``src/`` declares its cost and
+  lowering;
 - **rebinding is the identity on its own sites** (hypothesis, reusing
   the plan strategy of ``test_rewrite_equivalence``), and fresh values
   change the printed plan but never the masked fingerprint;
@@ -17,7 +20,10 @@ Three angles:
 
 from __future__ import annotations
 
+import importlib
 import json
+import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,11 +33,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.analysis import engine_config
 from repro.engine.explain import explain_plan
 from repro.engine.session import Session
 from repro.errors import PlanError
 from repro.ingest.delta import DeltaRefused, classify_plan
 from repro.optimizer.cardinality import CardinalityEstimator
+from repro.optimizer.cost import Cost
 from repro.optimizer.optimizer import Optimizer, OptimizerConfig
 from repro.optimizer.parameterize import (
     ParameterizeError,
@@ -48,6 +56,7 @@ from repro.relational.logical import (
     ProjectNode,
     ScanNode,
 )
+from repro.relational.physical import PhysicalOperator
 from repro.reuse.analysis import analyze_and_augment
 from test_rewrite_equivalence import SETTINGS, plans
 
@@ -70,6 +79,22 @@ class Clamp(Expr):
 
     def evaluate(self, batch):
         return np.clip(self.operand.evaluate(batch), self.low, self.high)
+
+
+class SampleOp(PhysicalOperator):
+    """Toy operator: the leading ``fraction`` (rounded up) of each
+    batch's rows that ``keep`` accepts."""
+
+    def __init__(self, child, keep, fraction, schema):
+        super().__init__(schema, (child,))
+        self.keep = keep
+        self.fraction = fraction
+
+    def _batches(self):
+        for batch in self.children[0].batches():
+            kept = batch.filter(self.keep.evaluate(batch))
+            yield kept.take(np.arange(math.ceil(
+                kept.num_rows * self.fraction)))
 
 
 class SampleNode(LogicalPlan):
@@ -95,6 +120,17 @@ class SampleNode(LogicalPlan):
 
     def _compute_schema(self):
         return self.children[0].schema
+
+    def estimate_rows(self, est):
+        return est.estimate(self.children[0]) * self.fraction
+
+    def node_cost(self, model):
+        rows = model.estimator.estimate(self.children[0])
+        return Cost(cpu=rows * model.params.predicate_row)
+
+    def lower(self, context, limit=None, stream=False):
+        return SampleOp(self.children[0].lower(context), self.keep,
+                        self.fraction, self.schema)
 
 
 @pytest.fixture()
@@ -198,11 +234,63 @@ class TestAddANode:
         assert not spec.eligible and augmented is toy_plan
         assert spec.reason == "SampleNode is not subsumption-eligible"
 
+    def test_estimated_costed_and_run_under_explain_analyze(
+            self, toy_plan, model, products_table):
+        session = Session(load_default_model=False)
+        session.register_model(model, default=True)
+        session.register_table("products", products_table)
+        assert "SampleNode[" in session.explain(toy_plan)
+        text = session.explain_analyze(toy_plan)
+        # 4 of the 6 prices pass keep; a quarter of them, rounded up, is 1
+        sample = next(line for line in text.splitlines()
+                      if "SampleNode[" in line)
+        assert re.search(r"\[est~2 rows, actual 1 rows, ", sample), text
+        assert session.execute(toy_plan).column("p.pid").tolist() == [1]
+
     def test_misdeclared_field_is_rejected_at_class_definition(self):
         with pytest.raises(TypeError, match="count"):
             class Broken(LogicalPlan):
                 fields = ("limit",)
                 literal_fields = ("count",)
+
+
+def missing_behaviour(classes) -> list[str]:
+    """``Class.method`` for each of ``node_cost`` / ``lower`` a plan
+    node class inherits from :class:`LogicalPlan` (whose versions
+    raise) instead of declaring."""
+    return [f"{cls.__name__}.{method}" for cls in classes
+            for method in ("node_cost", "lower")
+            if getattr(cls, method) is getattr(LogicalPlan, method)]
+
+
+def test_every_plan_node_declares_cost_and_lowering():
+    """Every ``LogicalPlan`` subclass defined under ``repro`` (found in
+    the source, as the static analysis finds them) costs and lowers
+    itself; ``estimate_rows`` has a declared default (the first
+    child's rows)."""
+    package = engine_config().package
+    classes = []
+    for fq in package.subclasses(
+            "repro.relational.logical.LogicalPlan").values():
+        module = package.class_module[fq].name
+        target = importlib.import_module(module)
+        for part in fq[len(module) + 1:].split("."):
+            target = getattr(target, part)
+        classes.append(target)
+    assert len(classes) >= 12
+    assert missing_behaviour(classes) == []
+
+
+def test_missing_behaviour_names_each_pair():
+    class Bare(LogicalPlan):
+        pass
+
+    class HalfDone(LogicalPlan):
+        def node_cost(self, model):
+            return Cost()
+
+    assert missing_behaviour([Bare, HalfDone, SampleNode]) == [
+        "Bare.node_cost", "Bare.lower", "HalfDone.lower"]
 
 
 # ----------------------------------------------------------------------

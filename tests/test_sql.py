@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.session import Session
 from repro.engine.sql import ast
 from repro.engine.sql.binder import Binder
 from repro.engine.sql.lexer import Lexer, TokenType
@@ -254,3 +255,64 @@ class TestBinder:
         binder = Binder(catalog, "m")
         plan = binder.bind(parse_sql("SELECT * FROM products"))
         assert not isinstance(plan, ProjectNode)
+
+    def test_unaliased_table_name_qualifies_its_columns(self, catalog):
+        binder = Binder(catalog, "m")
+        plan = binder.bind(parse_sql(
+            "SELECT products.pid FROM products WHERE products.price > 10 "
+            "ORDER BY products.price DESC"))
+        assert plan.pretty() == (
+            "Project[col(pid) AS products.pid]\n"
+            "  Sort[price DESC]\n"
+            "    Filter[(col(price) > lit(10))]\n"
+            "      Scan(products)")
+        grouped = binder.bind(parse_sql(
+            "SELECT products.brand, COUNT(*) AS n FROM products "
+            "GROUP BY products.brand ORDER BY products.brand"))
+        assert grouped.keys == [("brand", True)]
+        assert grouped.child.group_keys == ["brand"]
+        semantic = binder.bind(parse_sql(
+            "SELECT * FROM products WHERE products.ptype ~ 'clothes' "
+            "SEMANTIC GROUP BY products.brand THRESHOLD 0.8"))
+        assert semantic.column == "brand"
+        assert semantic.child.column == "ptype"
+
+    def test_table_name_qualifies_join_keys(self, catalog):
+        binder = Binder(catalog, "m")
+        plan = binder.bind(parse_sql(
+            "SELECT products.pid, kb.category FROM products JOIN kb "
+            "ON kb.label = products.ptype"))
+        assert plan.child.left_keys == ["ptype"]
+        assert plan.child.right_keys == ["label"]
+        assert plan.schema.names == ["products.pid", "kb.category"]
+        semantic = binder.bind(parse_sql(
+            "SELECT * FROM products SEMANTIC JOIN kb AS k "
+            "ON products.ptype ~ k.label THRESHOLD 0.9"))
+        assert (semantic.left_column, semantic.right_column) == (
+            "ptype", "k.label")
+
+    @pytest.mark.parametrize("text", [
+        # label is kb's column, not products'
+        "SELECT products.label FROM products JOIN kb "
+        "ON kb.label = products.ptype",
+        "SELECT * FROM products JOIN kb ON products.label = kb.category",
+        # an alias replaces the table's name
+        "SELECT products.pid FROM products AS p",
+        "SELECT * FROM products WHERE ghost.pid > 1",
+    ])
+    def test_table_name_resolves_only_its_own_columns(self, catalog, text):
+        with pytest.raises(BindError):
+            Binder(catalog, "m").bind(parse_sql(text))
+
+    def test_table_qualified_names_run_like_aliased_ones(
+            self, model, products_table):
+        session = Session(load_default_model=False)
+        session.register_model(model, default=True)
+        session.register_table("products", products_table)
+        bare = session.sql(
+            "SELECT products.pid FROM products WHERE products.price > 100")
+        aliased = session.sql(
+            "SELECT p.pid FROM products AS p WHERE p.price > 100")
+        assert bare.schema.names == ["products.pid"]
+        assert bare.column("products.pid").tolist() == \
+            aliased.column("p.pid").tolist() == [2, 3, 4]
