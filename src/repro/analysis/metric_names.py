@@ -90,15 +90,18 @@ DECLARED_METRICS: tuple[MetricDecl, ...] = (
     MetricDecl("reuse_hit_ratio", "gauge", "hits / probes"),
     # -- scheduler -----------------------------------------------------
     MetricDecl("scheduler_dispatches_total", "counter",
-               "queries handed to the admission classifier"),
+               "queue pops handed to a worker"),
     MetricDecl("scheduler_admitted_total", "counter", "queries admitted"),
+    MetricDecl("scheduler_inline_runs_total", "counter",
+               "blocking submissions run on the submitting thread"),
     MetricDecl("scheduler_rejected_total", "counter",
                "queries rejected at admission"),
     MetricDecl("scheduler_result_cache_noops_total", "counter",
                "result-cache hits recorded as interactive no-ops"),
     MetricDecl("scheduler_reuse_noops_total", "counter",
                "reuse hits recorded as interactive no-ops"),
-    MetricDecl("scheduler_running", "gauge", "queries executing now"),
+    MetricDecl("scheduler_running", "gauge",
+               "queries executing now, on a worker or inline"),
     MetricDecl("scheduler_queued", "gauge",
                "queries waiting, per lane label"),
     MetricDecl("scheduler_queue_wait_seconds", "histogram",

@@ -28,7 +28,8 @@ __all__ = ["run_plan", "serve_statement"]
 
 def serve_statement(session: Session, text: str,
                     scheduler: Scheduler | None = None,
-                    tenant: str = "default") -> Table | QueryTicket:
+                    tenant: str = "default",
+                    wait: bool = False) -> Table | QueryTicket:
     """Serve one optimized statement, in this order:
 
     1. start the trace (``NULL_TRACE`` when unsampled: its spans are
@@ -50,7 +51,10 @@ def serve_statement(session: Session, text: str,
     a pre-resolved ticket (never queues or occupies a worker), a miss
     is admitted under the optimizer's cost estimate and runs on a
     worker with a fresh per-query context (shared caches, private
-    metrics); returns the ticket, accounted to ``tenant``.
+    metrics); returns the ticket, accounted to ``tenant``.  ``wait``
+    (the caller blocks on the ticket next) lets the scheduler run that
+    same ``run`` on this thread when a slot is free and nothing is
+    queued (:meth:`~repro.server.scheduler.Scheduler.submit`).
     """
     state = session.state
     trace = state.tracer.start("statement")
@@ -84,8 +88,9 @@ def serve_statement(session: Session, text: str,
 
         def run(context: ExecutionContext,
                 ticket: QueryTicket | None = None) -> Table:
-            # the trace rides this closure onto the worker — explicit,
-            # never a thread-local, so the pool cannot mix statements
+            # the trace rides this closure onto whichever thread runs
+            # it — explicit, never a thread-local, so the pool cannot
+            # mix statements
             try:
                 if ticket is not None:
                     # the scheduler's own measurement, grafted not re-timed
@@ -109,7 +114,7 @@ def serve_statement(session: Session, text: str,
                 lambda ticket: run(state.make_context(
                     batch_size=session.context.batch_size), ticket),
                 estimated_cost=planned.estimated_cost, tenant=tenant,
-                plan_cache_hit=planned.cache_hit)
+                plan_cache_hit=planned.cache_hit, wait=wait)
     except BaseException as error:
         # planning raised, or admission refused the statement
         _fail(session, trace, error)

@@ -4,7 +4,9 @@ Name resolution is deliberately forgiving (unambiguous suffixes resolve,
 matching the schema's ``index_of``; a table scanned without an alias
 qualifies its own columns by its name), and every resolution failure
 raises :class:`~repro.errors.BindError` at bind time rather than run
-time.  Every column name goes through :meth:`Binder._column`.
+time.  Every column name goes through :meth:`Binder._column`.  An
+``AS`` on a grouped key names its output column, as it does an
+ungrouped item's.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class Binder:
         plan, projected = self._grouping(plan, statement)
         if statement.order_by:
             plan = SortNode(plan, [
-                (self._column(plan, item.column.dotted), item.ascending)
+                (self._sort_column(plan, item.column.dotted), item.ascending)
                 for item in statement.order_by])
         if statement.limit is not None:
             plan = LimitNode(plan, statement.limit)
@@ -165,6 +167,7 @@ class Binder:
     def _aggregate(self, plan: LogicalPlan, keys: list[str],
                    items: list[ast.SelectItem]) -> LogicalPlan:
         aggregates: list[AggExpr] = []
+        names: dict[str, str] = {}      # key -> its SELECT alias
         if not items:
             raise BindError("aggregate queries cannot use SELECT *")
         for index, item in enumerate(items):
@@ -175,15 +178,23 @@ class Binder:
             elif isinstance(expr, ast.ColumnName):
                 spelling = self._column(plan, expr.dotted)
                 resolved = plan.schema.names[plan.schema.index_of(spelling)]
-                if resolved not in keys and spelling not in keys:
+                key = spelling if spelling in keys else resolved
+                if key not in keys:
                     raise BindError(
                         f"column {expr.dotted!r} must appear in GROUP BY "
                         "or inside an aggregate"
                     )
+                if item.alias is not None and item.alias != key \
+                        and names.setdefault(key, item.alias) != item.alias:
+                    raise BindError(
+                        f"group key {expr.dotted!r} is selected under "
+                        f"two names ({names[key]!r}, {item.alias!r})")
             else:
                 raise BindError(
                     "grouped SELECT items must be key columns or aggregates"
                 )
+        if names:
+            plan, keys = _named_keys(plan, keys, names)
         return AggregateNode(plan, keys, aggregates)
 
     def _agg_expr(self, call: ast.FuncCall, plan: LogicalPlan,
@@ -272,6 +283,24 @@ class Binder:
                 raise BindError(str(exc)) from exc
             return own
 
+    def _sort_column(self, plan: LogicalPlan, name: str) -> str:
+        """:meth:`_column`; over an aggregate whose keys
+        :func:`_named_keys` aliased, a key's own name also orders by
+        its aliased column."""
+        try:
+            return self._column(plan, name)
+        except BindError:
+            child = plan.children[0] if isinstance(plan, AggregateNode) \
+                else None
+            if isinstance(child, ProjectNode):
+                source = self._spelling(child, name)
+                for expr, alias in child.exprs:
+                    if alias in plan.schema.names \
+                            and isinstance(expr, ColumnRef) \
+                            and expr.name == source:
+                        return alias
+            raise
+
     def _spelling(self, plan: LogicalPlan, name: str) -> str | None:
         """:meth:`_column`, or ``None`` where it does not resolve."""
         try:
@@ -291,6 +320,24 @@ def _own_column(plan: LogicalPlan, name: str) -> str | None:
                 and column in plan.schema:
             return column
     return None
+
+
+def _named_keys(plan: LogicalPlan, keys: list[str],
+                names: dict[str, str]) -> tuple[LogicalPlan, list[str]]:
+    """Group by ``SELECT key AS alias``'s alias: a projection beneath
+    the aggregate passes every input column through and adds each
+    aliased key under its alias, so the aggregate's output column is
+    named by the alias and the aggregate still sits directly over a
+    row-local chain (ingest's aggregate form)."""
+    columns = plan.schema.names
+    for key, alias in names.items():
+        if alias in columns:
+            raise BindError(f"alias {alias!r} of group key {key!r} "
+                            "names an input column")
+    plan = ProjectNode(plan, [(ColumnRef(name), name) for name in columns]
+                       + [(ColumnRef(key), alias)
+                          for key, alias in names.items()])
+    return plan, [names.get(key, key) for key in keys]
 
 
 def _has_aggregates(items: list[ast.SelectItem]) -> bool:

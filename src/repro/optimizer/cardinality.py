@@ -10,6 +10,7 @@ values through the model and measures the match fraction directly.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
@@ -101,6 +102,9 @@ class CardinalityEstimator:
         #: are identical either way, so estimates do not change.
         self.execution_context = execution_context
         self._semantic_cache: dict[tuple[object, ...], float] = {}
+        #: ``id(node) -> (node, rows)`` while :meth:`memoized` is open;
+        #: the node is held so its ``id`` cannot be reused meanwhile.
+        self._memo: dict[int, tuple[LogicalPlan, float]] | None = None
 
     def _embed_sample(self, model_name: str, values: list[str]
                       ) -> tuple[Array, Callable[[str], Array]]:
@@ -117,7 +121,32 @@ class CardinalityEstimator:
     # ------------------------------------------------------------------
     def estimate(self, plan: LogicalPlan) -> float:
         """Estimated number of output rows of ``plan``."""
-        return plan.estimate_rows(self)
+        memo = self._memo
+        if memo is None:
+            return plan.estimate_rows(self)
+        hit = memo.get(id(plan))
+        if hit is not None:
+            return hit[1]
+        rows = plan.estimate_rows(self)
+        memo[id(plan)] = (plan, rows)
+        return rows
+
+    @contextmanager
+    def memoized(self) -> Iterator[None]:
+        """Estimate each plan node object once while the block runs.
+
+        Costing a plan estimates every subtree again from each ancestor,
+        and the join-order search re-costs shared subtrees; plan nodes
+        are immutable, so within one optimization a node's estimate
+        cannot change.  The memo never outlives the block: the estimator
+        outlives statements, and appends change the statistics under
+        it.
+        """
+        self._memo = {}
+        try:
+            yield
+        finally:
+            self._memo = None
 
     # ------------------------------------------------------------------
     # Relational selectivities

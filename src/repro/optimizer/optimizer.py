@@ -87,7 +87,15 @@ class Optimizer:
         self.last_report = OptimizationReport()
 
     def optimize(self, plan: LogicalPlan) -> LogicalPlan:
-        """Return an optimized, physically-annotated plan."""
+        """Return an optimized, physically-annotated plan.
+
+        Estimates are memoized per plan node for this call only
+        (:meth:`CardinalityEstimator.memoized`).
+        """
+        with self.estimator.memoized():
+            return self._optimize(plan)
+
+    def _optimize(self, plan: LogicalPlan) -> LogicalPlan:
         report = OptimizationReport()
         config = self.config
         rule_ctx = RuleContext(estimator=self.estimator,

@@ -17,8 +17,19 @@ dashboards would stall behind them.  The scheduler therefore:
    ones, with a periodic forced pick from the heavy lane so it can
    never starve outright.
 
-Each query runs its kernels serially on the worker that dispatched it:
-the pool's threads are the only threads the engine starts.
+3. **Runs a blocking caller's work on the caller's thread.**  A caller
+   that is about to block on its ticket anyway (``submit(wait=True)``:
+   ``EngineServer.sql``, ``ClientSession.sql``, ``append`` / ``upsert``
+   with ``wait=True``) runs its query itself when a slot is free and
+   both lanes are empty — same admission, tenant cap, lane counters and
+   ticket as a queued run, queue wait 0, and no hand-off to a worker
+   and back.  Anything queued goes first: a blocking caller that finds
+   work waiting queues behind it.  Inline runs hold pool slots, so at
+   most ``workers`` queries execute at once whichever threads run them.
+
+Each query runs its kernels serially on the thread that runs it — a
+pool worker or its blocking caller: the pool's threads are the only
+threads the engine starts.
 
 Per-query and per-tenant telemetry (queue wait, run time, lane, plan
 cache hits) aggregates in the scheduler and surfaces through
@@ -55,7 +66,8 @@ HEAVY_PICK_EVERY = 4
 class SchedulerConfig:
     """Knobs for the admission scheduler."""
 
-    #: Worker threads executing queries; ``None`` = one per visible core
+    #: Worker threads, and the most queries executing at once (inline
+    #: runs included); ``None`` = one per visible core
     #: (``utils.parallel.default_parallelism``).
     workers: int | None = None
     #: Queries allowed to wait per lane before admission refuses.
@@ -166,6 +178,9 @@ class Scheduler:
             help="queue pops handed to a worker")
         self._admitted = metrics.counter(
             "scheduler_admitted_total", help="queries admitted to a lane")
+        self._inline_runs = metrics.counter(
+            "scheduler_inline_runs_total",
+            help="blocking submissions run on the submitting thread")
         self._rejected = metrics.counter(
             "scheduler_rejected_total",
             help="admissions refused (queue depth or tenant cap)")
@@ -180,7 +195,7 @@ class Scheduler:
             buckets=self.QUEUE_WAIT_BUCKETS,
             help="admission-to-dispatch wait per executed query")
         metrics.gauge("scheduler_running", fn=lambda: self._running,
-                      help="queries currently on a worker")
+                      help="queries executing now, on a worker or inline")
         for lane_name in ("interactive", "heavy"):
             metrics.gauge(
                 "scheduler_queued", labels={"lane": lane_name},
@@ -213,10 +228,13 @@ class Scheduler:
     def submit(self, run, estimated_cost: float,
                tenant: str = "default",
                plan_cache_hit: bool | None = None,
-               weight: float = 1.0) -> QueryTicket:
+               weight: float = 1.0, wait: bool = False) -> QueryTicket:
         """Admit one query; returns its ticket (``.result()`` blocks).
 
-        ``run`` is called on a worker thread as ``run(ticket)``.
+        ``run`` is called as ``run(ticket)`` on a worker thread — or,
+        with ``wait`` (the caller blocks on the ticket next), on this
+        thread before ``submit`` returns when a pool slot is free and
+        no query is queued; the returned ticket is then resolved.
         ``weight`` is the charge against the tenant's in-flight
         cap (1.0 for a plain query; ingest passes
         ``config.ingest_weight``).  Raises :class:`AdmissionError` when
@@ -251,8 +269,16 @@ class Scheduler:
             metrics.by_lane[lane] += 1
             if plan_cache_hit:
                 metrics.plan_cache_hits += 1
-            queue.append((ticket, run))
-            self._work_ready.notify()
+            inline = (wait and self._running < len(self._workers)
+                      and not any(self._lanes.values()))
+            if inline:
+                self._running += 1
+                self._inline_runs.inc()
+            else:
+                queue.append((ticket, run))
+                self._work_ready.notify()
+        if inline:
+            self._run_ticket(ticket, run, inline=True)
         return ticket
 
     def complete_cached(self, result, tenant: str = "default",
@@ -332,20 +358,36 @@ class Scheduler:
         A call per dispatch, not a loop body: the ticket, its ``run``
         closure (plan, trace) and the result table are locals that die
         on return, so a worker idling in ``wait()`` pins nothing it ran.
+        A worker pops only while a slot is free: inline runs hold slots
+        too, and :meth:`_finish` wakes a worker when one frees.
         """
         with self._mutex:
-            item = self._pop_locked()
-            while item is None and not self._closed:
+            while True:
+                if self._running < len(self._workers):
+                    item = self._pop_locked()
+                    if item is not None:
+                        break
+                if self._closed and not any(self._lanes.values()):
+                    return False
                 self._work_ready.wait()
-                item = self._pop_locked()
-            if item is None:
-                return False
             self._running += 1
         ticket, run = item
+        self._run_ticket(ticket, run)
+        return True
+
+    def _run_ticket(self, ticket: QueryTicket, run,
+                    inline: bool = False) -> None:
+        """Run one admitted ticket on this thread, holding a slot.
+
+        The one execution body: a worker runs every ticket it pops
+        through it, and a blocking :meth:`submit` its own ticket when it
+        ran inline (admitted straight into a slot: queue wait 0).
+        """
         if not ticket.future.set_running_or_notify_cancel():
             self._finish(ticket, cancelled=True)
-            return True
-        ticket.started_at = time.perf_counter()
+            return
+        ticket.started_at = ticket.queued_at if inline \
+            else time.perf_counter()
         try:
             result = run(ticket)
         except BaseException as error:  # noqa: BLE001 — future carries it
@@ -356,7 +398,6 @@ class Scheduler:
             ticket.finished_at = time.perf_counter()
             ticket.future.set_result(result)
             self._finish(ticket)
-        return True
 
     def _finish(self, ticket: QueryTicket, failed: bool = False,
                 cancelled: bool = False) -> None:
@@ -374,8 +415,10 @@ class Scheduler:
                 self._queue_wait_max = max(self._queue_wait_max,
                                            ticket.queue_wait_seconds)
                 self._queue_wait_hist.observe(ticket.queue_wait_seconds)
-            if (self._running == 0
-                    and not any(self._lanes.values())):
+            if any(self._lanes.values()):
+                # a worker may be waiting on the slot this run held
+                self._work_ready.notify()
+            elif self._running == 0:
                 self._idle.notify_all()
 
     def _release_tenant_locked(self, tenant: str, weight: float) -> None:
@@ -414,6 +457,7 @@ class Scheduler:
                 "workers": len(self._workers),
                 "admitted": queries,
                 "rejected": self._rejected.value,
+                "inline_runs": self._inline_runs.value,
                 "result_cache_noops": self._result_cache_noops.value,
                 "reuse_noops": self._reuse_noops.value,
                 "running": self._running,
@@ -430,7 +474,11 @@ class Scheduler:
             }
 
     def close(self, wait: bool = True) -> None:
-        """Stop accepting work; optionally wait for queued queries."""
+        """Stop accepting work; optionally wait for queued queries.
+
+        Returns once every running query has finished, inline ones
+        included.
+        """
         with self._mutex:
             if self._closed:
                 return
@@ -446,6 +494,9 @@ class Scheduler:
             self._work_ready.notify_all()
         for worker in self._workers:
             worker.join()
+        with self._mutex:
+            while self._running:
+                self._idle.wait()
 
     def __enter__(self) -> "Scheduler":
         return self

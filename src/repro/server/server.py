@@ -9,7 +9,10 @@ planned once executes plan-cache-hot from every connection.
 Execution is admission-controlled: ``submit`` hands the statement
 lifecycle (:mod:`repro.engine.lifecycle`) the server's
 :class:`~repro.server.scheduler.Scheduler`, so planning and cache probes
-run in the calling thread and execution on the bounded pool.
+run in the calling thread and execution on the bounded pool.  The
+blocking entry points (``sql``, ``append`` / ``upsert`` with ``wait``)
+submit with ``wait=True``: with a slot free and nothing queued, their
+work runs on the calling thread instead of a worker.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ class EngineServer:
         ticket = self.scheduler.submit(
             lambda ticket: operation(),
             estimated_cost=config.interactive_cost_threshold + 1.0,
-            tenant=tenant, weight=config.ingest_weight)
+            tenant=tenant, weight=config.ingest_weight, wait=wait)
         return ticket.result() if wait else ticket
 
     def invalidate_model(self, model_name: str) -> None:
@@ -152,15 +155,22 @@ class EngineServer:
         """Plan and probe ``text`` now, queue its execution if no cache
         answered; returns the ticket (``.result()`` blocks for the
         table).  ``tenant`` overrides the session's for accounting."""
+        return self._serve(text, session, tenant, wait=False)
+
+    def sql(self, text: str, tenant: str = "admin") -> Table:
+        """Blocking convenience: submit and wait for the result."""
+        return self._serve(text, None, tenant, wait=True).result()
+
+    def _serve(self, text: str, session: "ClientSession | None",
+               tenant: str | None, wait: bool) -> QueryTicket:
+        """``submit``; ``wait`` says the caller blocks on the ticket
+        next, so the scheduler may run the statement on this thread."""
         self._check_open()
         client = session if session is not None else self._admin
         return serve_statement(
             client, text, scheduler=self.scheduler,
-            tenant=tenant if tenant is not None else client.tenant)
-
-    def sql(self, text: str, tenant: str = "admin") -> Table:
-        """Blocking convenience: submit and wait for the result."""
-        return self.submit(text, tenant=tenant).result()
+            tenant=tenant if tenant is not None else client.tenant,
+            wait=wait)
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -239,11 +249,12 @@ class ClientSession(Session):
         self.tenant = tenant
 
     def sql(self, text: str, optimize: bool = True) -> Table:
-        """Execute through the server's scheduler (blocking)."""
+        """Execute through the server's scheduler (blocking; on this
+        thread when a slot is free and nothing is queued)."""
         if not optimize:
             # uncached, unscheduled debug path — identical to Session
             return super().sql(text, optimize=False)
-        return self.submit(text).result()
+        return self.server._serve(text, self, None, wait=True).result()
 
     def submit(self, text: str) -> QueryTicket:
         """Non-blocking execute; returns the scheduler ticket."""

@@ -157,6 +157,25 @@ class TestDeltaMaintenance:
         expected = fresh_session(base + delta).sql(query)
         assert_tables_identical(patched, expected)
 
+    @pytest.mark.parametrize("query", [
+        "SELECT grp AS g, COUNT(*) AS c, SUM(val) AS s FROM t GROUP BY grp",
+        "SELECT grp AS g, AVG(val) AS a FROM t GROUP BY grp",
+    ])
+    def test_aliased_group_key_is_maintained(self, query):
+        """The alias names the key's output column; the aggregate still
+        sits over a row-local chain, so an append patches it."""
+        base, delta = make_rows(20), make_rows(7, start=200)
+        session = fresh_session(base)
+        warm(session, query)
+        report = session.append("t", delta)
+        assert report.maintained == 1, report.refusals
+        hits_before = session.state.result_cache.stats()["hits"]
+        patched = session.sql(query)
+        assert session.state.result_cache.stats()["hits"] == hits_before + 1
+        assert patched.schema.names[0] == "g"
+        assert_tables_identical(patched,
+                                fresh_session(base + delta).sql(query))
+
     def test_plan_cache_hit_rate_stays_one_across_an_append(self):
         query = "SELECT id, val FROM t WHERE val > 2"
         session = fresh_session(make_rows(30))
@@ -651,6 +670,7 @@ PARITY_QUERIES = [
     "SELECT SUM(score) AS s FROM t",
     "SELECT grp, COUNT(*) AS c FROM t GROUP BY grp "
     "ORDER BY c DESC, grp ASC",
+    "SELECT grp AS g, COUNT(*) AS c, MAX(val) AS hi FROM t GROUP BY grp",
 ]
 
 

@@ -127,6 +127,40 @@ class TestCardinality:
         second = estimator.semantic_filter_selectivity(plan)
         assert first == second
 
+    def test_memo_estimates_each_node_once_per_block(
+            self, big_catalog, registry, monkeypatch):
+        estimator = CardinalityEstimator(big_catalog, registry)
+        scan = _scan(big_catalog, "products", "p")
+        plan = FilterNode(scan, col("p.price") > 80)
+        calls = []
+        estimate_rows = ScanNode.estimate_rows
+        monkeypatch.setattr(
+            ScanNode, "estimate_rows",
+            lambda node, est: calls.append(node) or estimate_rows(node, est))
+        with estimator.memoized():
+            first = estimator.estimate(plan)
+            assert estimator.estimate(plan) == first
+            estimator.estimate(scan)
+        assert calls == [scan]
+        # outside the block every call estimates afresh
+        assert estimator.estimate(plan) == first
+        assert calls == [scan, scan]
+
+    def test_optimize_memo_never_spans_calls(self, big_catalog, registry):
+        """The estimator outlives one ``optimize``; a table that grows
+        between two calls must re-estimate the very same plan node."""
+        plan = _scan(big_catalog, "kb", "k")
+        optimizer = Optimizer(big_catalog, registry)
+        optimizer.optimize(plan)
+        before = optimizer.last_report.estimated_cost
+        assert optimizer.estimator._memo is None
+        kb = big_catalog.get("kb")
+        big_catalog.register("kb", Table.from_dict({
+            name: kb.column(name).tolist() * 10
+            for name in kb.schema.names}), replace=True)
+        optimizer.optimize(plan)
+        assert optimizer.last_report.estimated_cost > before
+
     def test_column_ndv(self, big_catalog, registry):
         estimator = CardinalityEstimator(big_catalog, registry)
         scan = _scan(big_catalog, "products", "p")

@@ -12,13 +12,17 @@ own terms:
   not poison the other), the rejected counter, admitted count
   unchanged, the error message, and submit-after-close;
 - **ticket telemetry** with stubbed clock values — no sleeps, no
-  wall-clock flakiness.
+  wall-clock flakiness;
+- **caller-runs**: a blocking (``wait=True``) submit runs on the
+  calling thread when a slot is free and nothing is queued, under the
+  same admission and accounting as a queued run.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
 
 import pytest
 
@@ -487,4 +491,228 @@ class TestIdleWorkerReleasesResult:
                 gc.collect()
             assert result() is None
         finally:
+            scheduler.close()
+
+
+# ---------------------------------------------------------------------------
+# A blocking caller runs its own query when a slot is free
+# ---------------------------------------------------------------------------
+def hold_worker_off_queue(scheduler: Scheduler) -> threading.Event:
+    """Keep every worker from popping until the returned event is set:
+    the state between a ticket being queued and a worker waking for it,
+    frozen so a test can submit into it."""
+    pop = scheduler._pop_locked
+    go = threading.Event()
+    scheduler._pop_locked = lambda: pop() if go.is_set() else None
+    return go
+
+
+def let_workers_pop(scheduler: Scheduler, go: threading.Event) -> None:
+    go.set()
+    with scheduler._mutex:
+        scheduler._work_ready.notify_all()
+
+
+class TestCallerRuns:
+    def test_idle_pool_runs_blocking_submit_on_caller(self):
+        scheduler = make_scheduler()
+        try:
+            threads: list[int] = []
+            ticket = scheduler.submit(
+                lambda t: threads.append(threading.get_ident()) or "ok",
+                estimated_cost=1.0, wait=True)
+            # resolved before submit returned, on this very thread
+            assert ticket.future.done()
+            assert threads == [threading.get_ident()]
+            assert ticket.result(timeout=0) == "ok"
+            assert ticket.queue_wait_seconds == 0.0
+            assert ticket.run_seconds >= 0.0
+            stats = scheduler.stats()
+            assert stats["inline_runs"] == 1
+            assert stats["admitted"] == 1
+            assert stats["running"] == 0
+            assert stats["tenants"]["default"]["by_lane"]["interactive"] == 1
+            # a queue pop is a dispatch; an inline run is not
+            assert scheduler._dispatches.value == 0
+            assert scheduler._queue_wait_hist.count == 1
+        finally:
+            scheduler.close()
+
+    def test_blocking_submit_never_overtakes_queued_work(self):
+        scheduler = make_scheduler(max_queue_depth=16)
+        go = hold_worker_off_queue(scheduler)
+        order: list[str] = []
+        threads: dict[str, int] = {}
+
+        def record(tag):
+            def run(ticket):
+                order.append(tag)
+                threads[tag] = threading.get_ident()
+                return tag
+            return run
+
+        try:
+            first = scheduler.submit(record("queued"), estimated_cost=1.0)
+            # a slot is free, but a ticket is queued: this one queues too
+            second = scheduler.submit(record("blocking"),
+                                      estimated_cost=1.0, wait=True)
+            assert not second.future.done()
+            assert scheduler.stats()["queued"]["interactive"] == 2
+            let_workers_pop(scheduler, go)
+            assert first.result(timeout=10) == "queued"
+            assert second.result(timeout=10) == "blocking"
+            assert order == ["queued", "blocking"]
+            assert threads["blocking"] != threading.get_ident()
+            assert scheduler.stats()["inline_runs"] == 0
+        finally:
+            go.set()
+            scheduler.close()
+
+    def test_non_blocking_submit_never_runs_on_caller(self):
+        scheduler = make_scheduler(workers=2)
+        try:
+            for _ in range(3):
+                ticket = scheduler.submit(
+                    lambda t: threading.get_ident(), estimated_cost=1.0)
+                assert ticket.result(timeout=10) != threading.get_ident()
+            assert scheduler.drain(timeout=10)
+            assert scheduler.stats()["inline_runs"] == 0
+            assert scheduler._dispatches.value == 3
+        finally:
+            scheduler.close()
+
+    def test_inline_exception_reaches_result_and_restores_state(self):
+        scheduler = make_scheduler(max_inflight_per_tenant=2)
+        try:
+            def boom(ticket):
+                raise RuntimeError("inline kaput")
+
+            ticket = scheduler.submit(boom, estimated_cost=1.0,
+                                      tenant="acme", weight=2.0,
+                                      wait=True)
+            assert ticket.future.done()
+            with pytest.raises(RuntimeError, match="inline kaput"):
+                ticket.result(timeout=0)
+            stats = scheduler.stats()
+            assert stats["running"] == 0
+            assert "acme" not in stats["tenant_inflight"]
+            assert stats["tenants"]["acme"]["failures"] == 1
+            assert stats["inline_runs"] == 1
+            # the slot and the tenant's budget are whole again
+            again = scheduler.submit(lambda t: "again", estimated_cost=1.0,
+                                     tenant="acme", weight=2.0, wait=True)
+            assert again.result(timeout=0) == "again"
+        finally:
+            scheduler.close()
+
+    def test_inline_run_holds_slot_and_charge_not_the_mutex(self):
+        scheduler = make_scheduler(max_queue_depth=16,
+                                   max_inflight_per_tenant=1)
+        seen: dict[str, object] = {}
+
+        def run(ticket):
+            # the admission mutex is free while a query runs
+            seen["mutex_free"] = scheduler._mutex.acquire(timeout=5)
+            if seen["mutex_free"]:
+                scheduler._mutex.release()
+            stats = scheduler.stats()
+            seen["running"] = stats["running"]
+            seen["inflight"] = stats["tenant_inflight"]["alice"]
+            with pytest.raises(AdmissionError,
+                               match="tenant 'alice' at max in-flight"):
+                scheduler.submit(lambda t: None, estimated_cost=1.0,
+                                 tenant="alice", wait=True)
+            return "done"
+
+        try:
+            ticket = scheduler.submit(run, estimated_cost=1.0,
+                                      tenant="alice", wait=True)
+            assert ticket.result(timeout=0) == "done"
+            assert seen == {"mutex_free": True, "running": 1,
+                            "inflight": 1.0}
+            assert scheduler.stats()["rejected"] == 1
+        finally:
+            scheduler.close()
+
+    def test_admission_errors_apply_to_blocking_submits(self):
+        scheduler = make_scheduler(max_inflight_per_tenant=1)
+        release, _ = blocked_worker(scheduler)      # "default" at cap
+        try:
+            with pytest.raises(AdmissionError,
+                               match="tenant 'default' at max in-flight"):
+                scheduler.submit(lambda t: None, estimated_cost=1.0,
+                                 wait=True)
+            for tenant in ("bob", "dave"):      # the lane fills up
+                scheduler.submit(lambda t: None, estimated_cost=1.0,
+                                 tenant=tenant)
+            with pytest.raises(AdmissionError, match="interactive lane"):
+                scheduler.submit(lambda t: None, estimated_cost=1.0,
+                                 tenant="carol", wait=True)
+            stats = scheduler.stats()
+            assert stats["rejected"] == 2
+            assert stats["inline_runs"] == 0
+        finally:
+            release.set()
+            scheduler.close()
+        with pytest.raises(ServerError):
+            scheduler.submit(lambda t: None, estimated_cost=1.0, wait=True)
+
+    def test_inline_run_holds_a_pool_slot(self):
+        """One worker, one inline run in flight: a queued ticket waits
+        for the inline run's slot rather than running beside it."""
+        scheduler = make_scheduler()
+        release, started = threading.Event(), threading.Event()
+
+        def block(ticket):
+            started.set()
+            assert release.wait(timeout=10)
+            return "inline-done"
+
+        caller = threading.Thread(target=lambda: scheduler.submit(
+            block, estimated_cost=1.0, wait=True))
+        caller.start()
+        try:
+            assert started.wait(timeout=10)
+            queued = scheduler.submit(lambda t: "queued",
+                                      estimated_cost=1.0)
+            # the idle worker is woken, but must not pop into a held slot
+            with pytest.raises(FutureTimeout):
+                queued.result(timeout=0.2)
+            assert scheduler.stats()["running"] == 1
+            release.set()
+            assert queued.result(timeout=10) == "queued"
+        finally:
+            release.set()
+            caller.join(timeout=10)
+            scheduler.close()
+
+    def test_drain_and_close_wait_for_an_inline_run(self):
+        scheduler = make_scheduler()
+        release, started = threading.Event(), threading.Event()
+        tickets: list[QueryTicket] = []
+
+        def block(ticket):
+            started.set()
+            assert release.wait(timeout=10)
+            return "inline-done"
+
+        caller = threading.Thread(target=lambda: tickets.append(
+            scheduler.submit(block, estimated_cost=1.0, wait=True)))
+        caller.start()
+        try:
+            assert started.wait(timeout=10)
+            assert scheduler.drain(timeout=0.05) is False
+            closer = threading.Thread(target=scheduler.close)
+            closer.start()
+            closer.join(timeout=0.05)
+            assert closer.is_alive()        # close waits for it too
+            release.set()
+            assert scheduler.drain(timeout=10) is True
+            closer.join(timeout=10)
+            assert not closer.is_alive()
+            caller.join(timeout=10)
+            assert tickets[0].result(timeout=0) == "inline-done"
+        finally:
+            release.set()
+            caller.join(timeout=10)
             scheduler.close()

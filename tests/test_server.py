@@ -236,6 +236,28 @@ class TestScheduler:
             assert ticket.queue_wait_seconds >= 0.0
             assert ticket.run_seconds >= 0.0
 
+    def test_blocking_entry_points_run_inline_on_an_idle_server(self,
+                                                                 server):
+        """``sql`` and a waited ``append`` run on the calling thread of
+        an idle server; ``submit`` and an unwaited ``append`` queue."""
+        client = server.session("inline")
+        scheduler = server.scheduler
+        client.sql("SELECT b, COUNT(*) AS n FROM t GROUP BY b")
+        assert scheduler.stats()["inline_runs"] == 1
+        assert client.last_profile.queue_wait_seconds == 0.0
+        queue_span = [span for span in server.traces()[-1].root.children
+                      if span.name == "scheduler.queue"]
+        assert [span.seconds for span in queue_span] == [0.0]
+        client.append("t", [{"a": 40, "b": "item0"}])
+        server.sql("SELECT a FROM t WHERE a > 38 ORDER BY a")
+        assert scheduler.stats()["inline_runs"] == 3
+        dispatched = scheduler._dispatches.value
+        client.submit("SELECT a FROM t WHERE a > 37").result(timeout=10)
+        server.append("t", [{"a": 41, "b": "item1"}],
+                      wait=False).result(timeout=10)
+        assert scheduler.stats()["inline_runs"] == 3
+        assert scheduler._dispatches.value == dispatched + 2
+
 
 class TestLockPrimitives:
     def test_stripes_for_dedupes_colliding_keys(self):
@@ -431,3 +453,72 @@ class TestRaces:
         results = [ticket.result(timeout=30) for ticket in tickets]
         expected = results[0].column("a").tolist()
         assert all(r.column("a").tolist() == expected for r in results)
+
+    def test_blocking_inline_and_queued_runs_share_the_pool_bound(self,
+                                                                  model):
+        """8 threads mix blocking ``sql`` / ``append`` (which may run on
+        the calling thread) with non-blocking ``submit`` (always queued)
+        against 2 workers: at most 2 ``run`` callables ever execute at
+        once, whichever threads run them, and every ticket resolves."""
+        with EngineServer(load_default_model=False,
+                          scheduler_config=SchedulerConfig(
+                              workers=2, max_queue_depth=1024)) as server:
+            server.register_model(model, default=True)
+            server.register_table("t", Table.from_dict({
+                "a": list(range(40)),
+                "b": [f"item{i % 5}" for i in range(40)],
+            }))
+            scheduler = server.scheduler
+            submit = scheduler.submit
+            guard = threading.Lock()
+            active = high = runs = 0
+
+            def counted_submit(run, *args, **kwargs):
+                def counted(ticket):
+                    nonlocal active, high, runs
+                    with guard:
+                        active += 1
+                        runs += 1
+                        high = max(high, active)
+                    try:
+                        time.sleep(0.002)   # hold the slot so runs overlap
+                        return run(ticket)
+                    finally:
+                        with guard:
+                            active -= 1
+                return submit(counted, *args, **kwargs)
+
+            scheduler.submit = counted_submit
+            barrier = threading.Barrier(N_THREADS)
+            tickets = []
+            appended = []
+
+            def work(index):
+                client = server.session(f"mix{index}")
+                barrier.wait(timeout=10)
+                for round_number in range(12):
+                    step = (index + round_number) % 3
+                    bound = 1 + (index * 12 + round_number) % 39
+                    statement = ("SELECT b, COUNT(*) AS n FROM t "
+                                 f"WHERE a < {bound} GROUP BY b")
+                    if step == 0:
+                        assert client.sql(statement).num_rows > 0
+                    elif step == 1:
+                        rows = [{"a": 1000 + index, "b": f"new{index}"}]
+                        assert client.append("t", rows).rows_inserted == 1
+                        appended.append(index)
+                    else:
+                        tickets.append(client.submit(statement))
+
+            run_threads(N_THREADS, work)
+            for ticket in tickets:
+                assert ticket.result(timeout=30).num_rows > 0
+            assert server.drain(timeout=30)
+            stats = scheduler.stats()
+            assert high <= 2
+            assert runs >= len(tickets) + len(appended)
+            assert stats["running"] == 0
+            assert not stats["tenant_inflight"]
+            assert stats["inline_runs"] > 0
+            count = server.sql("SELECT COUNT(*) AS n FROM t")
+            assert int(count.column("n")[0]) == 40 + len(appended)

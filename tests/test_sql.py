@@ -304,6 +304,62 @@ class TestBinder:
         with pytest.raises(BindError):
             Binder(catalog, "m").bind(parse_sql(text))
 
+    @pytest.mark.parametrize("text, names", [
+        # an explicit AS names a grouped key's column, as it does an
+        # ungrouped one ...
+        ("SELECT brand AS b, COUNT(*) AS n FROM products GROUP BY brand",
+         ["b", "n"]),
+        ("SELECT COUNT(*) AS n, products.brand AS b FROM products "
+         "GROUP BY products.brand ORDER BY b DESC", ["b", "n"]),
+        ("SELECT p.brand AS b, SUM(p.pid) AS s FROM products AS p "
+         "GROUP BY p.brand", ["b", "s"]),
+        # ... and unaliased keys keep their names, qualified ones too
+        ("SELECT brand, COUNT(*) AS n FROM products GROUP BY brand",
+         ["brand", "n"]),
+        ("SELECT products.brand, COUNT(*) AS n FROM products "
+         "GROUP BY products.brand", ["brand", "n"]),
+        ("SELECT p.brand, COUNT(*) AS n FROM products AS p "
+         "GROUP BY p.brand", ["p.brand", "n"]),
+        ("SELECT brand AS brand, COUNT(*) AS n FROM products "
+         "GROUP BY brand", ["brand", "n"]),
+    ])
+    def test_group_key_alias_names_the_output_column(
+            self, products_table, text, names):
+        session = Session(load_default_model=False)
+        session.register_table("products", products_table)
+        result = session.sql(text)
+        assert result.schema.names == names
+        counts = dict(zip(result.column(names[0]).tolist(),
+                          result.column(names[1]).tolist()))
+        if names[1] == "n":
+            assert counts == {"acme": 3, "globex": 2, "initech": 1}
+        else:
+            assert counts == {"acme": 7, "globex": 9, "initech": 5}
+
+    @pytest.mark.parametrize("order", ["brand, pid", "b, i", "brand, i"])
+    def test_grouped_order_by_names_a_key_by_alias_or_own_name(
+            self, products_table, order):
+        session = Session(load_default_model=False)
+        session.register_table("products", products_table)
+        result = session.sql(
+            "SELECT brand AS b, pid AS i, COUNT(*) AS n FROM products "
+            f"GROUP BY pid, brand ORDER BY {order}")
+        assert result.schema.names == ["i", "b", "n"]
+        assert result.column("b").tolist() == [
+            "acme", "acme", "acme", "globex", "globex", "initech"]
+        assert result.column("i").tolist() == [1, 2, 4, 3, 6, 5]
+
+    @pytest.mark.parametrize("text, message", [
+        ("SELECT brand AS pid, COUNT(*) AS n FROM products GROUP BY brand",
+         "names an input column"),
+        ("SELECT brand AS b, brand AS c, COUNT(*) AS n FROM products "
+         "GROUP BY brand", "two names"),
+    ])
+    def test_group_key_alias_that_cannot_name_it(self, catalog, text,
+                                                 message):
+        with pytest.raises(BindError, match=message):
+            Binder(catalog, "m").bind(parse_sql(text))
+
     def test_table_qualified_names_run_like_aliased_ones(
             self, model, products_table):
         session = Session(load_default_model=False)
