@@ -157,11 +157,12 @@ def run(n: int, seed: int = 23) -> dict:
     with stopwatch() as dict_warm:
         seed_matrix_rebuild(seed_store, strings, model.dim)
 
-    # id-space flow: operators that hold row ids skip string resolution
-    # entirely — repeat access is one contiguous-destination gather
-    ids = cache.row_ids(strings)
+    # id-space flow: an operator holding a lookup (row ids + the buffer
+    # they index) skips string resolution entirely — repeat access is
+    # one contiguous-destination gather
+    rows = cache.lookup(strings)
     with stopwatch() as idspace_warm:
-        gathered = cache.rows_for(ids)
+        gathered = rows.buffer[rows.ids]
     assert gathered.shape == (n, model.dim)
 
     speedup = seed_clock.seconds / max(batch_clock.seconds, 1e-9)
@@ -219,7 +220,7 @@ def main(argv: list[str] | None = None) -> None:
     table.add("arena cold matrix()", results["arena_cold_seconds"], "")
     table.add("arena warm matrix() [resolve + gather]",
               results["arena_warm_matrix_seconds"], "")
-    table.add("arena id-space rows_for(ids) [pure gather]",
+    table.add("arena id-space lookup buffer[ids] [pure gather]",
               results["arena_idspace_gather_seconds"],
               f"{results['idspace_gather_speedup']}x vs dict rebuild")
     table.add("dict-of-rows warm rebuild (seed cache)",

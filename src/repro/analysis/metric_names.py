@@ -113,6 +113,8 @@ DECLARED_METRICS: tuple[MetricDecl, ...] = (
     MetricDecl("embedding_arena_rows", "gauge",
                "interned strings (arena rows)"),
     MetricDecl("embedding_arena_bytes", "gauge", "arena bytes in use"),
+    MetricDecl("embedding_arena_compactions", "gauge",
+               "compactions that dropped unreused rows"),
     MetricDecl("embedding_arena_hit_ratio", "gauge",
                "hits / (hits + misses)"),
     # -- ingest --------------------------------------------------------

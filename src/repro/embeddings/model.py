@@ -1,7 +1,8 @@
 """The embedding model: word vectors + hashed subword vectors (fastText-like).
 
 A model is immutable once built.  It exposes a tiny, engine-facing API:
-``embed`` / ``embed_batch`` map strings into the latent space, and
+``embed`` / ``embed_batch`` map strings into the latent space
+(``embed_tokens`` does it for already-normalized, distinct tokens), and
 ``most_similar`` answers vocabulary-restricted nearest-neighbour queries
 (used to regenerate the paper's Table I).
 
@@ -150,11 +151,19 @@ class EmbeddingModel:
                 first_seen[token] = uid
                 unique.append(token)
             inverse[position] = uid
-        rows = _unit_rows(self._raw_vectors_batch(unique))
-        self.tokens_embedded += len(unique)
+        rows = self.embed_tokens(unique)
         if len(unique) == len(tokens):
             return rows
         return rows[inverse]
+
+    def embed_tokens(self, tokens: list[str]) -> np.ndarray:
+        """``embed_batch`` for tokens that are already normalized (by
+        :func:`~repro.utils.text.normalize_token`) and distinct: one row
+        per token, with no second normalization or deduplication pass.
+        The embedding cache interns normalized tokens and calls this."""
+        rows = _unit_rows(self._raw_vectors_batch(tokens))
+        self.tokens_embedded += len(tokens)
+        return rows
 
     def similarity(self, text_a: str, text_b: str) -> float:
         """Cosine similarity of two strings in latent space."""

@@ -24,7 +24,8 @@ function of:
   ``EmbeddingCache.clear``) refreshes the generation token, so results
   that involved a since-invalidated model never serve again — the
   signal a model *replacement* needs, which the catalog version cannot
-  see;
+  see.  An arena compaction keeps the token: a result never depends on
+  row numbering, and a dropped row re-embeds to the same bits;
 - **table data versions** — one ``(table, data_version)`` pair per
   table the plan scans.  Appends/upserts bump only this dimension
   (``docs/ingest.md``), so a row mutation invalidates — or lets the

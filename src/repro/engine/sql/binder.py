@@ -76,9 +76,7 @@ class Binder:
             plan = self._where(plan, statement.where)
         plan, projected = self._grouping(plan, statement)
         if statement.order_by:
-            plan = SortNode(plan, [
-                (self._sort_column(plan, item.column.dotted), item.ascending)
-                for item in statement.order_by])
+            plan = self._order(plan, statement, projected)
         if statement.limit is not None:
             plan = LimitNode(plan, statement.limit)
         if not projected and statement.items:
@@ -282,6 +280,44 @@ class Binder:
             if own is None:
                 raise BindError(str(exc)) from exc
             return own
+
+    def _order(self, plan: LogicalPlan, statement: ast.SelectStatement,
+               projected: bool) -> LogicalPlan:
+        """The ORDER BY sort.  In an ungrouped statement a name the
+        select list aliases orders by that item, as SQL resolves ORDER
+        BY names against the output first: a column item by its source
+        column, a computed item through a projection beneath the sort
+        that passes every input column and adds the item's value (under
+        its alias, or a free variant of it when an input column has that
+        name; the select list above recomputes the item either way)."""
+        aliases = {} if projected else {
+            item.alias: item.expr for item in statement.items
+            if item.alias is not None}
+        keys: list[tuple[str, bool]] = []
+        computed: dict[str, str] = {}   # alias -> its sort column
+        for item in statement.order_by:
+            name = item.column.dotted
+            expr = aliases.get(name)
+            if expr is None:
+                column = self._sort_column(plan, name)
+            elif isinstance(expr, ast.ColumnName):
+                column = self._column(plan, expr.dotted)
+            else:
+                if name not in computed:
+                    column, counter = name, 2
+                    while column in plan.schema \
+                            or column in computed.values():
+                        column = f"{name}_{counter}"
+                        counter += 1
+                    computed[name] = column
+                column = computed[name]
+            keys.append((column, item.ascending))
+        if computed:
+            plan = ProjectNode(
+                plan, [(ColumnRef(n), n) for n in plan.schema.names]
+                + [(self._expr(aliases[alias], plan), column)
+                   for alias, column in computed.items()])
+        return SortNode(plan, keys)
 
     def _sort_column(self, plan: LogicalPlan, name: str) -> str:
         """:meth:`_column`; over an aggregate whose keys

@@ -577,7 +577,8 @@ class PruneColumns:
     """Insert projections above scans so only required columns flow up.
 
     Only the nodes that rewrite themselves or define their whole output
-    are handled by type: a scan gains the narrowing projection, a
+    are handled by type: a scan gains the narrowing projection (unless
+    its parent is a projection, which narrows it already), a
     projection drops the items nobody requires, an aggregate passes none
     of its parent's names through.  Every other node — including node
     types added later — requires from each child the names asked of it
@@ -601,6 +602,8 @@ class PruneColumns:
         if isinstance(node, ProjectNode):
             kept = [(e, a) for e, a in node.exprs if a in required]
             node = ProjectNode(node.child, kept or node.exprs)
+            if isinstance(node.child, ScanNode):
+                return node     # it narrows the scan itself
             required = set()
         elif isinstance(node, AggregateNode):
             required = set()

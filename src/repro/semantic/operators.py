@@ -151,9 +151,9 @@ class SemanticJoinOp(PhysicalOperator):
         # collapse to one embedding all join (may exceed k matches)
         cache = self.cache
         left_matrix = cache.matrix(left_unique)
-        unique_ids, positions = np.unique(cache.row_ids(right_unique),
-                                          return_inverse=True)
-        li, qi, scores = join_topk(left_matrix, cache.rows_for(unique_ids),
+        right = cache.lookup(right_unique)
+        unique_ids, positions = np.unique(right.ids, return_inverse=True)
+        li, qi, scores = join_topk(left_matrix, right.buffer[unique_ids],
                                    k, min_score=self.threshold)
         # pair rank inside each left row's selection: the kernel emits
         # left-major with per-row scores descending and the min_score

@@ -96,15 +96,22 @@ class TestBatchScalarParity:
 
 class TestArenaCache:
     def test_growth_preserves_ids_and_vectors(self, model):
+        """Ids hold until a compaction; a compaction renumbers rows but
+        keeps a reused string's vector, and a string it dropped comes
+        back bit-identical."""
         cache = EmbeddingCache(model, initial_capacity=2)
-        first_ids = cache.row_ids(["dog", "cat"])
-        first_rows = cache.rows_for(first_ids).copy()
-        # force several doublings
+        first = cache.lookup(["dog", "cat"])
+        first_rows = first.buffer[first.ids].copy()
+        # "dog" is reused (under the id it had); "cat" is not
+        assert np.array_equal(cache.row_ids(["dog"]), first.ids[:1])
+        # outgrow the arena: it compacts, keeping "dog" and dropping "cat"
         cache.matrix([f"grow{i}" for i in range(70)])
-        assert cache.capacity >= 72
-        again = cache.row_ids(["dog", "cat"])
-        assert np.array_equal(first_ids, again)
-        assert np.array_equal(cache.rows_for(again), first_rows)
+        assert cache.compactions == 1
+        assert cache.capacity >= 71 and cache.rows == 71
+        misses = cache.misses
+        again = cache.lookup(["dog", "cat"])
+        assert cache.misses == misses + 1          # only "cat" re-embeds
+        assert np.array_equal(again.buffer[again.ids], first_rows)
 
     def test_row_ids_stable_and_dense(self, model):
         cache = EmbeddingCache(model)

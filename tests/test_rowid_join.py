@@ -124,20 +124,22 @@ class TestCacheFailureSafety:
         from repro.semantic.cache import EmbeddingCache
 
         cache = EmbeddingCache(model)
-        original = model.embed_batch
+        original = model.embed_tokens
         calls = {"n": 0}
 
-        def flaky(texts):
+        def flaky(tokens):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise MemoryError("transient")
-            return original(texts)
+            return original(tokens)
 
         cache.model = type(model)(
             name=model.name, vocab=model.vocab,
             word_vectors=model.word_vectors,
             bucket_vectors=model.bucket_vectors)
-        cache.model.embed_batch = flaky
+        # the arena embeds its (already normalized, distinct) misses
+        # through ``embed_tokens``
+        cache.model.embed_tokens = flaky
         with pytest.raises(MemoryError):
             cache.matrix(["hello", "world"])
         assert len(cache) == 0   # nothing interned by the failed call

@@ -320,28 +320,34 @@ class TestRaces:
         assert cache.hits == (N_THREADS - 1) * len(texts)
 
     def test_arena_growth_publish_safe_under_readers(self, model):
-        """Readers gathering while the arena doubles must always see
-        exact fully-written vectors — never a torn or stale row."""
+        """Readers gathering while the arena compacts must always see
+        exact fully-written vectors of their own strings — never a torn
+        or foreign row — through a fresh lookup, through ``matrix``,
+        and through a lookup held across compactions."""
         cache = EmbeddingCache(model, initial_capacity=4)
         seed_texts = [f"base{i}" for i in range(4)]
-        seed_ids = cache.row_ids(seed_texts)
-        expected = cache.rows_for(seed_ids).copy()
+        held = cache.lookup(seed_texts)
+        expected = held.buffer[held.ids].copy()
         stop = threading.Event()
         torn = []
 
         def reader(index):
             while not stop.is_set():
-                got = cache.rows_for(seed_ids)
-                if not np.array_equal(got, expected):
-                    torn.append(got)
-                    return
+                fresh = cache.lookup(seed_texts)
+                for got in (fresh.buffer[fresh.ids],
+                            cache.matrix(seed_texts),
+                            held.buffer[held.ids]):
+                    if not np.array_equal(got, expected):
+                        torn.append(got)
+                        return
 
         readers = [threading.Thread(target=reader, args=(i,))
                    for i in range(4)]
         for thread in readers:
             thread.start()
         try:
-            # force many doublings while the readers hammer the gather
+            # fresh strings nobody asks for again: every overflow
+            # compacts, keeping the readers' rows and dropping these
             for round_number in range(8):
                 cache.row_ids([f"grow{round_number}_{i}"
                                for i in range(64)])
@@ -350,10 +356,12 @@ class TestRaces:
             for thread in readers:
                 thread.join()
         assert not torn
-        # snapshot semantics: an old snapshot stays valid and read-only
+        assert cache.compactions >= 2
+        # snapshot semantics: a snapshot is read-only and exact
         snapshot = cache.arena
         assert snapshot.flags.writeable is False
-        assert np.array_equal(snapshot[:4], expected)
+        now = cache.lookup(seed_texts)
+        assert np.array_equal(snapshot[now.ids], expected)
 
     def test_duplicate_statement_storm(self, server):
         """8 threads x 12 identical statements: identical results, one

@@ -360,6 +360,42 @@ class TestBinder:
         with pytest.raises(BindError, match=message):
             Binder(catalog, "m").bind(parse_sql(text))
 
+    @pytest.mark.parametrize("text, names, first", [
+        ("SELECT pid AS k FROM products ORDER BY k", ["k"], [1, 2, 3]),
+        ("SELECT p.price AS cost, pid FROM products AS p "
+         "ORDER BY cost DESC LIMIT 3", ["cost", "pid"],
+         [9000.0, 300.0, 120.0]),
+        # the output name wins over an input column it shadows
+        ("SELECT price AS pid FROM products ORDER BY pid", ["pid"],
+         [2.0, 15.0, 25.0]),
+        # a computed item sorts by its value
+        ("SELECT pid, 0 - price AS neg FROM products ORDER BY neg",
+         ["pid", "neg"], [3, 4, 2]),
+    ])
+    def test_ungrouped_order_by_select_alias(self, products_table, text,
+                                             names, first):
+        session = Session(load_default_model=False)
+        session.register_table("products", products_table)
+        result = session.sql(text)
+        assert result.schema.names == names
+        assert result.column(names[0]).tolist()[:3] == first
+
+    @pytest.mark.parametrize("text, names, first", [
+        ("SELECT 0 - price AS price FROM products ORDER BY price",
+         ["price"], [-9000.0, -300.0, -120.0]),
+        ("SELECT pid, 0 - price AS price, price * 2 AS price_2 "
+         "FROM products ORDER BY price, price_2 DESC LIMIT 2",
+         ["pid", "price", "price_2"], [3, 4]),
+    ])
+    def test_order_by_computed_alias_shadowing_an_input_column(
+            self, products_table, text, names, first):
+        # the output value orders, not the input column it shadows
+        session = Session(load_default_model=False)
+        session.register_table("products", products_table)
+        result = session.sql(text)
+        assert result.schema.names == names
+        assert result.column(names[0]).tolist()[:3] == first
+
     def test_table_qualified_names_run_like_aliased_ones(
             self, model, products_table):
         session = Session(load_default_model=False)
