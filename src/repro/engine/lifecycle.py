@@ -1,9 +1,11 @@
 """The statement lifecycle: the only definition of how SQL is served.
 
-``Session.sql`` (inline) and ``EngineServer.submit`` (scheduled) are two
-callers of :func:`serve_statement`; every path that executes a plan —
-those two, ``Session.execute``, EXPLAIN ANALYZE — shares
-:func:`run_plan`.  ``docs/serving.md`` § Architecture has the long form.
+Every served statement — ``Session.sql`` / ``submit`` on a stand-alone
+session or on one an :class:`~repro.server.EngineServer` opened — is one
+call of :func:`serve_statement` and one ticket of the engine state's
+scheduler.  Every path that executes a plan — that one,
+``Session.execute``, EXPLAIN ANALYZE — shares :func:`run_plan`.
+``docs/serving.md`` § Architecture has the long form.
 """
 
 from __future__ import annotations
@@ -14,49 +16,47 @@ from typing import TYPE_CHECKING, Any
 
 from repro.engine.profiler import QueryProfile
 from repro.obs.trace import NULL_TRACE, AnyTrace, attach_profile_spans
-from repro.relational.physical import (
-    ExecutionContext, PhysicalOperator, build_physical)
+from repro.relational.physical import PhysicalOperator, build_physical
 from repro.storage.table import Table
 
 if TYPE_CHECKING:
     from repro.engine.session import PlannedStatement, Session
     from repro.relational.logical import LogicalPlan
-    from repro.server.scheduler import QueryTicket, Scheduler
+    from repro.server.scheduler import QueryTicket
 
 __all__ = ["run_plan", "serve_statement"]
 
 
-def serve_statement(session: Session, text: str,
-                    scheduler: Scheduler | None = None,
-                    tenant: str = "default",
-                    wait: bool = False) -> Table | QueryTicket:
-    """Serve one optimized statement, in this order:
+def serve_statement(session: Session, text: str, tenant: str | None = None,
+                    wait: bool = False) -> QueryTicket:
+    """Serve one optimized statement as a ticket of the engine's
+    scheduler, in this order:
 
-    1. start the trace (``NULL_TRACE`` when unsampled: its spans are
+    1. refuse if the engine is closed, before anything is planned;
+    2. start the trace (``NULL_TRACE`` when unsampled: its spans are
        shared no-op singletons, so there is no untraced twin arm);
-    2. ``plan_for`` — plan cache, else parse / bind / optimize;
-    3. capture the result-cache key **once**, before anything executes:
-       step 6 stores under this very key, which is what makes
+    3. ``plan_for`` — plan cache, else parse / bind / optimize;
+    4. capture the result-cache key **once**, before anything executes:
+       step 7 stores under this very key, which is what makes
        invalidation-during-execution safe;
-    4. exact probe, then subsumption probe — either answers outright;
-    5. otherwise :func:`run_plan`;
-    6. ``store_result`` under the captured key;
-    7. seal: profile and root span filled in, trace finished, profile
+    5. exact probe, then subsumption probe — either answers outright
+       with a pre-resolved ticket that never queues or holds a slot;
+    6. otherwise admit :func:`run_plan` under the optimizer's cost
+       estimate: it runs on a worker, or — with ``wait`` (the caller
+       blocks on the ticket next) — on this thread when a slot is free
+       and nothing is queued
+       (:meth:`~repro.server.scheduler.Scheduler.submit`);
+    7. ``store_result`` under the captured key;
+    8. seal: profile and root span filled in, trace finished, profile
        published — or, on a failure at any step, the trace finished
        with ``error=<exception class>`` on its root.
 
-    ``scheduler`` is the executor strategy, all the two callers differ
-    in.  ``None``: answer and execute inline with the session's own
-    context; returns the table.  A scheduler: an answer from step 4 is
-    a pre-resolved ticket (never queues or occupies a worker), a miss
-    is admitted under the optimizer's cost estimate and runs on a
-    worker with a fresh per-query context (shared caches, private
-    metrics); returns the ticket, accounted to ``tenant``.  ``wait``
-    (the caller blocks on the ticket next) lets the scheduler run that
-    same ``run`` on this thread when a slot is free and nothing is
-    queued (:meth:`~repro.server.scheduler.Scheduler.submit`).
+    The ticket is accounted to ``tenant``, the session's by default.
     """
     state = session.state
+    state.check_open()
+    scheduler = state.scheduler
+    tenant = session.tenant if tenant is None else tenant
     trace = state.tracer.start("statement")
     state.statements_total.inc()
     try:
@@ -74,31 +74,26 @@ def serve_statement(session: Session, text: str,
                 answer = state.fetch_reuse(planned, key)
                 probe.annotate(hit=answer is not None)
         if answer is not None:
-            ticket = None if scheduler is None \
-                else scheduler.complete_cached(
-                    answer, tenant=tenant,
-                    estimated_cost=planned.estimated_cost,
-                    plan_cache_hit=planned.cache_hit, kind=kind)
+            ticket = scheduler.complete_cached(
+                answer, tenant=tenant,
+                estimated_cost=planned.estimated_cost,
+                plan_cache_hit=planned.cache_hit, kind=kind)
             profile = QueryProfile(
                 total_seconds=time.perf_counter() - started,
                 result_cache_hit=kind == "result",
                 reuse_hit=True if kind == "reuse" else None)
             _seal(session, trace, planned, ticket, profile)
-            return answer if ticket is None else ticket
+            return ticket
 
-        def run(context: ExecutionContext,
-                ticket: QueryTicket | None = None) -> Table:
+        def run(ticket: QueryTicket) -> Table:
             # the trace rides this closure onto whichever thread runs
             # it — explicit, never a thread-local, so the pool cannot
             # mix statements
             try:
-                if ticket is not None:
-                    # the scheduler's own measurement, grafted not re-timed
-                    trace.span_at("scheduler.queue",
-                                  ticket.queue_wait_seconds,
-                                  lane=ticket.lane, tenant=ticket.tenant)
-                result, profile, _ = run_plan(session, planned.plan,
-                                              context, trace)
+                # the scheduler's own measurement, grafted not re-timed
+                trace.span_at("scheduler.queue", ticket.queue_wait_seconds,
+                              lane=ticket.lane, tenant=ticket.tenant)
+                result, profile, _ = run_plan(session, planned.plan, trace)
                 # stores the aux-carrying result, returns it stripped
                 visible: Table = state.store_result(key, result, planned)
             except BaseException as error:
@@ -109,27 +104,25 @@ def serve_statement(session: Session, text: str,
             _seal(session, trace, planned, ticket, profile)
             return visible
 
-        if scheduler is not None:
-            return scheduler.submit(
-                lambda ticket: run(state.make_context(
-                    batch_size=session.context.batch_size), ticket),
-                estimated_cost=planned.estimated_cost, tenant=tenant,
-                plan_cache_hit=planned.cache_hit, wait=wait)
+        return scheduler.submit(
+            run, estimated_cost=planned.estimated_cost, tenant=tenant,
+            plan_cache_hit=planned.cache_hit, wait=wait)
     except BaseException as error:
-        # planning raised, or admission refused the statement
+        # planning raised, or admission refused the statement (a raise
+        # inside ``run`` reaches the ticket, not this guard)
         _fail(session, trace, error)
         raise
-    # inline; outside the guard above because run seals its own failure
-    return run(session.context)
 
 
 def run_plan(session: Session, plan: LogicalPlan,
-             context: ExecutionContext, trace: AnyTrace = NULL_TRACE
+             trace: AnyTrace = NULL_TRACE
              ) -> tuple[Table, QueryProfile, PhysicalOperator]:
     """Execute ``plan`` as-is — the core under ``Session.execute``,
-    scheduled statements and EXPLAIN ANALYZE; returns the result, its
+    served statements and EXPLAIN ANALYZE; returns the result, its
     profile and the physical root.
 
+    Every execution gets a fresh execution context at the session's
+    batch size: shared catalog, models and arenas, private ``metrics``.
     Holds the read stripe of every model the plan embeds with (deduped,
     bank order — ``StripedRWLock.stripes_for``) across build + execute,
     so an invalidation (write stripe) can never clear an arena
@@ -139,6 +132,7 @@ def run_plan(session: Session, plan: LogicalPlan,
     approximate under contention, but bounded by what ran meanwhile.
     """
     state = session.state
+    context = state.make_context(batch_size=session.context.batch_size)
     before = _arena_counters(state.embedding_caches)
     with ExitStack() as stack:
         # spelled ``session.state.…`` on purpose: the lock-hierarchy lint
@@ -150,7 +144,6 @@ def run_plan(session: Session, plan: LogicalPlan,
             root = build_physical(plan, context)
             result = root.execute()
         elapsed = time.perf_counter() - started
-    context.record_semantic_metrics()
     profile = QueryProfile.from_tree(root, elapsed)
     after = _arena_counters(state.embedding_caches)
     profile.cache_hits = after[0] - before[0]
@@ -180,13 +173,12 @@ def _arena_counters(caches: dict[str, Any]
 
 
 def _seal(session: Session, trace: AnyTrace, planned: PlannedStatement,
-          ticket: QueryTicket | None, profile: QueryProfile) -> None:
+          ticket: QueryTicket, profile: QueryProfile) -> None:
     """End a served statement, whichever step answered it."""
     profile.plan_cache_hit = planned.cache_hit
-    if ticket is not None:
-        profile.queue_wait_seconds = ticket.queue_wait_seconds
-        profile.lane = ticket.lane
-        profile.tenant = ticket.tenant
+    profile.queue_wait_seconds = ticket.queue_wait_seconds
+    profile.lane = ticket.lane
+    profile.tenant = ticket.tenant
     trace.annotate(
         lane=profile.lane, tenant=profile.tenant,
         plan_cache_hit=profile.plan_cache_hit,

@@ -6,17 +6,18 @@ queries; the session optimizes, executes, and profiles them.
 
 ``Session`` is a thin facade over an
 :class:`~repro.engine.state.EngineState`: a stand-alone session builds a
-private state, while sessions handed a ``shared_state`` — the
-:class:`~repro.server.EngineServer` path — share catalog, models,
-embedding arenas, and the plan and result caches with every sibling.
-How a statement is served — plan cache, result cache, reuse,
-execution — is :mod:`repro.engine.lifecycle`.
+private state, while sessions handed a ``shared_state`` — what
+:meth:`repro.server.EngineServer.session` returns — share catalog,
+models, embedding arenas, the plan and result caches and the scheduler
+with every sibling.  Either way a statement is served the same way —
+plan cache, result cache, reuse, then execution as a scheduler ticket
+accounted to the session's ``tenant`` — by :mod:`repro.engine.lifecycle`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from repro.embeddings.model import EmbeddingModel
 from repro.engine.explain import explain_analyzed, explain_plan
@@ -34,6 +35,9 @@ from repro.relational.logical import LogicalPlan, ScanNode
 from repro.relational.physical import DEFAULT_BATCH_SIZE
 from repro.reuse.analysis import analyze_and_augment
 from repro.storage.table import Table
+
+if TYPE_CHECKING:
+    from repro.server.scheduler import QueryTicket
 
 __all__ = ["DEFAULT_MODEL_NAME", "PlannedStatement", "Session"]
 
@@ -81,17 +85,22 @@ class Session:
     :class:`~repro.engine.state.EngineState` (the server path).  When it
     is given, ``seed``/``load_default_model``/``optimizer_config``/
     ``result_cache_bytes`` are ignored — that state was configured by
-    its owner.
+    its owner — and ``batch_size`` defaults to the state's.
+
+    ``tenant`` names who the scheduler accounts this session's
+    statements and ingest to (lane counters, in-flight cap).  Use as a
+    context manager or call :meth:`close` to shut the engine down.
     """
 
     def __init__(self, seed: int = 7, load_default_model: bool = True,
                  optimizer_config: OptimizerConfig | None = None,
-                 batch_size: int = DEFAULT_BATCH_SIZE,
+                 batch_size: int | None = None,
                  shared_state: EngineState | None = None,
                  result_cache_bytes: int | None = None,
                  semantic_reuse: bool = True,
                  compiled_pipelines: str | None = None,
-                 generic_plans: bool = True):
+                 generic_plans: bool = True,
+                 tenant: str = "default"):
         # kept with its one legal value for callers that still pass
         # "off"; it goes when the engine knobs become one config
         # (ROADMAP item 1(g))
@@ -102,7 +111,9 @@ class Session:
         if shared_state is None:
             shared_state = EngineState(
                 seed=seed, load_default_model=load_default_model,
-                optimizer_config=optimizer_config, batch_size=batch_size,
+                optimizer_config=optimizer_config,
+                batch_size=DEFAULT_BATCH_SIZE if batch_size is None
+                else batch_size,
                 result_cache_bytes=result_cache_bytes,
                 semantic_reuse=semantic_reuse,
                 generic_plans=generic_plans)
@@ -112,6 +123,9 @@ class Session:
         self.catalog = shared_state.catalog
         self.models = shared_state.models
         self.federation = shared_state.federation
+        self.tenant = tenant
+        # the optimizer's context (DIP prefetch, sampling) and the batch
+        # size every execution's own context copies
         self.context = shared_state.make_context(batch_size=batch_size)
         # no override yet: default_model_name tracks the shared state
         # until this session picks its own (register_model(default=True))
@@ -153,9 +167,11 @@ class Session:
         """
         self.catalog.register(name, table, replace=replace)
 
-    def append(self, name: str, rows):
+    def append(self, name: str, rows, wait: bool = True):
         """Append rows (dicts or a same-schema :class:`Table`) to
-        ``name``; returns the :class:`~repro.ingest.IngestReport`.
+        ``name`` through the scheduler; returns the
+        :class:`~repro.ingest.IngestReport` when ``wait`` is true, the
+        :class:`~repro.server.scheduler.QueryTicket` otherwise.
 
         Unlike ``register_table(replace=True)`` — a schema-identity
         change that invalidates every cache engine-wide — an append
@@ -163,17 +179,36 @@ class Session:
         cached, and results over the table are delta-patched when the
         plan is provably append-monotone (:mod:`repro.ingest`).
         """
-        return self.state.ingest.append(name, rows)
+        return self._ingest(
+            lambda: self.state.ingest.append(name, rows), wait)
 
-    def upsert(self, name: str, rows, key: str):
-        """Insert-or-replace rows by the ``key`` column; returns the
-        :class:`~repro.ingest.IngestReport`.
+    def upsert(self, name: str, rows, key: str, wait: bool = True):
+        """Insert-or-replace rows by the ``key`` column through the
+        scheduler; returns the report or the ticket, like
+        :meth:`append`.
 
         Pure inserts take the delta-maintenance append path; any key
         collision falls back to targeted invalidation of this table's
         cached results (see :meth:`repro.ingest.IngestManager.upsert`).
         """
-        return self.state.ingest.upsert(name, rows, key)
+        return self._ingest(
+            lambda: self.state.ingest.upsert(name, rows, key), wait)
+
+    def _ingest(self, operation: Callable[[], Any], wait: bool):
+        """Admit one ingest operation like a query, but charged
+        ``SchedulerConfig.ingest_weight`` against the tenant's in-flight
+        cap (a mutation holds the engine-wide ingest lock and re-executes
+        delta plans, so it displaces more capacity than one read), and
+        classified heavy — strictly above the interactive threshold — so
+        a burst of appends cannot starve the interactive lane."""
+        self.state.check_open()
+        scheduler = self.state.scheduler
+        config = scheduler.config
+        ticket = scheduler.submit(
+            lambda ticket: operation(),
+            estimated_cost=config.interactive_cost_threshold + 1.0,
+            tenant=self.tenant, weight=config.ingest_weight, wait=wait)
+        return ticket.result() if wait else ticket
 
     def register_source(self, source: DataSource) -> list[str]:
         """Federate a polystore source; returns the registered table names."""
@@ -210,15 +245,23 @@ class Session:
         return QueryBuilder(self, scan)
 
     def sql(self, text: str, optimize: bool = True) -> Table:
-        """Parse, bind, optimize, and execute a SQL query.
+        """Parse, bind, optimize, and execute a SQL query (blocking).
 
         Optimized statements travel the statement lifecycle
         (:func:`repro.engine.lifecycle.serve_statement`): plan cache,
-        then result cache and reuse, which skip execution entirely.
-        ``optimize=False`` always takes the uncached, unscheduled path.
+        then result cache and reuse, which skip execution entirely, then
+        a scheduler ticket — run on this thread when a pool slot is free
+        and nothing is queued.  ``optimize=False`` always takes the
+        uncached, unscheduled path.
         """
         if not optimize:
             return self.execute(self.sql_plan(text), optimize=False)
+        return serve_statement(self, text, wait=True).result()
+
+    def submit(self, text: str) -> QueryTicket:
+        """Plan and probe ``text`` now; queue its execution for a pool
+        worker unless a cache answered.  Returns the ticket
+        (``.result()`` blocks for the table)."""
         return serve_statement(self, text)
 
     def sql_plan(self, text: str) -> LogicalPlan:
@@ -315,7 +358,7 @@ class Session:
         self.last_profile = None    # a raise must not leave a stale one
         if optimize:
             plan = self.optimize(plan)
-        result, self.last_profile, _ = run_plan(self, plan, self.context)
+        result, self.last_profile, _ = run_plan(self, plan)
         return result
 
     def explain(self, query: str | LogicalPlan,
@@ -342,7 +385,7 @@ class Session:
         if optimize:
             with trace.span("optimize"):
                 plan = optimizer.optimize(plan)
-        _, profile, root = run_plan(self, plan, self.context, trace)
+        _, profile, root = run_plan(self, plan, trace)
         trace.finish()
         # the span tree is built from the same operator rows as the
         # table above it, so the two sections cannot disagree on timings
@@ -351,6 +394,21 @@ class Session:
                              profile.total_seconds),
             "trace:",
             *("  " + line for line in trace.pretty().splitlines())])
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def close(self, wait: bool = True) -> None:
+        """Close the engine this session serves — the shared one, for a
+        server's session: every session over it refuses statements and
+        ingest from now on, and the pool stops (idempotent)."""
+        self.state.close(wait=wait)
+
+    def __enter__(self) -> Session:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Internals

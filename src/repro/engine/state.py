@@ -20,15 +20,19 @@ the same data paid the warm-up twice and shared no cache hits.
   :mod:`repro.engine.result_cache`);
 - **model_locks** — striped read-write locks addressed by model name,
   used by the server for operations that must exclude *all* readers of
-  one model's caches (e.g. dropping a model's arena).
+  one model's caches (e.g. dropping a model's arena);
+- **scheduler** — the admission-controlled pool every served statement
+  and waited ingest goes through, so every session over one state
+  shares one pool bound.
 
-A stand-alone ``Session()`` still builds a private ``EngineState`` —
-same behaviour as before, one owner.  An
+A stand-alone ``Session()`` builds a private ``EngineState``.  An
 :class:`~repro.server.EngineServer` builds one shared state and hands
-every :class:`~repro.server.ClientSession` the same instance.
+every session it opens the same instance.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from repro.embeddings.registry import ModelRegistry
 from repro.engine.plan_cache import DEFAULT_PLAN_CACHE_CAPACITY, PlanCache
@@ -38,6 +42,7 @@ from repro.engine.result_cache import (
     ResultKey,
     strip_columns,
 )
+from repro.errors import ServerError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.optimizer.optimizer import OptimizerConfig
@@ -46,6 +51,9 @@ from repro.relational.logical import LogicalPlan
 from repro.relational.physical import DEFAULT_BATCH_SIZE, ExecutionContext
 from repro.storage.catalog import Catalog
 from repro.utils.locks import StripedRWLock
+
+if TYPE_CHECKING:
+    from repro.server.scheduler import SchedulerConfig
 
 DEFAULT_MODEL_NAME = "wiki-ft-100"
 
@@ -75,8 +83,13 @@ class EngineState:
                  result_cache_bytes: int | None = None,
                  semantic_reuse: bool = True,
                  generic_plans: bool = True,
+                 scheduler_config: SchedulerConfig | None = None,
                  trace_sample: float = 1.0,
                  trace_log: object = None):
+        # imported here: repro.server imports the session module, which
+        # imports this one
+        from repro.server.scheduler import Scheduler
+
         self.seed = seed
         #: One registry per engine state: every subsystem registers its
         #: instruments here, and every exporter reads from here.
@@ -137,10 +150,25 @@ class EngineState:
         from repro.ingest.manager import IngestManager
 
         self.ingest = IngestManager(self)
+        self.scheduler = Scheduler(scheduler_config,
+                                   registry=self.metrics_registry)
+        self.closed = False
         if load_default_model:
             from repro.embeddings.pretrained import build_pretrained_model
 
             self.models.register(build_pretrained_model(seed=seed))
+
+    def check_open(self) -> None:
+        """Refuse work once :meth:`close` ran: checked before planning,
+        so a closed engine plans nothing."""
+        if self.closed:
+            raise ServerError("engine is closed")
+
+    def close(self, wait: bool = True) -> None:
+        """Refuse new statements and ingest, then stop the pool
+        (``wait``: let queued tickets finish first).  Idempotent."""
+        self.closed = True
+        self.scheduler.close(wait=wait)
 
     def make_context(self, batch_size: int | None = None,
                      parallelism: object = None) -> ExecutionContext:
@@ -193,8 +221,7 @@ class EngineState:
         """A defensive snapshot of the cached result for ``key``, or
         ``None`` (also when the key is ``None`` or the cache disabled).
 
-        Both execution paths — ``Session.sql`` inline and
-        ``EngineServer.submit`` — consult through here so the key
+        The statement lifecycle consults through here so the key
         discipline lives in one place.
         """
         if key is None or self.result_cache is None:

@@ -55,8 +55,12 @@ class ExecutionContext:
         return self.models.get(name)
 
     def record_semantic_metrics(self) -> None:
-        """Publish embedding-arena statistics into ``metrics`` (read
-        back by the profiler and benchmarks)."""
+        """Publish embedding-arena statistics into ``metrics``.
+
+        The engine no longer calls this (every execution's context is
+        thrown away; ``EngineState.arena_stats`` is the live view).
+        e2e-harness shim beside ``Scheduler.budget`` and
+        ``make_context(parallelism=)``; ROADMAP 1(c) deletes it."""
         caches = self.embedding_cache
         if caches:
             # the cache dict may be shared across concurrent queries

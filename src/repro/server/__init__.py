@@ -4,9 +4,9 @@ Turns the single-user engine into a query-serving system:
 
 - :class:`~repro.server.server.EngineServer` owns one shared
   :class:`~repro.engine.state.EngineState` (tables, models, embedding
-  arenas, plan and result caches) and hands out
-  lightweight :class:`~repro.server.server.ClientSession` facades that
-  share it;
+  arenas, plan and result caches, scheduler) and hands out
+  lightweight :class:`~repro.engine.session.Session` objects, one per
+  tenant, that share it;
 - :class:`~repro.server.scheduler.Scheduler` admission-controls a
   bounded worker pool, classifying queries into interactive vs. heavy
   lanes by the cost model's estimate.
@@ -22,11 +22,10 @@ from repro.server.scheduler import (
     Scheduler,
     SchedulerConfig,
 )
-from repro.server.server import ClientSession, EngineServer
+from repro.server.server import EngineServer
 
 __all__ = [
     "AdmissionError",
-    "ClientSession",
     "EngineServer",
     "QueryTicket",
     "Scheduler",

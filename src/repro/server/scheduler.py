@@ -4,12 +4,13 @@ The serving layer cannot just hand every incoming query a thread — a
 burst of heavy semantic joins would seize every core and interactive
 dashboards would stall behind them.  The scheduler therefore:
 
-1. **Bounds concurrency.**  A fixed worker pool (``SchedulerConfig.workers``,
-   by default one thread per visible core) executes queries; a query
-   admitted while all workers are busy waits in a queue, and queue
-   depth is bounded — past the bound, :class:`AdmissionError` tells the
-   client to back off *now* instead of letting latency grow without
-   limit (load shedding, not buffering).
+1. **Bounds concurrency.**  ``SchedulerConfig.workers`` slots (by
+   default one per visible core) execute queries; a query admitted
+   while every slot is busy waits in a queue, and queue depth is
+   bounded — past the bound, :class:`AdmissionError` tells the client
+   to back off *now* instead of letting latency grow without limit
+   (load shedding, not buffering).  Threads start only to run queued
+   tickets.
 2. **Classifies by estimated cost.**  The optimizer's cost estimate —
    free on a plan-cache hit, computed anyway on a miss — sorts queries
    into an ``interactive`` or ``heavy`` lane at admission.  Workers
@@ -19,13 +20,13 @@ dashboards would stall behind them.  The scheduler therefore:
 
 3. **Runs a blocking caller's work on the caller's thread.**  A caller
    that is about to block on its ticket anyway (``submit(wait=True)``:
-   ``EngineServer.sql``, ``ClientSession.sql``, ``append`` / ``upsert``
-   with ``wait=True``) runs its query itself when a slot is free and
-   both lanes are empty — same admission, tenant cap, lane counters and
-   ticket as a queued run, queue wait 0, and no hand-off to a worker
-   and back.  Anything queued goes first: a blocking caller that finds
-   work waiting queues behind it.  Inline runs hold pool slots, so at
-   most ``workers`` queries execute at once whichever threads run them.
+   every ``Session.sql``, and ``append`` / ``upsert`` with ``wait``)
+   runs its query itself when a slot is free and both lanes are empty —
+   same admission, tenant cap, lane counters and ticket as a queued
+   run, queue wait 0, and no hand-off to a worker and back (blocking
+   callers alone start no thread).  Anything queued goes first.  Inline
+   runs hold pool slots, so at most ``workers`` queries execute at once
+   whichever threads run them.
 
 Each query runs its kernels serially on the thread that runs it — a
 pool worker or its blocking caller: the pool's threads are the only
@@ -207,14 +208,8 @@ class Scheduler:
         self._tenants: dict[str, _TenantMetrics] = {}
         self._queue_wait_total = 0.0
         self._queue_wait_max = 0.0
-        self._workers = [
-            threading.Thread(target=self._worker_loop,
-                             name=f"repro-query-worker-{index}",
-                             daemon=True)
-            for index in range(workers)
-        ]
-        for worker in self._workers:
-            worker.start()
+        self._slots = workers       # threads start as tickets queue
+        self._workers: list[threading.Thread] = []
 
     # ------------------------------------------------------------------
     # Admission
@@ -269,7 +264,7 @@ class Scheduler:
             metrics.by_lane[lane] += 1
             if plan_cache_hit:
                 metrics.plan_cache_hits += 1
-            inline = (wait and self._running < len(self._workers)
+            inline = (wait and self._running < self._slots
                       and not any(self._lanes.values()))
             if inline:
                 self._running += 1
@@ -277,6 +272,11 @@ class Scheduler:
             else:
                 queue.append((ticket, run))
                 self._work_ready.notify()
+                if len(self._workers) < self._slots:
+                    self._workers.append(threading.Thread(
+                        target=self._worker_loop, daemon=True,
+                        name=f"repro-query-worker-{len(self._workers)}"))
+                    self._workers[-1].start()
         if inline:
             self._run_ticket(ticket, run, inline=True)
         return ticket
@@ -363,7 +363,7 @@ class Scheduler:
         """
         with self._mutex:
             while True:
-                if self._running < len(self._workers):
+                if self._running < self._slots:
                     item = self._pop_locked()
                     if item is not None:
                         break
@@ -454,7 +454,7 @@ class Scheduler:
         with self._mutex:
             queries = self._admitted.value
             return {
-                "workers": len(self._workers),
+                "workers": self._slots,
                 "admitted": queries,
                 "rejected": self._rejected.value,
                 "inline_runs": self._inline_runs.value,

@@ -1,18 +1,15 @@
-"""EngineServer: shared engine state + plan cache + scheduler in one box.
+"""EngineServer: one shared engine state handed to many sessions.
 
 The server owns exactly one :class:`~repro.engine.state.EngineState` —
-catalog, models, per-model embedding arenas, plan and result caches —
-and hands out :class:`ClientSession` facades that *share* it: a string
-embedded by any client is an arena hit for all of them, and a statement
-planned once executes plan-cache-hot from every connection.
-
-Execution is admission-controlled: ``submit`` hands the statement
-lifecycle (:mod:`repro.engine.lifecycle`) the server's
-:class:`~repro.server.scheduler.Scheduler`, so planning and cache probes
-run in the calling thread and execution on the bounded pool.  The
-blocking entry points (``sql``, ``append`` / ``upsert`` with ``wait``)
-submit with ``wait=True``: with a slot free and nothing queued, their
-work runs on the calling thread instead of a worker.
+catalog, models, per-model embedding arenas, plan and result caches and
+the scheduler — and hands out :class:`~repro.engine.session.Session`
+objects that *share* it, each naming its tenant: a string embedded by
+any client is an arena hit for all of them, a statement planned once
+executes plan-cache-hot from every connection, and every statement and
+ingest of every session is admitted by the one scheduler
+(:mod:`repro.engine.lifecycle`).  Blocking entry points (``sql``,
+``append`` / ``upsert`` with ``wait``) run their work on the calling
+thread when a slot is free and nothing is queued.
 """
 
 from __future__ import annotations
@@ -20,11 +17,10 @@ from __future__ import annotations
 from repro.engine.lifecycle import serve_statement
 from repro.engine.session import Session
 from repro.engine.state import EngineState
-from repro.errors import ServerError
 from repro.obs.export import json_snapshot, prometheus_text
 from repro.optimizer.optimizer import OptimizerConfig
 from repro.relational.physical import DEFAULT_BATCH_SIZE
-from repro.server.scheduler import QueryTicket, Scheduler, SchedulerConfig
+from repro.server.scheduler import QueryTicket, SchedulerConfig
 from repro.storage.table import Table
 
 
@@ -50,14 +46,12 @@ class EngineServer:
             optimizer_config=optimizer_config, batch_size=batch_size,
             result_cache_bytes=result_cache_bytes,
             semantic_reuse=semantic_reuse,
-            generic_plans=generic_plans,
+            generic_plans=generic_plans, scheduler_config=scheduler_config,
             trace_sample=trace_sample, trace_log=trace_log)
-        self.scheduler = Scheduler(scheduler_config,
-                                   registry=self.state.metrics_registry)
-        self._closed = False
+        self.scheduler = self.state.scheduler
         # the admin session plans statements submitted without a client
         # session (server.sql / server.submit convenience paths)
-        self._admin = ClientSession(self, tenant="admin")
+        self._admin = Session(shared_state=self.state, tenant="admin")
 
     # ------------------------------------------------------------------
     # Registration (shared state, versioned invalidation)
@@ -90,30 +84,13 @@ class EngineServer:
         Returns the :class:`~repro.ingest.IngestReport` when ``wait`` is
         true, the :class:`QueryTicket` otherwise.
         """
-        return self._ingest(
-            lambda: self.state.ingest.append(name, rows), tenant, wait)
+        return self.session(tenant).append(name, rows, wait=wait)
 
     def upsert(self, name: str, rows, key: str, tenant: str = "admin",
                wait: bool = True):
         """Insert-or-replace by ``key`` through the scheduler; returns
         the report or the ticket, like :meth:`append`."""
-        return self._ingest(
-            lambda: self.state.ingest.upsert(name, rows, key), tenant, wait)
-
-    def _ingest(self, operation, tenant: str, wait: bool):
-        """Admit one ingest operation like a query, but charged
-        ``SchedulerConfig.ingest_weight`` against the tenant's in-flight
-        cap (a mutation holds the engine-wide ingest lock and re-executes
-        delta plans, so it displaces more capacity than one read), and
-        classified heavy — strictly above the interactive threshold — so
-        a burst of appends cannot starve the interactive lane."""
-        self._check_open()
-        config = self.scheduler.config
-        ticket = self.scheduler.submit(
-            lambda ticket: operation(),
-            estimated_cost=config.interactive_cost_threshold + 1.0,
-            tenant=tenant, weight=config.ingest_weight, wait=wait)
-        return ticket.result() if wait else ticket
+        return self.session(tenant).upsert(name, rows, key, wait=wait)
 
     def invalidate_model(self, model_name: str) -> None:
         """Clear a model's embedding arena (and, transitively, the
@@ -145,32 +122,24 @@ class EngineServer:
     # Sessions and execution
     # ------------------------------------------------------------------
     def session(self, tenant: str = "default",
-                batch_size: int | None = None) -> "ClientSession":
-        """A lightweight client session sharing this server's state."""
-        self._check_open()
-        return ClientSession(self, tenant=tenant, batch_size=batch_size)
+                batch_size: int | None = None) -> Session:
+        """A lightweight session sharing this server's state, accounted
+        to ``tenant``."""
+        self.state.check_open()
+        return Session(shared_state=self.state, tenant=tenant,
+                       batch_size=batch_size)
 
-    def submit(self, text: str, session: "ClientSession | None" = None,
+    def submit(self, text: str, session: Session | None = None,
                tenant: str | None = None) -> QueryTicket:
         """Plan and probe ``text`` now, queue its execution if no cache
         answered; returns the ticket (``.result()`` blocks for the
         table).  ``tenant`` overrides the session's for accounting."""
-        return self._serve(text, session, tenant, wait=False)
+        return serve_statement(session or self._admin, text, tenant)
 
     def sql(self, text: str, tenant: str = "admin") -> Table:
         """Blocking convenience: submit and wait for the result."""
-        return self._serve(text, None, tenant, wait=True).result()
-
-    def _serve(self, text: str, session: "ClientSession | None",
-               tenant: str | None, wait: bool) -> QueryTicket:
-        """``submit``; ``wait`` says the caller blocks on the ticket
-        next, so the scheduler may run the statement on this thread."""
-        self._check_open()
-        client = session if session is not None else self._admin
-        return serve_statement(
-            client, text, scheduler=self.scheduler,
-            tenant=tenant if tenant is not None else client.tenant,
-            wait=wait)
+        return serve_statement(self._admin, text, tenant,
+                               wait=True).result()
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -213,57 +182,11 @@ class EngineServer:
         return self.scheduler.drain(timeout=timeout)
 
     def close(self, wait: bool = True) -> None:
-        """Stop the worker pool (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self.scheduler.close(wait=wait)
+        """Refuse new work and stop the worker pool (idempotent)."""
+        self.state.close(wait=wait)
 
     def __enter__(self) -> "EngineServer":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ServerError("server is closed")
-
-
-class ClientSession(Session):
-    """A session facade sharing an :class:`EngineServer`'s state.
-
-    Construction is cheap — no model load, no new caches — because all
-    heavy state lives in the server.  ``sql`` routes through the
-    server's plan cache *and* scheduler (admission control applies);
-    builder queries and ``execute`` run inline in the calling thread,
-    same as a stand-alone session.
-    """
-
-    def __init__(self, server: EngineServer, tenant: str = "default",
-                 batch_size: int | None = None):
-        super().__init__(shared_state=server.state,
-                         batch_size=server.state.batch_size
-                         if batch_size is None else batch_size)
-        self.server = server
-        self.tenant = tenant
-
-    def sql(self, text: str, optimize: bool = True) -> Table:
-        """Execute through the server's scheduler (blocking; on this
-        thread when a slot is free and nothing is queued)."""
-        if not optimize:
-            # uncached, unscheduled debug path — identical to Session
-            return super().sql(text, optimize=False)
-        return self.server._serve(text, self, None, wait=True).result()
-
-    def submit(self, text: str) -> QueryTicket:
-        """Non-blocking execute; returns the scheduler ticket."""
-        return self.server.submit(text, session=self)
-
-    def append(self, name: str, rows):
-        """Append through the server (admission-controlled, weighted)."""
-        return self.server.append(name, rows, tenant=self.tenant)
-
-    def upsert(self, name: str, rows, key: str):
-        """Upsert through the server (admission-controlled, weighted)."""
-        return self.server.upsert(name, rows, key, tenant=self.tenant)

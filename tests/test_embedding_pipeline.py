@@ -285,12 +285,12 @@ class TestSessionArenaPersistence:
         query = ("SELECT p.pid FROM products AS p "
                  "WHERE p.ptype ~ 'clothes' THRESHOLD 0.7")
         session.sql(query)
-        first = session.context.metrics["embedding_arena"]
+        first = session.state.arena_stats()
         model_name = session.default_model_name
         rows_after_first = first[model_name]["rows"]
         assert rows_after_first > 0
         session.sql(query)
-        second = session.context.metrics["embedding_arena"]
+        second = session.state.arena_stats()
         # same strings: no new rows, strictly more hits
         assert second[model_name]["rows"] == rows_after_first
         assert second[model_name]["hits"] > first[model_name]["hits"]

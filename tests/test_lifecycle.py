@@ -1,9 +1,9 @@
 """The one statement lifecycle (``repro.engine.lifecycle``).
 
-``Session.sql`` (inline) and ``EngineServer.submit`` (scheduled) are two
-callers of one definition, so they must be indistinguishable except for
-the queue hop; and a statement that fails — on the worker, or refused at
-admission — must still end its trace and leave the engine consistent.
+A stand-alone ``Session`` and a server's session serve through one
+definition and one scheduler, so they must be indistinguishable; and a
+statement that fails — on the worker, or refused at admission — must
+still end its trace and leave the engine consistent.
 """
 
 from __future__ import annotations
